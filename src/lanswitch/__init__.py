@@ -6,7 +6,6 @@ from .linalg import (
     NonFiniteError,
     SparseMatrix,
     as_vector,
-    combine,
     dot,
     matvec,
     matvec_t,
@@ -47,7 +46,6 @@ from .switching import (
     SwitchEvent,
     SwitchPlan,
     SwitchTrace,
-    handoff,
     run_switching,
     select_next,
 )

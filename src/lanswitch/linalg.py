@@ -19,7 +19,6 @@ __all__ = [
     "norm2",
     "matvec",
     "matvec_t",
-    "combine",
 ]
 
 
@@ -82,22 +81,6 @@ def norm2(v: np.ndarray) -> float:
     if not np.isfinite(out):
         raise NonFiniteError("non-finite result in norm2")
     return out
-
-
-def combine(coeffs, vecs) -> np.ndarray:
-    """Linear combination sum_i coeffs[i] * vecs[i], accumulated left to right."""
-    if len(coeffs) != len(vecs):
-        raise DimensionError(f"combine: {len(coeffs)} coefficients for {len(vecs)} vectors")
-    if not vecs:
-        raise DimensionError("combine: empty operand lists")
-    n = vecs[0].shape[0]
-    out = np.zeros(n, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c, v in zip(coeffs, vecs):
-            if v.shape[0] != n:
-                raise DimensionError("combine: vectors of unequal length")
-            out += c * v
-    return _check_finite(out, "combine")
 
 
 class SparseMatrix:

@@ -164,11 +164,14 @@ class SolverState:
     """Common state: system handles, iterate, residual, counters, outcome.
 
     ``k`` counts x-updates performed so far; ``iters_used`` additionally
-    charges the A12 prologue at the documented rate of 3 so that cycle
-    accounting stays uniform across algorithms.
+    charges a completed prologue at the class's ``PROLOGUE_CHARGE`` so that
+    cycle accounting stays uniform across algorithms.
     """
 
     algo: AlgoId
+    # Iterations a completed prologue charges; the switching driver budgets
+    # each handoff with it before initializing the algorithm.
+    PROLOGUE_CHARGE = 0
 
     def __init__(self, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
                  y: np.ndarray, cfg: SolverConfig):
@@ -370,6 +373,7 @@ class _A12State(SolverState):
     """Four-term recurrence A12 with its moment-based prologue."""
 
     algo = AlgoId.A12
+    PROLOGUE_CHARGE = 3
 
     def __init__(self, A, b, x0, y, cfg):
         super().__init__(A, b, x0, y, cfg)
@@ -426,7 +430,7 @@ class _A12State(SolverState):
         self.x, self.r = x2, r2
         self.k = 2
         # Documented convention: the prologue charges three iterations.
-        self.prologue_charge = 3
+        self.prologue_charge = self.PROLOGUE_CHARGE
         if norm2(r2) <= cfg.tol:
             self.outcome = StepOutcome.converged()
             return
@@ -540,6 +544,7 @@ class _A5B10State(SolverState):
     """
 
     algo = AlgoId.A5B10
+    PROLOGUE_CHARGE = 1
 
     def __init__(self, A, b, x0, y, cfg):
         super().__init__(A, b, x0, y, cfg)
@@ -570,7 +575,7 @@ class _A5B10State(SolverState):
         self.x, self.r = x1, r1
         self.A_prev = A1
         self.k = 1
-        self.prologue_charge = 1
+        self.prologue_charge = self.PROLOGUE_CHARGE
         if norm2(r1) <= self.cfg.tol:
             self.outcome = StepOutcome.converged()
 

@@ -1,12 +1,21 @@
 """Switching framework: run one Lanczos-type solver, hand its iterate to another.
 
-Strategies: ST1 switches only after a breakdown, ST2 pre-emptively at fixed
-cycle boundaries, ST3 when a monitored denominator drops below a threshold.
-The incoming algorithm is re-initialized at the outgoing iterate with a
-freshly recomputed residual, so every cycle starts with an exact residual
+One loop drives all three strategies. Each pass runs the current algorithm
+for one chunk and reads its outcome. A convergence claim ends the run only
+if the recomputed residual b - A x meets the tolerance; otherwise a CycleEnd
+handoff follows. A breakdown hands off with a BreakdownSwitch. An iteration
+limit or a spent global budget ends the run Exhausted. Otherwise the
+strategy's switch rule decides. The strategies differ only in their chunk
+and switch rules: ST1 runs the whole remaining budget and never switches on
+its own; ST2 runs the rest of its cycle and switches at a full cycle
+(Restart or ProperSwitch); ST3 runs ``check_every`` iterations and switches
+when a monitored denominator drops below its threshold (MonitorSwitch).
+
+A handoff re-initializes the incoming algorithm at the current iterate with
+a freshly recomputed residual, so every cycle starts with an exact residual
 identity; by default the shadow vector is re-seeded with that residual (see
-SwitchPlan.shadow_restart). A run only terminates Converged once the
-recomputed residual, not just the recurrence one, meets the tolerance.
+SwitchPlan.shadow_restart). A run whose iterate grows until a norm overflows
+ends Exhausted with residual inf instead of raising.
 """
 
 from __future__ import annotations
@@ -18,8 +27,9 @@ from typing import List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from .linalg import SparseMatrix, norm2
+from .linalg import NonFiniteError, SparseMatrix, norm2
 from .solvers import (
+    _STATE_CLASSES,
     AlgoId,
     OutcomeKind,
     SolverConfig,
@@ -44,7 +54,6 @@ __all__ = [
     "SwitchTrace",
     "RunRecord",
     "select_next",
-    "handoff",
     "make_rng",
     "run_switching",
 ]
@@ -53,6 +62,12 @@ __all__ = [
 @dataclass(frozen=True)
 class ST1:
     """Switch only when the running algorithm breaks down."""
+
+    def chunk(self, state: SolverState, remaining: int) -> int:
+        return remaining
+
+    def switch_kind(self, state: SolverState) -> Optional[EventKind]:
+        return None
 
 
 @dataclass(frozen=True)
@@ -64,6 +79,14 @@ class ST2:
     def __post_init__(self):
         if self.cycle_len < 1:
             raise ValueError("cycle_len must be at least 1")
+
+    def chunk(self, state: SolverState, remaining: int) -> int:
+        # An A12 prologue alone can fill a short cycle.
+        return min(max(0, self.cycle_len - state.iters_used), remaining)
+
+    def switch_kind(self, state: SolverState) -> Optional[EventKind]:
+        # The handoff relabels it Restart if the same algorithm takes over.
+        return EventKind.PROPER_SWITCH if state.iters_used >= self.cycle_len else None
 
 
 @dataclass(frozen=True)
@@ -78,6 +101,15 @@ class ST3:
             raise ValueError("monitor_threshold must be positive")
         if self.check_every < 1:
             raise ValueError("check_every must be at least 1")
+
+    def chunk(self, state: SolverState, remaining: int) -> int:
+        return min(self.check_every, remaining)
+
+    def switch_kind(self, state: SolverState) -> Optional[EventKind]:
+        report = denominator_report(state)
+        if any(abs(v) < self.monitor_threshold for _, v in report):
+            return EventKind.MONITOR_SWITCH
+        return None
 
 
 Strategy = Union[ST1, ST2, ST3]
@@ -177,10 +209,6 @@ class SwitchTrace:
             raise ValueError("event iterations must strictly increase")
         self.events.append(event)
 
-    @property
-    def final(self) -> Optional[SwitchEvent]:
-        return self.events[-1] if self.events else None
-
 
 @dataclass
 class RunRecord:
@@ -224,26 +252,9 @@ def select_next(policy: SelectionPolicy, current: AlgoId,
     return chosen, kind
 
 
-def handoff(A: SparseMatrix, b: np.ndarray, prev_x: np.ndarray, y: np.ndarray,
-            next_algo: AlgoId, cfg: SolverConfig) -> SolverState:
-    """Initialize ``next_algo`` at the outgoing iterate.
-
-    The residual is recomputed as b - A @ prev_x and the shadow sequence
-    restarts from the original y. A prologue breakdown is carried on the
-    returned state's outcome, never raised.
-    """
-    return init(next_algo, A, b, prev_x, y, cfg)
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """The plan-level generator: PCG64 over a SeedSequence of the given seed."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
-_PROLOGUE_CHARGE = {AlgoId.A4: 0, AlgoId.A12: 3, AlgoId.A5B10: 1, AlgoId.A8B10: 0}
-
-_RETRY = object()
-_CLAIMED = object()
 
 
 class _Driver:
@@ -254,153 +265,112 @@ class _Driver:
         self.plan = plan
         self.trace = SwitchTrace()
         self.iters = 0
-        self.switches = 0
-        self.restarts = 0
         self.rng = (make_rng(plan.policy.mode.seed)
                     if isinstance(plan.policy.mode, CoinToss) else None)
         self.current = plan.start
-        self.x_last = np.array(x0, dtype=np.float64, copy=True)
+        self.x0 = np.array(x0, dtype=np.float64, copy=True)
         # Pool members that broke down at the current iterate; once every
         # member is in here no further handoff can make progress.
         self.barren: Set[AlgoId] = set()
         self.state: Optional[SolverState] = None
 
+    @property
+    def x(self) -> np.ndarray:
+        return self.x0 if self.state is None else self.state.x
+
     def residual_here(self) -> float:
-        if self.state is not None:
-            return self.state.residual_norm()
-        return norm2(self.b - self.A.matvec(self.x_last))
+        """Recurrence residual norm of the installed state, else ||b - A x0||; inf on overflow."""
+        try:
+            if self.state is not None:
+                return self.state.residual_norm()
+            return norm2(self.b - self.A.matvec(self.x0))
+        except NonFiniteError:
+            return math.inf
 
     def finish(self, kind: EventKind, residual: float) -> str:
         self.trace.append(SwitchEvent(kind, self.iters, self.current,
                                       self.current, residual))
         return kind.value
 
-    # -- transitions -----------------------------------------------------
+    def handoff(self, first_choice: AlgoId, cause: Optional[EventKind]) -> Optional[str]:
+        """Install the next algorithm at the current iterate.
 
-    def _start_once(self, first_choice: AlgoId, cause: EventKind, emit_event: bool):
-        """One handoff attempt round over the pool.
-
-        Returns None when a live cycle is up, a terminal outcome name, or the
-        _RETRY sentinel when the accepted candidate's prologue broke down
-        after moving the iterate.
+        Tries ``first_choice``, then the rest of the pool, skipping barren
+        members and those whose prologue would overrun the budget. The
+        installed state may already be terminal. ``cause`` labels the event
+        (None: the run's start, no event). Returns an outcome name or None.
         """
         at = self.iters
         previous = self.current
-        r_fresh = self.b - self.A.matvec(self.x_last)
-        if norm2(r_fresh) <= self.plan.cfg.tol:
+        r_fresh = self.b - self.A.matvec(self.x)
+        r_norm = norm2(r_fresh)
+        if r_norm <= self.plan.cfg.tol:
             # The iterate already solves the system; no cycle needed.
-            return self.finish(EventKind.CONVERGED, norm2(r_fresh))
-        if self.plan.shadow_restart == "residual" and at > 0:
-            y_cycle = r_fresh
-        else:
-            y_cycle = self.y
-        candidates = [first_choice] + [a for a in self.plan.policy.pool
-                                       if a != first_choice]
-        for algo in candidates:
-            if algo in self.barren:
+            return self.finish(EventKind.CONVERGED, r_norm)
+        y_cycle = r_fresh if self.plan.shadow_restart == "residual" and at > 0 else self.y
+        pool = self.plan.policy.pool
+        for algo in [first_choice] + [a for a in pool if a != first_choice]:
+            charge = _STATE_CLASSES[algo].PROLOGUE_CHARGE
+            if algo in self.barren or at + charge > self.plan.global_budget:
                 continue
-            if at + _PROLOGUE_CHARGE[algo] > self.plan.global_budget:
-                continue
-            state = handoff(self.A, self.b, self.x_last, y_cycle, algo, self.plan.cfg)
+            state = init(algo, self.A, self.b, self.x, y_cycle, self.plan.cfg)
             if state.outcome.kind is OutcomeKind.BREAKDOWN and state.k == 0:
-                # Prologue failed without producing an iterate: same point,
-                # next pool member.
                 self.barren.add(algo)
                 continue
-            kind = cause
-            if cause in (EventKind.RESTART, EventKind.PROPER_SWITCH):
-                kind = (EventKind.RESTART if algo == previous
-                        else EventKind.PROPER_SWITCH)
-            if emit_event:
+            if cause is not None:
+                same = cause is EventKind.PROPER_SWITCH and algo == previous
+                kind = EventKind.RESTART if same else cause
                 # The transition is stamped at the handoff iteration, before
                 # the incoming prologue consumes its charge.
                 self.trace.append(SwitchEvent(kind, at, previous, algo,
                                               state.residual_norm()))
-                if algo == previous:
-                    self.restarts += 1
-                else:
-                    self.switches += 1
             self.state = state
             self.current = algo
             self.iters += state.iters_used
-            self.x_last = state.x
-            if state.outcome.kind is OutcomeKind.CONVERGED:
-                return _CLAIMED
-            if state.outcome.kind is OutcomeKind.BREAKDOWN:
-                return _RETRY
             return None
-        self.current = previous
         return self.finish(EventKind.EXHAUSTED, self.residual_here())
 
-    def _note_breakdown(self) -> Optional[str]:
-        """Barren bookkeeping after the running state broke down."""
-        if self.state.k > 0:
-            # The iterate moved this cycle, so earlier failures are stale.
-            self.barren.clear()
-        self.barren.add(self.current)
-        self.x_last = self.state.x
-        if self.barren.issuperset(self.plan.policy.pool):
-            return self.finish(EventKind.EXHAUSTED, self.residual_here())
-        if self.iters >= self.plan.global_budget:
-            return self.finish(EventKind.EXHAUSTED, self.residual_here())
-        return None
-
-    def _verify_convergence(self) -> Optional[str]:
-        """Accept the solver's convergence claim only if b - A x agrees.
-
-        Recurrence residuals drift from the true residual; a claim whose
-        recomputed residual still exceeds the tolerance sends the run into
-        another cycle from the current iterate instead of terminating.
-        """
-        if self.state.true_residual_norm() <= self.plan.cfg.tol:
-            return self.finish(EventKind.CONVERGED, self.state.residual_norm())
-        self.barren.clear()
-        if self.iters >= self.plan.global_budget:
-            return self.finish(EventKind.EXHAUSTED, self.state.residual_norm())
-        return None
-
-    def transition(self, first_choice: AlgoId, cause: EventKind,
-                   emit_event: bool) -> Optional[str]:
-        """Hand off until a cycle is live or the run terminates."""
-        choice, cause_now, emit = first_choice, cause, emit_event
-        while True:
-            res = self._start_once(choice, cause_now, emit)
-            if res is _RETRY:
-                terminal = self._note_breakdown()
-                if terminal is not None:
-                    return terminal
-                choice, _ = select_next(self.plan.policy, self.current, self.rng)
-                cause_now, emit = EventKind.BREAKDOWN_SWITCH, True
-                continue
-            if res is _CLAIMED:
-                terminal = self._verify_convergence()
-                if terminal is not None:
-                    return terminal
-                choice, _ = select_next(self.plan.policy, self.current, self.rng)
-                cause_now, emit = EventKind.CYCLE_END, True
-                continue
-            return res
-
-    def after_breakdown(self) -> Optional[str]:
-        terminal = self._note_breakdown()
-        if terminal is not None:
+    def drive(self) -> str:
+        """Run chunks and handoffs until the run terminates; returns the outcome name."""
+        plan, strategy = self.plan, self.plan.strategy
+        try:
+            terminal = self.handoff(plan.start, None)
+            while terminal is None:
+                state = self.state
+                if not state.outcome.is_terminal:
+                    chunk = strategy.chunk(state, plan.global_budget - self.iters)
+                    if chunk > 0:
+                        self.iters += run(state, chunk)[1]
+                        if state.k > 0:
+                            # The iterate moved, so earlier failures are stale.
+                            self.barren.clear()
+                kind = state.outcome.kind
+                cause = None
+                if kind is OutcomeKind.CONVERGED:
+                    # Recurrence residuals drift from b - A x; a claim the
+                    # recomputed residual does not confirm starts a new cycle.
+                    if state.true_residual_norm() <= plan.cfg.tol:
+                        return self.finish(EventKind.CONVERGED, state.residual_norm())
+                    self.barren.clear()
+                    cause = EventKind.CYCLE_END
+                elif kind is OutcomeKind.BREAKDOWN:
+                    if state.k > 0:
+                        self.barren.clear()
+                    self.barren.add(self.current)
+                    cause = EventKind.BREAKDOWN_SWITCH
+                if (kind is OutcomeKind.ITER_LIMIT or self.iters >= plan.global_budget
+                        or self.barren.issuperset(plan.policy.pool)):
+                    return self.finish(EventKind.EXHAUSTED, self.residual_here())
+                if cause is None:
+                    cause = strategy.switch_kind(state)
+                if cause is not None:
+                    chosen, _ = select_next(plan.policy, self.current, self.rng)
+                    terminal = self.handoff(chosen, cause)
             return terminal
-        chosen, _ = select_next(self.plan.policy, self.current, self.rng)
-        return self.transition(chosen, EventKind.BREAKDOWN_SWITCH, emit_event=True)
-
-    def after_converged_claim(self) -> Optional[str]:
-        """Terminal path for a solver-reported convergence, verified."""
-        terminal = self._verify_convergence()
-        if terminal is not None:
-            return terminal
-        chosen, _ = select_next(self.plan.policy, self.current, self.rng)
-        return self.transition(chosen, EventKind.CYCLE_END, emit_event=True)
-
-    def after_run(self, used: int) -> None:
-        self.iters += used
-        if self.state.k > 0:
-            self.barren.clear()
-        self.x_last = self.state.x
+        except NonFiniteError:
+            # The iterate stays finite, but it has grown until a norm of it
+            # or of its residual overflowed: no handoff can recover.
+            return self.finish(EventKind.EXHAUSTED, self.residual_here())
 
 
 def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
@@ -410,8 +380,8 @@ def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
 
     Every handoff re-initializes the incoming algorithm at the last iterate
     of the outgoing one. The returned record carries the recurrence residual
-    norm at termination and the final iterate; delta and seconds are filled
-    in by the harness.
+    norm at termination (inf if it overflowed) and the final iterate; delta
+    and seconds are filled in by the harness.
     """
     if norm2(y) == 0.0:
         raise ValueError("shadow vector y must be nonzero")
@@ -420,8 +390,8 @@ def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
         combo = f"{pool}/{type(plan.strategy).__name__}"
 
     drv = _Driver(A, b, x0, y, plan)
-    outcome_name = _drive(drv)
-    final_x = drv.state.x if drv.state is not None else drv.x_last
+    outcome_name = drv.drive()
+    transitions = drv.trace.events[:-1]  # every event but the terminal one
     record = RunRecord(
         n=A.nrows,
         delta=math.nan,
@@ -429,90 +399,9 @@ def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
         outcome=outcome_name,
         residual=drv.residual_here(),
         iterations=drv.iters,
-        switches=drv.switches,
-        restarts=drv.restarts,
+        switches=sum(e.from_algo != e.to_algo for e in transitions),
+        restarts=sum(e.from_algo == e.to_algo for e in transitions),
         seconds=math.nan,
-        x=np.array(final_x, copy=True),
+        x=np.array(drv.x, copy=True),
     )
     return record, drv.trace
-
-
-def _drive(drv: _Driver) -> str:
-    plan = drv.plan
-    strategy = plan.strategy
-
-    terminal = drv.transition(plan.start, EventKind.BREAKDOWN_SWITCH, emit_event=False)
-    if terminal is not None:
-        return terminal
-
-    while True:
-        remaining = plan.global_budget - drv.iters
-        if remaining <= 0:
-            return drv.finish(EventKind.EXHAUSTED, drv.state.residual_norm())
-
-        if isinstance(strategy, ST2):
-            cycle_left = max(0, strategy.cycle_len - drv.state.iters_used)
-            budget = min(cycle_left, remaining)
-            if budget > 0:
-                outcome, used = run(drv.state, budget)
-                drv.after_run(used)
-            else:
-                outcome = drv.state.outcome
-            if outcome.kind is OutcomeKind.CONVERGED:
-                terminal = drv.after_converged_claim()
-            elif outcome.kind is OutcomeKind.BREAKDOWN:
-                terminal = drv.after_breakdown()
-            elif outcome.kind is OutcomeKind.ITER_LIMIT:
-                return drv.finish(EventKind.EXHAUSTED, drv.state.residual_norm())
-            elif drv.state.iters_used < strategy.cycle_len:
-                # Global budget ran out mid-cycle.
-                return drv.finish(EventKind.EXHAUSTED, drv.state.residual_norm())
-            elif drv.iters >= plan.global_budget:
-                return drv.finish(EventKind.EXHAUSTED, drv.state.residual_norm())
-            else:
-                chosen, kind = select_next(plan.policy, drv.current, drv.rng)
-                terminal = drv.transition(chosen, kind, emit_event=True)
-            if terminal is not None:
-                return terminal
-
-        elif isinstance(strategy, ST1):
-            outcome, used = run(drv.state, remaining)
-            drv.after_run(used)
-            if outcome.kind is OutcomeKind.CONVERGED:
-                terminal = drv.after_converged_claim()
-                if terminal is not None:
-                    return terminal
-            elif outcome.kind is OutcomeKind.BREAKDOWN:
-                terminal = drv.after_breakdown()
-                if terminal is not None:
-                    return terminal
-            else:
-                return drv.finish(EventKind.EXHAUSTED, drv.state.residual_norm())
-
-        elif isinstance(strategy, ST3):
-            budget = min(strategy.check_every, remaining)
-            outcome, used = run(drv.state, budget)
-            drv.after_run(used)
-            if outcome.kind is OutcomeKind.CONVERGED:
-                terminal = drv.after_converged_claim()
-                if terminal is not None:
-                    return terminal
-            elif outcome.kind is OutcomeKind.BREAKDOWN:
-                terminal = drv.after_breakdown()
-                if terminal is not None:
-                    return terminal
-            elif outcome.kind is OutcomeKind.ITER_LIMIT:
-                return drv.finish(EventKind.EXHAUSTED, drv.state.residual_norm())
-            else:
-                report = denominator_report(drv.state)
-                if any(abs(v) < strategy.monitor_threshold for _, v in report):
-                    if drv.iters >= plan.global_budget:
-                        return drv.finish(EventKind.EXHAUSTED,
-                                          drv.state.residual_norm())
-                    chosen, _ = select_next(plan.policy, drv.current, drv.rng)
-                    terminal = drv.transition(chosen, EventKind.MONITOR_SWITCH,
-                                              emit_event=True)
-                    if terminal is not None:
-                        return terminal
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")

@@ -7,7 +7,6 @@ from lanswitch.linalg import (
     NonFiniteError,
     SparseMatrix,
     as_vector,
-    combine,
     dot,
     matvec,
     matvec_t,
@@ -79,31 +78,6 @@ class TestNorm2:
     ])
     def test_examples(self, v, expected):
         assert norm2(as_vector(v)) == expected
-
-
-class TestCombine:
-    def test_identity_combination(self):
-        assert_allclose(combine([1.0], [as_vector([1, 2])]), [1.0, 2.0])
-
-    def test_cancellation(self):
-        out = combine([1.0, -1.0], [as_vector([5, 5]), as_vector([5, 5])])
-        assert_allclose(out, [0.0, 0.0])
-
-    def test_basis_combination(self):
-        out = combine([2.0, 3.0], [as_vector([1, 0]), as_vector([0, 1])])
-        assert_allclose(out, [2.0, 3.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(DimensionError):
-            combine([], [])
-
-    def test_mismatched_lists(self):
-        with pytest.raises(DimensionError):
-            combine([1.0], [as_vector([1.0]), as_vector([2.0])])
-
-    def test_unequal_vector_lengths(self):
-        with pytest.raises(DimensionError):
-            combine([1.0, 1.0], [as_vector([1.0]), as_vector([1.0, 2.0])])
 
 
 class TestSparseMatrix:

@@ -83,7 +83,7 @@ class TestInit:
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.2))
         st = init(AlgoId.A5B10, inst.A, inst.b, np.zeros(20), inst.b, CFG)
         assert st.k == 1
-        assert st.iters_used == 1
+        assert st.iters_used == st.PROLOGUE_CHARGE == 1
         assert st.C1 == 1.0
         r0 = inst.b
         Ar0 = matvec(inst.A, r0)
@@ -96,7 +96,8 @@ class TestInit:
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.2))
         st = init(AlgoId.A12, inst.A, inst.b, np.zeros(20), inst.b, CFG)
         assert st.k == 2  # x1 and x2 computed
-        assert st.iters_used == 3  # charged per the cycle-accounting rule
+        # Charged per the cycle-accounting rule the driver budgets with.
+        assert st.iters_used == st.PROLOGUE_CHARGE == 3
 
 
 class TestStep:

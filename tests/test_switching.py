@@ -15,7 +15,6 @@ from lanswitch.switching import (
     RoundRobin,
     SelectionPolicy,
     SwitchPlan,
-    handoff,
     make_rng,
     run_switching,
     select_next,
@@ -119,8 +118,8 @@ class TestSelectNext:
 class TestHandoff:
     def test_exact_iterate_converges(self):
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.2))
-        st = handoff(inst.A, inst.b, np.ones(20), inst.b, A4,
-                     SolverConfig(tol=1e-13))
+        st = init(A4, inst.A, inst.b, np.ones(20), inst.b,
+                  SolverConfig(tol=1e-13))
         assert st.outcome.kind is OutcomeKind.CONVERGED
 
     def test_residual_recomputed_fresh(self):
@@ -128,7 +127,7 @@ class TestHandoff:
         cfg = SolverConfig(tol=1e-13, max_iters=1000)
         st = init(A8B10, inst.A, inst.b, np.zeros(60), inst.b, cfg)
         run(st, 7)
-        st2 = handoff(inst.A, inst.b, st.x, inst.b, A5B10, cfg)
+        st2 = init(A5B10, inst.A, inst.b, st.x, inst.b, cfg)
         expected = inst.b - matvec(inst.A, st.x)
         assert_allclose(st2.r, expected, rtol=0, atol=0)
 
@@ -137,7 +136,7 @@ class TestHandoff:
         A = SparseMatrix.from_dense(np.diag([1.0, 2.0]))
         b = as_vector([1.0, 5.0])
         y = as_vector([1.0, 0.0])
-        st = handoff(A, b, np.zeros(2), y, A12, SolverConfig(tol=1e-13))
+        st = init(A12, A, b, np.zeros(2), y, SolverConfig(tol=1e-13))
         assert st.outcome.kind is OutcomeKind.BREAKDOWN
         assert st.outcome.label.startswith("A12.delta")
 
@@ -148,7 +147,7 @@ class TestHandoff:
         st = init(A4, inst.A, inst.b, np.zeros(200), inst.b, cfg)
         run(st, 20)
         r_fresh = inst.b - matvec(inst.A, st.x)
-        st2 = handoff(inst.A, inst.b, st.x, r_fresh, A12, cfg)
+        st2 = init(A12, inst.A, inst.b, st.x, r_fresh, cfg)
         for _ in range(5):
             if st2.outcome.is_terminal:
                 break
@@ -403,3 +402,24 @@ class TestRunSwitching:
         rec, trace = run_switching(inst.A, inst.b, np.zeros(60), inst.b, plan)
         assert rec.outcome in ("Converged", "Exhausted")
         assert trace.events[-1].kind in (EventKind.CONVERGED, EventKind.EXHAUSTED)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_iterate_ends_exhausted(self):
+        # A diverging ST2 run on a random Gaussian system: the iterate stays
+        # finite, but the norm of its recomputed residual overflows at a
+        # handoff. The run must end Exhausted instead of raising.
+        rng = np.random.default_rng(1480)
+        A = SparseMatrix.from_dense(rng.standard_normal((24, 24)))
+        b = rng.standard_normal(24)
+        plan = SwitchPlan(
+            strategy=ST2(cycle_len=5),
+            policy=SelectionPolicy((A4, A12), RoundRobin()),
+            start=A4,
+            cfg=SolverConfig(tol=1e-13, max_iters=1000),
+            global_budget=1000,
+        )
+        rec, trace = run_switching(A, b, np.zeros(24), b, plan)
+        assert rec.outcome == "Exhausted"
+        assert trace.events[-1].kind is EventKind.EXHAUSTED
+        assert rec.residual == trace.events[-1].residual_norm == np.inf
+        assert np.all(np.isfinite(rec.x))
