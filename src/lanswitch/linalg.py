@@ -3,9 +3,16 @@
 Vectors are one-dimensional float64 numpy arrays, frozen (read-only) at
 construction. All kernels are pure functions and safe to call from
 concurrent runs on shared, read-only operands.
+
+The kernels raise NonFiniteError on overflow but do not silence numpy's
+over/invalid warnings themselves: the public functions of
+``lanswitch.solvers`` and ``run_switching`` enter one ``np.errstate`` (per
+step, per init, per switching run, ...) around every kernel call they make.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,7 +60,7 @@ def as_vector(data) -> np.ndarray:
 
 def _check_finite(out: np.ndarray, context: str) -> np.ndarray:
     # Overflow must surface as an error, never propagate silently.
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteError(f"non-finite result in {context}")
     return out
 
@@ -61,24 +68,24 @@ def _check_finite(out: np.ndarray, context: str) -> np.ndarray:
 def dot(u: np.ndarray, v: np.ndarray) -> float:
     """Euclidean scalar product of two equal-length vectors.
 
-    Uses numpy's fixed pairwise reduction; for identical inputs the result
-    is bitwise reproducible, and dot(u, v) == dot(v, u) bitwise because the
-    elementwise products commute and the reduction tree depends only on the
-    length.
+    ``np.dot`` on 1-D float64 vectors calls the BLAS ``ddot`` kernel, whose
+    summation order is fixed for a given length and kernel on one machine:
+    identical inputs give bitwise identical results, and dot(u, v) ==
+    dot(v, u) bitwise because the elementwise products commute and the
+    order in which they are summed depends only on the length.
     """
     if u.shape != v.shape:
         raise DimensionError(f"dot: length mismatch {u.shape[0]} vs {v.shape[0]}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = float(np.dot(u, v))
-    if not np.isfinite(out):
+    out = float(np.dot(u, v))
+    if not math.isfinite(out):
         raise NonFiniteError("non-finite result in dot")
     return out
 
 
 def norm2(v: np.ndarray) -> float:
     """Euclidean norm sqrt(dot(v, v))."""
-    out = float(np.sqrt(np.dot(v, v)))
-    if not np.isfinite(out):
+    out = math.sqrt(np.dot(v, v))
+    if not math.isfinite(out):
         raise NonFiniteError("non-finite result in norm2")
     return out
 
@@ -194,18 +201,16 @@ class SparseMatrix:
         """Product A @ v."""
         if v.shape[0] != self.ncols:
             raise DimensionError(f"matvec: matrix has {self.ncols} columns, vector length {v.shape[0]}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            prod = self.data * v[self.indices]
-            out = np.bincount(self._rows_of_nnz, weights=prod, minlength=self.nrows)
+        out = np.bincount(self._rows_of_nnz, weights=self.data * v[self.indices],
+                          minlength=self.nrows)
         return _check_finite(out, "matvec")
 
     def matvec_t(self, v: np.ndarray) -> np.ndarray:
         """Product A.T @ v, by scattering stored rows into the output."""
         if v.shape[0] != self.nrows:
             raise DimensionError(f"matvec_t: matrix has {self.nrows} rows, vector length {v.shape[0]}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            prod = self.data * v[self._rows_of_nnz]
-            out = np.bincount(self.indices, weights=prod, minlength=self.ncols)
+        out = np.bincount(self.indices, weights=self.data * v[self._rows_of_nnz],
+                          minlength=self.ncols)
         return _check_finite(out, "matvec_t")
 
     def __repr__(self) -> str:

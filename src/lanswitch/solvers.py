@@ -8,7 +8,15 @@ breakdown_eps times the natural scale of the expression that produced it
 (for a scalar product (u, v) that scale is ||u|| ||v||), so cancellation
 down to noise is a breakdown while legitimately small, well-determined
 products divide through. No non-finite value is ever written into the
-iterate or the residual.
+iterate or the residual. Numpy's over/invalid warnings are silenced once per
+call of ``step``, ``init``, ``denominator_report``, ``moment_sequence``
+and a state's ``residual_norm`` and ``true_residual_norm``; the kernels
+raise NonFiniteError instead.
+
+Each step computes every product, scalar and norm once: values the next
+step needs again (A4's (y_{k-1}, r_{k-1}) and guard scale, A12's
+A r_{k-3}, half of its a_ij table and its guard norms, A8/B10's
+(y_k, r_k), and every state's ||r_k||) are carried over in the state.
 """
 
 from __future__ import annotations
@@ -133,6 +141,10 @@ class SolverStateError(RuntimeError):
     """step() was called on a state whose outcome is already terminal."""
 
 
+def _finite(*arrays: np.ndarray) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
+
+
 class _Breakdown(Exception):
     """Internal signal: a guarded denominator vanished."""
 
@@ -191,6 +203,11 @@ class SolverState:
         self.prologue_charge = 0
         self.x = np.array(x0, dtype=np.float64, copy=True)
         self.r = b - A.matvec(self.x)
+        # ||r||: every update of r recomputes it for its convergence test.
+        # It goes stale only when that norm overflows after r was replaced,
+        # which ends the state in a nonfinite breakdown. So it is read only
+        # while the state is live; residual_norm() recomputes ||r||.
+        self.r_norm = norm2(self.r)
         self.outcome = StepOutcome.cont()
 
     # Subclasses fill in one main-loop iteration; they raise _Breakdown for
@@ -206,10 +223,12 @@ class SolverState:
         return self.prologue_charge + self.steps_taken
 
     def residual_norm(self) -> float:
-        return norm2(self.r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return norm2(self.r)
 
     def true_residual_norm(self) -> float:
-        return norm2(self.b - self.A.matvec(self.x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return norm2(self.b - self.A.matvec(self.x))
 
     def _terminal(self, outcome: StepOutcome) -> StepOutcome:
         self.outcome = outcome
@@ -221,7 +240,8 @@ class SolverState:
         if self.iters_used >= self.cfg.max_iters:
             return self._terminal(StepOutcome.iter_limit())
         try:
-            converged = self._advance()
+            with np.errstate(over="ignore", invalid="ignore"):
+                converged = self._advance()
         except _Breakdown as br:
             self.steps_taken += 1
             return self._terminal(StepOutcome.breakdown(br.label, br.value))
@@ -246,7 +266,8 @@ def init(algo: AlgoId, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
     raised.
     """
     cls = _STATE_CLASSES[algo]
-    return cls(A, b, x0, y, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return cls(A, b, x0, y, cfg)
 
 
 def step(state: SolverState) -> StepOutcome:
@@ -285,7 +306,8 @@ def denominator_report(state: SolverState) -> List[Tuple[str, float]]:
     """
     if state.outcome.is_terminal:
         raise SolverStateError("denominator_report on a terminal state")
-    return state._report()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return state._report()
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +326,12 @@ class _A4State(SolverState):
         self.x_prev = None
         self.r_prev = None
         self.y_prev = None
+        # (y_{k-1}, r_{k-1}) and its guard scale ||y_{k-1}|| ||r_{k-1}||:
+        # the previous step's (y_k, r_k) and scale.
+        self.yr_prev = math.nan
+        self.yr_prev_scale = math.nan
         self.last_normalization = math.nan
-        if norm2(self.r) <= cfg.tol:
+        if self.r_norm <= cfg.tol:
             self.outcome = StepOutcome.converged()
 
     def _coefficients(self):
@@ -314,37 +340,37 @@ class _A4State(SolverState):
         if self.k == 0:
             E = 0.0
         else:
-            yr_prev = dot(self.y_prev, self.r_prev)
-            E = -_div(yr, yr_prev, "A4.E: (y_{k-1},r_{k-1})", eps,
-                      norm2(self.y_prev) * norm2(self.r_prev),
-                      cap=self.cfg.coeff_limit)
+            E = -_div(yr, self.yr_prev, "A4.E: (y_{k-1},r_{k-1})", eps,
+                      self.yr_prev_scale, cap=self.cfg.coeff_limit)
         Ar = self.A.matvec(self.r)
         # The bracket must cancel the order-k moment of the combination, so
         # the E term enters with a plus sign (the recurrence terminates in n
         # exact steps only with this orientation).
         num_B = dot(self.y, Ar) + (E * dot(self.y, self.r_prev) if self.k > 0 else 0.0)
-        B = -_div(num_B, yr, "A4.B: (y_k,r_k)", eps,
-                  norm2(self.y) * norm2(self.r), cap=self.cfg.coeff_limit)
+        yr_scale = norm2(self.y) * self.r_norm
+        B = -_div(num_B, yr, "A4.B: (y_k,r_k)", eps, yr_scale, cap=self.cfg.coeff_limit)
         S = B + E
         A_next = _div(1.0, S, "A4.A: B+E", self.cfg.normalization_eps,
                       max(1.0, abs(B), abs(E)))
-        return E, B, S, A_next, Ar
+        return E, B, S, A_next, Ar, yr, yr_scale
 
     def _advance(self) -> bool:
-        E, B, S, A_next, Ar = self._coefficients()
+        E, B, S, A_next, Ar, yr, yr_scale = self._coefficients()
         if self.k == 0:
             x_next = A_next * (B * self.x - self.r)
             r_next = A_next * (Ar + B * self.r)
         else:
             x_next = A_next * (B * self.x + E * self.x_prev - self.r)
             r_next = A_next * (Ar + B * self.r + E * self.r_prev)
-        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(r_next))):
+        if not _finite(x_next, r_next):
             raise NonFiniteError("x/r update")
         self.last_normalization = A_next * S
         self.x_prev, self.r_prev, self.y_prev = self.x, self.r, self.y
+        self.yr_prev, self.yr_prev_scale = yr, yr_scale
         self.x, self.r = x_next, r_next
         self.k += 1
-        if norm2(self.r) <= self.cfg.tol:
+        self.r_norm = norm2(self.r)
+        if self.r_norm <= self.cfg.tol:
             return True
         # Shadow chain advances every iteration; the pseudocode's IF around
         # it governs termination only.
@@ -354,10 +380,10 @@ class _A4State(SolverState):
     def _report(self):
         out = []
         if self.k > 0:
-            out.append(("A4.E: (y_{k-1},r_{k-1})", dot(self.y_prev, self.r_prev)))
+            out.append(("A4.E: (y_{k-1},r_{k-1})", self.yr_prev))
         out.append(("A4.B: (y_k,r_k)", dot(self.y, self.r)))
         try:
-            _, _, S, _, _ = self._coefficients()
+            S = self._coefficients()[2]
         except _Breakdown:
             return out
         out.append(("A4.A: B+E", S))
@@ -378,11 +404,19 @@ class _A12State(SolverState):
     def __init__(self, A, b, x0, y, cfg):
         super().__init__(A, b, x0, y, cfg)
         # rs[0] = current residual, rs[1] = previous, rs[2] = the one before;
-        # same layout for xs. ys holds the last four shadow vectors.
+        # same layout for xs and for the norms in r_norms. ys holds the last
+        # four shadow vectors.
         self.rs: List[np.ndarray] = []
         self.xs: List[np.ndarray] = []
         self.ys: List[np.ndarray] = []
-        if norm2(self.r) <= cfg.tol:
+        self.r_norms: List[float] = []
+        # Carried from the previous step for the next one: A r_{k-3}, the
+        # a_ij entries (a13, a23, a33, t) (None after the prologue) and
+        # ||y_{k-3}||.
+        self.Ar3: Optional[np.ndarray] = None
+        self.a_carry: Optional[Tuple[float, float, float, float]] = None
+        self.y3_norm = math.nan
+        if self.r_norm <= cfg.tol:
             self.outcome = StepOutcome.converged()
             return
         try:
@@ -395,7 +429,7 @@ class _A12State(SolverState):
     def _prologue(self):
         eps = self.cfg.breakdown_eps
         A, y, cfg = self.A, self.y0, self.cfg
-        r0, x0 = self.r, self.x
+        r0, x0, r0_norm = self.r, self.x, self.r_norm
         p = A.matvec(r0)
         p1 = A.matvec(p)
         c0 = dot(y, r0)
@@ -403,16 +437,18 @@ class _A12State(SolverState):
         c2 = dot(y, p1)
         c3 = dot(y, A.matvec(p1))
 
-        step1 = _div(c0, c1, "A12.c1", eps, norm2(y) * norm2(p),
+        y_norm = norm2(y)
+        step1 = _div(c0, c1, "A12.c1", eps, y_norm * norm2(p),
                      cap=cfg.coeff_limit)
         r1 = r0 - step1 * p
         x1 = x0 + step1 * r0
-        if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(r1))):
+        if not _finite(x1, r1):
             raise NonFiniteError("prologue x/r update")
         self.x, self.r = x1, r1
         self.k = 1
         self.prologue_charge = 1
-        if norm2(r1) <= cfg.tol:
+        r1_norm = self.r_norm = norm2(r1)
+        if r1_norm <= cfg.tol:
             self.outcome = StepOutcome.converged()
             return
 
@@ -425,13 +461,14 @@ class _A12State(SolverState):
                     abs(c1 * c3) + c2 * c2, cap=cfg.coeff_limit)
         r2 = r0 - alpha * p + beta * p1
         x2 = x0 + alpha * r0 - beta * p
-        if not (np.all(np.isfinite(x2)) and np.all(np.isfinite(r2))):
+        if not _finite(x2, r2):
             raise NonFiniteError("prologue x/r update")
         self.x, self.r = x2, r2
         self.k = 2
         # Documented convention: the prologue charges three iterations.
         self.prologue_charge = self.PROLOGUE_CHARGE
-        if norm2(r2) <= cfg.tol:
+        self.r_norm = norm2(r2)
+        if self.r_norm <= cfg.tol:
             self.outcome = StepOutcome.converged()
             return
 
@@ -441,24 +478,33 @@ class _A12State(SolverState):
         self.rs = [r2, r1, r0]
         self.xs = [x2, x1, x0]
         self.ys = [y, y1, y2, y3]
+        self.r_norms = [self.r_norm, r1_norm, r0_norm]
+        self.Ar3 = p
+        self.y3_norm = y_norm
 
     def _scalars(self):
-        """The a_ij table, s, t, and the chained coefficients for the next step."""
+        """The a_ij table, s, t, and the chained coefficients for the next step.
+
+        Entries that pair a shadow vector with r_{k-3} equal entries of the
+        previous step's table that paired it with that step's r_{k-2}, so
+        they come from ``a_carry``; so do ||y_{k-3}|| and ||r_{k-3}||.
+        """
         eps = self.cfg.breakdown_eps
         r1, r2, r3 = self.rs  # r_{k-1}, r_{k-2}, r_{k-3}
         ykm3, ykm2, ykm1, yk = self.ys
         y_new = self.A.matvec_t(yk)  # y_{k+1}
         a11 = dot(ykm2, r2)
-        a13 = dot(ykm3, r3)
         a21 = dot(ykm1, r2)
-        a22 = a11
-        a23 = dot(ykm2, r3)
         a31 = dot(yk, r2)
-        a32 = a21
-        a33 = dot(ykm1, r3)
         s = dot(y_new, r2)
-        t = dot(yk, r3)
-        a13_scale = norm2(ykm3) * norm2(r3)
+        if self.a_carry is None:
+            a13, a23, a33, t = (dot(ykm3, r3), dot(ykm2, r3), dot(ykm1, r3),
+                                dot(yk, r3))
+        else:
+            a13, a23, a33, t = self.a_carry
+        a22 = a11
+        a32 = a21
+        a13_scale = self.y3_norm * self.r_norms[2]
         F = -_div(a11, a13, "A12.a13", eps, a13_scale, cap=self.cfg.coeff_limit)
         b1 = -a21 - a23 * F
         b2 = -a31 - a33 * F
@@ -472,40 +518,45 @@ class _A12State(SolverState):
                  cap=self.cfg.coeff_limit)
         G = _div(b1 - a11 * B, a13, "A12.a13", eps, a13_scale,
                  cap=self.cfg.coeff_limit)
+        y2_norm = norm2(ykm2)
         C = _div(b2 - a21 * B - a23 * G, a22, "A12.a22", eps,
-                 norm2(ykm2) * norm2(r2), cap=self.cfg.coeff_limit)
+                 y2_norm * self.r_norms[1], cap=self.cfg.coeff_limit)
         S = C + G
         Ak = _div(1.0, S, "A12.Ak: C_k+G_k", self.cfg.normalization_eps,
                   max(1.0, abs(C), abs(G)))
-        return y_new, F, B, G, C, S, Ak
+        return y_new, F, B, G, C, S, Ak, (a11, a21, a31, s), y2_norm
 
     def _advance(self) -> bool:
-        y_new, F, B, G, C, S, Ak = self._scalars()
+        y_new, F, B, G, C, S, Ak, a_carry, y2_norm = self._scalars()
         r1, r2, r3 = self.rs
         # The coefficient table solves the orthogonality of
         # (x^2 + B x + C) P_{k-2} + (F x + G) P_{k-3}, so the products feed
         # on r_{k-2} and r_{k-3}; with them the recurrence terminates in n
         # exact steps and the x update matches r = b - A x identically.
+        # A r_{k-3} is the previous step's A r_{k-2}.
         q1 = self.A.matvec(r2)
         q2 = self.A.matvec(q1)
-        q3 = self.A.matvec(r3)
+        q3 = self.Ar3
         r_next = Ak * (q2 + B * q1 + C * r2 + F * q3 + G * r3)
         x_next = Ak * (C * self.xs[1] + G * self.xs[2] - (q1 + B * r2 + F * r3))
-        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(r_next))):
+        if not _finite(x_next, r_next):
             raise NonFiniteError("x/r update")
         self.rs = [r_next, r1, r2]
         self.xs = [x_next, self.xs[0], self.xs[1]]
         self.ys = [self.ys[1], self.ys[2], self.ys[3], y_new]
+        self.Ar3, self.a_carry, self.y3_norm = q1, a_carry, y2_norm
         self.x, self.r = x_next, r_next
         self.k += 1
-        return norm2(r_next) <= self.cfg.tol
+        self.r_norm = norm2(r_next)
+        self.r_norms = [self.r_norm] + self.r_norms[:2]
+        return self.r_norm <= self.cfg.tol
 
     def _report(self):
         r1, r2, r3 = self.rs
         ykm3, ykm2, _, _ = self.ys
         out = [("A12.a13", dot(ykm3, r3)), ("A12.a22", dot(ykm2, r2))]
         try:
-            _, _, _, _, _, S, _ = self._scalars()
+            S = self._scalars()[5]
         except _Breakdown as br:
             if br.label not in (lbl for lbl, _ in out):
                 out.append((br.label, br.value))
@@ -552,7 +603,7 @@ class _A5B10State(SolverState):
         self.p = None
         self.C1 = 1.0
         self.A_prev = math.nan
-        if norm2(self.r) <= cfg.tol:
+        if self.r_norm <= cfg.tol:
             self.outcome = StepOutcome.converged()
             return
         try:
@@ -569,14 +620,15 @@ class _A5B10State(SolverState):
                    self.cfg.breakdown_eps, norm2(self.y) * norm2(Ar0))
         r1 = r0 + A1 * Ar0
         x1 = self.x - A1 * r0
-        if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(r1))):
+        if not _finite(x1, r1):
             raise NonFiniteError("prologue x/r update")
         self.p = r0
         self.x, self.r = x1, r1
         self.A_prev = A1
         self.k = 1
         self.prologue_charge = self.PROLOGUE_CHARGE
-        if norm2(r1) <= self.cfg.tol:
+        self.r_norm = norm2(r1)
+        if self.r_norm <= self.cfg.tol:
             self.outcome = StepOutcome.converged()
 
     def _advance(self) -> bool:
@@ -585,21 +637,23 @@ class _A5B10State(SolverState):
         num = dot(y_k, self.r)
         yp = dot(y_k, self.p)
         den_D = self.C1 * yp
+        y_norm = norm2(y_k)
         D = -_div(num, den_D, "A5B10.D: C1*(y_k,p_{k-1})", eps,
-                  abs(self.C1) * norm2(y_k) * norm2(self.p))
+                  abs(self.C1) * y_norm * norm2(self.p))
         p_k = self.r + (D * self.C1) * self.p
         Ap = self.A.matvec(p_k)
         A_next = -_div(num, dot(y_k, Ap), "A5B10.A: (y_k,Ap_k)", eps,
-                       norm2(y_k) * norm2(Ap))
+                       y_norm * norm2(Ap))
         r_next = self.r + A_next * Ap
         x_next = self.x - A_next * p_k
-        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(r_next))):
+        if not _finite(x_next, r_next):
             raise NonFiniteError("x/r update")
         self.y = y_k
         self.p = p_k
         self.x, self.r = x_next, r_next
         self.k += 1
-        if norm2(r_next) <= self.cfg.tol:
+        self.r_norm = norm2(r_next)
+        if self.r_norm <= self.cfg.tol:
             return True
         # A_k is an O(1) normalized coefficient, so its guard is absolute.
         self.C1 = _div(self.C1, self.A_prev, "A5B10.C1: A_k", eps, 1.0)
@@ -637,42 +691,47 @@ class _A8B10State(SolverState):
         super().__init__(A, b, x0, y, cfg)
         self.y = np.array(self.y0, copy=True)
         self.z = np.array(self.r, copy=True)
-        if norm2(self.r) <= cfg.tol:
+        # (y_k, r_k): the previous step's (y_{k+1}, r_{k+1}); None at the start.
+        self.yr: Optional[float] = None
+        if self.r_norm <= cfg.tol:
             self.outcome = StepOutcome.converged()
 
     def _advance(self) -> bool:
         eps = self.cfg.breakdown_eps
         Az = self.A.matvec(self.z)
-        num = dot(self.y, self.r)
+        num = dot(self.y, self.r) if self.yr is None else self.yr
         den = dot(self.y, Az)
         den_scale = norm2(self.y) * norm2(Az)
         A_next = -_div(num, den, "A8B10.A: (y_k,Az_k)", eps, den_scale)
         r_next = self.r + A_next * Az
         x_next = self.x - A_next * self.z
-        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(r_next))):
+        if not _finite(x_next, r_next):
             raise NonFiniteError("x/r update")
         self.x, self.r = x_next, r_next
         self.k += 1
-        if norm2(r_next) <= self.cfg.tol:
+        self.r_norm = norm2(r_next)
+        if self.r_norm <= self.cfg.tol:
             return True
         y_next = self.A.matvec_t(self.y)
         C1 = _div(1.0, A_next, "A8B10.C1: A_{k+1}", eps, 1.0)
-        num_B1 = C1 * dot(y_next, r_next)
-        B1 = -_div(num_B1, den, "A8B10.B1: (y_k,Az_k)", eps, den_scale)
+        yr_next = dot(y_next, r_next)
+        B1 = -_div(C1 * yr_next, den, "A8B10.B1: (y_k,Az_k)", eps, den_scale)
         z_next = B1 * self.z + C1 * r_next
-        if not np.all(np.isfinite(z_next)):
+        if not _finite(z_next):
             raise NonFiniteError("z update")
         self.y = y_next
         self.z = z_next
+        self.yr = yr_next
         return False
 
     def _report(self):
-        den = dot(self.y, self.A.matvec(self.z))
+        Az = self.A.matvec(self.z)
+        den = dot(self.y, Az)
         out = [("A8B10.A: (y_k,Az_k)", den)]
-        num = dot(self.y, self.r)
+        num = dot(self.y, self.r) if self.yr is None else self.yr
         try:
             A_next = -_div(num, den, "A8B10.A", self.cfg.breakdown_eps,
-                           norm2(self.y) * norm2(self.A.matvec(self.z)))
+                           norm2(self.y) * norm2(Az))
         except _Breakdown:
             return out
         out.append(("A8B10.C1: A_{k+1}", A_next))
@@ -696,10 +755,11 @@ def moment_sequence(A: SparseMatrix, y: np.ndarray, r0: np.ndarray, count: int) 
     """Moments (y, A^i r0) for i = 0..count-1."""
     out = np.empty(count)
     v = r0
-    for i in range(count):
-        out[i] = dot(y, v)
-        if i + 1 < count:
-            v = A.matvec(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(count):
+            out[i] = dot(y, v)
+            if i + 1 < count:
+                v = A.matvec(v)
     return out
 
 

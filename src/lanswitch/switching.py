@@ -15,7 +15,9 @@ A handoff re-initializes the incoming algorithm at the current iterate with
 a freshly recomputed residual, so every cycle starts with an exact residual
 identity; by default the shadow vector is re-seeded with that residual (see
 SwitchPlan.shadow_restart). A run whose iterate grows until a norm overflows
-ends Exhausted with residual inf instead of raising.
+ends Exhausted with residual inf instead of raising. ``run_switching`` enters
+one ``np.errstate`` that silences numpy's over/invalid warnings for the whole
+run, handoff norms included; no warning escapes a run.
 """
 
 from __future__ import annotations
@@ -379,25 +381,27 @@ def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
     """Drive solver cycles under the plan until convergence or exhaustion.
 
     Every handoff re-initializes the incoming algorithm at the last iterate
-    of the outgoing one. The returned record carries the recurrence residual
-    norm at termination (inf if it overflowed) and the final iterate; delta
-    and seconds are filled in by the harness.
+    of the outgoing one. The returned record carries the residual norm of the
+    terminal event (the recurrence residual, or the recomputed ||b - A x||
+    when a handoff finds the iterate already converged; inf if it
+    overflowed) and the final iterate; delta and seconds are filled in by
+    the harness.
     """
-    if norm2(y) == 0.0:
-        raise ValueError("shadow vector y must be nonzero")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if norm2(y) == 0.0:
+            raise ValueError("shadow vector y must be nonzero")
+        drv = _Driver(A, b, x0, y, plan)
+        outcome_name = drv.drive()
     if combo is None:
         pool = "+".join(a.value for a in plan.policy.pool)
         combo = f"{pool}/{type(plan.strategy).__name__}"
-
-    drv = _Driver(A, b, x0, y, plan)
-    outcome_name = drv.drive()
-    transitions = drv.trace.events[:-1]  # every event but the terminal one
+    *transitions, terminal = drv.trace.events
     record = RunRecord(
         n=A.nrows,
         delta=math.nan,
         combo=combo,
         outcome=outcome_name,
-        residual=drv.residual_here(),
+        residual=terminal.residual_norm,
         iterations=drv.iters,
         switches=sum(e.from_algo != e.to_algo for e in transitions),
         restarts=sum(e.from_algo == e.to_algo for e in transitions),

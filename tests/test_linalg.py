@@ -69,6 +69,18 @@ class TestDot:
         with pytest.raises(NonFiniteError):
             dot(big, big)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_warning_left_to_the_caller(self):
+        # Called directly, a kernel lets numpy's overflow warning through;
+        # under the callers' errstate only NonFiniteError remains.
+        big = np.full(4, 1e200)
+        for kernel in (dot, lambda u, v: norm2(u)):
+            with pytest.raises(RuntimeWarning):
+                kernel(big, big)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFiniteError):
+                    kernel(big, big)
+
 
 class TestNorm2:
     @pytest.mark.parametrize("v, expected", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lanswitch.linalg import SparseMatrix, as_vector, matvec, norm2
+from lanswitch.linalg import NonFiniteError, SparseMatrix, as_vector, matvec, norm2
 from lanswitch.problems import BaheuxSpec, direct_solve_oracle, gen_baheux
 from lanswitch.solvers import (
     AlgoId,
@@ -377,6 +377,22 @@ class TestDiagnostics:
         c = moment_sequence(A, y, r0, 4)
         assert hankel_h1(c, 2) == pytest.approx(c[1] * c[3] - c[2] ** 2)
         assert hankel_h1(c, 2) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_without_warning(self):
+        # The public solver functions silence numpy's overflow warning and
+        # report the overflow as NonFiniteError.
+        A = SparseMatrix.from_dense(np.diag([1e200, 1e200]))
+        v = as_vector([1e200, 1.0])
+        with pytest.raises(NonFiniteError):
+            moment_sequence(A, v, v, 4)
+        b = as_vector([1.0, 1.0])
+        st = init(AlgoId.A4, A, b, np.zeros(2), b, SolverConfig(tol=1e-13, max_iters=10))
+        st.x = st.r = as_vector([1e200, 1e200])
+        with pytest.raises(NonFiniteError):
+            st.true_residual_norm()
+        with pytest.raises(NonFiniteError):
+            st.residual_norm()
 
     def test_hankel_needs_enough_moments(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lanswitch.harness import derive_seed
 from lanswitch.linalg import SparseMatrix, as_vector, matvec, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, init, run, step
@@ -403,7 +404,7 @@ class TestRunSwitching:
         assert rec.outcome in ("Converged", "Exhausted")
         assert trace.events[-1].kind in (EventKind.CONVERGED, EventKind.EXHAUSTED)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_iterate_ends_exhausted(self):
         # A diverging ST2 run on a random Gaussian system: the iterate stays
         # finite, but the norm of its recomputed residual overflows at a
@@ -423,3 +424,21 @@ class TestRunSwitching:
         assert trace.events[-1].kind is EventKind.EXHAUSTED
         assert rec.residual == trace.events[-1].residual_norm == np.inf
         assert np.all(np.isfinite(rec.x))
+
+    def test_converged_record_residual_is_the_terminal_event_residual(self):
+        # A handoff finds the recomputed ||b - A x|| within tol while the
+        # outgoing state's recurrence residual is above it; the record must
+        # report the residual that ended the run.
+        inst = gen_baheux(BaheuxSpec(n=60, delta=5.0))
+        plan = SwitchPlan(
+            strategy=ST3(1e-3, 2),
+            policy=SelectionPolicy((A4, A5B10), CoinToss(derive_seed(42, 173))),
+            start=A4,
+            cfg=SolverConfig(tol=1e-13, max_iters=1200),
+            global_budget=1200,
+        )
+        rec, trace = run_switching(inst.A, inst.b, np.zeros(60), inst.b, plan)
+        assert rec.outcome == "Converged"
+        assert rec.residual == trace.events[-1].residual_norm
+        assert rec.residual <= plan.cfg.tol
+        assert rec.residual == norm2(inst.b - matvec(inst.A, rec.x))

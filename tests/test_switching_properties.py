@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lanswitch.linalg import SparseMatrix
-from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import AlgoId, SolverConfig
 from lanswitch.switching import (
     ST1,
@@ -18,29 +16,13 @@ from lanswitch.switching import (
     SwitchPlan,
     run_switching,
 )
-
-
-def _system(kind, n, seed):
-    """A Gaussian, a sparse diagonally shifted, an ill-conditioned or a Baheux system."""
-    rng = np.random.default_rng(seed)
-    if kind == "baheux":
-        inst = gen_baheux(BaheuxSpec(n=10 * (1 + n % 2), delta=float(rng.choice([0.0, 5.0]))))
-        return inst.A, inst.b
-    if kind == "gaussian":
-        dense = rng.standard_normal((n, n))
-    elif kind == "sparse":
-        dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3) + np.eye(n)
-    else:
-        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        dense = (u * np.logspace(0, -12, n)) @ v.T
-    return SparseMatrix.from_dense(dense), rng.standard_normal(n)
+from random_systems import KINDS, random_system
 
 
 @st.composite
 def cases(draw):
-    A, b = _system(draw(st.sampled_from(["gaussian", "gaussian", "sparse", "ill", "baheux"])),
-                   draw(st.integers(2, 24)), draw(st.integers(0, 2**32 - 1)))
+    A, b = random_system(draw(st.sampled_from(KINDS)), draw(st.integers(2, 24)),
+                         draw(st.integers(0, 2**32 - 1)))
     n = A.nrows
     pool = tuple(draw(st.permutations(list(AlgoId)))[:draw(st.integers(1, 4))])
     mode = draw(st.one_of(
@@ -67,7 +49,7 @@ def cases(draw):
     return A, b, y, plan
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(cases())
 def test_run_switching_invariants(case):
@@ -79,6 +61,9 @@ def test_run_switching_invariants(case):
     iters = [e.at_iteration for e in trace.events]
     assert all(a < b for a, b in zip(iters, iters[1:]))
     assert trace.events[-1].kind.value == rec.outcome
+    assert repr(rec.residual) == repr(trace.events[-1].residual_norm)
+    if rec.outcome == "Converged":
+        assert rec.residual <= plan.cfg.tol
     rec2, trace2 = run_switching(A, b, x0, y, plan)
     assert trace2.events == trace.events
     assert rec2.x.tobytes() == rec.x.tobytes()
