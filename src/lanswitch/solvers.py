@@ -13,10 +13,17 @@ call of ``step``, ``init``, ``denominator_report``, ``moment_sequence``
 and a state's ``residual_norm`` and ``true_residual_norm``; the kernels
 raise NonFiniteError instead.
 
-Each step computes every product, scalar and norm once: values the next
-step needs again (A4's (y_{k-1}, r_{k-1}) and guard scale, A12's
-A r_{k-3}, half of its a_ij table and its guard norms, A8/B10's
-(y_k, r_k), and every state's ||r_k||) are carried over in the state.
+Each iteration is a preparation and an update. The preparation computes
+every product, scalar and guarded division of the next update without
+changing the iterate; it is made once, and ``denominator_report`` and the
+following ``step`` share it. Each guard, and each closing C1 guard whose
+value the preparation already knows, enters its label and denominator in
+the state's ledger before it is checked. The report copies that ledger: the
+guards up to and including the offender, ending in ``<algo>.nonfinite``
+with value nan when the preparation overflows, so it never raises on a live
+state. Only an overflow in the update itself is found by the step alone.
+Values a later step needs again, such as A4's (y_{k-1}, r_{k-1}) and every
+||r_k||, are carried over in the state.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -154,24 +161,6 @@ class _Breakdown(Exception):
         self.value = value
 
 
-def _div(num: float, den: float, label: str, eps: float, scale: float,
-         cap: Optional[float] = None) -> float:
-    """Divide with the vanishing guard; breakdown instead of blowup.
-
-    ``scale`` is the natural magnitude of the denominator expression; a
-    denominator at or below eps * scale has cancelled to noise. ``cap``, if
-    given, additionally rejects quotients whose magnitude would exceed it.
-    """
-    if not math.isfinite(den) or abs(den) <= eps * scale:
-        raise _Breakdown(label, den)
-    if cap is not None and abs(den) * cap <= abs(num):
-        raise _Breakdown(label, den)
-    q = num / den
-    if not math.isfinite(q):
-        raise _Breakdown(label, den)
-    return q
-
-
 class SolverState:
     """Common state: system handles, iterate, residual, counters, outcome.
 
@@ -208,15 +197,64 @@ class SolverState:
         # which ends the state in a nonfinite breakdown. So it is read only
         # while the state is live; residual_norm() recomputes ||r||.
         self.r_norm = norm2(self.r)
-        self.outcome = StepOutcome.cont()
+        self.outcome = (StepOutcome.converged() if self.r_norm <= cfg.tol
+                        else StepOutcome.cont())
+        # The guards run so far, in order, as (label, denominator); and what
+        # _prepare returned for the next update or the breakdown outcome it
+        # ended in, None until prepared and again once step() applied it.
+        self._ledger: list[tuple[str, float]] = []
+        self._preparation = None
 
-    # Subclasses fill in one main-loop iteration; they raise _Breakdown for
-    # vanished denominators and return True when the residual test passed.
-    def _advance(self) -> bool:
-        raise NotImplementedError
+    # Subclasses split one main-loop iteration in two: _prepare computes the
+    # next update's products, scalars and guarded divisions without changing
+    # the state, raising _Breakdown for a vanished denominator, and
+    # _update(*prepared) applies them and returns True when the residual
+    # test passed.
 
-    def _report(self) -> List[Tuple[str, float]]:
-        raise NotImplementedError
+    def _div(self, num: float, den: float, label: str, eps: float, scale: float,
+             cap: Optional[float] = None) -> float:
+        """Divide with the vanishing guard; breakdown instead of blowup.
+
+        ``scale`` is the natural magnitude of the denominator expression; a
+        denominator at or below eps * scale has cancelled to noise. ``cap``,
+        if given, additionally rejects quotients whose magnitude would exceed
+        it. The guard enters the ledger before it is checked.
+        """
+        self._ledger.append((label, den))
+        if not math.isfinite(den) or abs(den) <= eps * scale:
+            raise _Breakdown(label, den)
+        if cap is not None and abs(den) * cap <= abs(num):
+            raise _Breakdown(label, den)
+        q = num / den
+        if not math.isfinite(q):
+            raise _Breakdown(label, den)
+        return q
+
+    def _failure(self, err: Exception) -> StepOutcome:
+        """Breakdown outcome of ``err``; an overflow also enters the ledger."""
+        if isinstance(err, _Breakdown):
+            return StepOutcome.breakdown(err.label, err.value)
+        outcome = StepOutcome.breakdown(f"{self.algo}.nonfinite: {err}", math.nan)
+        self._ledger.append((outcome.label, outcome.value))
+        return outcome
+
+    def _run_prologue(self):
+        """Run the prologue unless r0 converged; a breakdown in it is the outcome."""
+        if not self.outcome.is_terminal:
+            try:
+                self._prologue()
+            except (_Breakdown, NonFiniteError) as err:
+                self.outcome = self._failure(err)
+
+    def _prepared(self):
+        """The next update's preparation, made at most once."""
+        if self._preparation is None:
+            self._ledger = []
+            try:
+                self._preparation = self._prepare()
+            except (_Breakdown, NonFiniteError) as err:
+                self._preparation = self._failure(err)
+        return self._preparation
 
     @property
     def iters_used(self) -> int:
@@ -230,28 +268,23 @@ class SolverState:
         with np.errstate(over="ignore", invalid="ignore"):
             return norm2(self.b - self.A.matvec(self.x))
 
-    def _terminal(self, outcome: StepOutcome) -> StepOutcome:
-        self.outcome = outcome
-        return outcome
-
     def step(self) -> StepOutcome:
         if self.outcome.is_terminal:
             raise SolverStateError(f"step() after terminal outcome {self.outcome.kind.value}")
         if self.iters_used >= self.cfg.max_iters:
-            return self._terminal(StepOutcome.iter_limit())
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                converged = self._advance()
-        except _Breakdown as br:
-            self.steps_taken += 1
-            return self._terminal(StepOutcome.breakdown(br.label, br.value))
-        except NonFiniteError as err:
-            self.steps_taken += 1
-            return self._terminal(
-                StepOutcome.breakdown(f"{self.algo}.nonfinite: {err}", math.nan))
+            self.outcome = StepOutcome.iter_limit()
+            return self.outcome
+        with np.errstate(over="ignore", invalid="ignore"):
+            prepared, self._preparation = self._prepared(), None
+            if isinstance(prepared, StepOutcome):
+                self.outcome = prepared
+            else:
+                try:
+                    if self._update(*prepared):
+                        self.outcome = StepOutcome.converged()
+                except (_Breakdown, NonFiniteError) as err:
+                    self.outcome = self._failure(err)
         self.steps_taken += 1
-        if converged:
-            return self._terminal(StepOutcome.converged())
         return self.outcome
 
 
@@ -275,7 +308,7 @@ def step(state: SolverState) -> StepOutcome:
     return state.step()
 
 
-def run(state: SolverState, budget: int) -> Tuple[StepOutcome, int]:
+def run(state: SolverState, budget: int) -> tuple[StepOutcome, int]:
     """Step up to ``budget`` times or until a terminal outcome.
 
     Returns the last outcome and the number of iterations consumed; a
@@ -297,17 +330,21 @@ def run(state: SolverState, budget: int) -> Tuple[StepOutcome, int]:
     return outcome, used
 
 
-def denominator_report(state: SolverState) -> List[Tuple[str, float]]:
-    """Values of every denominator the NEXT step will divide by.
+def denominator_report(state: SolverState) -> list[tuple[str, float]]:
+    """(label, value) of every denominator the NEXT step will divide by.
 
-    Pure probe: no state is mutated. When an upstream denominator has
-    already vanished the dependent entries are unavailable; the offender
-    itself is always present.
+    The next step's preparation is made here if it was not yet, and the
+    step then reuses it; ``x``, ``r``, ``k`` and the outcome are untouched.
+    The entries run in the order the step checks them, up to and including
+    the offender when one has vanished (an overflow is the
+    ``<algo>.nonfinite`` entry with value nan); the report never raises on
+    a live state.
     """
     if state.outcome.is_terminal:
         raise SolverStateError("denominator_report on a terminal state")
     with np.errstate(over="ignore", invalid="ignore"):
-        return state._report()
+        state._prepared()
+    return list(state._ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -331,31 +368,29 @@ class _A4State(SolverState):
         self.yr_prev = math.nan
         self.yr_prev_scale = math.nan
         self.last_normalization = math.nan
-        if self.r_norm <= cfg.tol:
-            self.outcome = StepOutcome.converged()
 
-    def _coefficients(self):
+    def _prepare(self):
         eps = self.cfg.breakdown_eps
         yr = dot(self.y, self.r)
         if self.k == 0:
             E = 0.0
         else:
-            E = -_div(yr, self.yr_prev, "A4.E: (y_{k-1},r_{k-1})", eps,
-                      self.yr_prev_scale, cap=self.cfg.coeff_limit)
+            E = -self._div(yr, self.yr_prev, "A4.E: (y_{k-1},r_{k-1})", eps,
+                           self.yr_prev_scale, cap=self.cfg.coeff_limit)
         Ar = self.A.matvec(self.r)
         # The bracket must cancel the order-k moment of the combination, so
         # the E term enters with a plus sign (the recurrence terminates in n
         # exact steps only with this orientation).
         num_B = dot(self.y, Ar) + (E * dot(self.y, self.r_prev) if self.k > 0 else 0.0)
         yr_scale = norm2(self.y) * self.r_norm
-        B = -_div(num_B, yr, "A4.B: (y_k,r_k)", eps, yr_scale, cap=self.cfg.coeff_limit)
+        B = -self._div(num_B, yr, "A4.B: (y_k,r_k)", eps, yr_scale,
+                       cap=self.cfg.coeff_limit)
         S = B + E
-        A_next = _div(1.0, S, "A4.A: B+E", self.cfg.normalization_eps,
-                      max(1.0, abs(B), abs(E)))
+        A_next = self._div(1.0, S, "A4.A: B+E", self.cfg.normalization_eps,
+                           max(1.0, abs(B), abs(E)))
         return E, B, S, A_next, Ar, yr, yr_scale
 
-    def _advance(self) -> bool:
-        E, B, S, A_next, Ar, yr, yr_scale = self._coefficients()
+    def _update(self, E, B, S, A_next, Ar, yr, yr_scale) -> bool:
         if self.k == 0:
             x_next = A_next * (B * self.x - self.r)
             r_next = A_next * (Ar + B * self.r)
@@ -377,18 +412,6 @@ class _A4State(SolverState):
         self.y = self.A.matvec_t(self.y_prev)
         return False
 
-    def _report(self):
-        out = []
-        if self.k > 0:
-            out.append(("A4.E: (y_{k-1},r_{k-1})", self.yr_prev))
-        out.append(("A4.B: (y_k,r_k)", dot(self.y, self.r)))
-        try:
-            S = self._coefficients()[2]
-        except _Breakdown:
-            return out
-        out.append(("A4.A: B+E", S))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # A12
@@ -406,25 +429,17 @@ class _A12State(SolverState):
         # rs[0] = current residual, rs[1] = previous, rs[2] = the one before;
         # same layout for xs and for the norms in r_norms. ys holds the last
         # four shadow vectors.
-        self.rs: List[np.ndarray] = []
-        self.xs: List[np.ndarray] = []
-        self.ys: List[np.ndarray] = []
-        self.r_norms: List[float] = []
+        self.rs: list[np.ndarray] = []
+        self.xs: list[np.ndarray] = []
+        self.ys: list[np.ndarray] = []
+        self.r_norms: list[float] = []
         # Carried from the previous step for the next one: A r_{k-3}, the
         # a_ij entries (a13, a23, a33, t) (None after the prologue) and
         # ||y_{k-3}||.
         self.Ar3: Optional[np.ndarray] = None
-        self.a_carry: Optional[Tuple[float, float, float, float]] = None
+        self.a_carry: Optional[tuple[float, float, float, float]] = None
         self.y3_norm = math.nan
-        if self.r_norm <= cfg.tol:
-            self.outcome = StepOutcome.converged()
-            return
-        try:
-            self._prologue()
-        except _Breakdown as br:
-            self.outcome = StepOutcome.breakdown(br.label, br.value)
-        except NonFiniteError as err:
-            self.outcome = StepOutcome.breakdown(f"A12.nonfinite: {err}", math.nan)
+        self._run_prologue()
 
     def _prologue(self):
         eps = self.cfg.breakdown_eps
@@ -438,8 +453,8 @@ class _A12State(SolverState):
         c3 = dot(y, A.matvec(p1))
 
         y_norm = norm2(y)
-        step1 = _div(c0, c1, "A12.c1", eps, y_norm * norm2(p),
-                     cap=cfg.coeff_limit)
+        step1 = self._div(c0, c1, "A12.c1", eps, y_norm * norm2(p),
+                          cap=cfg.coeff_limit)
         r1 = r0 - step1 * p
         x1 = x0 + step1 * r0
         if not _finite(x1, r1):
@@ -455,10 +470,10 @@ class _A12State(SolverState):
         delta = c1 * c3 - c2 * c2
         num_alpha = c0 * c3 - c1 * c2
         num_beta = c0 * c2 - c1 * c1
-        alpha = _div(num_alpha, delta, "A12.delta: c1*c3-c2^2", eps,
-                     abs(c1 * c3) + c2 * c2, cap=cfg.coeff_limit)
-        beta = _div(num_beta, delta, "A12.delta: c1*c3-c2^2", eps,
-                    abs(c1 * c3) + c2 * c2, cap=cfg.coeff_limit)
+        alpha = self._div(num_alpha, delta, "A12.delta: c1*c3-c2^2", eps,
+                          abs(c1 * c3) + c2 * c2, cap=cfg.coeff_limit)
+        beta = self._div(num_beta, delta, "A12.delta: c1*c3-c2^2", eps,
+                         abs(c1 * c3) + c2 * c2, cap=cfg.coeff_limit)
         r2 = r0 - alpha * p + beta * p1
         x2 = x0 + alpha * r0 - beta * p
         if not _finite(x2, r2):
@@ -482,7 +497,7 @@ class _A12State(SolverState):
         self.Ar3 = p
         self.y3_norm = y_norm
 
-    def _scalars(self):
+    def _prepare(self):
         """The a_ij table, s, t, and the chained coefficients for the next step.
 
         Entries that pair a shadow vector with r_{k-3} equal entries of the
@@ -505,7 +520,7 @@ class _A12State(SolverState):
         a22 = a11
         a32 = a21
         a13_scale = self.y3_norm * self.r_norms[2]
-        F = -_div(a11, a13, "A12.a13", eps, a13_scale, cap=self.cfg.coeff_limit)
+        F = -self._div(a11, a13, "A12.a13", eps, a13_scale, cap=self.cfg.coeff_limit)
         b1 = -a21 - a23 * F
         b2 = -a31 - a33 * F
         b3 = -s - t * F
@@ -514,20 +529,19 @@ class _A12State(SolverState):
         delta_scale = (abs(a11) * (abs(a22 * a33) + abs(a32 * a23))
                        + abs(a13) * (abs(a21 * a32) + abs(a31 * a22)))
         num_B = b1 * minor + a13 * (b2 * a32 - b3 * a22)
-        B = _div(num_B, Delta, "A12.Delta_k", eps, delta_scale,
-                 cap=self.cfg.coeff_limit)
-        G = _div(b1 - a11 * B, a13, "A12.a13", eps, a13_scale,
-                 cap=self.cfg.coeff_limit)
+        B = self._div(num_B, Delta, "A12.Delta_k", eps, delta_scale,
+                      cap=self.cfg.coeff_limit)
+        G = self._div(b1 - a11 * B, a13, "A12.a13", eps, a13_scale,
+                      cap=self.cfg.coeff_limit)
         y2_norm = norm2(ykm2)
-        C = _div(b2 - a21 * B - a23 * G, a22, "A12.a22", eps,
-                 y2_norm * self.r_norms[1], cap=self.cfg.coeff_limit)
+        C = self._div(b2 - a21 * B - a23 * G, a22, "A12.a22", eps,
+                      y2_norm * self.r_norms[1], cap=self.cfg.coeff_limit)
         S = C + G
-        Ak = _div(1.0, S, "A12.Ak: C_k+G_k", self.cfg.normalization_eps,
-                  max(1.0, abs(C), abs(G)))
-        return y_new, F, B, G, C, S, Ak, (a11, a21, a31, s), y2_norm
+        Ak = self._div(1.0, S, "A12.Ak: C_k+G_k", self.cfg.normalization_eps,
+                       max(1.0, abs(C), abs(G)))
+        return y_new, F, B, G, C, Ak, (a11, a21, a31, s), y2_norm
 
-    def _advance(self) -> bool:
-        y_new, F, B, G, C, S, Ak, a_carry, y2_norm = self._scalars()
+    def _update(self, y_new, F, B, G, C, Ak, a_carry, y2_norm) -> bool:
         r1, r2, r3 = self.rs
         # The coefficient table solves the orthogonality of
         # (x^2 + B x + C) P_{k-2} + (F x + G) P_{k-3}, so the products feed
@@ -550,31 +564,6 @@ class _A12State(SolverState):
         self.r_norm = norm2(r_next)
         self.r_norms = [self.r_norm] + self.r_norms[:2]
         return self.r_norm <= self.cfg.tol
-
-    def _report(self):
-        r1, r2, r3 = self.rs
-        ykm3, ykm2, _, _ = self.ys
-        out = [("A12.a13", dot(ykm3, r3)), ("A12.a22", dot(ykm2, r2))]
-        try:
-            S = self._scalars()[5]
-        except _Breakdown as br:
-            if br.label not in (lbl for lbl, _ in out):
-                out.append((br.label, br.value))
-            return out
-        out.append(("A12.Delta_k", self._delta_value()))
-        out.append(("A12.Ak: C_k+G_k", S))
-        return out
-
-    def _delta_value(self) -> float:
-        r1, r2, r3 = self.rs
-        ykm3, ykm2, ykm1, yk = self.ys
-        a11 = dot(ykm2, r2)
-        a21 = dot(ykm1, r2)
-        a23 = dot(ykm2, r3)
-        a31 = dot(yk, r2)
-        a33 = dot(ykm1, r3)
-        a13 = dot(ykm3, r3)
-        return a11 * (a11 * a33 - a21 * a23) + a13 * (a21 * a21 - a31 * a11)
 
 
 # ---------------------------------------------------------------------------
@@ -603,21 +592,13 @@ class _A5B10State(SolverState):
         self.p = None
         self.C1 = 1.0
         self.A_prev = math.nan
-        if self.r_norm <= cfg.tol:
-            self.outcome = StepOutcome.converged()
-            return
-        try:
-            self._prologue()
-        except _Breakdown as br:
-            self.outcome = StepOutcome.breakdown(br.label, br.value)
-        except NonFiniteError as err:
-            self.outcome = StepOutcome.breakdown(f"A5B10.nonfinite: {err}", math.nan)
+        self._run_prologue()
 
     def _prologue(self):
         r0 = self.r
         Ar0 = self.A.matvec(r0)
-        A1 = -_div(dot(self.y, r0), dot(self.y, Ar0), "A5B10.A1: (y_0,Ar_0)",
-                   self.cfg.breakdown_eps, norm2(self.y) * norm2(Ar0))
+        A1 = -self._div(dot(self.y, r0), dot(self.y, Ar0), "A5B10.A1: (y_0,Ar_0)",
+                        self.cfg.breakdown_eps, norm2(self.y) * norm2(Ar0))
         r1 = r0 + A1 * Ar0
         x1 = self.x - A1 * r0
         if not _finite(x1, r1):
@@ -631,19 +612,24 @@ class _A5B10State(SolverState):
         if self.r_norm <= self.cfg.tol:
             self.outcome = StepOutcome.converged()
 
-    def _advance(self) -> bool:
+    def _prepare(self):
         eps = self.cfg.breakdown_eps
         y_k = self.A.matvec_t(self.y)
         num = dot(y_k, self.r)
         yp = dot(y_k, self.p)
         den_D = self.C1 * yp
         y_norm = norm2(y_k)
-        D = -_div(num, den_D, "A5B10.D: C1*(y_k,p_{k-1})", eps,
-                  abs(self.C1) * y_norm * norm2(self.p))
+        D = -self._div(num, den_D, "A5B10.D: C1*(y_k,p_{k-1})", eps,
+                       abs(self.C1) * y_norm * norm2(self.p))
         p_k = self.r + (D * self.C1) * self.p
         Ap = self.A.matvec(p_k)
-        A_next = -_div(num, dot(y_k, Ap), "A5B10.A: (y_k,Ap_k)", eps,
-                       y_norm * norm2(Ap))
+        A_next = -self._div(num, dot(y_k, Ap), "A5B10.A: (y_k,Ap_k)", eps,
+                            y_norm * norm2(Ap))
+        # The update closes with the C1 guard on A_k.
+        self._ledger.append(("A5B10.C1: A_k", self.A_prev))
+        return y_k, p_k, Ap, A_next
+
+    def _update(self, y_k, p_k, Ap, A_next) -> bool:
         r_next = self.r + A_next * Ap
         x_next = self.x - A_next * p_k
         if not _finite(x_next, r_next):
@@ -656,25 +642,10 @@ class _A5B10State(SolverState):
         if self.r_norm <= self.cfg.tol:
             return True
         # A_k is an O(1) normalized coefficient, so its guard is absolute.
-        self.C1 = _div(self.C1, self.A_prev, "A5B10.C1: A_k", eps, 1.0)
+        self.C1 = self._div(self.C1, self.A_prev, "A5B10.C1: A_k",
+                            self.cfg.breakdown_eps, 1.0)
         self.A_prev = A_next
         return False
-
-    def _report(self):
-        eps = self.cfg.breakdown_eps
-        y_k = self.A.matvec_t(self.y)
-        den_D = self.C1 * dot(y_k, self.p)
-        out = [("A5B10.D: C1*(y_k,p_{k-1})", den_D)]
-        num = dot(y_k, self.r)
-        try:
-            D = -_div(num, den_D, "A5B10.D", eps,
-                      abs(self.C1) * norm2(y_k) * norm2(self.p))
-        except _Breakdown:
-            return out
-        p_k = self.r + (D * self.C1) * self.p
-        out.append(("A5B10.A: (y_k,Ap_k)", dot(y_k, self.A.matvec(p_k))))
-        out.append(("A5B10.C1: A_k", self.A_prev))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -693,16 +664,20 @@ class _A8B10State(SolverState):
         self.z = np.array(self.r, copy=True)
         # (y_k, r_k): the previous step's (y_{k+1}, r_{k+1}); None at the start.
         self.yr: Optional[float] = None
-        if self.r_norm <= cfg.tol:
-            self.outcome = StepOutcome.converged()
 
-    def _advance(self) -> bool:
-        eps = self.cfg.breakdown_eps
+    def _prepare(self):
         Az = self.A.matvec(self.z)
         num = dot(self.y, self.r) if self.yr is None else self.yr
         den = dot(self.y, Az)
         den_scale = norm2(self.y) * norm2(Az)
-        A_next = -_div(num, den, "A8B10.A: (y_k,Az_k)", eps, den_scale)
+        A_next = -self._div(num, den, "A8B10.A: (y_k,Az_k)", self.cfg.breakdown_eps,
+                            den_scale)
+        # The update closes with the C1 guard on A_{k+1}.
+        self._ledger.append(("A8B10.C1: A_{k+1}", A_next))
+        return Az, den, den_scale, A_next
+
+    def _update(self, Az, den, den_scale, A_next) -> bool:
+        eps = self.cfg.breakdown_eps
         r_next = self.r + A_next * Az
         x_next = self.x - A_next * self.z
         if not _finite(x_next, r_next):
@@ -713,9 +688,9 @@ class _A8B10State(SolverState):
         if self.r_norm <= self.cfg.tol:
             return True
         y_next = self.A.matvec_t(self.y)
-        C1 = _div(1.0, A_next, "A8B10.C1: A_{k+1}", eps, 1.0)
+        C1 = self._div(1.0, A_next, "A8B10.C1: A_{k+1}", eps, 1.0)
         yr_next = dot(y_next, r_next)
-        B1 = -_div(C1 * yr_next, den, "A8B10.B1: (y_k,Az_k)", eps, den_scale)
+        B1 = -self._div(C1 * yr_next, den, "A8B10.B1: (y_k,Az_k)", eps, den_scale)
         z_next = B1 * self.z + C1 * r_next
         if not _finite(z_next):
             raise NonFiniteError("z update")
@@ -723,19 +698,6 @@ class _A8B10State(SolverState):
         self.z = z_next
         self.yr = yr_next
         return False
-
-    def _report(self):
-        Az = self.A.matvec(self.z)
-        den = dot(self.y, Az)
-        out = [("A8B10.A: (y_k,Az_k)", den)]
-        num = dot(self.y, self.r) if self.yr is None else self.yr
-        try:
-            A_next = -_div(num, den, "A8B10.A", self.cfg.breakdown_eps,
-                           norm2(self.y) * norm2(Az))
-        except _Breakdown:
-            return out
-        out.append(("A8B10.C1: A_{k+1}", A_next))
-        return out
 
 
 _STATE_CLASSES = {

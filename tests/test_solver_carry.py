@@ -2,8 +2,12 @@
 
 After every step the carried values must equal a fresh recomputation
 bitwise, and a main-loop step must call each kernel the stated number of
-times.
+times, also when ``denominator_report`` prepared it. The report must end
+with the offender of the breakdown the next step returns, and must not
+raise when the preparation overflows.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ import pytest
 from lanswitch import solvers
 from lanswitch.linalg import SparseMatrix, dot, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
-from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, init
+from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, denominator_report, init
+from random_systems import random_system
 
 CFG = SolverConfig(tol=1e-13, max_iters=1000)
 STEPS = 80
@@ -109,3 +114,77 @@ def test_kernel_calls_per_step(monkeypatch, algo, name, A, b):
             assert counter.take() == (first if is_first else steady)
             counted += 1
     assert counted >= 5
+
+
+@pytest.mark.parametrize("algo", list(AlgoId))
+@pytest.mark.parametrize("name, A, b", SYSTEMS[:3], ids=[s[0] for s in SYSTEMS[:3]])
+def test_report_then_step_does_the_work_of_step(monkeypatch, algo, name, A, b):
+    st = init(algo, A, b, np.zeros(A.nrows), b, CFG)
+    counter = _Counter(monkeypatch)
+    steady, first = STEP_WORK[algo]
+    counted = 0
+    while st.outcome.kind is OutcomeKind.CONTINUE and counted < STEPS:
+        is_first = st.steps_taken == 0
+        counter.take()
+        report = denominator_report(st)
+        prepared = counter.take()
+        assert denominator_report(st) == report
+        assert counter.take() == (0, 0, 0, 0)
+        if st.step().kind is OutcomeKind.CONTINUE:
+            done = counter.take()
+            work = tuple(p + d for p, d in zip(prepared, done))
+            assert work == (first if is_first else steady)
+            counted += 1
+    assert counted >= 5
+
+
+def _same_entry(entry, label, value):
+    return entry[0] == label and (entry[1] == value
+                                  or (math.isnan(entry[1]) and math.isnan(value)))
+
+
+@pytest.mark.parametrize("algo", list(AlgoId))
+@pytest.mark.parametrize("name, A, b", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+def test_report_ends_with_the_offender(algo, name, A, b):
+    st = init(algo, A, b, np.zeros(A.nrows), b, CFG)
+    while st.outcome.kind is OutcomeKind.CONTINUE:
+        report = denominator_report(st)
+        outcome = st.step()
+    assert outcome.kind is OutcomeKind.BREAKDOWN
+    assert _same_entry(report[-1], outcome.label, outcome.value)
+
+
+def test_report_ends_with_the_closing_c1_guard():
+    # (y, r0) = 1e-13 makes the prologue's A_1 about 1e-13: the first main
+    # step passes its own guards, updates, and breaks at C1 / A_1.
+    A = SparseMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
+    b = np.ones(3)
+    st = init(AlgoId.A5B10, A, b, np.zeros(3), np.array([1.0, -1.0, 1e-13]), CFG)
+    report = denominator_report(st)
+    outcome = st.step()
+    assert outcome.label == "A5B10.C1: A_k"
+    assert report[-1] == (outcome.label, outcome.value)
+
+
+# A shadow vector of norm about 1e151 on a 24x24 Gaussian system: the shadow
+# chain's norm overflows a few steps in. The step after the overflowing
+# preparation breaks down with the report's last entry, at the step count a
+# run without reports reaches.
+OVERFLOW_STEPS = {AlgoId.A4: 7, AlgoId.A5B10: 6, AlgoId.A8B10: 7}
+
+
+@pytest.mark.parametrize("algo", list(OVERFLOW_STEPS))
+def test_report_never_raises_on_overflow(algo):
+    A, b = random_system("gaussian", 24, 1243153968)
+    st = init(algo, A, b, np.zeros(A.nrows), 1e150 * b, CFG)
+    label = f"{algo}.nonfinite: non-finite result in norm2"
+    while st.outcome.kind is OutcomeKind.CONTINUE:
+        report = denominator_report(st)
+        if report[-1][0] == label:
+            break
+        st.step()
+    assert math.isnan(report[-1][1])
+    outcome = st.step()
+    assert outcome.kind is OutcomeKind.BREAKDOWN
+    assert outcome.label == label and math.isnan(outcome.value)
+    assert st.steps_taken == OVERFLOW_STEPS[algo]
