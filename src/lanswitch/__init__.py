@@ -7,8 +7,6 @@ from .linalg import (
     SparseMatrix,
     as_vector,
     dot,
-    matvec,
-    matvec_t,
     norm2,
 )
 from .problems import (
@@ -31,7 +29,6 @@ from .solvers import (
     denominator_report,
     init,
     run,
-    step,
 )
 from .switching import (
     ST1,

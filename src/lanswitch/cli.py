@@ -113,10 +113,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (_UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -20,8 +20,6 @@ from .problems import BaheuxSpec, ProblemInstance, gen_baheux, read_matrix_marke
 from .solvers import AlgoId, SolverConfig, init, run
 from .switching import (
     ST1,
-    ST2,
-    ST3,
     CoinToss,
     RunRecord,
     SelectionPolicy,
@@ -40,7 +38,6 @@ __all__ = [
     "run_cell",
     "emit_table",
     "derive_seed",
-    "combo_label",
 ]
 
 DEFAULT_SEED = 42
@@ -72,7 +69,7 @@ class SwitchTemplate:
         return self.pool[0]
 
 
-Combo = Union[AlgoId, SwitchTemplate, SwitchPlan]
+Combo = Union[AlgoId, SwitchTemplate]
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,6 @@ class ExperimentConfig:
     problem: Union[BaheuxSpec, str]
     algorithms: Tuple[Combo, ...]
     tol: float = DEFAULT_TOL
-    breakdown_eps: float = 1e-12
     seed: int = DEFAULT_SEED
     budget: Optional[int] = None
     repeats: int = 1
@@ -100,25 +96,10 @@ def derive_seed(seed: int, cell_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def combo_label(combo: Combo) -> str:
-    if isinstance(combo, AlgoId):
-        return f"{combo.value}/solo"
-    if isinstance(combo, SwitchTemplate):
-        pool = "+".join(a.value for a in combo.pool)
-        return f"{pool}/{_strategy_name(combo.strategy)}"
-    pool = "+".join(a.value for a in combo.policy.pool)
-    return f"{pool}/{_strategy_name(combo.strategy)}"
-
-
-def _strategy_name(strategy: Strategy) -> str:
-    return {ST1: "ST1", ST2: "ST2", ST3: "ST3"}[type(strategy)]
-
-
-def load_problem(problem: Union[BaheuxSpec, str],
-                 rhs_path: Optional[str] = None) -> ProblemInstance:
+def load_problem(problem: Union[BaheuxSpec, str]) -> ProblemInstance:
     if isinstance(problem, BaheuxSpec):
         return gen_baheux(problem)
-    return read_matrix_market(problem, rhs_path=rhs_path)
+    return read_matrix_market(problem)
 
 
 def _solo_record(inst: ProblemInstance, algo: AlgoId, cfg: SolverConfig,
@@ -147,34 +128,23 @@ def run_cell(inst: ProblemInstance, combo: Combo, cfg: ExperimentConfig,
              cell_index: int) -> Tuple[RunRecord, float]:
     """Run one cell once; returns the record and the wall seconds of the solve."""
     n = inst.A.nrows
-    solver_budget = cfg.budget
-    if isinstance(combo, AlgoId):
-        budget = solver_budget if solver_budget is not None else 5 * n
-        solver_cfg = SolverConfig(tol=cfg.tol, breakdown_eps=cfg.breakdown_eps,
-                                  max_iters=budget)
+    solo = isinstance(combo, AlgoId)
+    budget = cfg.budget if cfg.budget is not None else (5 if solo else 100) * n
+    solver_cfg = SolverConfig(tol=cfg.tol, max_iters=budget)
+    if solo:
         t0 = time.perf_counter()
         record = _solo_record(inst, combo, solver_cfg, budget)
-        seconds = time.perf_counter() - t0
-        return record, seconds
+        return record, time.perf_counter() - t0
 
-    if isinstance(combo, SwitchTemplate):
-        budget = solver_budget if solver_budget is not None else 100 * n
-        solver_cfg = SolverConfig(tol=cfg.tol, breakdown_eps=cfg.breakdown_eps,
-                                  max_iters=budget)
-        policy = SelectionPolicy(pool=combo.pool,
-                                 mode=CoinToss(seed=derive_seed(cfg.seed, cell_index)))
-        plan = SwitchPlan(strategy=combo.strategy, policy=policy,
-                          start=combo.resolve_start(), cfg=solver_cfg,
-                          global_budget=budget)
-    else:
-        plan = combo
-
+    policy = SelectionPolicy(pool=combo.pool,
+                             mode=CoinToss(seed=derive_seed(cfg.seed, cell_index)))
+    plan = SwitchPlan(strategy=combo.strategy, policy=policy,
+                      start=combo.resolve_start(), cfg=solver_cfg,
+                      global_budget=budget)
     x0 = np.zeros(n)
     t0 = time.perf_counter()
-    record, _ = run_switching(inst.A, inst.b, x0, inst.b, plan,
-                              combo=combo_label(combo))
-    seconds = time.perf_counter() - t0
-    return record, seconds
+    record, _ = run_switching(inst.A, inst.b, x0, inst.b, plan)
+    return record, time.perf_counter() - t0
 
 
 def run_experiment(cfg: ExperimentConfig) -> List[RunRecord]:

@@ -24,8 +24,6 @@ __all__ = [
     "as_vector",
     "dot",
     "norm2",
-    "matvec",
-    "matvec_t",
 ]
 
 
@@ -215,11 +213,3 @@ class SparseMatrix:
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
-
-
-def matvec(M: SparseMatrix, v: np.ndarray) -> np.ndarray:
-    return M.matvec(v)
-
-
-def matvec_t(M: SparseMatrix, v: np.ndarray) -> np.ndarray:
-    return M.matvec_t(v)

@@ -1,10 +1,10 @@
 """Four Lanczos-type solvers (A4, A12, A5/B10, A8/B10) as resumable state machines.
 
-Each solver advances one recurrence iteration per ``step`` call and reports
-convergence, iteration exhaustion, or breakdown with the offending
-denominator named. Every division is guarded before it happens: a
+Each solver advances one recurrence iteration per ``SolverState.step`` call
+and reports convergence, iteration exhaustion, or breakdown with the
+offending denominator named. Every division is guarded before it happens: a
 denominator counts as vanished when its magnitude is at most
-breakdown_eps times the natural scale of the expression that produced it
+BREAKDOWN_EPS times the natural scale of the expression that produced it
 (for a scalar product (u, v) that scale is ||u|| ||v||), so cancellation
 down to noise is a breakdown while legitimately small, well-determined
 products divide through. No non-finite value is ever written into the
@@ -45,7 +45,6 @@ __all__ = [
     "SolverStateError",
     "SolverState",
     "init",
-    "step",
     "run",
     "denominator_report",
     "moment_sequence",
@@ -74,36 +73,30 @@ class AlgoId(enum.Enum):
         return self.value
 
 
+# A guarded denominator has vanished when its magnitude is at most this
+# times its natural magnitude: the product has lost essentially all its
+# significant digits to cancellation.
+BREAKDOWN_EPS = 1e-12
+# The guard of the 1/(B+E)-type normalization denominators. The cancellation
+# there equals the roundoff amplification of the whole update, so losing
+# three orders is treated as a (near-)non-existent polynomial.
+NORMALIZATION_EPS = 1e-3
+# The bound on the multi-term update coefficients of A4 and A12: an exploding
+# coefficient is the floating-point face of a vanishing Hankel determinant.
+# The coupled two-term recurrences do not need it.
+COEFF_LIMIT = 1e5
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Convergence and safety thresholds shared by all solvers.
-
-    ``breakdown_eps`` is relative to the natural magnitude of each guarded
-    denominator; 1e-12 flags products that have lost essentially all their
-    significant digits to cancellation. ``normalization_eps`` guards the
-    1/(B+E)-type normalization denominators: the cancellation there equals
-    the roundoff amplification of the whole update, so losing three orders
-    is treated as a (near-)non-existent polynomial. ``coeff_limit`` bounds the
-    magnitude of the multi-term update coefficients of A4 and A12 the same
-    way (an exploding coefficient is the floating-point face of a vanishing
-    Hankel determinant); the coupled two-term recurrences do not need it.
-    """
+    """Convergence tolerance and iteration budget shared by all solvers."""
 
     tol: float = 1e-13
-    breakdown_eps: float = 1e-12
-    normalization_eps: float = 1e-3
-    coeff_limit: float = 1e5
     max_iters: int = 10_000
 
     def __post_init__(self):
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
-        if not (self.breakdown_eps > 0):
-            raise ValueError("breakdown_eps must be positive")
-        if not (self.normalization_eps > 0):
-            raise ValueError("normalization_eps must be positive")
-        if not (self.coeff_limit > 0):
-            raise ValueError("coeff_limit must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -211,8 +204,8 @@ class SolverState:
     # _update(*prepared) applies them and returns True when the residual
     # test passed.
 
-    def _div(self, num: float, den: float, label: str, eps: float, scale: float,
-             cap: Optional[float] = None) -> float:
+    def _div(self, num: float, den: float, label: str, scale: float,
+             eps: float = BREAKDOWN_EPS, cap: Optional[float] = None) -> float:
         """Divide with the vanishing guard; breakdown instead of blowup.
 
         ``scale`` is the natural magnitude of the denominator expression; a
@@ -303,11 +296,6 @@ def init(algo: AlgoId, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
         return cls(A, b, x0, y, cfg)
 
 
-def step(state: SolverState) -> StepOutcome:
-    """Advance exactly one iteration of the state's main loop."""
-    return state.step()
-
-
 def run(state: SolverState, budget: int) -> tuple[StepOutcome, int]:
     """Step up to ``budget`` times or until a terminal outcome.
 
@@ -370,24 +358,22 @@ class _A4State(SolverState):
         self.last_normalization = math.nan
 
     def _prepare(self):
-        eps = self.cfg.breakdown_eps
         yr = dot(self.y, self.r)
         if self.k == 0:
             E = 0.0
         else:
-            E = -self._div(yr, self.yr_prev, "A4.E: (y_{k-1},r_{k-1})", eps,
-                           self.yr_prev_scale, cap=self.cfg.coeff_limit)
+            E = -self._div(yr, self.yr_prev, "A4.E: (y_{k-1},r_{k-1})",
+                           self.yr_prev_scale, cap=COEFF_LIMIT)
         Ar = self.A.matvec(self.r)
         # The bracket must cancel the order-k moment of the combination, so
         # the E term enters with a plus sign (the recurrence terminates in n
         # exact steps only with this orientation).
         num_B = dot(self.y, Ar) + (E * dot(self.y, self.r_prev) if self.k > 0 else 0.0)
         yr_scale = norm2(self.y) * self.r_norm
-        B = -self._div(num_B, yr, "A4.B: (y_k,r_k)", eps, yr_scale,
-                       cap=self.cfg.coeff_limit)
+        B = -self._div(num_B, yr, "A4.B: (y_k,r_k)", yr_scale, cap=COEFF_LIMIT)
         S = B + E
-        A_next = self._div(1.0, S, "A4.A: B+E", self.cfg.normalization_eps,
-                           max(1.0, abs(B), abs(E)))
+        A_next = self._div(1.0, S, "A4.A: B+E", max(1.0, abs(B), abs(E)),
+                           eps=NORMALIZATION_EPS)
         return E, B, S, A_next, Ar, yr, yr_scale
 
     def _update(self, E, B, S, A_next, Ar, yr, yr_scale) -> bool:
@@ -442,7 +428,6 @@ class _A12State(SolverState):
         self._run_prologue()
 
     def _prologue(self):
-        eps = self.cfg.breakdown_eps
         A, y, cfg = self.A, self.y0, self.cfg
         r0, x0, r0_norm = self.r, self.x, self.r_norm
         p = A.matvec(r0)
@@ -453,8 +438,7 @@ class _A12State(SolverState):
         c3 = dot(y, A.matvec(p1))
 
         y_norm = norm2(y)
-        step1 = self._div(c0, c1, "A12.c1", eps, y_norm * norm2(p),
-                          cap=cfg.coeff_limit)
+        step1 = self._div(c0, c1, "A12.c1", y_norm * norm2(p), cap=COEFF_LIMIT)
         r1 = r0 - step1 * p
         x1 = x0 + step1 * r0
         if not _finite(x1, r1):
@@ -470,10 +454,10 @@ class _A12State(SolverState):
         delta = c1 * c3 - c2 * c2
         num_alpha = c0 * c3 - c1 * c2
         num_beta = c0 * c2 - c1 * c1
-        alpha = self._div(num_alpha, delta, "A12.delta: c1*c3-c2^2", eps,
-                          abs(c1 * c3) + c2 * c2, cap=cfg.coeff_limit)
-        beta = self._div(num_beta, delta, "A12.delta: c1*c3-c2^2", eps,
-                         abs(c1 * c3) + c2 * c2, cap=cfg.coeff_limit)
+        alpha = self._div(num_alpha, delta, "A12.delta: c1*c3-c2^2",
+                          abs(c1 * c3) + c2 * c2, cap=COEFF_LIMIT)
+        beta = self._div(num_beta, delta, "A12.delta: c1*c3-c2^2",
+                         abs(c1 * c3) + c2 * c2, cap=COEFF_LIMIT)
         r2 = r0 - alpha * p + beta * p1
         x2 = x0 + alpha * r0 - beta * p
         if not _finite(x2, r2):
@@ -504,7 +488,6 @@ class _A12State(SolverState):
         previous step's table that paired it with that step's r_{k-2}, so
         they come from ``a_carry``; so do ||y_{k-3}|| and ||r_{k-3}||.
         """
-        eps = self.cfg.breakdown_eps
         r1, r2, r3 = self.rs  # r_{k-1}, r_{k-2}, r_{k-3}
         ykm3, ykm2, ykm1, yk = self.ys
         y_new = self.A.matvec_t(yk)  # y_{k+1}
@@ -520,7 +503,7 @@ class _A12State(SolverState):
         a22 = a11
         a32 = a21
         a13_scale = self.y3_norm * self.r_norms[2]
-        F = -self._div(a11, a13, "A12.a13", eps, a13_scale, cap=self.cfg.coeff_limit)
+        F = -self._div(a11, a13, "A12.a13", a13_scale, cap=COEFF_LIMIT)
         b1 = -a21 - a23 * F
         b2 = -a31 - a33 * F
         b3 = -s - t * F
@@ -529,16 +512,14 @@ class _A12State(SolverState):
         delta_scale = (abs(a11) * (abs(a22 * a33) + abs(a32 * a23))
                        + abs(a13) * (abs(a21 * a32) + abs(a31 * a22)))
         num_B = b1 * minor + a13 * (b2 * a32 - b3 * a22)
-        B = self._div(num_B, Delta, "A12.Delta_k", eps, delta_scale,
-                      cap=self.cfg.coeff_limit)
-        G = self._div(b1 - a11 * B, a13, "A12.a13", eps, a13_scale,
-                      cap=self.cfg.coeff_limit)
+        B = self._div(num_B, Delta, "A12.Delta_k", delta_scale, cap=COEFF_LIMIT)
+        G = self._div(b1 - a11 * B, a13, "A12.a13", a13_scale, cap=COEFF_LIMIT)
         y2_norm = norm2(ykm2)
-        C = self._div(b2 - a21 * B - a23 * G, a22, "A12.a22", eps,
-                      y2_norm * self.r_norms[1], cap=self.cfg.coeff_limit)
+        C = self._div(b2 - a21 * B - a23 * G, a22, "A12.a22",
+                      y2_norm * self.r_norms[1], cap=COEFF_LIMIT)
         S = C + G
-        Ak = self._div(1.0, S, "A12.Ak: C_k+G_k", self.cfg.normalization_eps,
-                       max(1.0, abs(C), abs(G)))
+        Ak = self._div(1.0, S, "A12.Ak: C_k+G_k", max(1.0, abs(C), abs(G)),
+                       eps=NORMALIZATION_EPS)
         return y_new, F, B, G, C, Ak, (a11, a21, a31, s), y2_norm
 
     def _update(self, y_new, F, B, G, C, Ak, a_carry, y2_norm) -> bool:
@@ -598,7 +579,7 @@ class _A5B10State(SolverState):
         r0 = self.r
         Ar0 = self.A.matvec(r0)
         A1 = -self._div(dot(self.y, r0), dot(self.y, Ar0), "A5B10.A1: (y_0,Ar_0)",
-                        self.cfg.breakdown_eps, norm2(self.y) * norm2(Ar0))
+                        norm2(self.y) * norm2(Ar0))
         r1 = r0 + A1 * Ar0
         x1 = self.x - A1 * r0
         if not _finite(x1, r1):
@@ -613,17 +594,16 @@ class _A5B10State(SolverState):
             self.outcome = StepOutcome.converged()
 
     def _prepare(self):
-        eps = self.cfg.breakdown_eps
         y_k = self.A.matvec_t(self.y)
         num = dot(y_k, self.r)
         yp = dot(y_k, self.p)
         den_D = self.C1 * yp
         y_norm = norm2(y_k)
-        D = -self._div(num, den_D, "A5B10.D: C1*(y_k,p_{k-1})", eps,
+        D = -self._div(num, den_D, "A5B10.D: C1*(y_k,p_{k-1})",
                        abs(self.C1) * y_norm * norm2(self.p))
         p_k = self.r + (D * self.C1) * self.p
         Ap = self.A.matvec(p_k)
-        A_next = -self._div(num, dot(y_k, Ap), "A5B10.A: (y_k,Ap_k)", eps,
+        A_next = -self._div(num, dot(y_k, Ap), "A5B10.A: (y_k,Ap_k)",
                             y_norm * norm2(Ap))
         # The update closes with the C1 guard on A_k.
         self._ledger.append(("A5B10.C1: A_k", self.A_prev))
@@ -642,8 +622,7 @@ class _A5B10State(SolverState):
         if self.r_norm <= self.cfg.tol:
             return True
         # A_k is an O(1) normalized coefficient, so its guard is absolute.
-        self.C1 = self._div(self.C1, self.A_prev, "A5B10.C1: A_k",
-                            self.cfg.breakdown_eps, 1.0)
+        self.C1 = self._div(self.C1, self.A_prev, "A5B10.C1: A_k", 1.0)
         self.A_prev = A_next
         return False
 
@@ -670,14 +649,12 @@ class _A8B10State(SolverState):
         num = dot(self.y, self.r) if self.yr is None else self.yr
         den = dot(self.y, Az)
         den_scale = norm2(self.y) * norm2(Az)
-        A_next = -self._div(num, den, "A8B10.A: (y_k,Az_k)", self.cfg.breakdown_eps,
-                            den_scale)
+        A_next = -self._div(num, den, "A8B10.A: (y_k,Az_k)", den_scale)
         # The update closes with the C1 guard on A_{k+1}.
         self._ledger.append(("A8B10.C1: A_{k+1}", A_next))
         return Az, den, den_scale, A_next
 
     def _update(self, Az, den, den_scale, A_next) -> bool:
-        eps = self.cfg.breakdown_eps
         r_next = self.r + A_next * Az
         x_next = self.x - A_next * self.z
         if not _finite(x_next, r_next):
@@ -688,9 +665,9 @@ class _A8B10State(SolverState):
         if self.r_norm <= self.cfg.tol:
             return True
         y_next = self.A.matvec_t(self.y)
-        C1 = self._div(1.0, A_next, "A8B10.C1: A_{k+1}", eps, 1.0)
+        C1 = self._div(1.0, A_next, "A8B10.C1: A_{k+1}", 1.0)
         yr_next = dot(y_next, r_next)
-        B1 = -self._div(C1 * yr_next, den, "A8B10.B1: (y_k,Az_k)", eps, den_scale)
+        B1 = -self._div(C1 * yr_next, den, "A8B10.B1: (y_k,Az_k)", den_scale)
         z_next = B1 * self.z + C1 * r_next
         if not _finite(z_next):
             raise NonFiniteError("z update")

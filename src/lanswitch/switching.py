@@ -229,12 +229,12 @@ class RunRecord:
 
 
 def select_next(policy: SelectionPolicy, current: AlgoId,
-                rng: Optional[np.random.Generator]) -> Tuple[AlgoId, EventKind]:
+                rng: Optional[np.random.Generator]) -> AlgoId:
     """Pick the algorithm for the next cycle.
 
-    Returns the chosen algorithm and its classification: Restart when it
-    equals the current one, ProperSwitch otherwise. CoinToss draws uniformly
-    from the pool and advances ``rng``; the other modes are rng-free.
+    CoinToss draws uniformly from the pool and advances ``rng``; the other
+    modes are rng-free. The handoff classifies the event (Restart or
+    ProperSwitch), since it may install another pool member.
     """
     if current not in policy.pool:
         raise ValueError(f"current algorithm {current} not in pool")
@@ -250,8 +250,7 @@ def select_next(policy: SelectionPolicy, current: AlgoId,
         chosen = policy.pool[int(rng.integers(0, len(policy.pool)))]
     else:
         raise ValueError(f"unknown selection mode {mode!r}")
-    kind = EventKind.RESTART if chosen == current else EventKind.PROPER_SWITCH
-    return chosen, kind
+    return chosen
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -366,8 +365,8 @@ class _Driver:
                 if cause is None:
                     cause = strategy.switch_kind(state)
                 if cause is not None:
-                    chosen, _ = select_next(plan.policy, self.current, self.rng)
-                    terminal = self.handoff(chosen, cause)
+                    terminal = self.handoff(
+                        select_next(plan.policy, self.current, self.rng), cause)
             return terminal
         except NonFiniteError:
             # The iterate stays finite, but it has grown until a norm of it
@@ -376,8 +375,7 @@ class _Driver:
 
 
 def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
-                  plan: SwitchPlan, combo: Optional[str] = None
-                  ) -> Tuple[RunRecord, SwitchTrace]:
+                  plan: SwitchPlan) -> Tuple[RunRecord, SwitchTrace]:
     """Drive solver cycles under the plan until convergence or exhaustion.
 
     Every handoff re-initializes the incoming algorithm at the last iterate
@@ -385,21 +383,20 @@ def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
     terminal event (the recurrence residual, or the recomputed ||b - A x||
     when a handoff finds the iterate already converged; inf if it
     overflowed) and the final iterate; delta and seconds are filled in by
-    the harness.
+    the harness. The record's combo is the pool and the strategy, e.g.
+    ``A4+A12/ST2``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if norm2(y) == 0.0:
             raise ValueError("shadow vector y must be nonzero")
         drv = _Driver(A, b, x0, y, plan)
         outcome_name = drv.drive()
-    if combo is None:
-        pool = "+".join(a.value for a in plan.policy.pool)
-        combo = f"{pool}/{type(plan.strategy).__name__}"
+    pool = "+".join(a.value for a in plan.policy.pool)
     *transitions, terminal = drv.trace.events
     record = RunRecord(
         n=A.nrows,
         delta=math.nan,
-        combo=combo,
+        combo=f"{pool}/{type(plan.strategy).__name__}",
         outcome=outcome_name,
         residual=terminal.residual_norm,
         iterations=drv.iters,

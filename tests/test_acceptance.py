@@ -14,9 +14,9 @@ from lanswitch.harness import (
     SwitchTemplate,
     run_experiment,
 )
-from lanswitch.linalg import SparseMatrix, matvec, norm2
+from lanswitch.linalg import SparseMatrix, norm2
 from lanswitch.problems import BaheuxSpec, direct_solve_oracle, gen_baheux
-from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, init, run, step
+from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, init, run
 from lanswitch.switching import ST2, CoinToss, SelectionPolicy, SwitchPlan, run_switching
 
 DELTAS = (0.0, 0.2, 5.0, 8.0)
@@ -64,7 +64,7 @@ def test_criterion_1_switching_convergence(grid_records, problems_cache):
     violations = []
     for (delta, n, number), rec in grid_records.items():
         inst = problems_cache(n, delta)
-        true_res = norm2(inst.b - matvec(inst.A, rec.x))
+        true_res = norm2(inst.b - inst.A.matvec(rec.x))
         if rec.outcome != "Converged" or rec.residual > TOL or true_res > 1e-12:
             violations.append((delta, n, number, rec.outcome, true_res))
     _report("criterion 1 (switching convergence)", not violations,
@@ -155,7 +155,7 @@ def test_criterion_4_residual_identity_and_7_normalization():
 
     def check(state, where):
         nonlocal checked
-        gap = norm2(state.r - (state.b - matvec(state.A, state.x)))
+        gap = norm2(state.r - (state.b - state.A.matvec(state.x)))
         bound = 1e-10 * (norm2(state.b) + state.A.norm_inf() * norm2(state.x))
         checked += 1
         if gap > bound:
@@ -176,7 +176,7 @@ def test_criterion_4_residual_identity_and_7_normalization():
             for _ in range(12):
                 if st.outcome.is_terminal:
                     break
-                out = step(st)
+                out = st.step()
                 if out.kind in (OutcomeKind.CONTINUE, OutcomeKind.CONVERGED):
                     check(st, (algo.value, trial, st.k))
             r_fresh = b - A.matvec(st.x)
@@ -186,7 +186,7 @@ def test_criterion_4_residual_identity_and_7_normalization():
             for _ in range(3):
                 if st2.outcome.is_terminal:
                     break
-                out = step(st2)
+                out = st2.step()
                 if out.kind in (OutcomeKind.CONTINUE, OutcomeKind.CONVERGED):
                     check(st2, (next_algo.value, trial, "post-handoff", st2.k))
 
@@ -221,7 +221,7 @@ def test_criterion_5_breakdown_honesty():
                       SolverConfig(tol=TOL, max_iters=200))
             outcome = st.outcome
             while not outcome.is_terminal:
-                outcome = step(st)
+                outcome = st.step()
                 if not (np.all(np.isfinite(st.x)) and np.all(np.isfinite(st.r))):
                     bad.append((algo.value, trial, "non-finite state"))
                     break

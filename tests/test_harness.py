@@ -10,7 +10,6 @@ from lanswitch.harness import (
     ExperimentConfig,
     PAPER_COMBOS,
     SwitchTemplate,
-    combo_label,
     derive_seed,
     emit_table,
     run_experiment,
@@ -39,11 +38,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_cfg(repeats=0)
 
+    def test_requires_positive_tol(self):
+        with pytest.raises(ValueError, match="tol"):
+            make_cfg(tol=0.0)
+
     def test_combo_labels(self):
-        assert combo_label(AlgoId.A4) == "A4/solo"
-        assert combo_label(SwitchTemplate(ST2(20), (AlgoId.A4, AlgoId.A12))) == "A4+A12/ST2"
-        assert combo_label(SwitchTemplate(ST1(), (AlgoId.A5B10,))) == "A5B10/ST1"
-        assert combo_label(SwitchTemplate(ST3(), (AlgoId.A4, AlgoId.A8B10))) == "A4+A8B10/ST3"
+        records = run_experiment(make_cfg(algorithms=(
+            AlgoId.A4,
+            SwitchTemplate(ST2(20), (AlgoId.A4, AlgoId.A12)),
+            SwitchTemplate(ST1(), (AlgoId.A5B10,)),
+            SwitchTemplate(ST3(), (AlgoId.A4, AlgoId.A8B10)),
+        ), budget=40))
+        assert [r.combo for r in records] == [
+            "A4/solo", "A4+A12/ST2", "A5B10/ST1", "A4+A8B10/ST3"]
 
     def test_st1_default_start_prefers_a8b10(self):
         tpl = SwitchTemplate(ST1(), (AlgoId.A4, AlgoId.A8B10))
@@ -230,6 +237,12 @@ class TestCli:
 
     def test_bad_algorithm_name(self):
         assert cli_main(["--solo", "a99"]) == 1
+
+    def test_nonpositive_tol_and_budget_exit_one(self, capsys):
+        assert cli_main(["--n", "20", "--solo", "a4", "--tol", "0"]) == 1
+        assert "tol must be positive" in capsys.readouterr().err
+        assert cli_main(["--n", "20", "--solo", "a4", "--budget", "0"]) == 1
+        assert "max_iters must be at least 1" in capsys.readouterr().err
 
     def test_matrix_market_routing(self, tmp_path, capsys):
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))

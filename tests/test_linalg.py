@@ -8,8 +8,6 @@ from lanswitch.linalg import (
     SparseMatrix,
     as_vector,
     dot,
-    matvec,
-    matvec_t,
     norm2,
 )
 from lanswitch.problems import BaheuxSpec, gen_baheux
@@ -95,17 +93,17 @@ class TestNorm2:
 class TestSparseMatrix:
     def test_identity_matvec(self):
         I = SparseMatrix.identity(3)
-        assert_allclose(matvec(I, as_vector([1, 2, 3])), [1, 2, 3])
+        assert_allclose(I.matvec(as_vector([1, 2, 3])), [1, 2, 3])
 
     def test_diagonal_scaling(self):
         D = SparseMatrix.from_dense(np.diag([2.0, 3.0]))
-        assert_allclose(matvec(D, as_vector([2, 3])), [4, 9])
+        assert_allclose(D.matvec(as_vector([2, 3])), [4, 9])
 
     def test_baheux_row_sums(self):
         # Independent oracle: row sums straight from the five-point stencil.
         n, delta = 20, 0.0
         inst = gen_baheux(BaheuxSpec(n=n, delta=delta))
-        got = matvec(inst.A, as_vector(np.ones(n)))
+        got = inst.A.matvec(as_vector(np.ones(n)))
         expected = np.empty(n)
         for i in range(n):
             blk, t = divmod(i, 10)
@@ -124,22 +122,22 @@ class TestSparseMatrix:
     def test_matvec_dimension_error(self):
         I = SparseMatrix.identity(3)
         with pytest.raises(DimensionError):
-            matvec(I, as_vector([1.0, 2.0]))
+            I.matvec(as_vector([1.0, 2.0]))
 
     def test_matvec_t_identity(self):
         I = SparseMatrix.identity(3)
-        assert_allclose(matvec_t(I, as_vector([1, 2, 3])), [1, 2, 3])
+        assert_allclose(I.matvec_t(as_vector([1, 2, 3])), [1, 2, 3])
 
     def test_matvec_t_shift_matrix(self):
         M = SparseMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert_allclose(matvec_t(M, as_vector([1, 0])), [0, 1])
+        assert_allclose(M.matvec_t(as_vector([1, 0])), [0, 1])
 
     def test_symmetric_baheux_transpose_equals_forward(self):
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))
         rng = np.random.default_rng(3)
         for _ in range(5):
             v = rng.standard_normal(20)
-            assert_allclose(matvec_t(inst.A, v), matvec(inst.A, v),
+            assert_allclose(inst.A.matvec_t(v), inst.A.matvec(v),
                             rtol=0, atol=1e-14)
 
     def test_adjoint_identity(self):
@@ -149,8 +147,8 @@ class TestSparseMatrix:
             M, _ = random_csr(rng, n)
             u = rng.standard_normal(n)
             v = rng.standard_normal(n)
-            lhs = dot(matvec(M, u), v)
-            rhs = dot(u, matvec_t(M, v))
+            lhs = dot(M.matvec(u), v)
+            rhs = dot(u, M.matvec_t(v))
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
     def test_matches_dense_reference(self):
@@ -161,7 +159,7 @@ class TestSparseMatrix:
             ref = dense @ v
             # 1e-13 relative against the product's scale (single entries may
             # cancel to roundoff).
-            assert_allclose(matvec(M, v), ref, rtol=1e-13,
+            assert_allclose(M.matvec(v), ref, rtol=1e-13,
                             atol=1e-13 * np.abs(ref).max())
 
     def test_invalid_indptr(self):
@@ -192,8 +190,8 @@ class TestSparseMatrix:
     def test_matvec_overflow_surfaces(self):
         M = SparseMatrix.from_dense(np.full((2, 2), 1e308))
         with pytest.raises(NonFiniteError):
-            matvec(M, as_vector([1e100, 1e100]))
+            M.matvec(as_vector([1e100, 1e100]))
 
     def test_empty_row_handled(self):
         M = SparseMatrix(2, 2, [0, 0, 1], [1], [7.0])
-        assert_allclose(matvec(M, as_vector([1.0, 2.0])), [0.0, 14.0])
+        assert_allclose(M.matvec(as_vector([1.0, 2.0])), [0.0, 14.0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lanswitch.linalg import DimensionError, SparseMatrix, as_vector, matvec, matvec_t, norm2
+from lanswitch.linalg import DimensionError, SparseMatrix, as_vector, norm2
 from lanswitch.problems import (
     BaheuxSpec,
     MatrixMarketError,
@@ -42,7 +42,7 @@ class TestBaheuxGenerator:
     def test_solution_is_ones(self):
         inst = gen_baheux(BaheuxSpec(n=40, delta=5.0))
         assert_allclose(inst.x_true, np.ones(40))
-        assert norm2(inst.b - matvec(inst.A, inst.x_true)) <= 1e-10 * norm2(inst.b)
+        assert norm2(inst.b - inst.A.matvec(inst.x_true)) <= 1e-10 * norm2(inst.b)
 
     @pytest.mark.parametrize("n", [10, 30, 100])
     @pytest.mark.parametrize("delta", [0.0, 0.2, 5.0, 8.0])
@@ -56,7 +56,7 @@ class TestBaheuxGenerator:
         rng = np.random.default_rng(2)
         for _ in range(5):
             v = rng.standard_normal(30)
-            assert_allclose(matvec_t(inst.A, v), matvec(inst.A, v), atol=1e-14)
+            assert_allclose(inst.A.matvec_t(v), inst.A.matvec(v), atol=1e-14)
 
 
 class TestMatrixMarket:
@@ -166,4 +166,4 @@ class TestDirectSolveOracle:
     def test_residual_bound_on_baheux(self, n, delta):
         inst = gen_baheux(BaheuxSpec(n=n, delta=delta))
         x = direct_solve_oracle(inst.A, inst.b)
-        assert norm2(inst.b - matvec(inst.A, x)) <= 1e-9 * norm2(inst.b)
+        assert norm2(inst.b - inst.A.matvec(x)) <= 1e-9 * norm2(inst.b)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lanswitch.linalg import NonFiniteError, SparseMatrix, as_vector, matvec, norm2
+from lanswitch.linalg import NonFiniteError, SparseMatrix, as_vector, norm2
 from lanswitch.problems import BaheuxSpec, direct_solve_oracle, gen_baheux
 from lanswitch.solvers import (
     AlgoId,
@@ -16,7 +16,6 @@ from lanswitch.solvers import (
     init,
     moment_sequence,
     run,
-    step,
 )
 
 ALL_ALGOS = list(AlgoId)
@@ -30,9 +29,20 @@ def diag_dominant(rng, n, spread=3.0):
 
 
 def residual_identity_holds(state):
-    gap = norm2(state.r - (state.b - matvec(state.A, state.x)))
+    gap = norm2(state.r - (state.b - state.A.matvec(state.x)))
     bound = 1e-10 * (norm2(state.b) + state.A.norm_inf() * norm2(state.x))
     return gap <= bound
+
+
+class TestConfig:
+    @pytest.mark.parametrize("tol", [0.0, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            SolverConfig(tol=tol)
+
+    def test_max_iters_at_least_one(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=0)
 
 
 class TestInit:
@@ -86,7 +96,7 @@ class TestInit:
         assert st.iters_used == st.PROLOGUE_CHARGE == 1
         assert st.C1 == 1.0
         r0 = inst.b
-        Ar0 = matvec(inst.A, r0)
+        Ar0 = inst.A.matvec(r0)
         A1 = -np.dot(inst.b, r0) / np.dot(inst.b, Ar0)
         assert_allclose(st.r, r0 + A1 * Ar0, rtol=1e-15)
         assert_allclose(st.x, -A1 * r0, rtol=1e-15)
@@ -106,11 +116,11 @@ class TestStep:
         A = SparseMatrix.from_dense(np.diag([2.0, 3.0]))
         b = as_vector([2.0, 3.0])
         st = init(AlgoId.A4, A, b, np.zeros(2), b, CFG)
-        out = step(st)
+        out = st.step()
         assert out.kind is OutcomeKind.CONTINUE
         assert_allclose(st.x, [26.0 / 35.0, 39.0 / 35.0], rtol=1e-15)
         assert_allclose(st.r, [18.0 / 35.0, -12.0 / 35.0], rtol=1e-15)
-        assert_allclose(st.r, b - matvec(A, st.x), rtol=0, atol=1e-15)
+        assert_allclose(st.r, b - A.matvec(st.x), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("algo", ALL_ALGOS)
     def test_identity_converges_first_check(self, algo):
@@ -128,7 +138,7 @@ class TestStep:
         b = as_vector([3.0, 0.0])
         y = as_vector([0.0, 1.0])  # (y, r0) = 0
         st = init(AlgoId.A4, A, b, np.zeros(2), y, CFG)
-        out = step(st)
+        out = st.step()
         assert out.kind is OutcomeKind.BREAKDOWN
         assert "(y_k,r_k)" in out.label
 
@@ -138,7 +148,7 @@ class TestStep:
         st = init(AlgoId.A8B10, A, b, np.ones(2), b, CFG)
         assert st.outcome.is_terminal
         with pytest.raises(SolverStateError):
-            step(st)
+            st.step()
 
     def test_iter_limit(self):
         inst = gen_baheux(BaheuxSpec(n=30, delta=5.0))
@@ -203,7 +213,7 @@ class TestRecurrenceProperties:
             for _ in range(12):
                 if st.outcome.is_terminal:
                     break
-                out = step(st)
+                out = st.step()
                 if out.kind in (OutcomeKind.CONTINUE, OutcomeKind.CONVERGED):
                     assert residual_identity_holds(st), (algo, trial, st.k)
                     checked += 1
@@ -214,7 +224,7 @@ class TestRecurrenceProperties:
             for _ in range(3):
                 if st2.outcome.is_terminal:
                     break
-                out = step(st2)
+                out = st2.step()
                 if out.kind in (OutcomeKind.CONTINUE, OutcomeKind.CONVERGED):
                     assert residual_identity_holds(st2), (algo, trial, "handoff", st2.k)
                     checked += 1
@@ -229,7 +239,7 @@ class TestRecurrenceProperties:
             st = init(AlgoId.A4, A, b, np.zeros(n), b,
                       SolverConfig(tol=1e-13, max_iters=40))
             while not st.outcome.is_terminal:
-                out = step(st)
+                out = st.step()
                 if out.kind in (OutcomeKind.CONTINUE, OutcomeKind.CONVERGED):
                     assert abs(st.last_normalization - 1.0) <= 1e-14
 
@@ -267,7 +277,7 @@ class TestRecurrenceProperties:
                       SolverConfig(tol=1e-13, max_iters=25))
             seq = []
             while not st.outcome.is_terminal:
-                step(st)
+                st.step()
                 seq.append(st.residual_norm())
             return seq
 
@@ -284,7 +294,7 @@ class TestDenominatorReport:
         assert "A4.B: (y_k,r_k)" in labels
         assert "A4.A: B+E" in labels
         assert all(math.isfinite(v) for _, v in fresh)
-        step(st)
+        st.step()
         after = denominator_report(st)
         assert [lbl for lbl, _ in after][0] == "A4.E: (y_{k-1},r_{k-1})"
         assert len(after) == 3
@@ -310,7 +320,7 @@ class TestDenominatorReport:
         for _ in range(3):
             denominator_report(st1)
         for _ in range(5):
-            o1, o2 = step(st1), step(st2)
+            o1, o2 = st1.step(), st2.step()
             assert o1 == o2
             assert np.array_equal(st1.x, st2.x)
             assert np.array_equal(st1.r, st2.r)
@@ -338,7 +348,7 @@ class TestBreakdownHonesty:
             st = init(algo, A, b, np.zeros(n), y, SolverConfig(tol=1e-13, max_iters=200))
             out = st.outcome
             while not out.is_terminal:
-                out = step(st)
+                out = st.step()
                 assert np.all(np.isfinite(st.x)) and np.all(np.isfinite(st.r))
             assert out.kind is OutcomeKind.BREAKDOWN, (algo, trial, out)
             assert out.label
@@ -357,7 +367,7 @@ class TestBreakdownHonesty:
             st = init(algo, A, b, np.zeros(n), y, SolverConfig(tol=1e-13, max_iters=200))
             out = st.outcome
             while not out.is_terminal:
-                out = step(st)
+                out = st.step()
                 assert np.all(np.isfinite(st.x)) and np.all(np.isfinite(st.r))
             assert out.kind in (OutcomeKind.BREAKDOWN, OutcomeKind.CONVERGED)
 

@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lanswitch.harness import derive_seed
-from lanswitch.linalg import SparseMatrix, as_vector, matvec, norm2
+from lanswitch.linalg import SparseMatrix, as_vector, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
-from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, init, run, step
+from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, init, run
 from lanswitch.switching import (
     ST1,
     ST2,
@@ -53,6 +53,11 @@ class TestPlanValidation:
             SwitchPlan(ST2(), SelectionPolicy((A4,), RoundRobin()), A12,
                        SolverConfig(), 100)
 
+    def test_global_budget_at_least_one(self):
+        with pytest.raises(ValueError, match="global_budget"):
+            SwitchPlan(ST2(), SelectionPolicy((A4,), RoundRobin()), A4,
+                       SolverConfig(), 0)
+
     def test_bad_cycle_and_thresholds(self):
         with pytest.raises(ValueError):
             ST2(cycle_len=0)
@@ -70,16 +75,16 @@ class TestPlanValidation:
 class TestSelectNext:
     def test_fixed_is_restart(self):
         pol = SelectionPolicy((A4,), Fixed(A4))
-        assert select_next(pol, A4, None) == (A4, EventKind.RESTART)
+        assert select_next(pol, A4, None) == A4
 
     def test_round_robin_proper_switch(self):
         pol = SelectionPolicy((A4, A12), RoundRobin())
-        assert select_next(pol, A4, None) == (A12, EventKind.PROPER_SWITCH)
-        assert select_next(pol, A12, None) == (A4, EventKind.PROPER_SWITCH)
+        assert select_next(pol, A4, None) == A12
+        assert select_next(pol, A12, None) == A4
 
     def test_round_robin_singleton_restarts(self):
         pol = SelectionPolicy((A4,), RoundRobin())
-        assert select_next(pol, A4, None) == (A4, EventKind.RESTART)
+        assert select_next(pol, A4, None) == A4
 
     def test_current_must_be_pooled(self):
         pol = SelectionPolicy((A4,), RoundRobin())
@@ -98,21 +103,15 @@ class TestSelectNext:
         cur = A4
         seen = []
         for _ in range(5):
-            cur, kind = select_next(pol, cur, rng)
-            seen.append((cur, kind))
-        assert seen == [
-            (A4, EventKind.RESTART),
-            (A12, EventKind.PROPER_SWITCH),
-            (A12, EventKind.RESTART),
-            (A4, EventKind.PROPER_SWITCH),
-            (A4, EventKind.RESTART),
-        ]
+            cur = select_next(pol, cur, rng)
+            seen.append(cur)
+        assert seen == [A4, A12, A12, A4, A4]
 
     def test_coin_toss_reproducible_over_100_draws(self):
         pol = SelectionPolicy((A4, A12), CoinToss(7))
         rng_a, rng_b = make_rng(7), make_rng(7)
-        draws_a = [select_next(pol, A4, rng_a)[0] for _ in range(100)]
-        draws_b = [select_next(pol, A4, rng_b)[0] for _ in range(100)]
+        draws_a = [select_next(pol, A4, rng_a) for _ in range(100)]
+        draws_b = [select_next(pol, A4, rng_b) for _ in range(100)]
         assert draws_a == draws_b
 
 
@@ -129,7 +128,7 @@ class TestHandoff:
         st = init(A8B10, inst.A, inst.b, np.zeros(60), inst.b, cfg)
         run(st, 7)
         st2 = init(A5B10, inst.A, inst.b, st.x, inst.b, cfg)
-        expected = inst.b - matvec(inst.A, st.x)
+        expected = inst.b - inst.A.matvec(st.x)
         assert_allclose(st2.r, expected, rtol=0, atol=0)
 
     def test_prologue_breakdown_reported_not_raised(self):
@@ -147,13 +146,13 @@ class TestHandoff:
         cfg = SolverConfig(tol=1e-13, max_iters=20000)
         st = init(A4, inst.A, inst.b, np.zeros(200), inst.b, cfg)
         run(st, 20)
-        r_fresh = inst.b - matvec(inst.A, st.x)
+        r_fresh = inst.b - inst.A.matvec(st.x)
         st2 = init(A12, inst.A, inst.b, st.x, r_fresh, cfg)
         for _ in range(5):
             if st2.outcome.is_terminal:
                 break
-            step(st2)
-            gap = norm2(st2.r - (inst.b - matvec(inst.A, st2.x)))
+            st2.step()
+            gap = norm2(st2.r - (inst.b - inst.A.matvec(st2.x)))
             bound = 1e-10 * (norm2(inst.b) + inst.A.norm_inf() * norm2(st2.x))
             assert gap <= bound
 
@@ -181,7 +180,7 @@ class TestRunSwitching:
                                    st2_plan([A4, A12], budget=10000))
         assert rec.outcome == "Converged"
         assert rec.residual <= 1e-13
-        assert norm2(inst.b - matvec(inst.A, rec.x)) <= 1e-12
+        assert norm2(inst.b - inst.A.matvec(rec.x)) <= 1e-12
 
     def test_pure_restarting_converges(self):
         # Degenerate pool: every selection is a restart of A4.
@@ -383,7 +382,7 @@ class TestRunSwitching:
         )
         rec, _ = run_switching(inst.A, inst.b, np.zeros(60), inst.b, plan)
         assert rec.outcome == "Converged"
-        assert norm2(inst.b - matvec(inst.A, rec.x)) <= 1e-12
+        assert norm2(inst.b - inst.A.matvec(rec.x)) <= 1e-12
 
     @pytest.mark.parametrize("pool", [
         (A4, A12), (A4, A5B10), (A4, A8B10), (A5B10, A8B10),
@@ -441,4 +440,4 @@ class TestRunSwitching:
         assert rec.outcome == "Converged"
         assert rec.residual == trace.events[-1].residual_norm
         assert rec.residual <= plan.cfg.tol
-        assert rec.residual == norm2(inst.b - matvec(inst.A, rec.x))
+        assert rec.residual == norm2(inst.b - inst.A.matvec(rec.x))
