@@ -137,3 +137,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
 
 def console_entry() -> None:
     raise SystemExit(cli_main())
+
+
+if __name__ == "__main__":
+    console_entry()

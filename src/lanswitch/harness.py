@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ValueError("repeats must be at least 1")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError("budget must be at least 1")
         if not self.algorithms:
             raise ValueError("at least one algorithm or plan is required")
 

@@ -9,9 +9,9 @@ BREAKDOWN_EPS times the natural scale of the expression that produced it
 down to noise is a breakdown while legitimately small, well-determined
 products divide through. No non-finite value is ever written into the
 iterate or the residual. Numpy's over/invalid warnings are silenced once per
-call of ``step``, ``init``, ``denominator_report``, ``moment_sequence``
-and a state's ``residual_norm`` and ``true_residual_norm``; the kernels
-raise NonFiniteError instead.
+call of ``step``, ``init``, ``denominator_report`` and a state's
+``residual_norm`` and ``true_residual_norm``; the kernels raise
+NonFiniteError instead.
 
 Each iteration is a preparation and an update. The preparation computes
 every product, scalar and guarded division of the next update without
@@ -47,8 +47,6 @@ __all__ = [
     "init",
     "run",
     "denominator_report",
-    "moment_sequence",
-    "hankel_h1",
 ]
 
 
@@ -684,37 +682,3 @@ _STATE_CLASSES = {
     AlgoId.A8B10: _A8B10State,
 }
 
-
-# ---------------------------------------------------------------------------
-# Small-n diagnostics
-# ---------------------------------------------------------------------------
-
-
-def moment_sequence(A: SparseMatrix, y: np.ndarray, r0: np.ndarray, count: int) -> np.ndarray:
-    """Moments (y, A^i r0) for i = 0..count-1."""
-    out = np.empty(count)
-    v = r0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(count):
-            out[i] = dot(y, v)
-            if i + 1 < count:
-                v = A.matvec(v)
-    return out
-
-
-def hankel_h1(moments: np.ndarray, k: int) -> float:
-    """Determinant of the k x k shifted moment matrix [c_{i+j+1}].
-
-    Its vanishing is the exact-arithmetic breakdown condition; only
-    meaningful for small k, offered as a diagnostic.
-    """
-    if k == 0:
-        return 1.0
-    need = 2 * k
-    if len(moments) < need:
-        raise ValueError(f"need {need} moments for k={k}")
-    H = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            H[i, j] = moments[i + j + 1]
-    return float(np.linalg.det(H))

@@ -13,11 +13,15 @@ when a monitored denominator drops below its threshold (MonitorSwitch).
 
 A handoff re-initializes the incoming algorithm at the current iterate with
 a freshly recomputed residual, so every cycle starts with an exact residual
-identity; by default the shadow vector is re-seeded with that residual (see
-SwitchPlan.shadow_restart). A run whose iterate grows until a norm overflows
-ends Exhausted with residual inf instead of raising. ``run_switching`` enters
-one ``np.errstate`` that silences numpy's over/invalid warnings for the whole
-run, handoff norms included; no warning escapes a run.
+identity. That residual also re-seeds the shadow vector, so each cycle is a
+fresh invocation with the standard y = r0 choice; only the first cycle uses
+the caller's y. Reusing that y at a handoff fails: a finished cycle leaves
+its residual orthogonal to the old shadow Krylov space, which hands the
+incoming algorithm a numerically degenerate moment sequence. A run whose
+iterate grows until a norm overflows ends Exhausted with residual inf instead
+of raising. ``run_switching`` enters one ``np.errstate`` that silences
+numpy's over/invalid warnings for the whole run, handoff norms included; no
+warning escapes a run.
 """
 
 from __future__ import annotations
@@ -154,31 +158,19 @@ class SelectionPolicy:
 
 @dataclass(frozen=True)
 class SwitchPlan:
-    """A full switching run description.
-
-    ``shadow_restart`` decides the shadow vector of each handoff: "residual"
-    re-seeds it with the freshly recomputed residual (each cycle is a fresh
-    invocation with the standard y = r0 choice), "initial" reuses the y the
-    run started with. The residual policy is the default because a finished
-    cycle leaves its residual orthogonal to the old shadow Krylov space, so
-    reusing y hands the incoming algorithm a numerically degenerate moment
-    sequence.
-    """
+    """A full switching run description."""
 
     strategy: Strategy
     policy: SelectionPolicy
     start: AlgoId
     cfg: SolverConfig
     global_budget: int
-    shadow_restart: str = "residual"
 
     def __post_init__(self):
         if self.start not in self.policy.pool:
             raise ValueError("start algorithm must be a pool member")
         if self.global_budget < 1:
             raise ValueError("global_budget must be at least 1")
-        if self.shadow_restart not in ("residual", "initial"):
-            raise ValueError("shadow_restart must be 'residual' or 'initial'")
 
 
 class EventKind(enum.Enum):
@@ -308,7 +300,7 @@ class _Driver:
         if r_norm <= self.plan.cfg.tol:
             # The iterate already solves the system; no cycle needed.
             return self.finish(EventKind.CONVERGED, r_norm)
-        y_cycle = r_fresh if self.plan.shadow_restart == "residual" and at > 0 else self.y
+        y_cycle = r_fresh if at > 0 else self.y
         pool = self.plan.policy.pool
         for algo in [first_choice] + [a for a in pool if a != first_choice]:
             charge = _STATE_CLASSES[algo].PROLOGUE_CHARGE
@@ -322,9 +314,9 @@ class _Driver:
                 same = cause is EventKind.PROPER_SWITCH and algo == previous
                 kind = EventKind.RESTART if same else cause
                 # The transition is stamped at the handoff iteration, before
-                # the incoming prologue consumes its charge.
-                self.trace.append(SwitchEvent(kind, at, previous, algo,
-                                              state.residual_norm()))
+                # the incoming prologue consumes its charge, with the residual
+                # of that iterate.
+                self.trace.append(SwitchEvent(kind, at, previous, algo, r_norm))
             self.state = state
             self.current = algo
             self.iters += state.iters_used

@@ -258,3 +258,29 @@ def test_criterion_6_determinism(problems_cache):
     _report("criterion 6 (determinism)", not mismatches,
             "bitwise-identical traces and final iterates across reruns")
     assert not mismatches, mismatches
+
+
+def test_criterion_8_switching_beats_restarting(grid_records):
+    """Switching, not restarting, avoids breakdown: every pairing converges on
+    all 40 (delta, n) cells, while restarting any single algorithm under the
+    same ST2 cycle and budget converges on strictly fewer."""
+    cells = len(DELTAS) * len(DIMS)
+    templates = tuple(SwitchTemplate(ST2(20), (algo,)) for algo in AlgoId)
+    restart_only = dict.fromkeys(AlgoId, 0)
+    for delta in DELTAS:
+        for n in DIMS:
+            cfg = ExperimentConfig(problem=BaheuxSpec(n=n, delta=delta),
+                                   algorithms=templates, tol=TOL,
+                                   seed=DEFAULT_SEED)
+            for algo, rec in zip(AlgoId, run_experiment(cfg)):
+                restart_only[algo] += rec.outcome == "Converged"
+    pairing = {number: sum(grid_records[(delta, n, number)].outcome == "Converged"
+                           for delta in DELTAS for n in DIMS)
+               for number in sorted(PAPER_COMBOS)}
+    ok = (all(count == cells for count in pairing.values())
+          and all(count < cells for count in restart_only.values()))
+    _report("criterion 8 (switching beats restarting)", ok,
+            "restart-only " + ", ".join(f"{a.value} {c}/{cells}"
+                                        for a, c in restart_only.items())
+            + "; pairings " + ", ".join(f"{k} {c}/{cells}" for k, c in pairing.items()))
+    assert ok, (pairing, restart_only)

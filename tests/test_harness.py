@@ -1,12 +1,16 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from lanswitch.cli import cli_main
 from lanswitch.harness import (
+    CSV_COLUMNS,
     ExperimentConfig,
     PAPER_COMBOS,
     SwitchTemplate,
@@ -242,7 +246,23 @@ class TestCli:
         assert cli_main(["--n", "20", "--solo", "a4", "--tol", "0"]) == 1
         assert "tol must be positive" in capsys.readouterr().err
         assert cli_main(["--n", "20", "--solo", "a4", "--budget", "0"]) == 1
-        assert "max_iters must be at least 1" in capsys.readouterr().err
+        assert "budget must be at least 1" in capsys.readouterr().err
+        # Rejected before the problem is read: the file does not exist.
+        assert cli_main(["--problem", "mm:/nonexistent/x.mtx", "--solo", "a4",
+                         "--budget", "0"]) == 1
+        assert "budget must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module", ["lanswitch", "lanswitch.cli"])
+    def test_module_entry_points(self, module):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        done = subprocess.run(
+            [sys.executable, "-m", module, "--n", "20", "--switch", "st2",
+             "--pool", "a4,a12"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
 
     def test_matrix_market_routing(self, tmp_path, capsys):
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))

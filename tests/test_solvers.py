@@ -12,9 +12,7 @@ from lanswitch.solvers import (
     SolverConfig,
     SolverStateError,
     denominator_report,
-    hankel_h1,
     init,
-    moment_sequence,
     run,
 )
 
@@ -373,29 +371,11 @@ class TestBreakdownHonesty:
 
 
 class TestDiagnostics:
-    def test_moments_on_identity(self):
-        A = SparseMatrix.identity(3)
-        y = as_vector([1.0, 2.0, 0.0])
-        r0 = as_vector([1.0, 1.0, 1.0])
-        assert_allclose(moment_sequence(A, y, r0, 4), [3.0, 3.0, 3.0, 3.0])
-
-    def test_hankel_matches_prologue_delta(self):
-        # H1_2 = c1 c3 - c2^2 is exactly the prologue denominator of A12.
-        A = SparseMatrix.from_dense(np.diag([1.0, 2.0]))
-        y = as_vector([1.0, 0.0])
-        r0 = as_vector([1.0, 5.0])
-        c = moment_sequence(A, y, r0, 4)
-        assert hankel_h1(c, 2) == pytest.approx(c[1] * c[3] - c[2] ** 2)
-        assert hankel_h1(c, 2) == pytest.approx(0.0, abs=1e-14)
-
     @pytest.mark.filterwarnings("error")
     def test_overflow_raises_without_warning(self):
         # The public solver functions silence numpy's overflow warning and
         # report the overflow as NonFiniteError.
         A = SparseMatrix.from_dense(np.diag([1e200, 1e200]))
-        v = as_vector([1e200, 1.0])
-        with pytest.raises(NonFiniteError):
-            moment_sequence(A, v, v, 4)
         b = as_vector([1.0, 1.0])
         st = init(AlgoId.A4, A, b, np.zeros(2), b, SolverConfig(tol=1e-13, max_iters=10))
         st.x = st.r = as_vector([1e200, 1e200])
@@ -403,7 +383,3 @@ class TestDiagnostics:
             st.true_residual_norm()
         with pytest.raises(NonFiniteError):
             st.residual_norm()
-
-    def test_hankel_needs_enough_moments(self):
-        with pytest.raises(ValueError):
-            hankel_h1(np.ones(3), 2)

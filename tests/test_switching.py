@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lanswitch import switching
 from lanswitch.harness import derive_seed
 from lanswitch.linalg import SparseMatrix, as_vector, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
@@ -24,14 +25,13 @@ from lanswitch.switching import (
 A4, A12, A5B10, A8B10 = AlgoId.A4, AlgoId.A12, AlgoId.A5B10, AlgoId.A8B10
 
 
-def st2_plan(pool, seed=42, cycle=20, tol=1e-13, budget=2000, start=None, **kw):
+def st2_plan(pool, seed=42, cycle=20, tol=1e-13, budget=2000, start=None):
     return SwitchPlan(
         strategy=ST2(cycle_len=cycle),
         policy=SelectionPolicy(tuple(pool), CoinToss(seed)),
         start=start or pool[0],
         cfg=SolverConfig(tol=tol, max_iters=budget),
         global_budget=budget,
-        **kw,
     )
 
 
@@ -65,11 +65,6 @@ class TestPlanValidation:
             ST3(monitor_threshold=0.0)
         with pytest.raises(ValueError):
             ST3(check_every=0)
-
-    def test_bad_shadow_restart(self):
-        with pytest.raises(ValueError):
-            SwitchPlan(ST2(), SelectionPolicy((A4,), RoundRobin()), A4,
-                       SolverConfig(), 100, shadow_restart="sometimes")
 
 
 class TestSelectNext:
@@ -225,18 +220,33 @@ class TestRunSwitching:
         assert rec.iterations <= plan.global_budget
         assert trace.events[-1].kind in (EventKind.CONVERGED, EventKind.EXHAUSTED)
 
-    def test_handoff_continuity(self):
-        # The residual norm on every transition event equals the recomputed
-        # ||b - A x|| at the handoff iterate by construction; spot-check by
-        # rerunning and comparing against the previous event's state budget.
+    def test_handoff_continuity(self, monkeypatch):
+        # Every handoff after the start seeds the incoming algorithm's shadow
+        # with the recomputed b - A x at the handoff iterate, and its event
+        # records the norm of that residual, not the residual left after the
+        # incoming prologue (A5B10 takes a step in init).
+        calls = []
+
+        def recording_init(algo, A, b, x, y, cfg):
+            calls.append((np.array(x, copy=True), y))
+            return init(algo, A, b, x, y, cfg)
+
+        monkeypatch.setattr(switching, "init", recording_init)
         inst = gen_baheux(BaheuxSpec(n=200, delta=5.0))
         rec, trace = run_switching(inst.A, inst.b, np.zeros(200), inst.b,
                                    st2_plan([A4, A5B10], budget=20000))
         assert rec.outcome == "Converged"
-        transitions = [e for e in trace.events
-                       if e.kind in (EventKind.RESTART, EventKind.PROPER_SWITCH,
-                                     EventKind.BREAKDOWN_SWITCH, EventKind.CYCLE_END)]
+        *transitions, _ = trace.events
         assert transitions, "expected at least one handoff"
+        # Retries within one handoff reuse its shadow; one shadow per handoff.
+        shadows = []
+        for x, y in calls[1:]:
+            assert np.array_equal(y, inst.b - inst.A.matvec(x))
+            if not any(y is s for s in shadows):
+                shadows.append(y)
+        assert len(shadows) == len(transitions)
+        for event, y in zip(transitions, shadows):
+            assert event.residual_norm == norm2(y)
 
     def test_restart_iff_same_algorithm(self):
         inst = gen_baheux(BaheuxSpec(n=100, delta=0.0))
@@ -270,22 +280,26 @@ class TestRunSwitching:
             assert rec.outcome == "Converged"
 
     def test_pool_exhaustion_reported(self):
-        # y orthogonal to r0 with the initial-shadow policy: A4 breaks at its
-        # first step, A8B10 at its first C1 update, at the same iterate.
-        A = SparseMatrix.from_dense(np.diag([1.0, 2.0]))
-        b = as_vector([3.0, 0.0])
-        y = as_vector([0.0, 1.0])
+        # A skew-symmetric A makes (v, A v) vanish for every v. The shadow is
+        # the current residual (y = b = r0 at the start, then the re-seeded
+        # one), so A4 and A8B10 both break down at their first step, at the
+        # same iterate.
+        A = SparseMatrix.from_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        b = as_vector([1.0, 2.0])
         plan = SwitchPlan(
             strategy=ST2(5),
             policy=SelectionPolicy((A4, A8B10), RoundRobin()),
             start=A4,
             cfg=SolverConfig(tol=1e-13, max_iters=100),
             global_budget=100,
-            shadow_restart="initial",
         )
-        rec, trace = run_switching(A, b, np.zeros(2), y, plan)
+        rec, trace = run_switching(A, b, np.zeros(2), b, plan)
         assert rec.outcome == "Exhausted"
-        assert trace.events[-1].kind is EventKind.EXHAUSTED
+        assert [(e.kind, e.at_iteration, e.from_algo, e.to_algo)
+                for e in trace.events] == [
+            (EventKind.BREAKDOWN_SWITCH, 1, A4, A8B10),
+            (EventKind.EXHAUSTED, 2, A8B10, A8B10),
+        ]
 
     def test_budget_exhaustion(self):
         inst = gen_baheux(BaheuxSpec(n=100, delta=5.0))
@@ -296,9 +310,8 @@ class TestRunSwitching:
 
     def test_init_breakdown_with_progress_hands_off(self):
         # A12's prologue on the equal-moment system produces x1 and then dies
-        # on delta; the driver hands the iterate to A4. At x1 the prologue has
-        # enforced (y, r1) = 0, so A4 dies there too and the pool is exhausted
-        # at a common iterate.
+        # on delta; the driver hands the iterate to A4, whose shadow is the
+        # recomputed residual at x1, and A4 solves the 2x2 system.
         A = SparseMatrix.from_dense(np.diag([1.0, 2.0]))
         b = as_vector([1.0, 5.0])
         y = as_vector([1.0, 0.0])
@@ -308,14 +321,14 @@ class TestRunSwitching:
             start=A12,
             cfg=SolverConfig(tol=1e-13, max_iters=100),
             global_budget=100,
-            shadow_restart="initial",
         )
         rec, trace = run_switching(A, b, np.zeros(2), y, plan)
-        kinds = [e.kind for e in trace.events]
-        assert kinds == [EventKind.BREAKDOWN_SWITCH, EventKind.EXHAUSTED]
-        assert trace.events[0].from_algo is A12
-        assert trace.events[0].to_algo is A4
-        assert rec.outcome == "Exhausted"
+        assert [(e.kind, e.at_iteration, e.from_algo, e.to_algo)
+                for e in trace.events] == [
+            (EventKind.BREAKDOWN_SWITCH, 1, A12, A4),
+            (EventKind.CONVERGED, 2, A4, A4),
+        ]
+        assert rec.outcome == "Converged"
 
     def test_init_breakdown_without_progress_retries_silently(self):
         # c0 = (y, b) is healthy while c1 = (y, A b) cancels to the guard
@@ -338,7 +351,6 @@ class TestRunSwitching:
             start=A5B10,
             cfg=cfg,
             global_budget=100,
-            shadow_restart="initial",
         )
         rec, trace = run_switching(A, b, np.zeros(3), y, plan)
         assert rec.outcome == "Converged"
@@ -393,15 +405,6 @@ class TestRunSwitching:
                                st2_plan(list(pool), budget=20000))
         assert rec.outcome == "Converged"
         assert rec.residual <= 1e-13
-
-    def test_shadow_restart_initial_still_supported(self):
-        # The alternative handoff policy runs and terminates; it is kept for
-        # comparison, not for convergence claims.
-        inst = gen_baheux(BaheuxSpec(n=60, delta=0.2))
-        plan = st2_plan([A4, A12], budget=6000, shadow_restart="initial")
-        rec, trace = run_switching(inst.A, inst.b, np.zeros(60), inst.b, plan)
-        assert rec.outcome in ("Converged", "Exhausted")
-        assert trace.events[-1].kind in (EventKind.CONVERGED, EventKind.EXHAUSTED)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_iterate_ends_exhausted(self):

@@ -43,7 +43,6 @@ def cases(draw):
         cfg=SolverConfig(tol=draw(st.sampled_from([1e-13, 1e-8])),
                          max_iters=draw(st.integers(1, budget))),
         global_budget=budget,
-        shadow_restart=draw(st.sampled_from(["residual", "initial"])),
     )
     y = b if draw(st.booleans()) else np.random.default_rng(n).standard_normal(n)
     return A, b, y, plan

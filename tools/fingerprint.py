@@ -13,10 +13,11 @@ at ``--seed`` (taken from ``perfbench/workloads.py``, so the plans are
 exactly the ones the benchmark times), followed by ``--random`` random small
 systems under random plans, drawn from the fixed seed 0: the property
 test's Gaussian, sparse, ill-conditioned and Baheux matrices
-(``tests/random_systems.py``) with n <= 24, every pool, selection mode,
-strategy and ``shadow_restart`` value, budgets 1-5000 and random x0 and y. A solve that raises prints the exception class instead of the
-fields. Warnings that escape a solve are counted and reported on standard
-error, outside the fingerprint lines.
+(``tests/random_systems.py``) with n <= 24, every pool, selection mode
+and strategy, budgets 1-5000 and random x0 and y. A solve that raises
+prints the exception class instead of the fields. Warnings that escape a
+solve are counted and reported on standard error, outside the fingerprint
+lines.
 """
 
 from __future__ import annotations
@@ -105,7 +106,6 @@ def random_solves(count: int):
             cfg=SolverConfig(tol=float(rng.choice([1e-13, 1e-8])),
                              max_iters=int(rng.integers(1, budget + 1))),
             global_budget=budget,
-            shadow_restart=str(rng.choice(["residual", "initial"])),
         )
         x0 = np.zeros(n) if rng.random() < 0.5 else rng.standard_normal(n)
         y = b if rng.random() < 0.5 else rng.standard_normal(n)
