@@ -36,8 +36,6 @@ from .switching import (
     ST3,
     CoinToss,
     EventKind,
-    Fixed,
-    RoundRobin,
     RunRecord,
     SelectionPolicy,
     SwitchEvent,

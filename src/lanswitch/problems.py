@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -53,11 +52,11 @@ class BaheuxSpec:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A linear system with optional known solution."""
+    """A linear system with its known solution."""
 
     A: SparseMatrix
     b: np.ndarray
-    x_true: Optional[np.ndarray]
+    x_true: np.ndarray
     label: str
 
     def __post_init__(self):
@@ -102,13 +101,11 @@ def gen_baheux(spec: BaheuxSpec) -> ProblemInstance:
 # ---------------------------------------------------------------------------
 
 
-def read_matrix_market(path: str, rhs_path: Optional[str] = None) -> ProblemInstance:
+def read_matrix_market(path: str) -> ProblemInstance:
     """Read a coordinate-format MatrixMarket file into a square problem.
 
-    Symmetric files are expanded to full storage. If ``rhs_path`` is given it
-    must hold one float per line (length = matrix dimension); otherwise the
-    right-hand side is the matrix applied to the all-ones vector, so the exact
-    solution is known.
+    Symmetric files are expanded to full storage. The right-hand side is the
+    matrix applied to the all-ones vector, so the exact solution is known.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -163,14 +160,9 @@ def read_matrix_market(path: str, rhs_path: Optional[str] = None) -> ProblemInst
 
     A = SparseMatrix.from_coo(nrows, ncols, rows, cols, vals)
 
-    if rhs_path is not None:
-        b = _read_rhs(rhs_path, nrows)
-        x_true = None
-    else:
-        ones = as_vector(np.ones(nrows))
-        b = A.matvec(ones)
-        b.flags.writeable = False
-        x_true = ones
+    x_true = as_vector(np.ones(nrows))
+    b = A.matvec(x_true)
+    b.flags.writeable = False
     return ProblemInstance(A=A, b=b, x_true=x_true, label=path)
 
 
@@ -180,18 +172,6 @@ def _next_content_line(fh):
         if stripped and not stripped.startswith("%"):
             return stripped
     return None
-
-
-def _read_rhs(path: str, n: int) -> np.ndarray:
-    values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if stripped:
-                values.append(float(stripped))
-    if len(values) != n:
-        raise MatrixMarketError(f"right-hand side has {len(values)} entries, expected {n}")
-    return as_vector(values)
 
 
 def write_matrix_market(path: str, A: SparseMatrix, symmetric: bool = False) -> None:

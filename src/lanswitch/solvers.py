@@ -118,22 +118,6 @@ class StepOutcome:
     def is_terminal(self) -> bool:
         return self.kind is not OutcomeKind.CONTINUE
 
-    @classmethod
-    def cont(cls) -> "StepOutcome":
-        return cls(OutcomeKind.CONTINUE)
-
-    @classmethod
-    def converged(cls) -> "StepOutcome":
-        return cls(OutcomeKind.CONVERGED)
-
-    @classmethod
-    def breakdown(cls, label: str, value: float) -> "StepOutcome":
-        return cls(OutcomeKind.BREAKDOWN, label=label, value=value)
-
-    @classmethod
-    def iter_limit(cls) -> "StepOutcome":
-        return cls(OutcomeKind.ITER_LIMIT)
-
 
 class SolverStateError(RuntimeError):
     """step() was called on a state whose outcome is already terminal."""
@@ -156,14 +140,15 @@ class SolverState:
     """Common state: system handles, iterate, residual, counters, outcome.
 
     ``k`` counts x-updates performed so far; ``iters_used`` additionally
-    charges a completed prologue at the class's ``PROLOGUE_CHARGE`` so that
-    cycle accounting stays uniform across algorithms.
+    charges a prologue one iteration per x-update, or ``PROLOGUE_CHARGE`` once
+    it made all ``PROLOGUE_UPDATES``, so cycle accounting stays uniform.
     """
 
     algo: AlgoId
     # Iterations a completed prologue charges; the switching driver budgets
     # each handoff with it before initializing the algorithm.
     PROLOGUE_CHARGE = 0
+    PROLOGUE_UPDATES = 0
 
     def __init__(self, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
                  y: np.ndarray, cfg: SolverConfig):
@@ -175,9 +160,8 @@ class SolverState:
             raise ValueError("shadow vector y must be nonzero")
         self.A = A
         self.b = b
-        self.y0 = y
+        self.y = np.array(y, copy=True)
         self.cfg = cfg
-        self.n = n
         self.k = 0
         self.steps_taken = 0
         self.prologue_charge = 0
@@ -188,8 +172,8 @@ class SolverState:
         # which ends the state in a nonfinite breakdown. So it is read only
         # while the state is live; residual_norm() recomputes ||r||.
         self.r_norm = norm2(self.r)
-        self.outcome = (StepOutcome.converged() if self.r_norm <= cfg.tol
-                        else StepOutcome.cont())
+        self.outcome = StepOutcome(OutcomeKind.CONVERGED if self.r_norm <= cfg.tol
+                                   else OutcomeKind.CONTINUE)
         # The guards run so far, in order, as (label, denominator); and what
         # _prepare returned for the next update or the breakdown outcome it
         # ended in, None until prepared and again once step() applied it.
@@ -199,8 +183,19 @@ class SolverState:
     # Subclasses split one main-loop iteration in two: _prepare computes the
     # next update's products, scalars and guarded divisions without changing
     # the state, raising _Breakdown for a vanished denominator, and
-    # _update(*prepared) applies them and returns True when the residual
-    # test passed.
+    # _update(*prepared) applies them, installing x and r with _accept.
+
+    def _accept(self, x_next, r_next, what="x/r update") -> bool:
+        """Install a finite x/r update; True, and Converged, once ||r|| meets tol."""
+        if not _finite(x_next, r_next):
+            raise NonFiniteError(what)
+        self.x, self.r = x_next, r_next
+        self.k += 1
+        self.r_norm = norm2(r_next)
+        if self.r_norm <= self.cfg.tol:
+            self.outcome = StepOutcome(OutcomeKind.CONVERGED)
+            return True
+        return False
 
     def _div(self, num: float, den: float, label: str, scale: float,
              eps: float = BREAKDOWN_EPS, cap: Optional[float] = None) -> float:
@@ -224,8 +219,9 @@ class SolverState:
     def _failure(self, err: Exception) -> StepOutcome:
         """Breakdown outcome of ``err``; an overflow also enters the ledger."""
         if isinstance(err, _Breakdown):
-            return StepOutcome.breakdown(err.label, err.value)
-        outcome = StepOutcome.breakdown(f"{self.algo}.nonfinite: {err}", math.nan)
+            return StepOutcome(OutcomeKind.BREAKDOWN, err.label, err.value)
+        outcome = StepOutcome(OutcomeKind.BREAKDOWN, f"{self.algo}.nonfinite: {err}",
+                              math.nan)
         self._ledger.append((outcome.label, outcome.value))
         return outcome
 
@@ -236,6 +232,8 @@ class SolverState:
                 self._prologue()
             except (_Breakdown, NonFiniteError) as err:
                 self.outcome = self._failure(err)
+        self.prologue_charge = (self.PROLOGUE_CHARGE if self.k == self.PROLOGUE_UPDATES
+                                else self.k)
 
     def _prepared(self):
         """The next update's preparation, made at most once."""
@@ -263,7 +261,7 @@ class SolverState:
         if self.outcome.is_terminal:
             raise SolverStateError(f"step() after terminal outcome {self.outcome.kind.value}")
         if self.iters_used >= self.cfg.max_iters:
-            self.outcome = StepOutcome.iter_limit()
+            self.outcome = StepOutcome(OutcomeKind.ITER_LIMIT)
             return self.outcome
         with np.errstate(over="ignore", invalid="ignore"):
             prepared, self._preparation = self._prepared(), None
@@ -271,8 +269,7 @@ class SolverState:
                 self.outcome = prepared
             else:
                 try:
-                    if self._update(*prepared):
-                        self.outcome = StepOutcome.converged()
+                    self._update(*prepared)
                 except (_Breakdown, NonFiniteError) as err:
                     self.outcome = self._failure(err)
         self.steps_taken += 1
@@ -345,7 +342,6 @@ class _A4State(SolverState):
 
     def __init__(self, A, b, x0, y, cfg):
         super().__init__(A, b, x0, y, cfg)
-        self.y = np.array(self.y0, copy=True)
         self.x_prev = None
         self.r_prev = None
         self.y_prev = None
@@ -374,27 +370,21 @@ class _A4State(SolverState):
                            eps=NORMALIZATION_EPS)
         return E, B, S, A_next, Ar, yr, yr_scale
 
-    def _update(self, E, B, S, A_next, Ar, yr, yr_scale) -> bool:
+    def _update(self, E, B, S, A_next, Ar, yr, yr_scale):
         if self.k == 0:
             x_next = A_next * (B * self.x - self.r)
             r_next = A_next * (Ar + B * self.r)
         else:
             x_next = A_next * (B * self.x + E * self.x_prev - self.r)
             r_next = A_next * (Ar + B * self.r + E * self.r_prev)
-        if not _finite(x_next, r_next):
-            raise NonFiniteError("x/r update")
         self.last_normalization = A_next * S
         self.x_prev, self.r_prev, self.y_prev = self.x, self.r, self.y
         self.yr_prev, self.yr_prev_scale = yr, yr_scale
-        self.x, self.r = x_next, r_next
-        self.k += 1
-        self.r_norm = norm2(self.r)
-        if self.r_norm <= self.cfg.tol:
-            return True
+        if self._accept(x_next, r_next):
+            return
         # Shadow chain advances every iteration; the pseudocode's IF around
         # it governs termination only.
         self.y = self.A.matvec_t(self.y_prev)
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +396,9 @@ class _A12State(SolverState):
     """Four-term recurrence A12 with its moment-based prologue."""
 
     algo = AlgoId.A12
+    # Documented convention: the two-update prologue charges three iterations.
     PROLOGUE_CHARGE = 3
+    PROLOGUE_UPDATES = 2
 
     def __init__(self, A, b, x0, y, cfg):
         super().__init__(A, b, x0, y, cfg)
@@ -426,7 +418,7 @@ class _A12State(SolverState):
         self._run_prologue()
 
     def _prologue(self):
-        A, y, cfg = self.A, self.y0, self.cfg
+        A, y = self.A, self.y
         r0, x0, r0_norm = self.r, self.x, self.r_norm
         p = A.matvec(r0)
         p1 = A.matvec(p)
@@ -439,15 +431,9 @@ class _A12State(SolverState):
         step1 = self._div(c0, c1, "A12.c1", y_norm * norm2(p), cap=COEFF_LIMIT)
         r1 = r0 - step1 * p
         x1 = x0 + step1 * r0
-        if not _finite(x1, r1):
-            raise NonFiniteError("prologue x/r update")
-        self.x, self.r = x1, r1
-        self.k = 1
-        self.prologue_charge = 1
-        r1_norm = self.r_norm = norm2(r1)
-        if r1_norm <= cfg.tol:
-            self.outcome = StepOutcome.converged()
+        if self._accept(x1, r1, "prologue x/r update"):
             return
+        r1_norm = self.r_norm
 
         delta = c1 * c3 - c2 * c2
         num_alpha = c0 * c3 - c1 * c2
@@ -458,15 +444,7 @@ class _A12State(SolverState):
                          abs(c1 * c3) + c2 * c2, cap=COEFF_LIMIT)
         r2 = r0 - alpha * p + beta * p1
         x2 = x0 + alpha * r0 - beta * p
-        if not _finite(x2, r2):
-            raise NonFiniteError("prologue x/r update")
-        self.x, self.r = x2, r2
-        self.k = 2
-        # Documented convention: the prologue charges three iterations.
-        self.prologue_charge = self.PROLOGUE_CHARGE
-        self.r_norm = norm2(r2)
-        if self.r_norm <= cfg.tol:
-            self.outcome = StepOutcome.converged()
+        if self._accept(x2, r2, "prologue x/r update"):
             return
 
         y1 = A.matvec_t(y)
@@ -520,7 +498,7 @@ class _A12State(SolverState):
                        eps=NORMALIZATION_EPS)
         return y_new, F, B, G, C, Ak, (a11, a21, a31, s), y2_norm
 
-    def _update(self, y_new, F, B, G, C, Ak, a_carry, y2_norm) -> bool:
+    def _update(self, y_new, F, B, G, C, Ak, a_carry, y2_norm):
         r1, r2, r3 = self.rs
         # The coefficient table solves the orthogonality of
         # (x^2 + B x + C) P_{k-2} + (F x + G) P_{k-3}, so the products feed
@@ -532,17 +510,12 @@ class _A12State(SolverState):
         q3 = self.Ar3
         r_next = Ak * (q2 + B * q1 + C * r2 + F * q3 + G * r3)
         x_next = Ak * (C * self.xs[1] + G * self.xs[2] - (q1 + B * r2 + F * r3))
-        if not _finite(x_next, r_next):
-            raise NonFiniteError("x/r update")
+        self._accept(x_next, r_next)
         self.rs = [r_next, r1, r2]
         self.xs = [x_next, self.xs[0], self.xs[1]]
         self.ys = [self.ys[1], self.ys[2], self.ys[3], y_new]
         self.Ar3, self.a_carry, self.y3_norm = q1, a_carry, y2_norm
-        self.x, self.r = x_next, r_next
-        self.k += 1
-        self.r_norm = norm2(r_next)
         self.r_norms = [self.r_norm] + self.r_norms[:2]
-        return self.r_norm <= self.cfg.tol
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +537,10 @@ class _A5B10State(SolverState):
 
     algo = AlgoId.A5B10
     PROLOGUE_CHARGE = 1
+    PROLOGUE_UPDATES = 1
 
     def __init__(self, A, b, x0, y, cfg):
         super().__init__(A, b, x0, y, cfg)
-        self.y = np.array(self.y0, copy=True)
         self.p = None
         self.C1 = 1.0
         self.A_prev = math.nan
@@ -580,16 +553,9 @@ class _A5B10State(SolverState):
                         norm2(self.y) * norm2(Ar0))
         r1 = r0 + A1 * Ar0
         x1 = self.x - A1 * r0
-        if not _finite(x1, r1):
-            raise NonFiniteError("prologue x/r update")
         self.p = r0
-        self.x, self.r = x1, r1
         self.A_prev = A1
-        self.k = 1
-        self.prologue_charge = self.PROLOGUE_CHARGE
-        self.r_norm = norm2(r1)
-        if self.r_norm <= self.cfg.tol:
-            self.outcome = StepOutcome.converged()
+        self._accept(x1, r1, "prologue x/r update")
 
     def _prepare(self):
         y_k = self.A.matvec_t(self.y)
@@ -607,22 +573,16 @@ class _A5B10State(SolverState):
         self._ledger.append(("A5B10.C1: A_k", self.A_prev))
         return y_k, p_k, Ap, A_next
 
-    def _update(self, y_k, p_k, Ap, A_next) -> bool:
+    def _update(self, y_k, p_k, Ap, A_next):
         r_next = self.r + A_next * Ap
         x_next = self.x - A_next * p_k
-        if not _finite(x_next, r_next):
-            raise NonFiniteError("x/r update")
         self.y = y_k
         self.p = p_k
-        self.x, self.r = x_next, r_next
-        self.k += 1
-        self.r_norm = norm2(r_next)
-        if self.r_norm <= self.cfg.tol:
-            return True
+        if self._accept(x_next, r_next):
+            return
         # A_k is an O(1) normalized coefficient, so its guard is absolute.
         self.C1 = self._div(self.C1, self.A_prev, "A5B10.C1: A_k", 1.0)
         self.A_prev = A_next
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +597,6 @@ class _A8B10State(SolverState):
 
     def __init__(self, A, b, x0, y, cfg):
         super().__init__(A, b, x0, y, cfg)
-        self.y = np.array(self.y0, copy=True)
         self.z = np.array(self.r, copy=True)
         # (y_k, r_k): the previous step's (y_{k+1}, r_{k+1}); None at the start.
         self.yr: Optional[float] = None
@@ -652,16 +611,11 @@ class _A8B10State(SolverState):
         self._ledger.append(("A8B10.C1: A_{k+1}", A_next))
         return Az, den, den_scale, A_next
 
-    def _update(self, Az, den, den_scale, A_next) -> bool:
+    def _update(self, Az, den, den_scale, A_next):
         r_next = self.r + A_next * Az
         x_next = self.x - A_next * self.z
-        if not _finite(x_next, r_next):
-            raise NonFiniteError("x/r update")
-        self.x, self.r = x_next, r_next
-        self.k += 1
-        self.r_norm = norm2(r_next)
-        if self.r_norm <= self.cfg.tol:
-            return True
+        if self._accept(x_next, r_next):
+            return
         y_next = self.A.matvec_t(self.y)
         C1 = self._div(1.0, A_next, "A8B10.C1: A_{k+1}", 1.0)
         yr_next = dot(y_next, r_next)
@@ -672,7 +626,6 @@ class _A8B10State(SolverState):
         self.y = y_next
         self.z = z_next
         self.yr = yr_next
-        return False
 
 
 _STATE_CLASSES = {

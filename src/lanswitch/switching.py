@@ -11,6 +11,11 @@ its own; ST2 runs the rest of its cycle and switches at a full cycle
 (Restart or ProperSwitch); ST3 runs ``check_every`` iterations and switches
 when a monitored denominator drops below its threshold (MonitorSwitch).
 
+A handoff tries the drawn algorithm, then the rest of the pool in order. It
+skips only members that broke down at the current iterate or whose prologue
+would overrun the budget; an x-update, by a step or by a prologue, makes
+every earlier breakdown stale.
+
 A handoff re-initializes the incoming algorithm at the current iterate with
 a freshly recomputed residual, so every cycle starts with an exact residual
 identity. That residual also re-seeds the shadow vector, so each cycle is a
@@ -51,8 +56,6 @@ __all__ = [
     "ST3",
     "Strategy",
     "CoinToss",
-    "RoundRobin",
-    "Fixed",
     "SelectionPolicy",
     "SwitchPlan",
     "EventKind",
@@ -129,21 +132,11 @@ class CoinToss:
 
 
 @dataclass(frozen=True)
-class RoundRobin:
-    """Next pool member in order, wrapping."""
-
-
-@dataclass(frozen=True)
-class Fixed:
-    """Always the same algorithm (pure restarting)."""
-
-    algo: AlgoId
-
-
-@dataclass(frozen=True)
 class SelectionPolicy:
+    """The pool a coin toss draws from; a one-member pool always restarts."""
+
     pool: Tuple[AlgoId, ...]
-    mode: Union[CoinToss, RoundRobin, Fixed]
+    mode: CoinToss
 
     def __post_init__(self):
         pool = tuple(self.pool)
@@ -152,8 +145,8 @@ class SelectionPolicy:
             raise ValueError("pool must be non-empty")
         if len(set(pool)) != len(pool):
             raise ValueError("pool entries must be distinct")
-        if isinstance(self.mode, Fixed) and self.mode.algo not in pool:
-            raise ValueError("Fixed algorithm must be a pool member")
+        if not isinstance(self.mode, CoinToss):
+            raise ValueError(f"unknown selection mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -220,29 +213,13 @@ class RunRecord:
     x: Optional[np.ndarray] = None
 
 
-def select_next(policy: SelectionPolicy, current: AlgoId,
-                rng: Optional[np.random.Generator]) -> AlgoId:
-    """Pick the algorithm for the next cycle.
+def select_next(policy: SelectionPolicy, rng: np.random.Generator) -> AlgoId:
+    """Pick the algorithm for the next cycle: a uniform draw from the pool.
 
-    CoinToss draws uniformly from the pool and advances ``rng``; the other
-    modes are rng-free. The handoff classifies the event (Restart or
+    The draw advances ``rng``. The handoff classifies the event (Restart or
     ProperSwitch), since it may install another pool member.
     """
-    if current not in policy.pool:
-        raise ValueError(f"current algorithm {current} not in pool")
-    mode = policy.mode
-    if isinstance(mode, Fixed):
-        chosen = mode.algo
-    elif isinstance(mode, RoundRobin):
-        idx = policy.pool.index(current)
-        chosen = policy.pool[(idx + 1) % len(policy.pool)]
-    elif isinstance(mode, CoinToss):
-        if rng is None:
-            raise ValueError("CoinToss selection needs an rng")
-        chosen = policy.pool[int(rng.integers(0, len(policy.pool)))]
-    else:
-        raise ValueError(f"unknown selection mode {mode!r}")
-    return chosen
+    return policy.pool[int(rng.integers(0, len(policy.pool)))]
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -258,8 +235,7 @@ class _Driver:
         self.plan = plan
         self.trace = SwitchTrace()
         self.iters = 0
-        self.rng = (make_rng(plan.policy.mode.seed)
-                    if isinstance(plan.policy.mode, CoinToss) else None)
+        self.rng = make_rng(plan.policy.mode.seed)
         self.current = plan.start
         self.x0 = np.array(x0, dtype=np.float64, copy=True)
         # Pool members that broke down at the current iterate; once every
@@ -288,8 +264,7 @@ class _Driver:
     def handoff(self, first_choice: AlgoId, cause: Optional[EventKind]) -> Optional[str]:
         """Install the next algorithm at the current iterate.
 
-        Tries ``first_choice``, then the rest of the pool, skipping barren
-        members and those whose prologue would overrun the budget. The
+        Tries ``first_choice`` first, under the module's skip rule. The
         installed state may already be terminal. ``cause`` labels the event
         (None: the run's start, no event). Returns an outcome name or None.
         """
@@ -334,9 +309,9 @@ class _Driver:
                     chunk = strategy.chunk(state, plan.global_budget - self.iters)
                     if chunk > 0:
                         self.iters += run(state, chunk)[1]
-                        if state.k > 0:
-                            # The iterate moved, so earlier failures are stale.
-                            self.barren.clear()
+                if state.k > 0:
+                    # The iterate moved, so earlier failures are stale.
+                    self.barren.clear()
                 kind = state.outcome.kind
                 cause = None
                 if kind is OutcomeKind.CONVERGED:
@@ -344,11 +319,8 @@ class _Driver:
                     # recomputed residual does not confirm starts a new cycle.
                     if state.true_residual_norm() <= plan.cfg.tol:
                         return self.finish(EventKind.CONVERGED, state.residual_norm())
-                    self.barren.clear()
                     cause = EventKind.CYCLE_END
                 elif kind is OutcomeKind.BREAKDOWN:
-                    if state.k > 0:
-                        self.barren.clear()
                     self.barren.add(self.current)
                     cause = EventKind.BREAKDOWN_SWITCH
                 if (kind is OutcomeKind.ITER_LIMIT or self.iters >= plan.global_budget
@@ -358,7 +330,7 @@ class _Driver:
                     cause = strategy.switch_kind(state)
                 if cause is not None:
                     terminal = self.handoff(
-                        select_next(plan.policy, self.current, self.rng), cause)
+                        select_next(plan.policy, self.rng), cause)
             return terminal
         except NonFiniteError:
             # The iterate stays finite, but it has grown until a norm of it

@@ -118,23 +118,6 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketError):
             read_matrix_market(str(path))
 
-    def test_rhs_file(self, tmp_path):
-        mtx = tmp_path / "eye.mtx"
-        mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 2.0\n2 2 3.0\n")
-        rhs = tmp_path / "b.txt"
-        rhs.write_text("4.0\n9.0\n")
-        inst = read_matrix_market(str(mtx), rhs_path=str(rhs))
-        assert_allclose(inst.b, [4.0, 9.0])
-        assert inst.x_true is None
-
-    def test_rhs_length_mismatch(self, tmp_path):
-        mtx = tmp_path / "eye.mtx"
-        mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 2.0\n")
-        rhs = tmp_path / "b.txt"
-        rhs.write_text("4.0\n")
-        with pytest.raises(MatrixMarketError):
-            read_matrix_market(str(mtx), rhs_path=str(rhs))
-
 
 class TestDirectSolveOracle:
     def test_diagonal(self):

@@ -4,23 +4,22 @@ from numpy.testing import assert_allclose
 
 from lanswitch import switching
 from lanswitch.harness import derive_seed
-from lanswitch.linalg import SparseMatrix, as_vector, norm2
+from lanswitch.linalg import NonFiniteError, SparseMatrix, as_vector, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
-from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, init, run
+from lanswitch.solvers import _STATE_CLASSES, AlgoId, OutcomeKind, SolverConfig, init, run
 from lanswitch.switching import (
     ST1,
     ST2,
     ST3,
     CoinToss,
     EventKind,
-    Fixed,
-    RoundRobin,
     SelectionPolicy,
     SwitchPlan,
     make_rng,
     run_switching,
     select_next,
 )
+from random_systems import random_system
 
 A4, A12, A5B10, A8B10 = AlgoId.A4, AlgoId.A12, AlgoId.A5B10, AlgoId.A8B10
 
@@ -38,24 +37,24 @@ def st2_plan(pool, seed=42, cycle=20, tol=1e-13, budget=2000, start=None):
 class TestPlanValidation:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            SelectionPolicy((), RoundRobin())
+            SelectionPolicy((), CoinToss(0))
 
     def test_duplicate_pool_rejected(self):
         with pytest.raises(ValueError):
-            SelectionPolicy((A4, A4), RoundRobin())
+            SelectionPolicy((A4, A4), CoinToss(0))
 
-    def test_fixed_algo_must_be_pooled(self):
-        with pytest.raises(ValueError):
-            SelectionPolicy((A4,), Fixed(A12))
+    def test_selection_mode_must_be_coin_toss(self):
+        with pytest.raises(ValueError, match="selection mode"):
+            SelectionPolicy((A4, A12), "round-robin")
 
     def test_start_must_be_pooled(self):
         with pytest.raises(ValueError):
-            SwitchPlan(ST2(), SelectionPolicy((A4,), RoundRobin()), A12,
+            SwitchPlan(ST2(), SelectionPolicy((A4,), CoinToss(0)), A12,
                        SolverConfig(), 100)
 
     def test_global_budget_at_least_one(self):
         with pytest.raises(ValueError, match="global_budget"):
-            SwitchPlan(ST2(), SelectionPolicy((A4,), RoundRobin()), A4,
+            SwitchPlan(ST2(), SelectionPolicy((A4,), CoinToss(0)), A4,
                        SolverConfig(), 0)
 
     def test_bad_cycle_and_thresholds(self):
@@ -68,45 +67,18 @@ class TestPlanValidation:
 
 
 class TestSelectNext:
-    def test_fixed_is_restart(self):
-        pol = SelectionPolicy((A4,), Fixed(A4))
-        assert select_next(pol, A4, None) == A4
-
-    def test_round_robin_proper_switch(self):
-        pol = SelectionPolicy((A4, A12), RoundRobin())
-        assert select_next(pol, A4, None) == A12
-        assert select_next(pol, A12, None) == A4
-
-    def test_round_robin_singleton_restarts(self):
-        pol = SelectionPolicy((A4,), RoundRobin())
-        assert select_next(pol, A4, None) == A4
-
-    def test_current_must_be_pooled(self):
-        pol = SelectionPolicy((A4,), RoundRobin())
-        with pytest.raises(ValueError):
-            select_next(pol, A12, None)
-
-    def test_coin_toss_needs_rng(self):
-        pol = SelectionPolicy((A4, A12), CoinToss(1))
-        with pytest.raises(ValueError):
-            select_next(pol, A4, None)
-
     def test_coin_toss_seed42_regression(self):
         # Frozen from the PCG64(SeedSequence(42)) stream.
         pol = SelectionPolicy((A4, A12), CoinToss(42))
         rng = make_rng(42)
-        cur = A4
-        seen = []
-        for _ in range(5):
-            cur = select_next(pol, cur, rng)
-            seen.append(cur)
+        seen = [select_next(pol, rng) for _ in range(5)]
         assert seen == [A4, A12, A12, A4, A4]
 
     def test_coin_toss_reproducible_over_100_draws(self):
         pol = SelectionPolicy((A4, A12), CoinToss(7))
         rng_a, rng_b = make_rng(7), make_rng(7)
-        draws_a = [select_next(pol, A4, rng_a) for _ in range(100)]
-        draws_b = [select_next(pol, A4, rng_b) for _ in range(100)]
+        draws_a = [select_next(pol, rng_a) for _ in range(100)]
+        draws_b = [select_next(pol, rng_b) for _ in range(100)]
         assert draws_a == draws_b
 
 
@@ -182,7 +154,7 @@ class TestRunSwitching:
         inst = gen_baheux(BaheuxSpec(n=60, delta=0.2))
         plan = SwitchPlan(
             strategy=ST2(20),
-            policy=SelectionPolicy((A4,), Fixed(A4)),
+            policy=SelectionPolicy((A4,), CoinToss(0)),
             start=A4,
             cfg=SolverConfig(tol=1e-13, max_iters=6000),
             global_budget=6000,
@@ -288,7 +260,7 @@ class TestRunSwitching:
         b = as_vector([1.0, 2.0])
         plan = SwitchPlan(
             strategy=ST2(5),
-            policy=SelectionPolicy((A4, A8B10), RoundRobin()),
+            policy=SelectionPolicy((A4, A8B10), CoinToss(0)),
             start=A4,
             cfg=SolverConfig(tol=1e-13, max_iters=100),
             global_budget=100,
@@ -300,6 +272,73 @@ class TestRunSwitching:
             (EventKind.BREAKDOWN_SWITCH, 1, A4, A8B10),
             (EventKind.EXHAUSTED, 2, A8B10, A8B10),
         ]
+
+    def test_handoff_skips_only_members_stale_at_this_iterate(self, monkeypatch):
+        # In a one-iteration ST2 cycle an A12 or A5B10 prologue fills the
+        # cycle, so the next handoff follows without a step; the prologue
+        # still moved the iterate. A handoff may skip a member only if it
+        # broke down at this very iterate or its prologue overruns the budget.
+        A, b = random_system("gaussian", 9, 2186898810)
+        pool = (A5B10, A8B10, A12)
+        plan = SwitchPlan(ST2(1), SelectionPolicy(pool, CoinToss(214879220)), A12,
+                          SolverConfig(tol=1e-8, max_iters=2916), 3926)
+        broke = set()  # (algo, iterate bytes) of every breakdown
+        # Per handoff: iteration, iterate, first choice, members tried, member
+        # installed.
+        handoffs = [[0, np.zeros(9), A12, [], None]]
+        live = {"iters": 0, "state": None}
+
+        def recording_init(algo, *args):
+            handoffs[-1][3].append(algo)
+            state = init(algo, *args)
+            if state.outcome.kind is OutcomeKind.BREAKDOWN:
+                broke.add((algo, state.x.tobytes()))
+                if state.k == 0:
+                    return state
+            handoffs[-1][4] = algo
+            live["state"] = state
+            live["iters"] += state.iters_used
+            return state
+
+        def recording_run(state, budget):
+            outcome, used = run(state, budget)
+            live["iters"] += used
+            if outcome.kind is OutcomeKind.BREAKDOWN:
+                broke.add((state.algo, state.x.tobytes()))
+            return outcome, used
+
+        def recording_select(policy, rng):
+            choice = select_next(policy, rng)
+            handoffs.append([live["iters"], live["state"].x, choice, [], None])
+            return choice
+
+        def reaches_pool(x):
+            # A handoff whose residual meets tol or overflows ends the run
+            # before it considers any member.
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return norm2(b - A.matvec(x)) > plan.cfg.tol
+            except NonFiniteError:
+                return False
+
+        monkeypatch.setattr(switching, "init", recording_init)
+        monkeypatch.setattr(switching, "run", recording_run)
+        monkeypatch.setattr(switching, "select_next", recording_select)
+        rec, _ = run_switching(A, b, np.zeros(9), b, plan)
+        assert rec.iterations == live["iters"]
+        skips = []
+        for at, x, first, tried, installed in handoffs:
+            if not reaches_pool(x):
+                continue
+            order = [first] + [a for a in pool if a != first]
+            if installed is not None:
+                order = order[:order.index(installed)]
+            skips += [(at, x.tobytes(), a) for a in order if a not in tried]
+        assert skips
+        illegitimate = [(at, a) for at, x, a in skips
+                        if (a, x) not in broke
+                        and at + _STATE_CLASSES[a].PROLOGUE_CHARGE <= plan.global_budget]
+        assert not illegitimate
 
     def test_budget_exhaustion(self):
         inst = gen_baheux(BaheuxSpec(n=100, delta=5.0))
@@ -317,7 +356,7 @@ class TestRunSwitching:
         y = as_vector([1.0, 0.0])
         plan = SwitchPlan(
             strategy=ST2(10),
-            policy=SelectionPolicy((A12, A4), RoundRobin()),
+            policy=SelectionPolicy((A12, A4), CoinToss(0)),
             start=A12,
             cfg=SolverConfig(tol=1e-13, max_iters=100),
             global_budget=100,
@@ -347,7 +386,7 @@ class TestRunSwitching:
         assert solo.k == 0
         plan = SwitchPlan(
             strategy=ST2(10),
-            policy=SelectionPolicy((A5B10, A4), RoundRobin()),
+            policy=SelectionPolicy((A5B10, A4), CoinToss(0)),
             start=A5B10,
             cfg=cfg,
             global_budget=100,
@@ -375,7 +414,7 @@ class TestRunSwitching:
         inst = gen_baheux(BaheuxSpec(n=60, delta=0.2))
         plan = SwitchPlan(
             strategy=ST3(monitor_threshold=1e9, check_every=2),
-            policy=SelectionPolicy((A8B10, A5B10), RoundRobin()),
+            policy=SelectionPolicy((A8B10, A5B10), CoinToss(0)),
             start=A8B10,
             cfg=SolverConfig(tol=1e-13, max_iters=200),
             global_budget=200,
@@ -416,10 +455,10 @@ class TestRunSwitching:
         b = rng.standard_normal(24)
         plan = SwitchPlan(
             strategy=ST2(cycle_len=5),
-            policy=SelectionPolicy((A4, A12), RoundRobin()),
+            policy=SelectionPolicy((A4, A12), CoinToss(0)),
             start=A4,
-            cfg=SolverConfig(tol=1e-13, max_iters=1000),
-            global_budget=1000,
+            cfg=SolverConfig(tol=1e-13, max_iters=2000),
+            global_budget=2000,
         )
         rec, trace = run_switching(A, b, np.zeros(24), b, plan)
         assert rec.outcome == "Exhausted"

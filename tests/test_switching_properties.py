@@ -10,8 +10,6 @@ from lanswitch.switching import (
     ST2,
     ST3,
     CoinToss,
-    Fixed,
-    RoundRobin,
     SelectionPolicy,
     SwitchPlan,
     run_switching,
@@ -25,11 +23,7 @@ def cases(draw):
                          draw(st.integers(0, 2**32 - 1)))
     n = A.nrows
     pool = tuple(draw(st.permutations(list(AlgoId)))[:draw(st.integers(1, 4))])
-    mode = draw(st.one_of(
-        st.builds(CoinToss, st.integers(0, 2**31)),
-        st.just(RoundRobin()),
-        st.sampled_from(pool).map(Fixed),
-    ))
+    mode = draw(st.builds(CoinToss, st.integers(0, 2**31)))
     strategy = draw(st.one_of(
         st.just(ST1()),
         st.builds(ST2, st.integers(1, 30)),

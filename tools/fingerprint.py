@@ -13,11 +13,10 @@ at ``--seed`` (taken from ``perfbench/workloads.py``, so the plans are
 exactly the ones the benchmark times), followed by ``--random`` random small
 systems under random plans, drawn from the fixed seed 0: the property
 test's Gaussian, sparse, ill-conditioned and Baheux matrices
-(``tests/random_systems.py``) with n <= 24, every pool, selection mode
-and strategy, budgets 1-5000 and random x0 and y. A solve that raises
-prints the exception class instead of the fields. Warnings that escape a
-solve are counted and reported on standard error, outside the fingerprint
-lines.
+(``tests/random_systems.py``) with n <= 24, every pool and strategy,
+budgets 1-5000 and random x0 and y. A solve that raises prints the
+exception class instead of the fields. Warnings that escape a solve are
+counted and reported on standard error, outside the fingerprint lines.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ from lanswitch.switching import (  # noqa: E402
     ST2,
     ST3,
     CoinToss,
-    Fixed,
-    RoundRobin,
     SelectionPolicy,
     SwitchPlan,
     run_switching,
@@ -93,8 +90,7 @@ def random_solves(count: int):
         A, b = random_system(kind, int(rng.integers(2, 25)), int(rng.integers(0, 2**32)))
         n = A.nrows
         pool = tuple(algos[j] for j in rng.permutation(4)[:int(rng.integers(1, 5))])
-        mode = [CoinToss(int(rng.integers(0, 2**31))), RoundRobin(),
-                Fixed(pool[int(rng.integers(0, len(pool)))])][int(rng.integers(0, 3))]
+        mode = CoinToss(int(rng.integers(0, 2**31)))
         strategy = [ST1(), ST2(int(rng.integers(1, 31))),
                     ST3(float(rng.choice([1e-8, 1e-3, 1e9])),
                         int(rng.integers(1, 5)))][int(rng.integers(0, 3))]
