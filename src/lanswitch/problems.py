@@ -72,24 +72,18 @@ def gen_baheux(spec: BaheuxSpec) -> ProblemInstance:
     side is chosen so the exact solution is the all-ones vector.
     """
     n, delta = spec.n, spec.delta
-    alpha = -1.0 + delta
-    beta = -1.0 - delta
-    nblocks = n // BLOCK_SIZE
-
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        blk, t = divmod(i, BLOCK_SIZE)
-        if blk > 0:
-            rows.append(i), cols.append(i - BLOCK_SIZE), vals.append(-1.0)
-        if t > 0:
-            rows.append(i), cols.append(i - 1), vals.append(beta)
-        rows.append(i), cols.append(i), vals.append(4.0)
-        if t < BLOCK_SIZE - 1:
-            rows.append(i), cols.append(i + 1), vals.append(alpha)
-        if blk < nblocks - 1:
-            rows.append(i), cols.append(i + BLOCK_SIZE), vals.append(-1.0)
-
-    A = SparseMatrix.from_coo(n, n, rows, cols, vals)
+    i = np.arange(n, dtype=np.int64)
+    blk, t = np.divmod(i, BLOCK_SIZE)
+    # Row i's candidate entries in column order: the -I block to the left,
+    # the inner subdiagonal, diagonal and superdiagonal, the -I block to the
+    # right; ``stored`` says which of them lie inside the matrix and block.
+    cols = np.stack([i - BLOCK_SIZE, i - 1, i, i + 1, i + BLOCK_SIZE], axis=1)
+    vals = np.broadcast_to([-1.0, -1.0 - delta, 4.0, -1.0 + delta, -1.0], (n, 5))
+    stored = np.stack([blk > 0, t > 0, np.ones(n, dtype=bool), t < BLOCK_SIZE - 1,
+                       blk < n // BLOCK_SIZE - 1], axis=1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(stored.sum(axis=1), out=indptr[1:])
+    A = SparseMatrix(n, n, indptr, cols[stored], vals[stored])
     x_true = as_vector(np.ones(n))
     b = A.matvec(x_true)
     b.flags.writeable = False

@@ -9,9 +9,9 @@ BREAKDOWN_EPS times the natural scale of the expression that produced it
 down to noise is a breakdown while legitimately small, well-determined
 products divide through. No non-finite value is ever written into the
 iterate or the residual. Numpy's over/invalid warnings are silenced once per
-call of ``step``, ``init``, ``denominator_report`` and a state's
-``residual_norm`` and ``true_residual_norm``; the kernels raise
-NonFiniteError instead.
+call of ``run`` (for its whole chunk of steps), ``step``, ``init``,
+``denominator_report`` and a state's ``residual_norm`` and
+``true_residual_norm``; the kernels raise NonFiniteError instead.
 
 Each iteration is a preparation and an update. The preparation computes
 every product, scalar and guarded division of the next update without
@@ -28,6 +28,7 @@ Values a later step needs again, such as A4's (y_{k-1}, r_{k-1}) and every
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import math
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import NonFiniteError, SparseMatrix, dot, norm2
+from .linalg import NonFiniteError, SparseMatrix, all_finite, dot, norm2
 
 __all__ = [
     "AlgoId",
@@ -123,8 +124,12 @@ class SolverStateError(RuntimeError):
     """step() was called on a state whose outcome is already terminal."""
 
 
-def _finite(*arrays: np.ndarray) -> bool:
-    return all(np.isfinite(a).all() for a in arrays)
+# (x0, b - A x0, ||b - A x0||) while a caller of init that has already
+# computed the residual at x0 (a switching handoff) initializes a state
+# there; SolverState.__init__ takes it instead of recomputing it. This keeps
+# init's signature the same for its callers and for wrappers of it.
+_FRESH_RESIDUAL: contextvars.ContextVar = contextvars.ContextVar(
+    "lanswitch_fresh_residual", default=None)
 
 
 class _Breakdown(Exception):
@@ -166,12 +171,17 @@ class SolverState:
         self.steps_taken = 0
         self.prologue_charge = 0
         self.x = np.array(x0, dtype=np.float64, copy=True)
-        self.r = b - A.matvec(self.x)
         # ||r||: every update of r recomputes it for its convergence test.
         # It goes stale only when that norm overflows after r was replaced,
         # which ends the state in a nonfinite breakdown. So it is read only
-        # while the state is live; residual_norm() recomputes ||r||.
-        self.r_norm = norm2(self.r)
+        # while the state is live; residual_norm() recomputes ||r||. No code
+        # writes into r in place, so a residual handed in may be shared.
+        fresh = _FRESH_RESIDUAL.get()
+        if fresh is not None and fresh[0] is x0:
+            _, self.r, self.r_norm = fresh
+        else:
+            self.r = b - A.matvec(self.x)
+            self.r_norm = norm2(self.r)
         self.outcome = StepOutcome(OutcomeKind.CONVERGED if self.r_norm <= cfg.tol
                                    else OutcomeKind.CONTINUE)
         # The guards run so far, in order, as (label, denominator); and what
@@ -179,6 +189,9 @@ class SolverState:
         # ended in, None until prepared and again once step() applied it.
         self._ledger: list[tuple[str, float]] = []
         self._preparation = None
+        # True while run() holds the np.errstate of its chunk, so that step()
+        # need not enter its own.
+        self._quiet = False
 
     # Subclasses split one main-loop iteration in two: _prepare computes the
     # next update's products, scalars and guarded divisions without changing
@@ -187,7 +200,7 @@ class SolverState:
 
     def _accept(self, x_next, r_next, what="x/r update") -> bool:
         """Install a finite x/r update; True, and Converged, once ||r|| meets tol."""
-        if not _finite(x_next, r_next):
+        if not (all_finite(x_next) and all_finite(r_next)):
             raise NonFiniteError(what)
         self.x, self.r = x_next, r_next
         self.k += 1
@@ -263,17 +276,24 @@ class SolverState:
         if self.iters_used >= self.cfg.max_iters:
             self.outcome = StepOutcome(OutcomeKind.ITER_LIMIT)
             return self.outcome
-        with np.errstate(over="ignore", invalid="ignore"):
-            prepared, self._preparation = self._prepared(), None
-            if isinstance(prepared, StepOutcome):
-                self.outcome = prepared
-            else:
-                try:
-                    self._update(*prepared)
-                except (_Breakdown, NonFiniteError) as err:
-                    self.outcome = self._failure(err)
+        if self._quiet:
+            self._advance()
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._advance()
         self.steps_taken += 1
         return self.outcome
+
+    def _advance(self) -> None:
+        """Apply the prepared update, or take the breakdown it ended in."""
+        prepared, self._preparation = self._prepared(), None
+        if isinstance(prepared, StepOutcome):
+            self.outcome = prepared
+        else:
+            try:
+                self._update(*prepared)
+            except (_Breakdown, NonFiniteError) as err:
+                self.outcome = self._failure(err)
 
 
 def init(algo: AlgoId, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
@@ -304,12 +324,17 @@ def run(state: SolverState, budget: int) -> tuple[StepOutcome, int]:
         return state.outcome, 0
     used = 0
     outcome = state.outcome
-    while used < budget:
-        before = state.steps_taken
-        outcome = state.step()
-        used += state.steps_taken - before
-        if outcome.is_terminal:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        state._quiet = True
+        try:
+            while used < budget:
+                before = state.steps_taken
+                outcome = state.step()
+                used += state.steps_taken - before
+                if outcome.is_terminal:
+                    break
+        finally:
+            state._quiet = False
     return outcome, used
 
 
@@ -621,7 +646,7 @@ class _A8B10State(SolverState):
         yr_next = dot(y_next, r_next)
         B1 = -self._div(C1 * yr_next, den, "A8B10.B1: (y_k,Az_k)", den_scale)
         z_next = B1 * self.z + C1 * r_next
-        if not _finite(z_next):
+        if not all_finite(z_next):
             raise NonFiniteError("z update")
         self.y = y_next
         self.z = z_next

@@ -40,6 +40,7 @@ import numpy as np
 
 from .linalg import NonFiniteError, SparseMatrix, norm2
 from .solvers import (
+    _FRESH_RESIDUAL,
     _STATE_CLASSES,
     AlgoId,
     OutcomeKind,
@@ -281,7 +282,13 @@ class _Driver:
             charge = _STATE_CLASSES[algo].PROLOGUE_CHARGE
             if algo in self.barren or at + charge > self.plan.global_budget:
                 continue
-            state = init(algo, self.A, self.b, self.x, y_cycle, self.plan.cfg)
+            # The incoming state starts from this residual instead of
+            # recomputing it.
+            token = _FRESH_RESIDUAL.set((self.x, r_fresh, r_norm))
+            try:
+                state = init(algo, self.A, self.b, self.x, y_cycle, self.plan.cfg)
+            finally:
+                _FRESH_RESIDUAL.reset(token)
             if state.outcome.kind is OutcomeKind.BREAKDOWN and state.k == 0:
                 self.barren.add(algo)
                 continue

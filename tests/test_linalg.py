@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lanswitch import linalg
 from lanswitch.linalg import (
     DimensionError,
     NonFiniteError,
@@ -195,3 +196,172 @@ class TestSparseMatrix:
     def test_empty_row_handled(self):
         M = SparseMatrix(2, 2, [0, 0, 1], [1], [7.0])
         assert_allclose(M.matvec(as_vector([1.0, 2.0])), [0.0, 14.0])
+
+
+def _bincount_matvec(A, v):
+    # The CSR reference product, in plain numpy: row sums in stored order.
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.indptr))
+    return np.bincount(rows, weights=A.data * v[A.indices], minlength=A.nrows)
+
+
+def _bincount_matvec_t(A, v):
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.indptr))
+    return np.bincount(A.indices, weights=A.data * v[rows], minlength=A.ncols)
+
+
+def _banded(monkeypatch, build):
+    # Build with bands from n = 300 on, so the DIA kernels are checked at
+    # sizes below the library's DIA_MIN_N too.
+    monkeypatch.setattr(linalg, "DIA_MIN_N", min(300, linalg.DIA_MIN_N))
+    return build()
+
+
+def _signed_zero_vectors(n):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n)
+    v[rng.random(n) < 0.3] = 0.0
+    v[rng.random(n) < 0.3] = -0.0
+    yield v
+    yield np.full(n, -0.0)
+    yield np.zeros(n)
+    # Cancellation to exact zero in some rows.
+    yield np.where(rng.random(n) < 0.5, -0.0, 1e-300)
+
+
+class TestDiagonalStorage:
+    @pytest.mark.parametrize("n", [300, 1000, 2000])
+    @pytest.mark.parametrize("delta", [0.0, 0.2, 5.0, 8.0])
+    def test_dia_products_bitwise_equal_bincount(self, monkeypatch, n, delta):
+        A = _banded(monkeypatch, lambda: gen_baheux(BaheuxSpec(n=n, delta=delta)).A)
+        assert A._bands is not None
+        assert [band[1].start - band[0].start for band in A._bands] == [-10, -1, 0, 1, 10]
+        for v in _signed_zero_vectors(n):
+            for got, ref in ((A.matvec(v), _bincount_matvec(A, v)),
+                             (A.matvec_t(v), _bincount_matvec_t(A, v))):
+                # Bytes compare every bit, sign bits of zeros included.
+                assert got.tobytes() == ref.tobytes()
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_explicit_signed_zeros_stored(self, monkeypatch):
+        # Stored -0.0 values (from_coo would turn them into +0.0) on the
+        # diagonal and superdiagonal, next to padded +0.0 band entries.
+        n = 400
+        indptr = np.concatenate([[0], np.cumsum([2] * (n - 1) + [1])])
+        indices = np.concatenate([np.repeat(np.arange(n - 1), 2) + np.tile([0, 1], n - 1), [n - 1]])
+        data = np.where(np.arange(2 * n - 1) % 3, -0.0, 2.5)
+        A = _banded(monkeypatch, lambda: SparseMatrix(n, n, indptr, indices, data))
+        assert A._bands is not None
+        assert np.signbit(A.data).any()
+        for v in _signed_zero_vectors(n):
+            assert A.matvec(v).tobytes() == _bincount_matvec(A, v).tobytes()
+            assert A.matvec_t(v).tobytes() == _bincount_matvec_t(A, v).tobytes()
+
+    def test_baheux_at_dia_min_n_is_banded(self):
+        n = -(-linalg.DIA_MIN_N // 10) * 10
+        assert gen_baheux(BaheuxSpec(n=n)).A._bands is not None
+
+    def test_non_square_stays_on_bincount(self):
+        n = linalg.DIA_MIN_N
+        i = np.arange(n)
+        M = SparseMatrix.from_coo(n, n + 1, i, i + 1, np.ones(n))
+        assert M._bands is None
+        v = np.arange(n + 1, dtype=float)
+        assert M.matvec(v).tobytes() == _bincount_matvec(M, v).tobytes()
+
+    def test_too_many_offsets_stay_on_bincount(self):
+        def upper_bands(count):
+            n = linalg.DIA_MIN_N
+            rows = np.concatenate([np.arange(n - o) for o in range(count)])
+            return SparseMatrix.from_coo(n, n, rows, rows + np.repeat(
+                np.arange(count), [n - o for o in range(count)]), np.ones(rows.size))
+
+        assert upper_bands(linalg.DIA_MAX_OFFSETS)._bands is not None
+        M = upper_bands(linalg.DIA_MAX_OFFSETS + 1)
+        assert M._bands is None
+        v = np.linspace(-1.0, 1.0, M.nrows)
+        assert M.matvec(v).tobytes() == _bincount_matvec(M, v).tobytes()
+
+    def test_below_crossover_stays_on_bincount(self):
+        n = (linalg.DIA_MIN_N - 1) // 10 * 10
+        assert gen_baheux(BaheuxSpec(n=n)).A._bands is None
+
+    def test_unsorted_row_stays_on_bincount(self, monkeypatch):
+        # Columns out of order in a row: bincount adds them in stored order,
+        # which no band order reproduces.
+        n = 300
+        indptr = np.arange(0, 2 * n + 1, 2)
+        indices = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)[:, ::-1].ravel()
+        M = _banded(monkeypatch, lambda: SparseMatrix(n, n, indptr, indices, np.ones(2 * n)))
+        assert M._bands is None
+
+    def test_dia_arrays_read_only(self, monkeypatch):
+        A = _banded(monkeypatch, lambda: gen_baheux(BaheuxSpec(n=300, delta=5.0)).A)
+        for _, _, band in A._bands:
+            assert not band.flags.writeable
+            with pytest.raises(ValueError):
+                band[0] = 1.0
+        assert A._rows_of_nnz is None
+        assert_allclose(A.to_dense().sum(axis=1), A.matvec(np.ones(300)), rtol=0, atol=0)
+        assert not A._rows_of_nnz.flags.writeable
+
+    def test_cached_zero_vector_read_only(self):
+        v = np.ones(37)
+        assert linalg.all_finite(v)
+        zeros = linalg._ZEROS[37]
+        assert not zeros.flags.writeable
+        with pytest.raises(ValueError):
+            zeros[0] = 1.0
+
+    def test_nonfinite_operand_may_raise_on_bands_only(self, monkeypatch):
+        # Row and column j store nothing, so bincount never multiplies v[j];
+        # the bands hold a padded 0 there, and 0 * inf is nan. Inside the
+        # library every operand is finite-checked first.
+        n, j = 300, 5
+        base = gen_baheux(BaheuxSpec(n=n, delta=0.2)).A
+        rows = np.repeat(np.arange(n), np.diff(base.indptr))
+        keep = (rows != j) & (base.indices != j)
+        A = _banded(monkeypatch, lambda: SparseMatrix.from_coo(
+            n, n, rows[keep], base.indices[keep], base.data[keep]))
+        assert A._bands is not None
+        v = np.ones(n)
+        v[j] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert np.isfinite(_bincount_matvec(A, v)).all()
+            assert np.isfinite(_bincount_matvec_t(A, v)).all()
+            for product in (A.matvec, A.matvec_t):
+                with pytest.raises(NonFiniteError):
+                    product(v)
+
+    @pytest.mark.filterwarnings("error")
+    def test_invalid_value_warning_left_to_the_caller(self, monkeypatch):
+        A = _banded(monkeypatch, lambda: gen_baheux(BaheuxSpec(n=300)).A)
+        v = np.ones(300)
+        v[7] = np.inf
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            A.matvec(v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError):
+                A.matvec(v)
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("n", range(1, 34))
+    def test_one_bad_entry_anywhere(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n)
+        assert linalg.all_finite(v) and np.isfinite(v).all()
+        for bad in (np.inf, -np.inf, np.nan):
+            for i in range(n):
+                w = v.copy()
+                w[i] = bad
+                with np.errstate(invalid="ignore"):
+                    assert not linalg.all_finite(w)
+                assert not np.isfinite(w).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 33, 1000])
+    def test_huge_finite_entries(self, n):
+        rng = np.random.default_rng(n)
+        v = np.where(rng.random(n) < 0.5, -1.0, 1.0) * np.finfo(float).max
+        v[::3] = 1e308
+        assert linalg.all_finite(v)
+        assert linalg.all_finite(np.full(n, -np.finfo(float).max))

@@ -34,6 +34,26 @@ class TestBaheuxGenerator:
         assert A[0, 1] == pytest.approx(-0.8)
         assert A[1, 0] == pytest.approx(-1.2)
 
+    @pytest.mark.parametrize("n", [10, 20, 200, 1000])
+    @pytest.mark.parametrize("delta", [0.0, 0.2, 5.0, 8.0, 1.0])
+    def test_matches_block_definition(self, n, delta):
+        # The documented definition: 10x10 blocks with 4 on their diagonal,
+        # -1+delta above it and -1-delta below it, coupled by -I blocks.
+        nb = n // 10
+        T = 4.0 * np.eye(10) + (-1.0 + delta) * np.eye(10, k=1) + (-1.0 - delta) * np.eye(10, k=-1)
+        coupling = np.eye(nb, k=1) + np.eye(nb, k=-1)
+        expected = np.kron(np.eye(nb), T) - np.kron(coupling, np.eye(10))
+        A = gen_baheux(BaheuxSpec(n=n, delta=delta)).A
+        assert np.array_equal(A.to_dense(), expected)
+        # Exactly the stencil's entries are stored, in column order per row
+        # (for delta = 1 the zero superdiagonal is stored explicitly).
+        pattern = (np.kron(np.eye(nb), np.eye(10) + np.eye(10, k=1) + np.eye(10, k=-1))
+                   + np.kron(coupling, np.eye(10))) != 0
+        rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        assert A.nnz == pattern.sum()
+        assert pattern[rows, A.indices].all()
+        assert np.all((np.diff(A.indices) > 0) | (np.diff(rows) != 0))
+
     def test_rhs_is_row_sums(self):
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))
         assert inst.b[0] == 2.0  # corner row: 4 - 1 - 1

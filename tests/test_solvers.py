@@ -15,6 +15,7 @@ from lanswitch.solvers import (
     init,
     run,
 )
+from random_systems import random_system
 
 ALL_ALGOS = list(AlgoId)
 CFG = SolverConfig(tol=1e-13, max_iters=1000)
@@ -371,6 +372,37 @@ class TestBreakdownHonesty:
 
 
 class TestDiagnostics:
+    def test_run_enters_one_errstate_per_chunk(self, monkeypatch):
+        # run() silences numpy's warnings once for its whole chunk and its
+        # steps run inside that; a step called directly enters its own.
+        entered = []
+        errstate = np.errstate
+
+        def counting_errstate(**kw):
+            entered.append(kw)
+            return errstate(**kw)
+
+        inst = gen_baheux(BaheuxSpec(n=60, delta=0.2))
+        st = init(AlgoId.A4, inst.A, inst.b, np.zeros(60), inst.b, SolverConfig(max_iters=100))
+        monkeypatch.setattr(np, "errstate", counting_errstate)
+        assert run(st, 10) == (st.outcome, 10)
+        assert entered == [dict(over="ignore", invalid="ignore")]
+        st.step()
+        assert len(entered) == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algo", [AlgoId.A4, AlgoId.A5B10, AlgoId.A8B10])
+    def test_run_and_step_let_no_warning_escape(self, algo):
+        # A shadow of norm about 1e151 overflows the shadow chain a few steps
+        # in: run() and step() both end in a labeled breakdown, silently.
+        A, b = random_system("gaussian", 24, 1243153968)
+        for advance in (lambda st: run(st, 50)[0], lambda st: st.step()):
+            st = init(algo, A, b, np.zeros(24), 1e150 * b, SolverConfig(max_iters=50))
+            out = st.outcome
+            while not out.is_terminal:
+                out = advance(st)
+            assert out.kind is OutcomeKind.BREAKDOWN and "nonfinite" in out.label
+
     @pytest.mark.filterwarnings("error")
     def test_overflow_raises_without_warning(self):
         # The public solver functions silence numpy's overflow warning and

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lanswitch import switching
+from lanswitch import solvers, switching
 from lanswitch.harness import derive_seed
 from lanswitch.linalg import NonFiniteError, SparseMatrix, as_vector, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
@@ -219,6 +219,41 @@ class TestRunSwitching:
         assert len(shadows) == len(transitions)
         for event, y in zip(transitions, shadows):
             assert event.residual_norm == norm2(y)
+
+    @pytest.mark.parametrize("algo", list(AlgoId))
+    def test_handoff_computes_the_residual_once(self, monkeypatch, algo):
+        # The incoming state takes the handoff's b - A x and its norm instead
+        # of recomputing them, so a handoff makes the kernel calls of a plain
+        # init at that iterate and no more (it used to make one matvec and
+        # one norm2 more).
+        inst = gen_baheux(BaheuxSpec(n=60, delta=0.2))
+        A, b = inst.A, inst.b
+        x = np.linspace(0.0, 1.0, 60)
+        y = b - A.matvec(x)
+        plan = st2_plan([algo])
+        calls = {"matvec": 0, "norm2": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(SparseMatrix, "matvec", counted("matvec", SparseMatrix.matvec))
+        for module in (switching, solvers):
+            monkeypatch.setattr(module, "norm2", counted("norm2", module.norm2))
+
+        plain = init(algo, A, b, x, y, plan.cfg)
+        init_calls = dict(calls)
+        calls.update(matvec=0, norm2=0)
+        drv = switching._Driver(A, b, x, y, plan)
+        assert drv.handoff(algo, None) is None
+        assert calls == init_calls
+        st = drv.state
+        assert st.algo is algo and st.k == plain.k
+        assert st.r.tobytes() == plain.r.tobytes() and st.r_norm == plain.r_norm
+        assert st.x.tobytes() == plain.x.tobytes()
+        assert solvers._FRESH_RESIDUAL.get() is None
 
     def test_restart_iff_same_algorithm(self):
         inst = gen_baheux(BaheuxSpec(n=100, delta=0.0))
