@@ -17,20 +17,25 @@ adds them in descending order, which is a column's row order. The padded
 entries of a DIA band are +0.0, and a padded term only adds a signed zero
 to a sum that started at +0.0, which changes nothing for a finite operand.
 
-Microseconds per ``A v``, finite check included, for the Baheux family
-(5 offsets) on a 2-core shared x86-64 host (fastest of 15 batches of 400;
-``A.T v`` is within 12%, and repeated runs on this host differ by up to
-50%, but the crossover fell between n = 300 and 400 in each of three):
+The constructor builds the bands in O(nnz + n), without a sort: one
+``bincount`` over ``offset + n - 1`` finds the offsets, and a lookup table
+from offset to band places every entry in the padded band array.
 
-    n         100   200   300   400   600   1000   2000   4000
-    bincount  4.1   6.1   7.1   8.9  13.4   20.7   38.1   77.5
-    DIA       6.4   7.7   9.1   7.8   9.5   10.9   18.5   29.1
+Microseconds per product, finite check included, for the Baheux family
+(5 offsets) on a 2-core shared x86-64 host: the fastest of 15 interleaved
+batches of 400 in each of five runs, and the median of the five. Runs on
+this host differ by up to 50%; at n = 400 bands were faster in 5 of the 10
+product runs, and from n = 500 on in every run:
 
-So a single product is faster on bands from about n = 400. DIA_MIN_N is
-2000 all the same: once the n = 1600 Baheux matrix runs on bands, its
-switching solve (168 iterations) finishes before the one at n = 800 (194
-iterations), on bands or not, and the harness's wall-clock test that solve
-time grows with n (``tests/test_harness.py``) fails.
+    n               100   200   300   400   500   600   800   1000  2000  4000
+    bincount A v    6.4   8.9  11.0  13.6  16.2  19.2  22.8  27.8  50.4  98.1
+    DIA A v        11.5  12.8  12.5  12.7  13.6  15.6  15.9  17.5  21.8  35.4
+    bincount A.T v  6.3   8.7  11.2  12.9  15.9  18.4  21.5  26.7  44.6  91.3
+    DIA A.T v      11.1  12.5  12.2  13.6  12.8  16.0  17.2  16.9  21.3  35.4
+
+So DIA_MIN_N is 400, the crossover, and the paper grid's n = 400-1000
+matrices run on bands. Building the bands costs about 30-45 us per matrix
+at n = 400-1000, once, in the constructor.
 
 The kernels raise NonFiniteError on overflow but do not silence numpy's
 over/invalid warnings themselves: the public functions of
@@ -93,9 +98,9 @@ def as_vector(data) -> np.ndarray:
 
 
 # A square matrix with at least this many rows computes its products from
-# diagonal bands, if it has at most DIA_MAX_OFFSETS distinct offsets (see the
-# module docstring for the measured crossover and why this is above it).
-DIA_MIN_N = 2000
+# diagonal bands, if it has at most DIA_MAX_OFFSETS distinct offsets: the
+# measured crossover (see the module docstring).
+DIA_MIN_N = 400
 DIA_MAX_OFFSETS = 5
 
 # Read-only zero vectors by length, for all_finite; cleared when it holds
@@ -131,7 +136,7 @@ def _check_finite(out: np.ndarray, context: str) -> np.ndarray:
 def dot(u: np.ndarray, v: np.ndarray) -> float:
     """Euclidean scalar product of two equal-length vectors.
 
-    ``np.dot`` on 1-D float64 vectors calls the BLAS ``ddot`` kernel, whose
+    ``u.dot(v)`` on 1-D float64 vectors calls the BLAS ``ddot`` kernel, whose
     summation order is fixed for a given length and kernel on one machine:
     identical inputs give bitwise identical results, and dot(u, v) ==
     dot(v, u) bitwise because the elementwise products commute and the
@@ -139,7 +144,9 @@ def dot(u: np.ndarray, v: np.ndarray) -> float:
     """
     if u.shape != v.shape:
         raise DimensionError(f"dot: length mismatch {u.shape[0]} vs {v.shape[0]}")
-    out = float(np.dot(u, v))
+    # The method, not np.dot: the same ddot, without the __array_function__
+    # dispatch that costs about a quarter of a call at the paper's sizes.
+    out = float(u.dot(v))
     if not math.isfinite(out):
         raise NonFiniteError("non-finite result in dot")
     return out
@@ -147,7 +154,7 @@ def dot(u: np.ndarray, v: np.ndarray) -> float:
 
 def norm2(v: np.ndarray) -> float:
     """Euclidean norm sqrt(dot(v, v))."""
-    out = math.sqrt(np.dot(v, v))
+    out = math.sqrt(v.dot(v))
     if not math.isfinite(out):
         raise NonFiniteError("non-finite result in norm2")
     return out
@@ -173,13 +180,13 @@ class SparseMatrix:
             raise DimensionError("indptr must have length nrows + 1")
         if indptr[0] != 0 or indptr[-1] != indices.shape[0]:
             raise LinalgError("indptr must start at 0 and end at nnz")
-        if np.any(np.diff(indptr) < 0):
+        if (indptr[1:] - indptr[:-1]).min() < 0:
             raise LinalgError("indptr must be monotone non-decreasing")
         if indices.shape != data.shape:
             raise DimensionError("indices and data must have equal length")
         if indices.size and (indices.min() < 0 or indices.max() >= ncols):
             raise LinalgError("column index out of range")
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise NonFiniteError("matrix values contain NaN or Inf")
         self.nrows = int(nrows)
         self.ncols = int(ncols)
@@ -192,7 +199,7 @@ class SparseMatrix:
         # a DIA matrix drops it and rebuilds it only for to_dense and norm_inf.
         self._rows_of_nnz = None
         rows = self._nnz_rows()
-        self._bands = (_dia_bands(self.nrows, rows, indices, data)
+        self._bands = (_dia_bands(self.nrows, indptr, rows, indices, data)
                        if self.nrows == self.ncols and self.nrows >= DIA_MIN_N else None)
         if self._bands is not None:
             self._rows_of_nnz = None
@@ -252,7 +259,8 @@ class SparseMatrix:
 
     def _nnz_rows(self) -> np.ndarray:
         if self._rows_of_nnz is None:
-            rows = np.repeat(np.arange(self.nrows, dtype=np.int64), np.diff(self.indptr))
+            rows = np.repeat(np.arange(self.nrows, dtype=np.int64),
+                             self.indptr[1:] - self.indptr[:-1])
             rows.flags.writeable = False
             self._rows_of_nnz = rows
         return self._rows_of_nnz
@@ -303,26 +311,35 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
-def _dia_bands(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray):
+def _dia_bands(n: int, indptr: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+               data: np.ndarray):
     """The diagonal bands of an n x n CSR matrix, or None if it is not banded.
 
     One ``(row slice, column slice, values)`` per offset ``o = col - row``, in
     ascending offset order: the values of rows ``i0 <= i < i1`` at columns
     ``i + o``, +0.0 where a row stores nothing. None when there are more than
     DIA_MAX_OFFSETS offsets, or when a row's columns do not strictly increase
-    (its bincount sum would then not run in offset order).
+    (its bincount sum would then not run in offset order). Sort-free and
+    O(nnz + n), as the module docstring describes.
     """
-    if not np.all((np.diff(cols) > 0) | (np.diff(rows) != 0)):
+    # Neighbouring entries must increase in column unless a row starts between
+    # them; ok[k] judges the pair (k - 1, k), and indptr marks the row starts.
+    ok = np.empty(cols.shape[0] + 1, dtype=bool)
+    np.greater(cols[1:], cols[:-1], out=ok[1:-1])
+    ok[indptr] = True
+    if not ok.all():
         return None
-    offsets = cols - rows
-    distinct = np.unique(offsets)
-    if distinct.size > DIA_MAX_OFFSETS:
+    key = cols - rows + (n - 1)
+    used = np.flatnonzero(np.bincount(key, minlength=2 * n - 1))
+    if used.size > DIA_MAX_OFFSETS:
         return None
-    padded = np.zeros((distinct.size, n))
-    padded[np.searchsorted(distinct, offsets), rows] = data
+    slot = np.empty(2 * n - 1, dtype=np.int64)
+    slot[used] = np.arange(0, used.size * n, n)
+    padded = np.zeros((used.size, n))
+    padded.ravel()[slot[key] + rows] = data
     padded.flags.writeable = False
     bands = []
-    for k, o in enumerate(distinct.tolist()):
+    for k, o in enumerate((used - (n - 1)).tolist()):
         i0, i1 = max(0, -o), min(n, n - o)
         bands.append((slice(i0, i1), slice(i0 + o, i1 + o), padded[k, i0:i1]))
     return tuple(bands)

@@ -73,17 +73,23 @@ def gen_baheux(spec: BaheuxSpec) -> ProblemInstance:
     """
     n, delta = spec.n, spec.delta
     i = np.arange(n, dtype=np.int64)
-    blk, t = np.divmod(i, BLOCK_SIZE)
+    t = i % BLOCK_SIZE
     # Row i's candidate entries in column order: the -I block to the left,
     # the inner subdiagonal, diagonal and superdiagonal, the -I block to the
     # right; ``stored`` says which of them lie inside the matrix and block.
-    cols = np.stack([i - BLOCK_SIZE, i - 1, i, i + 1, i + BLOCK_SIZE], axis=1)
-    vals = np.broadcast_to([-1.0, -1.0 - delta, 4.0, -1.0 + delta, -1.0], (n, 5))
-    stored = np.stack([blk > 0, t > 0, np.ones(n, dtype=bool), t < BLOCK_SIZE - 1,
-                       blk < n // BLOCK_SIZE - 1], axis=1)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(stored.sum(axis=1), out=indptr[1:])
-    A = SparseMatrix(n, n, indptr, cols[stored], vals[stored])
+    cols = i[:, None] + np.array([-BLOCK_SIZE, -1, 0, 1, BLOCK_SIZE])
+    vals = np.array([-1.0, -1.0 - delta, 4.0, -1.0 + delta, -1.0])
+    stored = np.empty((n, 5), dtype=bool)
+    stored[:, 0] = i >= BLOCK_SIZE
+    stored[:, 1] = t > 0
+    stored[:, 2] = True
+    stored[:, 3] = t < BLOCK_SIZE - 1
+    stored[:, 4] = i < n - BLOCK_SIZE
+    # Flat positions of the stored candidates, row by row; row i's entries
+    # are those between positions 5 i and 5 (i + 1).
+    kept = np.flatnonzero(stored)
+    indptr = np.searchsorted(kept, np.arange(0, 5 * n + 1, 5))
+    A = SparseMatrix(n, n, indptr, cols.ravel()[kept], vals[kept % 5])
     x_true = as_vector(np.ones(n))
     b = A.matvec(x_true)
     b.flags.writeable = False

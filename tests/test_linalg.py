@@ -42,6 +42,13 @@ class TestVector:
             as_vector([[1.0, 2.0]])
 
 
+def _only_overflow_or_invalid(caught):
+    # numpy's overflow warning, and possibly the finite check's invalid value.
+    messages = [str(w.message) for w in caught]
+    assert any("overflow" in m for m in messages)
+    assert all("overflow" in m or "invalid value" in m for m in messages)
+
+
 class TestDot:
     @pytest.mark.parametrize("u, v, expected", [
         ([1, 0], [0, 1], 0.0),
@@ -64,9 +71,13 @@ class TestDot:
             assert dot(u, v) == dot(v, u)
 
     def test_overflow_surfaces(self):
+        # Outside np.errstate numpy's overflow warning reaches the caller
+        # too (see the linalg module docstring).
         big = np.full(4, 1e200)
-        with pytest.raises(NonFiniteError):
-            dot(big, big)
+        with pytest.warns(RuntimeWarning) as caught:
+            with pytest.raises(NonFiniteError):
+                dot(big, big)
+        _only_overflow_or_invalid(caught)
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_warning_left_to_the_caller(self):
@@ -190,8 +201,11 @@ class TestSparseMatrix:
 
     def test_matvec_overflow_surfaces(self):
         M = SparseMatrix.from_dense(np.full((2, 2), 1e308))
-        with pytest.raises(NonFiniteError):
-            M.matvec(as_vector([1e100, 1e100]))
+        assert M._bands is None
+        with pytest.warns(RuntimeWarning) as caught:
+            with pytest.raises(NonFiniteError):
+                M.matvec(as_vector([1e100, 1e100]))
+        _only_overflow_or_invalid(caught)
 
     def test_empty_row_handled(self):
         M = SparseMatrix(2, 2, [0, 0, 1], [1], [7.0])
@@ -214,6 +228,28 @@ def _banded(monkeypatch, build):
     # sizes below the library's DIA_MIN_N too.
     monkeypatch.setattr(linalg, "DIA_MIN_N", min(300, linalg.DIA_MIN_N))
     return build()
+
+
+PAPER_DIMS = (20, 40, 60, 80, 100, 200, 400, 600, 800, 1000)
+
+
+def _csr(n, row_cols, seed=0):
+    # Square CSR matrix storing row i's columns row_cols[i] in the given
+    # order, with random values, some of them -0.0; and the same matrix dense.
+    rng = np.random.default_rng(seed)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(cols) for cols in row_cols], out=indptr[1:])
+    indices = np.array([c for cols in row_cols for c in cols], dtype=np.int64)
+    data = rng.standard_normal(indices.size)
+    data[rng.random(indices.size) < 0.2] = -0.0
+    dense = np.zeros((n, n))
+    dense[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
+    return SparseMatrix(n, n, indptr, indices, data), dense
+
+
+def _band_rows(n, offsets, empty_rows=()):
+    return [[] if i in empty_rows else [i + o for o in sorted(offsets) if 0 <= i + o < n]
+            for i in range(n)]
 
 
 def _signed_zero_vectors(n):
@@ -285,6 +321,14 @@ class TestDiagonalStorage:
         n = (linalg.DIA_MIN_N - 1) // 10 * 10
         assert gen_baheux(BaheuxSpec(n=n)).A._bands is None
 
+    def test_paper_grid_banded_from_dia_min_n(self):
+        # The library's own threshold, no monkeypatch: every paper-grid n from
+        # DIA_MIN_N on runs on bands, and that is n = 400 to 1000, so raising
+        # the threshold past the measured crossover fails here.
+        banded = [n for n in PAPER_DIMS if gen_baheux(BaheuxSpec(n=n)).A._bands is not None]
+        assert banded == [n for n in PAPER_DIMS if n >= linalg.DIA_MIN_N]
+        assert banded == [400, 600, 800, 1000]
+
     def test_unsorted_row_stays_on_bincount(self, monkeypatch):
         # Columns out of order in a row: bincount adds them in stored order,
         # which no band order reproduces.
@@ -342,6 +386,67 @@ class TestDiagonalStorage:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError):
                 A.matvec(v)
+
+
+class TestBandDetection:
+    N = linalg.DIA_MIN_N
+
+    @pytest.mark.parametrize("offsets, empty_rows", [
+        ((-1, 0, 1), (0,)),
+        ((-1, 0, 1), (N // 2,)),
+        ((-1, 0, 1), (N - 1,)),
+        ((-10, -1, 0, 1, 10), (0, 1, N // 2, N - 2, N - 1)),
+        ((), ()),
+        ((-(N - 1), 0, N - 1), ()),
+        ((-(N - 1), N - 1), (0,)),
+        (tuple(np.linspace(-(N - 1), N - 1, linalg.DIA_MAX_OFFSETS).astype(int)), ()),
+    ], ids=["empty-first-row", "empty-middle-row", "empty-last-row", "empty-rows-baheux",
+            "nnz-0", "corners", "corners-only", "dia-max-offsets"])
+    def test_bands_match_references(self, offsets, empty_rows):
+        n = self.N
+        A, dense = _csr(n, _band_rows(n, offsets, empty_rows))
+        assert A._bands is not None
+        present = sorted(set((A.indices - np.repeat(np.arange(n), np.diff(A.indptr))).tolist()))
+        assert [c.start - r.start for r, c, _ in A._bands] == present
+        # The bands hold the matrix's diagonals, padded with +0.0 where no
+        # entry is stored; bytes compare sign bits too.
+        assert A.to_dense().tobytes() == dense.tobytes()
+        for rows, cols, band in A._bands:
+            assert band.tobytes() == np.diagonal(dense, cols.start - rows.start).tobytes()
+        for v in _signed_zero_vectors(n):
+            assert A.matvec(v).tobytes() == _bincount_matvec(A, v).tobytes()
+            assert A.matvec_t(v).tobytes() == _bincount_matvec_t(A, v).tobytes()
+
+    @pytest.mark.parametrize("row, cols, empty_rows", [
+        (0, [1, 0], ()),
+        (N // 2, [N // 2 + 1, N // 2], ()),
+        (N - 1, [N - 1, N - 2], ()),
+        (N // 2, [N // 2, N // 2], ()),
+        (2, [3, 2], (0, 1)),
+        (N - 3, [N - 2, N - 3], (N - 2, N - 1)),
+    ], ids=["first", "middle", "last", "repeated-column", "after-empty-rows",
+            "before-empty-rows"])
+    def test_one_unordered_row_stays_on_bincount(self, row, cols, empty_rows):
+        # Every other row is tridiagonal and sorted; one row's columns do not
+        # strictly increase, so its bincount sum runs in no band order.
+        n = self.N
+        row_cols = _band_rows(n, (-1, 0, 1), empty_rows)
+        row_cols[row] = cols
+        A, _ = _csr(n, row_cols)
+        assert A._bands is None
+        for v in _signed_zero_vectors(n):
+            assert A.matvec(v).tobytes() == _bincount_matvec(A, v).tobytes()
+
+    def test_banded_overflow_surfaces(self):
+        n = self.N
+        T, _ = _csr(n, _band_rows(n, (-1, 0, 1)))
+        A = SparseMatrix(n, n, T.indptr, T.indices, np.full(T.nnz, 1e308))
+        assert A._bands is not None
+        for product in (A.matvec, A.matvec_t):
+            with pytest.warns(RuntimeWarning) as caught:
+                with pytest.raises(NonFiniteError):
+                    product(np.full(n, 1e100))
+            _only_overflow_or_invalid(caught)
 
 
 class TestAllFinite:
