@@ -6,39 +6,63 @@ concurrent runs on shared, read-only operands.
 
 Storage rule. Every matrix keeps its CSR arrays. A square matrix with at
 least ``DIA_MIN_N`` rows, at most ``DIA_MAX_OFFSETS`` distinct offsets
-``col - row`` and strictly increasing columns in every row also keeps one
-array of values per offset (DIA storage; Saad, *Iterative Methods for
-Sparse Linear Systems*, 2nd ed., section 3.4) and computes its products
-from contiguous slices, without a gather. Every other matrix computes them
-with ``np.bincount`` over the stored entries. Both paths add the terms of an
-output entry in the same order, so they agree bit for bit: ``A v`` adds the
-offsets in ascending order, which is a row's column order, and ``A.T v``
-adds them in descending order, which is a column's row order. The padded
-entries of a DIA band are +0.0, and a padded term only adds a signed zero
-to a sum that started at +0.0, which changes nothing for a finite operand.
+``col - row`` and strictly increasing columns in every row also keeps its
+diagonals (DIA storage; Saad, *Iterative Methods for Sparse Linear
+Systems*, 2nd ed., section 3.4) in one padded table, and computes its
+products from contiguous slices, without a gather. The table has a row for
+each offset o of A or of A.T, that is, for the union of A's offsets and
+their negatives, in ascending order: A's band at offset o (entry i is
+A[i, i + o]), then a gap of 2g zeros, where g is the largest offset, then
+A.T's band at offset o (entry j is A[j + o, j]). ``matvec`` and
+``matvec_t`` read their own halves of the rows. ``products(v, w)``
+multiplies each whole row with one slice of [0^g v 0^2g w 0^g], so each
+multiply and add adds a term to both products. Every other matrix computes
+its products with ``np.bincount`` over the stored entries, and its
+``products`` runs the two bincounts of ``matvec`` and ``matvec_t``.
 
-The constructor builds the bands in O(nnz + n), without a sort: one
-``bincount`` over ``offset + n - 1`` finds the offsets, and a lookup table
-from offset to band places every entry in the padded band array.
+Both paths add the terms of an output entry in the same order, so they
+agree bit for bit: ``A v`` adds A's offsets in ascending order, which is a
+row's column order, and ``A.T v`` adds them in descending order, which is a
+column's row order and the ascending order of A.T's offsets. The padded
+entries of a band are +0.0, and a padded term only adds a signed zero to a
+sum that started at +0.0, which changes nothing for a finite operand. So
+the halves of ``products(v, w)`` equal ``matvec(v)`` and ``matvec_t(w)``
+byte for byte, and neither half reads the other operand. ``products``
+checks neither half: the caller checks each with ``check_finite`` where it
+needs it, and ``matvec`` and ``matvec_t`` check their results themselves.
 
-Microseconds per product, finite check included, for the Baheux family
-(5 offsets) on a 2-core shared x86-64 host: the fastest of 15 interleaved
-batches of 400 in each of five runs, and the median of the five. Runs on
-this host differ by up to 50%; at n = 400 bands were faster in 5 of the 10
-product runs, and from n = 500 on in every run:
+The constructor builds the table in O(nnz + n), without a sort: marking
+``offset + n - 1`` in a boolean array finds the offsets, a lookup table from
+offset to row places every entry in A's halves, and A.T's band at offset
+-o is A's band at offset o, copied shifted by o.
 
-    n               100   200   300   400   500   600   800   1000  2000  4000
-    bincount A v    6.4   8.9  11.0  13.6  16.2  19.2  22.8  27.8  50.4  98.1
-    DIA A v        11.5  12.8  12.5  12.7  13.6  15.6  15.9  17.5  21.8  35.4
-    bincount A.T v  6.3   8.7  11.2  12.9  15.9  18.4  21.5  26.7  44.6  91.3
-    DIA A.T v      11.1  12.5  12.2  13.6  12.8  16.0  17.2  16.9  21.3  35.4
+Microseconds per pair of products (A v, A.T w), finite checks included,
+for the Baheux family (5 offsets) on a 2-core shared x86-64 host: the
+fastest of 15 interleaved batches in each of ten runs, and the median of
+the ten. "two" is ``matvec`` plus ``matvec_t``; "pair" is one ``products``
+call and the caller's two checks:
 
-So DIA_MIN_N is 400, the crossover, and the paper grid's n = 400-1000
-matrices run on bands. Building the bands costs about 30-45 us per matrix
-at n = 400-1000, once, in the constructor.
+    n                 20   100   200   250   300   350   400   500   600   800  1000  2000  4000
+    bincount, two    8.2  11.9  17.6  19.3  23.1  25.1  27.7  29.9  33.8  43.1  50.4  97.1 140.6
+    bincount, pair   8.9  12.1  17.6  19.5  23.0  25.3  27.0  29.6  33.7  43.1  50.0  91.6 137.8
+    bands, two      25.4  24.3  27.8  28.8  30.1  29.3  31.0  30.8  33.7  37.1  38.5  50.6  52.9
+    bands, pair     15.8  16.4  18.0  19.3  20.5  21.0  21.4  22.5  22.9  23.4  25.5  41.3  49.8
 
-The kernels raise NonFiniteError on overflow but do not silence numpy's
-over/invalid warnings themselves: the public functions of
+On bands one ``products`` call costs 0.6-0.75 of two calls up to n = 1000,
+and 0.83 and 0.94 of them at n = 2000 and 4000. Without bands it runs the
+same two bincounts and saves nothing. A pair on bands beat two bincounts
+in every run from n = 300 on, but lone products on bands beat bincount in
+every run only from n = 800 (in 1 of 10 at n = 400, 5 of 10 at n = 600),
+and a solve still makes some: its initial residual, and A12's A q2 in
+every step. So DIA_MIN_N stays 400: a step of A12 at n = 400 costs less on
+bands, and the paper grid has no n between 200 and 400. Building the table
+costs about 50-90 us per matrix at n = 400-1000, once, in the constructor,
+10-15 us more than one array per offset did. The table holds every band
+twice, once for A and once for A.T, so a banded Baheux matrix with its CSR
+arrays takes about 165 n bytes where it took 125 n.
+
+The kernels other than ``products`` raise NonFiniteError on overflow. None
+of them silences numpy's over/invalid warnings: the public functions of
 ``lanswitch.solvers`` and ``run_switching`` enter one ``np.errstate`` (per
 chunk of steps, per step, per init, per switching run, ...) around every
 kernel call they make. A kernel called directly outside ``np.errstate`` may
@@ -46,13 +70,16 @@ emit numpy's ``overflow`` RuntimeWarning, and, from the finite check or
 from a DIA band's padded 0 times an infinite operand entry, its
 ``invalid value`` RuntimeWarning. For the same reason a DIA product of a
 non-finite operand may raise NonFiniteError where the bincount path would
-return a finite result (an infinite entry whose column stores nothing);
-inside the library every operand of a product is a finite-checked vector.
+return a finite result (an infinite entry whose column stores nothing).
+Inside the library every operand of a product is a finite-checked vector,
+except the shadow vectors that A12's prologue multiplies before it checks
+them; the A.T halves they yield are used only after those checks.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +89,7 @@ __all__ = [
     "NonFiniteError",
     "SparseMatrix",
     "all_finite",
+    "check_finite",
     "as_vector",
     "dot",
     "norm2",
@@ -103,10 +131,23 @@ def as_vector(data) -> np.ndarray:
 DIA_MIN_N = 400
 DIA_MAX_OFFSETS = 5
 
-# Read-only zero vectors by length, for all_finite; cleared when it holds
-# this many lengths, so a process that sees many sizes stays bounded.
+# Read-only zero vectors by length, for all_finite and the bands' padding;
+# cleared when it holds this many lengths, so a process that sees many sizes
+# stays bounded.
 _ZEROS: dict = {}
 _ZEROS_KEPT = 32
+
+
+def _zeros(n: int) -> np.ndarray:
+    """A read-only vector of n zeros, shared through _ZEROS."""
+    zeros = _ZEROS.get(n)
+    if zeros is None:
+        if len(_ZEROS) >= _ZEROS_KEPT:
+            _ZEROS.clear()
+        zeros = np.zeros(n)
+        zeros.flags.writeable = False
+        _ZEROS[n] = zeros
+    return zeros
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -115,19 +156,16 @@ def all_finite(a: np.ndarray) -> bool:
     One call: the dot product with zeros is +-0 for a finite ``a`` and nan
     as soon as any entry is inf or nan, and it cannot overflow.
     """
-    n = a.shape[0]
-    zeros = _ZEROS.get(n)
-    if zeros is None:
-        if len(_ZEROS) >= _ZEROS_KEPT:
-            _ZEROS.clear()
-        zeros = np.zeros(n)
-        zeros.flags.writeable = False
-        _ZEROS[n] = zeros
-    return math.isfinite(a.dot(zeros))
+    return math.isfinite(a.dot(_zeros(a.shape[0])))
 
 
-def _check_finite(out: np.ndarray, context: str) -> np.ndarray:
-    # Overflow must surface as an error, never propagate silently.
+def check_finite(out: np.ndarray, context: str) -> np.ndarray:
+    """``out``, or NonFiniteError naming ``context`` if an entry is not finite.
+
+    Overflow must surface as an error, never propagate silently: every
+    product checks its result with this, and a caller of
+    ``SparseMatrix.products`` checks each half with it.
+    """
     if not all_finite(out):
         raise NonFiniteError(f"non-finite result in {context}")
     return out
@@ -284,43 +322,96 @@ class SparseMatrix:
         if v.shape[0] != self.ncols:
             raise DimensionError(f"matvec: matrix has {self.ncols} columns, vector length {v.shape[0]}")
         if self._bands is None:
-            out = np.bincount(self._rows_of_nnz, weights=self.data * v[self.indices],
-                              minlength=self.nrows)
+            out = self._bincount_matvec(v)
         else:
-            out = np.zeros(self.nrows)
-            for rows, cols, band in self._bands:
-                part = out[rows]
-                part += band * v[cols]
-        return _check_finite(out, "matvec")
+            bands = self._bands
+            out = _band_sum(bands.own, np.concatenate((bands.pad, v, bands.pad)), self.nrows)
+        return check_finite(out, "matvec")
 
     def matvec_t(self, v: np.ndarray) -> np.ndarray:
         """Product A.T @ v, by scattering stored rows into the output."""
         if v.shape[0] != self.nrows:
             raise DimensionError(f"matvec_t: matrix has {self.nrows} rows, vector length {v.shape[0]}")
         if self._bands is None:
-            out = np.bincount(self.indices, weights=self.data * v[self._rows_of_nnz],
-                              minlength=self.ncols)
+            out = self._bincount_matvec_t(v)
         else:
-            out = np.zeros(self.ncols)
-            for rows, cols, band in reversed(self._bands):
-                part = out[cols]
-                part += band * v[rows]
-        return _check_finite(out, "matvec_t")
+            bands = self._bands
+            out = _band_sum(bands.transposed, np.concatenate((bands.pad, v, bands.pad)),
+                            self.nrows)
+        return check_finite(out, "matvec_t")
+
+    def products(self, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A @ v, A.T @ w) of a square matrix in one pass, neither half checked.
+
+        Each half equals ``matvec(v)`` or ``matvec_t(w)`` byte for byte when
+        that product is finite, and neither half reads the other operand.
+        Unlike those, ``products`` raises no NonFiniteError: the caller checks
+        each half with ``check_finite`` where it needs it.
+        """
+        n = self.nrows
+        if self.ncols != n or v.shape[0] != n or w.shape[0] != n:
+            self.require_square()
+            raise DimensionError(f"products: matrix has order {n}, vector lengths "
+                                 f"{v.shape[0]} and {w.shape[0]}")
+        bands = self._bands
+        if bands is None:
+            return self._bincount_matvec(v), self._bincount_matvec_t(w)
+        g, pad = bands.gap, bands.pad
+        both = _band_sum(bands.pair, np.concatenate((pad, v, pad, pad, w, pad)), 2 * (n + g))
+        return both[:n], both[n + 2 * g:]
+
+    def _bincount_matvec(self, v):
+        return np.bincount(self._rows_of_nnz, weights=self.data * v[self.indices],
+                           minlength=self.nrows)
+
+    def _bincount_matvec_t(self, v):
+        return np.bincount(self.indices, weights=self.data * v[self._rows_of_nnz],
+                           minlength=self.ncols)
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
+class _Bands(NamedTuple):
+    """The diagonals of an n x n banded matrix in one padded table.
+
+    ``gap`` is the largest offset (0 without bands) and ``pad`` holds that
+    many read-only zeros. For each offset o of A or of A.T, in ascending
+    order, a row of ``table`` (width 2n + 2 gap, read-only) holds A's band
+    at offset o in columns [0, n) (entry i is A[i, i + o]), zeros in the
+    gap, and A.T's band at offset o in columns [n + 2 gap, 2n + 2 gap)
+    (entry j is A[j + o, j]); +0.0 wherever the matrix stores nothing, so
+    the half of an offset that only the other matrix stores is all zeros.
+    The terms are ``(band, gap + o)`` with read-only views of the table:
+    ``own`` holds A's half of every row, ``transposed`` A.T's half, and
+    ``pair`` the whole rows.
+    """
+
+    table: np.ndarray
+    gap: int
+    pad: np.ndarray
+    own: tuple
+    transposed: tuple
+    pair: tuple
+
+
+def _band_sum(terms: tuple, z: np.ndarray, length: int) -> np.ndarray:
+    # Entry i adds band[i] * z[start + i] for every term, in the terms'
+    # ascending offset order, to a sum that starts at +0.0.
+    out = np.zeros(length)
+    for band, start in terms:
+        out += band * z[start:start + length]
+    return out
+
+
 def _dia_bands(n: int, indptr: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                data: np.ndarray):
-    """The diagonal bands of an n x n CSR matrix, or None if it is not banded.
+    """The _Bands of an n x n CSR matrix, or None if it is not banded.
 
-    One ``(row slice, column slice, values)`` per offset ``o = col - row``, in
-    ascending offset order: the values of rows ``i0 <= i < i1`` at columns
-    ``i + o``, +0.0 where a row stores nothing. None when there are more than
-    DIA_MAX_OFFSETS offsets, or when a row's columns do not strictly increase
-    (its bincount sum would then not run in offset order). Sort-free and
-    O(nnz + n), as the module docstring describes.
+    None when there are more than DIA_MAX_OFFSETS offsets, or when a row's
+    columns do not strictly increase (its bincount sum would then not run in
+    offset order). Sort-free and O(nnz + n), as the module docstring
+    describes.
     """
     # Neighbouring entries must increase in column unless a row starts between
     # them; ok[k] judges the pair (k - 1, k), and indptr marks the row starts.
@@ -329,17 +420,30 @@ def _dia_bands(n: int, indptr: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     ok[indptr] = True
     if not ok.all():
         return None
-    key = cols - rows + (n - 1)
-    used = np.flatnonzero(np.bincount(key, minlength=2 * n - 1))
+    key = cols - rows
+    key += n - 1
+    seen = np.zeros(2 * n - 1, dtype=bool)
+    seen[key] = True
+    used = np.flatnonzero(seen)
     if used.size > DIA_MAX_OFFSETS:
         return None
+    stored = (used - (n - 1)).tolist()
+    offsets = sorted({*stored, *[-o for o in stored]})
+    gap = offsets[-1] if offsets else 0
+    width = 2 * (n + gap)
+    at_t = n + 2 * gap  # where A.T's half of a row starts
+    row = {o: k * width for k, o in enumerate(offsets)}  # flat start of o's row
     slot = np.empty(2 * n - 1, dtype=np.int64)
-    slot[used] = np.arange(0, used.size * n, n)
-    padded = np.zeros((used.size, n))
-    padded.ravel()[slot[key] + rows] = data
-    padded.flags.writeable = False
-    bands = []
-    for k, o in enumerate((used - (n - 1)).tolist()):
-        i0, i1 = max(0, -o), min(n, n - o)
-        bands.append((slice(i0, i1), slice(i0 + o, i1 + o), padded[k, i0:i1]))
-    return tuple(bands)
+    slot[used] = [row[o] for o in stored]
+    table = np.zeros((len(offsets), width))
+    flat = table.ravel()
+    flat[slot[key] + rows] = data
+    # A.T's band at offset -o is A's band at offset o, shifted by o.
+    for o in stored:
+        j0, j1 = max(0, o), min(n, n + o)
+        to, fro = row[-o] + at_t, row[o] - o
+        flat[to + j0:to + j1] = flat[fro + j0:fro + j1]
+    table.flags.writeable = False
+    starts = [gap + o for o in offsets]
+    return _Bands(table, gap, _zeros(gap), tuple(zip(table[:, :n], starts)),
+                  tuple(zip(table[:, at_t:], starts)), tuple(zip(table, starts)))

@@ -89,9 +89,13 @@ def gen_baheux(spec: BaheuxSpec) -> ProblemInstance:
     # are those between positions 5 i and 5 (i + 1).
     kept = np.flatnonzero(stored)
     indptr = np.searchsorted(kept, np.arange(0, 5 * n + 1, 5))
-    A = SparseMatrix(n, n, indptr, cols.ravel()[kept], vals[kept % 5])
-    x_true = as_vector(np.ones(n))
-    b = A.matvec(x_true)
+    data = vals[kept % 5]
+    A = SparseMatrix(n, n, indptr, cols.ravel()[kept], data)
+    x_true = np.ones(n)
+    x_true.flags.writeable = False
+    # b = A x_true: row sums in stored order from +0.0, which is how
+    # A.matvec(x_true) adds its terms data * 1.0, so the bits are the same.
+    b = np.bincount(kept // 5, weights=data, minlength=n)
     b.flags.writeable = False
     return ProblemInstance(A=A, b=b, x_true=x_true, label=f"baheux(n={n},delta={delta:g})")
 

@@ -24,6 +24,17 @@ with value nan when the preparation overflows, so it never raises on a live
 state. Only an overflow in the update itself is found by the step alone.
 Values a later step needs again, such as A4's (y_{k-1}, r_{k-1}) and every
 ||r_k||, are carried over in the state.
+
+Each main step makes its A v and its A.T w (the shadow chain's next vector)
+in one ``SparseMatrix.products`` pass: A4 pairs A r_k with A.T y_k, A12
+A r_{k-2} with A.T y_k, A5/B10 A p_k with A.T y_k, which the next step
+uses, and A8/B10 A z_k with A.T y_k. A12's prologue makes three such
+passes; A5/B10's prologue and its first step, which has no A.T y carried
+yet, use ``matvec`` and ``matvec_t``. The halves come back unchecked, and
+each is checked where a lone product would have been, so an overflow ends
+the step with the same label, ``k`` and ``x`` as two checked products
+would: a shadow product that overflows is found only after the update
+installed x and r.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import NonFiniteError, SparseMatrix, all_finite, dot, norm2
+from .linalg import NonFiniteError, SparseMatrix, all_finite, check_finite, dot, norm2
 
 __all__ = [
     "AlgoId",
@@ -200,11 +211,16 @@ class SolverState:
 
     def _accept(self, x_next, r_next, what="x/r update") -> bool:
         """Install a finite x/r update; True, and Converged, once ||r|| meets tol."""
-        if not (all_finite(x_next) and all_finite(r_next)):
+        # (r, r) is finite only for a finite r, so one dot checks r and gives
+        # ||r||. Only when it is not finite is r checked entry by entry: a
+        # finite r whose (r, r) overflows is installed, and norm2 then raises.
+        rr = r_next.dot(r_next)
+        rr_finite = math.isfinite(rr)
+        if not (all_finite(x_next) and (rr_finite or all_finite(r_next))):
             raise NonFiniteError(what)
         self.x, self.r = x_next, r_next
         self.k += 1
-        self.r_norm = norm2(r_next)
+        self.r_norm = math.sqrt(rr) if rr_finite else norm2(r_next)
         if self.r_norm <= self.cfg.tol:
             self.outcome = StepOutcome(OutcomeKind.CONVERGED)
             return True
@@ -369,7 +385,6 @@ class _A4State(SolverState):
         super().__init__(A, b, x0, y, cfg)
         self.x_prev = None
         self.r_prev = None
-        self.y_prev = None
         # (y_{k-1}, r_{k-1}) and its guard scale ||y_{k-1}|| ||r_{k-1}||:
         # the previous step's (y_k, r_k) and scale.
         self.yr_prev = math.nan
@@ -383,7 +398,10 @@ class _A4State(SolverState):
         else:
             E = -self._div(yr, self.yr_prev, "A4.E: (y_{k-1},r_{k-1})",
                            self.yr_prev_scale, cap=COEFF_LIMIT)
-        Ar = self.A.matvec(self.r)
+        # The shadow chain's next vector A.T y_k is checked only once the
+        # update has installed x and r.
+        Ar, y_next = self.A.products(self.r, self.y)
+        check_finite(Ar, "matvec")
         # The bracket must cancel the order-k moment of the combination, so
         # the E term enters with a plus sign (the recurrence terminates in n
         # exact steps only with this orientation).
@@ -393,9 +411,9 @@ class _A4State(SolverState):
         S = B + E
         A_next = self._div(1.0, S, "A4.A: B+E", max(1.0, abs(B), abs(E)),
                            eps=NORMALIZATION_EPS)
-        return E, B, S, A_next, Ar, yr, yr_scale
+        return E, B, S, A_next, Ar, y_next, yr, yr_scale
 
-    def _update(self, E, B, S, A_next, Ar, yr, yr_scale):
+    def _update(self, E, B, S, A_next, Ar, y_next, yr, yr_scale):
         if self.k == 0:
             x_next = A_next * (B * self.x - self.r)
             r_next = A_next * (Ar + B * self.r)
@@ -403,13 +421,13 @@ class _A4State(SolverState):
             x_next = A_next * (B * self.x + E * self.x_prev - self.r)
             r_next = A_next * (Ar + B * self.r + E * self.r_prev)
         self.last_normalization = A_next * S
-        self.x_prev, self.r_prev, self.y_prev = self.x, self.r, self.y
+        self.x_prev, self.r_prev = self.x, self.r
         self.yr_prev, self.yr_prev_scale = yr, yr_scale
         if self._accept(x_next, r_next):
             return
         # Shadow chain advances every iteration; the pseudocode's IF around
         # it governs termination only.
-        self.y = self.A.matvec_t(self.y_prev)
+        self.y = check_finite(y_next, "matvec_t")
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +463,17 @@ class _A12State(SolverState):
     def _prologue(self):
         A, y = self.A, self.y
         r0, x0, r0_norm = self.r, self.x, self.r_norm
-        p = A.matvec(r0)
-        p1 = A.matvec(p)
+        # The shadow vectors y1..y3 come with the moment products and are
+        # checked only after both prologue updates.
+        p, y1 = A.products(r0, y)
+        check_finite(p, "matvec")
+        p1, y2 = A.products(p, y1)
+        check_finite(p1, "matvec")
         c0 = dot(y, r0)
         c1 = dot(y, p)
         c2 = dot(y, p1)
-        c3 = dot(y, A.matvec(p1))
+        p2, y3 = A.products(p1, y2)
+        c3 = dot(y, check_finite(p2, "matvec"))
 
         y_norm = norm2(y)
         step1 = self._div(c0, c1, "A12.c1", y_norm * norm2(p), cap=COEFF_LIMIT)
@@ -472,9 +495,8 @@ class _A12State(SolverState):
         if self._accept(x2, r2, "prologue x/r update"):
             return
 
-        y1 = A.matvec_t(y)
-        y2 = A.matvec_t(y1)
-        y3 = A.matvec_t(y2)
+        for y_i in (y1, y2, y3):
+            check_finite(y_i, "matvec_t")
         self.rs = [r2, r1, r0]
         self.xs = [x2, x1, x0]
         self.ys = [y, y1, y2, y3]
@@ -491,7 +513,9 @@ class _A12State(SolverState):
         """
         r1, r2, r3 = self.rs  # r_{k-1}, r_{k-2}, r_{k-3}
         ykm3, ykm2, ykm1, yk = self.ys
-        y_new = self.A.matvec_t(yk)  # y_{k+1}
+        # y_{k+1}, and A r_{k-2}, which the update checks and uses.
+        q1, y_new = self.A.products(r2, yk)
+        check_finite(y_new, "matvec_t")
         a11 = dot(ykm2, r2)
         a21 = dot(ykm1, r2)
         a31 = dot(yk, r2)
@@ -521,16 +545,16 @@ class _A12State(SolverState):
         S = C + G
         Ak = self._div(1.0, S, "A12.Ak: C_k+G_k", max(1.0, abs(C), abs(G)),
                        eps=NORMALIZATION_EPS)
-        return y_new, F, B, G, C, Ak, (a11, a21, a31, s), y2_norm
+        return q1, y_new, F, B, G, C, Ak, (a11, a21, a31, s), y2_norm
 
-    def _update(self, y_new, F, B, G, C, Ak, a_carry, y2_norm):
+    def _update(self, q1, y_new, F, B, G, C, Ak, a_carry, y2_norm):
         r1, r2, r3 = self.rs
         # The coefficient table solves the orthogonality of
         # (x^2 + B x + C) P_{k-2} + (F x + G) P_{k-3}, so the products feed
         # on r_{k-2} and r_{k-3}; with them the recurrence terminates in n
         # exact steps and the x update matches r = b - A x identically.
         # A r_{k-3} is the previous step's A r_{k-2}.
-        q1 = self.A.matvec(r2)
+        check_finite(q1, "matvec")
         q2 = self.A.matvec(q1)
         q3 = self.Ar3
         r_next = Ak * (q2 + B * q1 + C * r2 + F * q3 + G * r3)
@@ -567,6 +591,9 @@ class _A5B10State(SolverState):
     def __init__(self, A, b, x0, y, cfg):
         super().__init__(A, b, x0, y, cfg)
         self.p = None
+        # A.T y, the next step's shadow vector, computed with the previous
+        # step's A p and not yet checked; None until a main step has run.
+        self.y_next: Optional[np.ndarray] = None
         self.C1 = 1.0
         self.A_prev = math.nan
         self._run_prologue()
@@ -583,7 +610,8 @@ class _A5B10State(SolverState):
         self._accept(x1, r1, "prologue x/r update")
 
     def _prepare(self):
-        y_k = self.A.matvec_t(self.y)
+        y_k = (self.A.matvec_t(self.y) if self.y_next is None
+               else check_finite(self.y_next, "matvec_t"))
         num = dot(y_k, self.r)
         yp = dot(y_k, self.p)
         den_D = self.C1 * yp
@@ -591,17 +619,18 @@ class _A5B10State(SolverState):
         D = -self._div(num, den_D, "A5B10.D: C1*(y_k,p_{k-1})",
                        abs(self.C1) * y_norm * norm2(self.p))
         p_k = self.r + (D * self.C1) * self.p
-        Ap = self.A.matvec(p_k)
+        Ap, y_next = self.A.products(p_k, y_k)
+        check_finite(Ap, "matvec")
         A_next = -self._div(num, dot(y_k, Ap), "A5B10.A: (y_k,Ap_k)",
                             y_norm * norm2(Ap))
         # The update closes with the C1 guard on A_k.
         self._ledger.append(("A5B10.C1: A_k", self.A_prev))
-        return y_k, p_k, Ap, A_next
+        return y_k, p_k, Ap, y_next, A_next
 
-    def _update(self, y_k, p_k, Ap, A_next):
+    def _update(self, y_k, p_k, Ap, y_next, A_next):
         r_next = self.r + A_next * Ap
         x_next = self.x - A_next * p_k
-        self.y = y_k
+        self.y, self.y_next = y_k, y_next
         self.p = p_k
         if self._accept(x_next, r_next):
             return
@@ -627,21 +656,23 @@ class _A8B10State(SolverState):
         self.yr: Optional[float] = None
 
     def _prepare(self):
-        Az = self.A.matvec(self.z)
+        # A.T y_k is checked only once the update has installed x and r.
+        Az, y_next = self.A.products(self.z, self.y)
+        check_finite(Az, "matvec")
         num = dot(self.y, self.r) if self.yr is None else self.yr
         den = dot(self.y, Az)
         den_scale = norm2(self.y) * norm2(Az)
         A_next = -self._div(num, den, "A8B10.A: (y_k,Az_k)", den_scale)
         # The update closes with the C1 guard on A_{k+1}.
         self._ledger.append(("A8B10.C1: A_{k+1}", A_next))
-        return Az, den, den_scale, A_next
+        return Az, y_next, den, den_scale, A_next
 
-    def _update(self, Az, den, den_scale, A_next):
+    def _update(self, Az, y_next, den, den_scale, A_next):
         r_next = self.r + A_next * Az
         x_next = self.x - A_next * self.z
         if self._accept(x_next, r_next):
             return
-        y_next = self.A.matvec_t(self.y)
+        check_finite(y_next, "matvec_t")
         C1 = self._div(1.0, A_next, "A8B10.C1: A_{k+1}", 1.0)
         yr_next = dot(y_next, r_next)
         B1 = -self._div(C1 * yr_next, den, "A8B10.B1: (y_k,Az_k)", den_scale)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from lanswitch import linalg
@@ -264,13 +265,30 @@ def _signed_zero_vectors(n):
     yield np.where(rng.random(n) < 0.5, -0.0, 1e-300)
 
 
+def _band_table(dense, offsets):
+    # The padded band table the module docstring describes, built from the
+    # dense matrix and its stored offsets: per offset o of A or A.T, A's
+    # diagonal o from row max(0, -o), then after a gap of twice the largest
+    # offset A.T's diagonal o.
+    n = dense.shape[0]
+    union = sorted(set(offsets) | {-o for o in offsets})
+    gap = max(union, default=0)
+    table = np.zeros((len(union), 2 * n + 2 * gap))
+    for k, o in enumerate(union):
+        i0 = max(0, -o)
+        for half, M in ((0, dense), (n + 2 * gap, dense.T)):
+            diagonal = np.diagonal(M, o)
+            table[k, half + i0:half + i0 + diagonal.size] = diagonal
+    return table
+
+
 class TestDiagonalStorage:
     @pytest.mark.parametrize("n", [300, 1000, 2000])
     @pytest.mark.parametrize("delta", [0.0, 0.2, 5.0, 8.0])
     def test_dia_products_bitwise_equal_bincount(self, monkeypatch, n, delta):
         A = _banded(monkeypatch, lambda: gen_baheux(BaheuxSpec(n=n, delta=delta)).A)
         assert A._bands is not None
-        assert [band[1].start - band[0].start for band in A._bands] == [-10, -1, 0, 1, 10]
+        assert [start - A._bands.gap for _, start in A._bands.own] == [-10, -1, 0, 1, 10]
         for v in _signed_zero_vectors(n):
             for got, ref in ((A.matvec(v), _bincount_matvec(A, v)),
                              (A.matvec_t(v), _bincount_matvec_t(A, v))):
@@ -340,10 +358,12 @@ class TestDiagonalStorage:
 
     def test_dia_arrays_read_only(self, monkeypatch):
         A = _banded(monkeypatch, lambda: gen_baheux(BaheuxSpec(n=300, delta=5.0)).A)
-        for _, _, band in A._bands:
-            assert not band.flags.writeable
+        bands = A._bands
+        for arr in (bands.table, bands.pad) + tuple(
+                band for band, _ in bands.own + bands.transposed + bands.pair):
+            assert not arr.flags.writeable
             with pytest.raises(ValueError):
-                band[0] = 1.0
+                arr[0] = 1.0
         assert A._rows_of_nnz is None
         assert_allclose(A.to_dense().sum(axis=1), A.matvec(np.ones(300)), rtol=0, atol=0)
         assert not A._rows_of_nnz.flags.writeable
@@ -407,12 +427,21 @@ class TestBandDetection:
         A, dense = _csr(n, _band_rows(n, offsets, empty_rows))
         assert A._bands is not None
         present = sorted(set((A.indices - np.repeat(np.arange(n), np.diff(A.indptr))).tolist()))
-        assert [c.start - r.start for r, c, _ in A._bands] == present
-        # The bands hold the matrix's diagonals, padded with +0.0 where no
-        # entry is stored; bytes compare sign bits too.
+        bands = A._bands
+        union = sorted(set(present) | {-o for o in present})
+        for terms in (bands.own, bands.transposed, bands.pair):
+            assert [start - bands.gap for _, start in terms] == union
+        # The table holds the matrix's diagonals and the transpose's, padded
+        # with +0.0 where no entry is stored, and every band is a view of it;
+        # bytes compare sign bits too.
         assert A.to_dense().tobytes() == dense.tobytes()
-        for rows, cols, band in A._bands:
-            assert band.tobytes() == np.diagonal(dense, cols.start - rows.start).tobytes()
+        table = _band_table(dense, present)
+        assert table.tobytes() == bands.table.tobytes()
+        halves = (slice(0, n), slice(n + 2 * bands.gap, None), slice(None))
+        for terms, half in zip((bands.own, bands.transposed, bands.pair), halves):
+            for band, start in terms:
+                assert band.base is bands.table
+                assert band.tobytes() == table[union.index(start - bands.gap), half].tobytes()
         for v in _signed_zero_vectors(n):
             assert A.matvec(v).tobytes() == _bincount_matvec(A, v).tobytes()
             assert A.matvec_t(v).tobytes() == _bincount_matvec_t(A, v).tobytes()
@@ -447,6 +476,110 @@ class TestBandDetection:
                 with pytest.raises(NonFiniteError):
                     product(np.full(n, 1e100))
             _only_overflow_or_invalid(caught)
+
+
+def _operand(kind, n, seed):
+    # A vector of one of the kinds _signed_zero_vectors yields.
+    rng = np.random.default_rng(seed)
+    if kind == "mixed":
+        v = rng.standard_normal(n)
+        v[rng.random(n) < 0.3] = 0.0
+        v[rng.random(n) < 0.3] = -0.0
+        return v
+    if kind == "cancelling":
+        return np.where(rng.random(n) < 0.5, -0.0, 1e-300)
+    return np.full(n, {"zeros": 0.0, "negative-zeros": -0.0}[kind])
+
+
+OPERAND_KINDS = ("mixed", "zeros", "negative-zeros", "cancelling")
+
+
+def _assert_pair_equals_products(A, v, w):
+    Av, ATw = A.products(v, w)
+    # Bytes compare every bit, sign bits of zeros included.
+    assert Av.tobytes() == A.matvec(v).tobytes()
+    assert ATw.tobytes() == A.matvec_t(w).tobytes()
+
+
+class TestProducts:
+    N = linalg.DIA_MIN_N
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_halves_equal_matvec_and_matvec_t(self, data):
+        n = data.draw(st.sampled_from([1, 2, 7, 40, self.N - 1, self.N, self.N + 37]), "n")
+        offsets = data.draw(st.sets(st.integers(-(n - 1), n - 1),
+                                    max_size=linalg.DIA_MAX_OFFSETS + 1), "offsets")
+        empty = data.draw(st.sets(st.integers(0, n - 1), max_size=3), "empty rows")
+        seed = data.draw(st.integers(0, 2**32 - 1), "seed")
+        A, _ = _csr(n, _band_rows(n, offsets, empty), seed)
+        stored = set((A.indices - np.repeat(np.arange(n), np.diff(A.indptr))).tolist())
+        assert (A._bands is not None) == (n >= self.N and len(stored) <= linalg.DIA_MAX_OFFSETS)
+        v = _operand(data.draw(st.sampled_from(OPERAND_KINDS), "v"), n, seed + 1)
+        w = _operand(data.draw(st.sampled_from(OPERAND_KINDS), "w"), n, seed + 2)
+        _assert_pair_equals_products(A, v, w)
+
+    @pytest.mark.parametrize("n", [N - 1, N])
+    @pytest.mark.parametrize("offsets", [(0, 1, 3), (-7, 2), (1,), (), (-10, -1, 0, 1, 10),
+                                         (-3, -2, -1, 0, 1, 2)],
+                             ids=["upper", "skew", "shift", "no-bands", "baheux-like",
+                                  "too-many-offsets"])
+    def test_each_path(self, n, offsets):
+        # Offsets that are not symmetric give A and A.T different bands; with
+        # no stored entry both halves are +0.0. From DIA_MIN_N on the matrix
+        # runs on bands, unless it has too many offsets.
+        A, _ = _csr(n, _band_rows(n, offsets), seed=n)
+        banded = n >= self.N and len(offsets) <= linalg.DIA_MAX_OFFSETS
+        assert (A._bands is not None) == banded
+        for kind_v in OPERAND_KINDS:
+            for kind_w in OPERAND_KINDS:
+                _assert_pair_equals_products(A, _operand(kind_v, n, 1), _operand(kind_w, n, 2))
+        if not offsets:
+            Av, ATw = A.products(np.ones(n), np.ones(n))
+            assert Av.tobytes() == ATw.tobytes() == np.zeros(n).tobytes()
+
+    @pytest.mark.parametrize("n", [60, N])
+    def test_paper_family(self, n):
+        A = gen_baheux(BaheuxSpec(n=n, delta=5.0)).A
+        assert (A._bands is not None) == (n >= self.N)
+        _assert_pair_equals_products(A, _operand("mixed", n, 3), _operand("mixed", n, 4))
+
+    @pytest.mark.parametrize("n", [60, N])
+    def test_halves_do_not_read_the_other_operand(self, n):
+        # A non-finite entry in one operand leaves the other half as it is.
+        A = gen_baheux(BaheuxSpec(n=n, delta=0.2)).A
+        v, w = _operand("mixed", n, 5), _operand("mixed", n, 6)
+        bad = np.ones(n)
+        bad[n // 2] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert A.products(v, bad)[0].tobytes() == A.matvec(v).tobytes()
+            assert A.products(bad, w)[1].tobytes() == A.matvec_t(w).tobytes()
+            assert not np.isfinite(A.products(v, bad)[1]).all()
+
+    def test_no_check_of_its_own(self):
+        # An overflowing half comes back as it is, for the caller to check.
+        M = SparseMatrix.from_dense(np.full((2, 2), 1e308))
+        with np.errstate(over="ignore"):
+            Av, ATw = M.products(np.full(2, 1e100), np.full(2, 1e-10))
+        assert np.isinf(Av).all() and np.isfinite(ATw).all()
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError,
+                                                        match="non-finite result in matvec"):
+            linalg.check_finite(Av, "matvec")
+        assert linalg.check_finite(ATw, "matvec_t") is ATw
+
+    def test_non_square_raises(self):
+        i = np.arange(4)
+        M = SparseMatrix.from_coo(4, 5, i, i + 1, np.ones(4))
+        with pytest.raises(DimensionError):
+            M.products(np.ones(5), np.ones(4))
+        with pytest.raises(DimensionError):
+            M.products(np.ones(4), np.ones(4))
+
+    def test_length_mismatch_raises(self):
+        A = SparseMatrix.identity(3)
+        for v, w in ((np.ones(2), np.ones(3)), (np.ones(3), np.ones(4))):
+            with pytest.raises(DimensionError):
+                A.products(v, w)
 
 
 class TestAllFinite:

@@ -59,6 +59,15 @@ class TestBaheuxGenerator:
         assert inst.b[0] == 2.0  # corner row: 4 - 1 - 1
         assert_allclose(inst.b, inst.A.to_dense().sum(axis=1))
 
+    @pytest.mark.parametrize("n", [10, 200, 290, 300, 1000, 2000])
+    @pytest.mark.parametrize("delta", [0.0, 0.2, 5.0, 8.0, 1.0, -1.0, 1e-300, -0.0])
+    def test_rhs_is_the_product_bitwise(self, n, delta):
+        # b is summed directly from the stored values, and matches A x_true
+        # bit for bit on the bincount path and on bands.
+        inst = gen_baheux(BaheuxSpec(n=n, delta=delta))
+        assert inst.b.tobytes() == inst.A.matvec(inst.x_true).tobytes()
+        assert not inst.b.flags.writeable
+
     def test_solution_is_ones(self):
         inst = gen_baheux(BaheuxSpec(n=40, delta=5.0))
         assert_allclose(inst.x_true, np.ones(40))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from lanswitch import solvers
-from lanswitch.linalg import SparseMatrix, dot, norm2
+from lanswitch.linalg import NonFiniteError, SparseMatrix, dot, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, denominator_report, init
 from random_systems import random_system
@@ -38,12 +38,13 @@ def systems():
 SYSTEMS = list(systems())
 
 
-def assert_carry_coherent(st):
+def assert_carry_coherent(st, y_prev):
+    # y_prev: the shadow vector of the state's previous step.
     A = st.A
     assert st.r_norm == st.residual_norm() == norm2(st.r)
     if st.algo is AlgoId.A4 and st.k > 0:
-        assert st.yr_prev == dot(st.y_prev, st.r_prev)
-        assert st.yr_prev_scale == norm2(st.y_prev) * norm2(st.r_prev)
+        assert st.yr_prev == dot(y_prev, st.r_prev)
+        assert st.yr_prev_scale == norm2(y_prev) * norm2(st.r_prev)
     elif st.algo is AlgoId.A12:
         r1, r2, r3 = st.rs
         ykm3, ykm2, ykm1, yk = st.ys
@@ -52,6 +53,9 @@ def assert_carry_coherent(st):
         assert st.y3_norm == norm2(ykm3)
         if st.a_carry is not None:
             assert st.a_carry == (dot(ykm3, r3), dot(ykm2, r3), dot(ykm1, r3), dot(yk, r3))
+    elif st.algo is AlgoId.A5B10 and st.y_next is not None:
+        # The look-ahead the next step's y_k comes from.
+        assert st.y_next.tobytes() == A.matvec_t(st.y).tobytes()
     elif st.algo is AlgoId.A8B10 and st.yr is not None:
         assert st.yr == dot(st.y, st.r)
 
@@ -61,31 +65,37 @@ def assert_carry_coherent(st):
 def test_carried_values_match_recomputation(algo, name, A, b):
     st = init(algo, A, b, np.zeros(A.nrows), b, CFG)
     live = 0
+    y_prev = None
     while st.outcome.kind is OutcomeKind.CONTINUE and live < STEPS:
-        assert_carry_coherent(st)
+        assert_carry_coherent(st, y_prev)
+        y_prev = st.y
         st.step()
         live += 1
     if st.outcome.kind is OutcomeKind.CONTINUE:
-        assert_carry_coherent(st)
+        assert_carry_coherent(st, y_prev)
     assert live > 0
 
 
-# Kernel calls of one main-loop step that continues, (matvec, matvec_t, dot,
-# norm2): for a step with carried scalars, and for the first step of a
-# state, which has none yet.
+# Kernel calls of one main-loop step that continues, (matvec, matvec_t,
+# products, dot, norm2): for a step with carried values, and for the first
+# step of a state, which has none yet. Every step pairs its A v with its
+# A.T w in one products call; only A5/B10's first step, which has no
+# look-ahead A.T y yet, calls matvec_t. ||r|| comes from the update's own
+# finiteness test, not from norm2.
 STEP_WORK = {
-    AlgoId.A4: ((1, 1, 3, 2), (1, 1, 2, 2)),
-    AlgoId.A12: ((2, 1, 4, 2), (2, 1, 8, 2)),
-    AlgoId.A5B10: ((1, 1, 3, 4), (1, 1, 3, 4)),
-    AlgoId.A8B10: ((1, 1, 2, 3), (1, 1, 3, 3)),
+    AlgoId.A4: ((0, 0, 1, 3, 1), (0, 0, 1, 2, 1)),
+    AlgoId.A12: ((1, 0, 1, 4, 1), (1, 0, 1, 8, 1)),
+    AlgoId.A5B10: ((0, 0, 1, 3, 3), (0, 1, 1, 3, 3)),
+    AlgoId.A8B10: ((0, 0, 1, 2, 2), (0, 0, 1, 3, 2)),
 }
 
 
 class _Counter:
     def __init__(self, monkeypatch):
-        self.calls = {"matvec": 0, "matvec_t": 0, "dot": 0, "norm2": 0}
+        self.calls = {"matvec": 0, "matvec_t": 0, "products": 0, "dot": 0, "norm2": 0}
         for owner, name in ((SparseMatrix, "matvec"), (SparseMatrix, "matvec_t"),
-                            (solvers, "dot"), (solvers, "norm2")):
+                            (SparseMatrix, "products"), (solvers, "dot"),
+                            (solvers, "norm2")):
             monkeypatch.setattr(owner, name, self._wrap(name, getattr(owner, name)))
 
     def _wrap(self, name, fn):
@@ -129,7 +139,7 @@ def test_report_then_step_does_the_work_of_step(monkeypatch, algo, name, A, b):
         report = denominator_report(st)
         prepared = counter.take()
         assert denominator_report(st) == report
-        assert counter.take() == (0, 0, 0, 0)
+        assert counter.take() == (0, 0, 0, 0, 0)
         if st.step().kind is OutcomeKind.CONTINUE:
             done = counter.take()
             work = tuple(p + d for p, d in zip(prepared, done))
@@ -188,3 +198,48 @@ def test_report_never_raises_on_overflow(algo):
     assert outcome.kind is OutcomeKind.BREAKDOWN
     assert outcome.label == label and math.isnan(outcome.value)
     assert st.steps_taken == OVERFLOW_STEPS[algo]
+
+
+@pytest.mark.parametrize("algo", [AlgoId.A4, AlgoId.A8B10])
+def test_shadow_overflow_ends_after_the_update(algo):
+    # Column 2 holds two entries near the largest double, and r_0 = b is 0
+    # in row 2: A r_0 and the first update are finite, but A.T y_0 overflows
+    # in entry 2. The step installs x and r first, then breaks down on the
+    # shadow product; its half of the paired product is checked only there.
+    A = SparseMatrix.from_dense([[1.0, 0.0, 1e308], [0.0, 2.0, 1e308], [0.0, 0.0, 3.0]])
+    b = np.array([1.0, 1.0, 0.0])
+    st = init(algo, A, b, np.zeros(3), b, CFG)
+    report = denominator_report(st)
+    assert "nonfinite" not in report[-1][0]
+    outcome = st.step()
+    assert outcome.kind is OutcomeKind.BREAKDOWN
+    assert outcome.label == f"{algo}.nonfinite: non-finite result in matvec_t"
+    assert math.isnan(outcome.value)
+    assert st.k == 1 and st.steps_taken == 1
+    # The update was installed: x_1 = (2/3, 2/3, 0) and r_1 = (1/3, -1/3, 0).
+    assert np.allclose(st.x, [2 / 3, 2 / 3, 0.0], rtol=1e-15, atol=0)
+    assert np.allclose(st.r, [1 / 3, -1 / 3, 0.0], rtol=1e-15, atol=0)
+    assert st.r_norm == norm2(st.r)
+
+
+def test_update_check_reuses_the_residual_dot():
+    # One (r, r) both checks r and gives ||r||. A non-finite x or r still
+    # fails the update before anything is installed; a finite r whose (r, r)
+    # overflows is installed, and its norm then fails as norm2.
+    A, b = SYSTEMS[0][1], SYSTEMS[0][2]
+    st = init(AlgoId.A4, A, b, np.zeros(A.nrows), b, CFG)
+    x, r, k = st.x, st.r, st.k
+    finite = np.ones(A.nrows)
+    for bad in (np.inf, -np.inf, np.nan):
+        broken = finite.copy()
+        broken[3] = bad
+        for x_next, r_next in ((broken, finite), (finite, broken)):
+            with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as err:
+                st._accept(x_next, r_next)
+            assert str(err.value) == "x/r update"
+            assert st.x is x and st.r is r and st.k == k
+    huge = np.full(A.nrows, 1e200)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
+        st._accept(finite, huge)
+    assert str(err.value) == "non-finite result in norm2"
+    assert st.x is finite and st.r is huge and st.k == k + 1
