@@ -104,21 +104,18 @@ def load_problem(problem: Union[BaheuxSpec, str]) -> ProblemInstance:
     return read_matrix_market(problem)
 
 
-def _solo_record(inst: ProblemInstance, algo: AlgoId, cfg: SolverConfig,
-                 budget: int) -> RunRecord:
+def _solo_record(inst: ProblemInstance, algo: AlgoId, cfg: SolverConfig) -> RunRecord:
     state = init(algo, inst.A, inst.b, np.zeros(inst.A.nrows), inst.b, cfg)
-    iters = state.iters_used
-    outcome = state.outcome
-    if not outcome.is_terminal:
-        outcome, used = run(state, max(1, budget - iters))
-        iters += used
+    # The state stops itself once it has used cfg.max_iters iterations: the
+    # step after the last one reports IterLimit.
+    outcome, _ = run(state, cfg.max_iters + 1)
     return RunRecord(
         n=inst.A.nrows,
         delta=math.nan,
         combo=f"{algo.value}/solo",
         outcome=outcome.kind.value,
         residual=state.residual_norm(),
-        iterations=iters,
+        iterations=state.iters_used,
         switches=0,
         restarts=0,
         seconds=math.nan,
@@ -135,7 +132,7 @@ def run_cell(inst: ProblemInstance, combo: Combo, cfg: ExperimentConfig,
     solver_cfg = SolverConfig(tol=cfg.tol, max_iters=budget)
     if solo:
         t0 = time.perf_counter()
-        record = _solo_record(inst, combo, solver_cfg, budget)
+        record = _solo_record(inst, combo, solver_cfg)
         return record, time.perf_counter() - t0
 
     policy = SelectionPolicy(pool=combo.pool,

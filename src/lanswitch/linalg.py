@@ -36,31 +36,6 @@ The constructor builds the table in O(nnz + n), without a sort: marking
 offset to row places every entry in A's halves, and A.T's band at offset
 -o is A's band at offset o, copied shifted by o.
 
-Microseconds per pair of products (A v, A.T w), finite checks included,
-for the Baheux family (5 offsets) on a 2-core shared x86-64 host: the
-fastest of 15 interleaved batches in each of ten runs, and the median of
-the ten. "two" is ``matvec`` plus ``matvec_t``; "pair" is one ``products``
-call and the caller's two checks:
-
-    n                 20   100   200   250   300   350   400   500   600   800  1000  2000  4000
-    bincount, two    8.2  11.9  17.6  19.3  23.1  25.1  27.7  29.9  33.8  43.1  50.4  97.1 140.6
-    bincount, pair   8.9  12.1  17.6  19.5  23.0  25.3  27.0  29.6  33.7  43.1  50.0  91.6 137.8
-    bands, two      25.4  24.3  27.8  28.8  30.1  29.3  31.0  30.8  33.7  37.1  38.5  50.6  52.9
-    bands, pair     15.8  16.4  18.0  19.3  20.5  21.0  21.4  22.5  22.9  23.4  25.5  41.3  49.8
-
-On bands one ``products`` call costs 0.6-0.75 of two calls up to n = 1000,
-and 0.83 and 0.94 of them at n = 2000 and 4000. Without bands it runs the
-same two bincounts and saves nothing. A pair on bands beat two bincounts
-in every run from n = 300 on, but lone products on bands beat bincount in
-every run only from n = 800 (in 1 of 10 at n = 400, 5 of 10 at n = 600),
-and a solve still makes some: its initial residual, and A12's A q2 in
-every step. So DIA_MIN_N stays 400: a step of A12 at n = 400 costs less on
-bands, and the paper grid has no n between 200 and 400. Building the table
-costs about 50-90 us per matrix at n = 400-1000, once, in the constructor,
-10-15 us more than one array per offset did. The table holds every band
-twice, once for A and once for A.T, so a banded Baheux matrix with its CSR
-arrays takes about 165 n bytes where it took 125 n.
-
 The kernels other than ``products`` raise NonFiniteError on overflow. None
 of them silences numpy's over/invalid warnings: the public functions of
 ``lanswitch.solvers`` and ``run_switching`` enter one ``np.errstate`` (per
@@ -127,7 +102,7 @@ def as_vector(data) -> np.ndarray:
 
 # A square matrix with at least this many rows computes its products from
 # diagonal bands, if it has at most DIA_MAX_OFFSETS distinct offsets: the
-# measured crossover (see the module docstring).
+# measured crossover (see "Sparse storage" in the README).
 DIA_MIN_N = 400
 DIA_MAX_OFFSETS = 5
 

@@ -39,7 +39,6 @@ installed x and r.
 
 from __future__ import annotations
 
-import contextvars
 import enum
 import math
 from dataclasses import dataclass
@@ -135,14 +134,6 @@ class SolverStateError(RuntimeError):
     """step() was called on a state whose outcome is already terminal."""
 
 
-# (x0, b - A x0, ||b - A x0||) while a caller of init that has already
-# computed the residual at x0 (a switching handoff) initializes a state
-# there; SolverState.__init__ takes it instead of recomputing it. This keeps
-# init's signature the same for its callers and for wrappers of it.
-_FRESH_RESIDUAL: contextvars.ContextVar = contextvars.ContextVar(
-    "lanswitch_fresh_residual", default=None)
-
-
 class _Breakdown(Exception):
     """Internal signal: a guarded denominator vanished."""
 
@@ -158,6 +149,8 @@ class SolverState:
     ``k`` counts x-updates performed so far; ``iters_used`` additionally
     charges a prologue one iteration per x-update, or ``PROLOGUE_CHARGE`` once
     it made all ``PROLOGUE_UPDATES``, so cycle accounting stays uniform.
+    Every algorithm starts the same way: the common fields, then ``_start``
+    sets the algorithm's carried values, then the prologue runs.
     """
 
     algo: AlgoId
@@ -167,7 +160,7 @@ class SolverState:
     PROLOGUE_UPDATES = 0
 
     def __init__(self, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
-                 y: np.ndarray, cfg: SolverConfig):
+                 y: np.ndarray, cfg: SolverConfig, residual=None):
         A.require_square()
         n = A.nrows
         if b.shape[0] != n or x0.shape[0] != n or y.shape[0] != n:
@@ -187,12 +180,11 @@ class SolverState:
         # which ends the state in a nonfinite breakdown. So it is read only
         # while the state is live; residual_norm() recomputes ||r||. No code
         # writes into r in place, so a residual handed in may be shared.
-        fresh = _FRESH_RESIDUAL.get()
-        if fresh is not None and fresh[0] is x0:
-            _, self.r, self.r_norm = fresh
-        else:
+        if residual is None:
             self.r = b - A.matvec(self.x)
             self.r_norm = norm2(self.r)
+        else:
+            self.r, self.r_norm = residual
         self.outcome = StepOutcome(OutcomeKind.CONVERGED if self.r_norm <= cfg.tol
                                    else OutcomeKind.CONTINUE)
         # The guards run so far, in order, as (label, denominator); and what
@@ -203,6 +195,14 @@ class SolverState:
         # True while run() holds the np.errstate of its chunk, so that step()
         # need not enter its own.
         self._quiet = False
+        self._start()
+        self._run_prologue()
+
+    def _start(self) -> None:
+        """Set the algorithm's carried values; r and ||r|| are already set."""
+
+    def _prologue(self) -> None:
+        """The updates before the main loop; A4 and A8/B10 have none."""
 
     # Subclasses split one main-loop iteration in two: _prepare computes the
     # next update's products, scalars and guarded divisions without changing
@@ -313,8 +313,13 @@ class SolverState:
 
 
 def init(algo: AlgoId, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
-         y: np.ndarray, cfg: SolverConfig) -> SolverState:
+         y: np.ndarray, cfg: SolverConfig, *,
+         residual: Optional[tuple[np.ndarray, float]] = None) -> SolverState:
     """Initialize a solver at x0 with a fresh residual r0 = b - A x0.
+
+    ``residual``, if given, is the pair (b - A x0, ||b - A x0||) a caller has
+    already computed (a switching handoff does); the state keeps that array
+    without copying, as it keeps ``b``.
 
     The returned state always exists and carries its initialization outcome:
     Continue for a live state, Converged when r0 (or a prologue residual)
@@ -322,9 +327,8 @@ def init(algo: AlgoId, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
     hits a vanished denominator. Prologue breakdowns are reported, never
     raised.
     """
-    cls = _STATE_CLASSES[algo]
     with np.errstate(over="ignore", invalid="ignore"):
-        return cls(A, b, x0, y, cfg)
+        return _STATE_CLASSES[algo](A, b, x0, y, cfg, residual)
 
 
 def run(state: SolverState, budget: int) -> tuple[StepOutcome, int]:
@@ -381,8 +385,7 @@ class _A4State(SolverState):
 
     algo = AlgoId.A4
 
-    def __init__(self, A, b, x0, y, cfg):
-        super().__init__(A, b, x0, y, cfg)
+    def _start(self):
         self.x_prev = None
         self.r_prev = None
         # (y_{k-1}, r_{k-1}) and its guard scale ||y_{k-1}|| ||r_{k-1}||:
@@ -443,8 +446,7 @@ class _A12State(SolverState):
     PROLOGUE_CHARGE = 3
     PROLOGUE_UPDATES = 2
 
-    def __init__(self, A, b, x0, y, cfg):
-        super().__init__(A, b, x0, y, cfg)
+    def _start(self):
         # rs[0] = current residual, rs[1] = previous, rs[2] = the one before;
         # same layout for xs and for the norms in r_norms. ys holds the last
         # four shadow vectors.
@@ -458,7 +460,6 @@ class _A12State(SolverState):
         self.Ar3: Optional[np.ndarray] = None
         self.a_carry: Optional[tuple[float, float, float, float]] = None
         self.y3_norm = math.nan
-        self._run_prologue()
 
     def _prologue(self):
         A, y = self.A, self.y
@@ -588,15 +589,13 @@ class _A5B10State(SolverState):
     PROLOGUE_CHARGE = 1
     PROLOGUE_UPDATES = 1
 
-    def __init__(self, A, b, x0, y, cfg):
-        super().__init__(A, b, x0, y, cfg)
+    def _start(self):
         self.p = None
         # A.T y, the next step's shadow vector, computed with the previous
         # step's A p and not yet checked; None until a main step has run.
         self.y_next: Optional[np.ndarray] = None
         self.C1 = 1.0
         self.A_prev = math.nan
-        self._run_prologue()
 
     def _prologue(self):
         r0 = self.r
@@ -649,8 +648,7 @@ class _A8B10State(SolverState):
 
     algo = AlgoId.A8B10
 
-    def __init__(self, A, b, x0, y, cfg):
-        super().__init__(A, b, x0, y, cfg)
+    def _start(self):
         self.z = np.array(self.r, copy=True)
         # (y_k, r_k): the previous step's (y_{k+1}, r_{k+1}); None at the start.
         self.yr: Optional[float] = None
@@ -684,10 +682,5 @@ class _A8B10State(SolverState):
         self.yr = yr_next
 
 
-_STATE_CLASSES = {
-    AlgoId.A4: _A4State,
-    AlgoId.A12: _A12State,
-    AlgoId.A5B10: _A5B10State,
-    AlgoId.A8B10: _A8B10State,
-}
+_STATE_CLASSES = {cls.algo: cls for cls in (_A4State, _A12State, _A5B10State, _A8B10State)}
 

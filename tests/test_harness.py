@@ -89,13 +89,17 @@ class TestRunExperiment:
         assert rec.combo == "A4/solo"
 
     def test_all_four_solo_records(self):
-        cfg = make_cfg(problem=BaheuxSpec(n=20, delta=0.0),
-                       algorithms=tuple(AlgoId))
-        records = run_experiment(cfg)
-        assert [r.combo for r in records] == [
-            "A4/solo", "A12/solo", "A5B10/solo", "A8B10/solo"]
-        for r in records:
-            assert r.outcome in ("Converged", "Breakdown", "IterLimit")
+        for n, budget in [(20, None), (100, 5)]:
+            cfg = make_cfg(problem=BaheuxSpec(n=n, delta=0.0),
+                           algorithms=tuple(AlgoId), budget=budget)
+            records = run_experiment(cfg)
+            assert [r.combo for r in records] == [
+                "A4/solo", "A12/solo", "A5B10/solo", "A8B10/solo"]
+            for r in records:
+                assert r.outcome in ("Converged", "Breakdown", "IterLimit")
+        # A run that spends its budget says so, however much of it the
+        # prologue charged.
+        assert [(r.outcome, r.iterations) for r in records] == [("IterLimit", 5)] * 4
 
     def test_batch_determinism(self):
         cfg = make_cfg(problem=BaheuxSpec(n=60, delta=5.0),

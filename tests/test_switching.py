@@ -199,9 +199,9 @@ class TestRunSwitching:
         # incoming prologue (A5B10 takes a step in init).
         calls = []
 
-        def recording_init(algo, A, b, x, y, cfg):
+        def recording_init(algo, A, b, x, y, cfg, **kwargs):
             calls.append((np.array(x, copy=True), y))
-            return init(algo, A, b, x, y, cfg)
+            return init(algo, A, b, x, y, cfg, **kwargs)
 
         monkeypatch.setattr(switching, "init", recording_init)
         inst = gen_baheux(BaheuxSpec(n=200, delta=5.0))
@@ -253,7 +253,15 @@ class TestRunSwitching:
         assert st.algo is algo and st.k == plain.k
         assert st.r.tobytes() == plain.r.tobytes() and st.r_norm == plain.r_norm
         assert st.x.tobytes() == plain.x.tobytes()
-        assert solvers._FRESH_RESIDUAL.get() is None
+        # init itself takes a precomputed residual and starts the same state.
+        r = b - A.matvec(x)
+        given = init(algo, A, b, x, y, plan.cfg, residual=(r, norm2(r)))
+        # Without a prologue the state keeps the array it was handed.
+        assert (given.r is r) == (given.k == 0)
+        for name in ("x", "r", "y"):
+            assert getattr(given, name).tobytes() == getattr(plain, name).tobytes()
+        assert (given.k, given.r_norm, given.iters_used, given.outcome) == (
+            plain.k, plain.r_norm, plain.iters_used, plain.outcome)
 
     def test_restart_iff_same_algorithm(self):
         inst = gen_baheux(BaheuxSpec(n=100, delta=0.0))
@@ -323,9 +331,9 @@ class TestRunSwitching:
         handoffs = [[0, np.zeros(9), A12, [], None]]
         live = {"iters": 0, "state": None}
 
-        def recording_init(algo, *args):
+        def recording_init(algo, *args, **kwargs):
             handoffs[-1][3].append(algo)
-            state = init(algo, *args)
+            state = init(algo, *args, **kwargs)
             if state.outcome.kind is OutcomeKind.BREAKDOWN:
                 broke.add((algo, state.x.tobytes()))
                 if state.k == 0:
