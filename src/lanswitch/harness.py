@@ -17,7 +17,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .problems import BaheuxSpec, ProblemInstance, gen_baheux, read_matrix_market
-from .solvers import AlgoId, SolverConfig, init, run
+from .linalg import NonFiniteError
+from .solvers import AlgoId, OutcomeKind, SolverConfig, init, run
 from .switching import (
     ST1,
     CoinToss,
@@ -105,21 +106,30 @@ def load_problem(problem: Union[BaheuxSpec, str]) -> ProblemInstance:
 
 
 def _solo_record(inst: ProblemInstance, algo: AlgoId, cfg: SolverConfig) -> RunRecord:
-    state = init(algo, inst.A, inst.b, np.zeros(inst.A.nrows), inst.b, cfg)
-    # The state stops itself once it has used cfg.max_iters iterations: the
-    # step after the last one reports IterLimit.
-    outcome, _ = run(state, cfg.max_iters + 1)
+    x = np.zeros(inst.A.nrows)
+    residual, iterations = math.inf, 0
+    try:
+        state = init(algo, inst.A, inst.b, x, inst.b, cfg)
+        # The state stops itself once it has used cfg.max_iters iterations:
+        # the step after the last one reports IterLimit.
+        outcome = run(state, cfg.max_iters + 1)[0].kind
+        x, iterations = state.x, state.iters_used
+        residual = state.residual_norm()
+    except NonFiniteError:
+        # b - A x0 or the final residual's norm overflowed: the run broke
+        # down, and its residual reads inf, as a switching run's does.
+        outcome = OutcomeKind.BREAKDOWN
     return RunRecord(
         n=inst.A.nrows,
         delta=math.nan,
         combo=f"{algo.value}/solo",
-        outcome=outcome.kind.value,
-        residual=state.residual_norm(),
-        iterations=state.iters_used,
+        outcome=outcome.value,
+        residual=residual,
+        iterations=iterations,
         switches=0,
         restarts=0,
         seconds=math.nan,
-        x=np.array(state.x, copy=True),
+        x=np.array(x, copy=True),
     )
 
 

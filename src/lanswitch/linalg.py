@@ -1,8 +1,9 @@
 """Dense vectors and CSR sparse matrices with the kernels the recurrences need.
 
-Vectors are one-dimensional float64 numpy arrays, frozen (read-only) at
-construction. All kernels are pure functions and safe to call from
-concurrent runs on shared, read-only operands.
+Vectors are one-dimensional float64 numpy arrays; ``as_vector`` validates
+one and freezes it (read-only), while the solvers' iterates are ordinary
+arrays that no code writes into in place. All kernels are pure functions
+and safe to call from concurrent runs on shared, read-only operands.
 
 Storage rule. Every matrix keeps its CSR arrays. A square matrix with at
 least ``DIA_MIN_N`` rows, at most ``DIA_MAX_OFFSETS`` distinct offsets
@@ -47,7 +48,7 @@ from a DIA band's padded 0 times an infinite operand entry, its
 non-finite operand may raise NonFiniteError where the bincount path would
 return a finite result (an infinite entry whose column stores nothing).
 Inside the library every operand of a product is a finite-checked vector,
-except the shadow vectors that A12's prologue multiplies before it checks
+except the shadow vectors that A12's start multiplies before it checks
 them; the A.T halves they yield are used only after those checks.
 """
 

@@ -28,13 +28,15 @@ Values a later step needs again, such as A4's (y_{k-1}, r_{k-1}) and every
 Each main step makes its A v and its A.T w (the shadow chain's next vector)
 in one ``SparseMatrix.products`` pass: A4 pairs A r_k with A.T y_k, A12
 A r_{k-2} with A.T y_k, A5/B10 A p_k with A.T y_k, which the next step
-uses, and A8/B10 A z_k with A.T y_k. A12's prologue makes three such
-passes; A5/B10's prologue and its first step, which has no A.T y carried
-yet, use ``matvec`` and ``matvec_t``. The halves come back unchecked, and
-each is checked where a lone product would have been, so an overflow ends
-the step with the same label, ``k`` and ``x`` as two checked products
-would: a shadow product that overflows is found only after the update
-installed x and r.
+uses, and A8/B10 A z_k with A.T y_k. A12's start makes three such
+passes; A5/B10's start makes its A r_0 with ``matvec`` and, after its
+update, the first step's A.T y_0 with ``matvec_t``. Each start computes
+every value its first step reads, so a first step does the work of a
+later one; only A4's differs, as the recurrence's base case. The halves
+come back unchecked, and each is checked where a lone product would have
+been, so an overflow ends the step with the same label, ``k`` and ``x`` as
+two checked products would: a shadow product that overflows is found only
+after the update installed x and r.
 """
 
 from __future__ import annotations
@@ -147,10 +149,12 @@ class SolverState:
     """Common state: system handles, iterate, residual, counters, outcome.
 
     ``k`` counts x-updates performed so far; ``iters_used`` additionally
-    charges a prologue one iteration per x-update, or ``PROLOGUE_CHARGE`` once
-    it made all ``PROLOGUE_UPDATES``, so cycle accounting stays uniform.
-    Every algorithm starts the same way: the common fields, then ``_start``
-    sets the algorithm's carried values, then the prologue runs.
+    charges a start one iteration per x-update, or ``PROLOGUE_CHARGE`` once
+    it made all ``PROLOGUE_UPDATES`` (its prologue), so cycle accounting
+    stays uniform. Every algorithm starts the same way: the common fields,
+    then, unless r0 already meets tol, the algorithm's ``_start``, which
+    runs its prologue and sets every value its first step reads. A
+    breakdown or overflow in ``_start`` is the state's outcome.
     """
 
     algo: AlgoId
@@ -165,7 +169,7 @@ class SolverState:
         n = A.nrows
         if b.shape[0] != n or x0.shape[0] != n or y.shape[0] != n:
             raise ValueError("dimension mismatch between matrix and vectors")
-        if norm2(y) == 0.0:
+        if not y.any():
             raise ValueError("shadow vector y must be nonzero")
         self.A = A
         self.b = b
@@ -173,7 +177,6 @@ class SolverState:
         self.cfg = cfg
         self.k = 0
         self.steps_taken = 0
-        self.prologue_charge = 0
         self.x = np.array(x0, dtype=np.float64, copy=True)
         # ||r||: every update of r recomputes it for its convergence test.
         # It goes stale only when that norm overflows after r was replaced,
@@ -195,19 +198,19 @@ class SolverState:
         # True while run() holds the np.errstate of its chunk, so that step()
         # need not enter its own.
         self._quiet = False
-        self._start()
-        self._run_prologue()
+        if not self.outcome.is_terminal:
+            try:
+                self._start()
+            except (_Breakdown, NonFiniteError) as err:
+                self.outcome = self._failure(err)
+        self.prologue_charge = (self.PROLOGUE_CHARGE if self.k == self.PROLOGUE_UPDATES
+                                else self.k)
 
-    def _start(self) -> None:
-        """Set the algorithm's carried values; r and ||r|| are already set."""
-
-    def _prologue(self) -> None:
-        """The updates before the main loop; A4 and A8/B10 have none."""
-
-    # Subclasses split one main-loop iteration in two: _prepare computes the
-    # next update's products, scalars and guarded divisions without changing
-    # the state, raising _Breakdown for a vanished denominator, and
-    # _update(*prepared) applies them, installing x and r with _accept.
+    # Subclasses define _start, and split one main-loop iteration in two:
+    # _prepare computes the next update's products, scalars and guarded
+    # divisions without changing the state, raising _Breakdown for a vanished
+    # denominator, and _update(*prepared) applies them, installing x and r
+    # with _accept.
 
     def _accept(self, x_next, r_next, what="x/r update") -> bool:
         """Install a finite x/r update; True, and Converged, once ||r|| meets tol."""
@@ -253,16 +256,6 @@ class SolverState:
                               math.nan)
         self._ledger.append((outcome.label, outcome.value))
         return outcome
-
-    def _run_prologue(self):
-        """Run the prologue unless r0 converged; a breakdown in it is the outcome."""
-        if not self.outcome.is_terminal:
-            try:
-                self._prologue()
-            except (_Breakdown, NonFiniteError) as err:
-                self.outcome = self._failure(err)
-        self.prologue_charge = (self.PROLOGUE_CHARGE if self.k == self.PROLOGUE_UPDATES
-                                else self.k)
 
     def _prepared(self):
         """The next update's preparation, made at most once."""
@@ -321,10 +314,11 @@ def init(algo: AlgoId, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
     already computed (a switching handoff does); the state keeps that array
     without copying, as it keeps ``b``.
 
-    The returned state always exists and carries its initialization outcome:
-    Continue for a live state, Converged when r0 (or a prologue residual)
-    already meets the tolerance, or Breakdown when the A12/A5B10 prologue
-    hits a vanished denominator. Prologue breakdowns are reported, never
+    Raises NonFiniteError when b - A x0 or its norm overflows. Otherwise the
+    returned state carries its initialization outcome: Continue for a live
+    state, Converged when r0 (or a prologue residual) already meets the
+    tolerance, or Breakdown when the algorithm's start hits a vanished
+    denominator or overflows. Breakdowns in the start are reported, never
     raised.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -447,21 +441,6 @@ class _A12State(SolverState):
     PROLOGUE_UPDATES = 2
 
     def _start(self):
-        # rs[0] = current residual, rs[1] = previous, rs[2] = the one before;
-        # same layout for xs and for the norms in r_norms. ys holds the last
-        # four shadow vectors.
-        self.rs: list[np.ndarray] = []
-        self.xs: list[np.ndarray] = []
-        self.ys: list[np.ndarray] = []
-        self.r_norms: list[float] = []
-        # Carried from the previous step for the next one: A r_{k-3}, the
-        # a_ij entries (a13, a23, a33, t) (None after the prologue) and
-        # ||y_{k-3}||.
-        self.Ar3: Optional[np.ndarray] = None
-        self.a_carry: Optional[tuple[float, float, float, float]] = None
-        self.y3_norm = math.nan
-
-    def _prologue(self):
         A, y = self.A, self.y
         r0, x0, r0_norm = self.r, self.x, self.r_norm
         # The shadow vectors y1..y3 come with the moment products and are
@@ -470,7 +449,7 @@ class _A12State(SolverState):
         check_finite(p, "matvec")
         p1, y2 = A.products(p, y1)
         check_finite(p1, "matvec")
-        c0 = dot(y, r0)
+        c0 = dot(y, r0)  # the first step's a13
         c1 = dot(y, p)
         c2 = dot(y, p1)
         p2, y3 = A.products(p1, y2)
@@ -498,19 +477,26 @@ class _A12State(SolverState):
 
         for y_i in (y1, y2, y3):
             check_finite(y_i, "matvec_t")
+        # rs[0] = current residual, rs[1] = previous, rs[2] = the one before;
+        # same layout for xs and for the norms in r_norms. ys holds the last
+        # four shadow vectors. Carried from each step into the next: A r_{k-3},
+        # the a_ij entries (a13, a23, a33, t) that pair the shadow vectors with
+        # r_{k-3}, and ||y_{k-3}||.
         self.rs = [r2, r1, r0]
         self.xs = [x2, x1, x0]
         self.ys = [y, y1, y2, y3]
         self.r_norms = [self.r_norm, r1_norm, r0_norm]
         self.Ar3 = p
+        self.a_carry = (c0, dot(y1, r0), dot(y2, r0), dot(y3, r0))
         self.y3_norm = y_norm
 
     def _prepare(self):
         """The a_ij table, s, t, and the chained coefficients for the next step.
 
         Entries that pair a shadow vector with r_{k-3} equal entries of the
-        previous step's table that paired it with that step's r_{k-2}, so
-        they come from ``a_carry``; so do ||y_{k-3}|| and ||r_{k-3}||.
+        previous step's table that paired it with that step's r_{k-2} (the
+        start's, for the first step), so they come from ``a_carry``; so do
+        ||y_{k-3}|| and ||r_{k-3}||.
         """
         r1, r2, r3 = self.rs  # r_{k-1}, r_{k-2}, r_{k-3}
         ykm3, ykm2, ykm1, yk = self.ys
@@ -521,11 +507,7 @@ class _A12State(SolverState):
         a21 = dot(ykm1, r2)
         a31 = dot(yk, r2)
         s = dot(y_new, r2)
-        if self.a_carry is None:
-            a13, a23, a33, t = (dot(ykm3, r3), dot(ykm2, r3), dot(ykm1, r3),
-                                dot(yk, r3))
-        else:
-            a13, a23, a33, t = self.a_carry
+        a13, a23, a33, t = self.a_carry
         a22 = a11
         a32 = a21
         a13_scale = self.y3_norm * self.r_norms[2]
@@ -590,14 +572,6 @@ class _A5B10State(SolverState):
     PROLOGUE_UPDATES = 1
 
     def _start(self):
-        self.p = None
-        # A.T y, the next step's shadow vector, computed with the previous
-        # step's A p and not yet checked; None until a main step has run.
-        self.y_next: Optional[np.ndarray] = None
-        self.C1 = 1.0
-        self.A_prev = math.nan
-
-    def _prologue(self):
         r0 = self.r
         Ar0 = self.A.matvec(r0)
         A1 = -self._div(dot(self.y, r0), dot(self.y, Ar0), "A5B10.A1: (y_0,Ar_0)",
@@ -605,12 +579,16 @@ class _A5B10State(SolverState):
         r1 = r0 + A1 * Ar0
         x1 = self.x - A1 * r0
         self.p = r0
+        self.C1 = 1.0
         self.A_prev = A1
-        self._accept(x1, r1, "prologue x/r update")
+        if self._accept(x1, r1, "prologue x/r update"):
+            return
+        # A.T y, the next step's shadow vector. A main step computes it with
+        # its A p and leaves it unchecked until the next step.
+        self.y_next = self.A.matvec_t(self.y)
 
     def _prepare(self):
-        y_k = (self.A.matvec_t(self.y) if self.y_next is None
-               else check_finite(self.y_next, "matvec_t"))
+        y_k = check_finite(self.y_next, "matvec_t")
         num = dot(y_k, self.r)
         yp = dot(y_k, self.p)
         den_D = self.C1 * yp
@@ -650,14 +628,14 @@ class _A8B10State(SolverState):
 
     def _start(self):
         self.z = np.array(self.r, copy=True)
-        # (y_k, r_k): the previous step's (y_{k+1}, r_{k+1}); None at the start.
-        self.yr: Optional[float] = None
+        # (y_k, r_k): the previous step's (y_{k+1}, r_{k+1}).
+        self.yr = dot(self.y, self.r)
 
     def _prepare(self):
         # A.T y_k is checked only once the update has installed x and r.
         Az, y_next = self.A.products(self.z, self.y)
         check_finite(Az, "matvec")
-        num = dot(self.y, self.r) if self.yr is None else self.yr
+        num = self.yr
         den = dot(self.y, Az)
         den_scale = norm2(self.y) * norm2(Az)
         A_next = -self._div(num, den, "A8B10.A: (y_k,Az_k)", den_scale)

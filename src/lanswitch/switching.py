@@ -352,7 +352,7 @@ def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
     ``A4+A12/ST2``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if norm2(y) == 0.0:
+        if not y.any():
             raise ValueError("shadow vector y must be nonzero")
         drv = _Driver(A, b, x0, y, plan)
         outcome_name = drv.drive()

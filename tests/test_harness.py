@@ -18,6 +18,7 @@ from lanswitch.harness import (
     emit_table,
     run_experiment,
 )
+from lanswitch.linalg import SparseMatrix
 from lanswitch.problems import BaheuxSpec, gen_baheux, write_matrix_market
 from lanswitch.solvers import AlgoId
 from lanswitch.switching import ST1, ST2, ST3, RunRecord
@@ -129,6 +130,17 @@ class TestRunExperiment:
         (rec,) = run_experiment(cfg)
         assert rec.outcome == "Converged"
         assert math.isnan(rec.delta)
+
+    def test_overflowing_residual_does_not_abort_the_batch(self, tmp_path):
+        # b = A 1 is finite, but ||b - A x0|| overflows: the solo row breaks
+        # down and the switching row is exhausted, both with residual inf.
+        path = tmp_path / "huge.mtx"
+        write_matrix_market(str(path), SparseMatrix.from_dense(np.diag([1e155, 2e155, 3e155])))
+        cfg = make_cfg(problem=str(path),
+                       algorithms=(AlgoId.A4, SwitchTemplate(ST2(20), (AlgoId.A4, AlgoId.A8B10))))
+        solo, switching = run_experiment(cfg)
+        assert (solo.outcome, solo.residual) == ("Breakdown", math.inf)
+        assert (switching.outcome, switching.residual) == ("Exhausted", math.inf)
 
     @pytest.mark.parametrize("number", sorted(PAPER_COMBOS))
     def test_paper_pairings_converge_on_200(self, number):
@@ -282,6 +294,17 @@ class TestCli:
         code = cli_main(["--problem", f"mm:{path}", "--switch", "st1",
                          "--pool", "a5b10,a8b10"])
         assert code == 0
+
+    @pytest.mark.parametrize("combo, row", [
+        (["--solo", "a4"], "A4/solo,Breakdown,inf"),
+        (["--switch", "st2", "--pool", "a4,a8b10"], "A4+A8B10/ST2,Exhausted,inf"),
+    ])
+    def test_overflowing_residual_exit_two(self, tmp_path, capsys, combo, row):
+        path = tmp_path / "huge.mtx"
+        write_matrix_market(str(path), SparseMatrix.from_dense(np.diag([1e155, 2e155, 3e155])))
+        assert cli_main(["--problem", f"mm:{path}"] + combo) == 2
+        header, line = capsys.readouterr().out.splitlines()
+        assert f",{row}," in line
 
     def test_missing_file_exit_one(self):
         assert cli_main(["--problem", "mm:/nonexistent/x.mtx", "--solo", "a4"]) == 1

@@ -51,12 +51,11 @@ def assert_carry_coherent(st, y_prev):
         assert st.Ar3.tobytes() == A.matvec(r3).tobytes()
         assert st.r_norms == [norm2(r1), norm2(r2), norm2(r3)]
         assert st.y3_norm == norm2(ykm3)
-        if st.a_carry is not None:
-            assert st.a_carry == (dot(ykm3, r3), dot(ykm2, r3), dot(ykm1, r3), dot(yk, r3))
-    elif st.algo is AlgoId.A5B10 and st.y_next is not None:
+        assert st.a_carry == (dot(ykm3, r3), dot(ykm2, r3), dot(ykm1, r3), dot(yk, r3))
+    elif st.algo is AlgoId.A5B10:
         # The look-ahead the next step's y_k comes from.
         assert st.y_next.tobytes() == A.matvec_t(st.y).tobytes()
-    elif st.algo is AlgoId.A8B10 and st.yr is not None:
+    elif st.algo is AlgoId.A8B10:
         assert st.yr == dot(st.y, st.r)
 
 
@@ -77,16 +76,17 @@ def test_carried_values_match_recomputation(algo, name, A, b):
 
 
 # Kernel calls of one main-loop step that continues, (matvec, matvec_t,
-# products, dot, norm2): for a step with carried values, and for the first
-# step of a state, which has none yet. Every step pairs its A v with its
-# A.T w in one products call; only A5/B10's first step, which has no
-# look-ahead A.T y yet, calls matvec_t. ||r|| comes from the update's own
-# finiteness test, not from norm2.
+# products, dot, norm2): for a later step, and for the first step of a
+# state. Every start computes the values its first step reads, so only A4,
+# whose first step is the recurrence's base case (no previous iterate),
+# does different work first. Every step pairs its A v with its A.T w in one
+# products call. ||r|| comes from the update's own finiteness test, not
+# from norm2.
 STEP_WORK = {
     AlgoId.A4: ((0, 0, 1, 3, 1), (0, 0, 1, 2, 1)),
-    AlgoId.A12: ((1, 0, 1, 4, 1), (1, 0, 1, 8, 1)),
-    AlgoId.A5B10: ((0, 0, 1, 3, 3), (0, 1, 1, 3, 3)),
-    AlgoId.A8B10: ((0, 0, 1, 2, 2), (0, 0, 1, 3, 2)),
+    AlgoId.A12: ((1, 0, 1, 4, 1), (1, 0, 1, 4, 1)),
+    AlgoId.A5B10: ((0, 0, 1, 3, 3), (0, 0, 1, 3, 3)),
+    AlgoId.A8B10: ((0, 0, 1, 2, 2), (0, 0, 1, 2, 2)),
 }
 
 
@@ -198,6 +198,20 @@ def test_report_never_raises_on_overflow(algo):
     assert outcome.kind is OutcomeKind.BREAKDOWN
     assert outcome.label == label and math.isnan(outcome.value)
     assert st.steps_taken == OVERFLOW_STEPS[algo]
+
+
+def test_a5b10_start_overflow_ends_in_the_start(monkeypatch):
+    # A5/B10's start makes the first step's A.T y_0 after its update: an
+    # overflow there ends the start with the update installed and charged.
+    def overflow(self, v):
+        raise NonFiniteError("non-finite result in matvec_t")
+
+    monkeypatch.setattr(SparseMatrix, "matvec_t", overflow)
+    inst = gen_baheux(BaheuxSpec(n=20, delta=0.2))
+    st = init(AlgoId.A5B10, inst.A, inst.b, np.zeros(20), inst.b, CFG)
+    assert st.outcome.kind is OutcomeKind.BREAKDOWN
+    assert st.outcome.label == "A5B10.nonfinite: non-finite result in matvec_t"
+    assert st.k == 1 and st.iters_used == 1
 
 
 @pytest.mark.parametrize("algo", [AlgoId.A4, AlgoId.A8B10])

@@ -76,6 +76,14 @@ class TestInit:
         with pytest.raises(ValueError):
             init(AlgoId.A4, A, as_vector([1.0, 1.0]), np.zeros(2), np.zeros(2), CFG)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e-200])
+    def test_shadow_whose_norm_overflows_or_underflows_is_accepted(self, scale):
+        # Only y = 0 is rejected, also when ||y|| is not representable.
+        A = SparseMatrix.identity(3)
+        st = init(AlgoId.A4, A, as_vector([1.0, 1.0, 1.0]), np.zeros(3),
+                  scale * np.array([1.0, 2.0, 3.0]), CFG)
+        assert st.outcome.kind is OutcomeKind.CONTINUE
+
     def test_dimension_mismatch_rejected(self):
         A = SparseMatrix.identity(3)
         with pytest.raises(ValueError):

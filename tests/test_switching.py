@@ -140,6 +140,23 @@ class TestRunSwitching:
             run_switching(inst.A, inst.b, np.zeros(20), np.zeros(20),
                           st2_plan([A4, A12]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_shadow_whose_norm_overflows_is_accepted(self):
+        # y = b = A 1 is finite, but ||y|| overflows: the run must end
+        # Exhausted with residual inf instead of raising.
+        A = SparseMatrix.from_dense(np.diag([1e155, 2e155, 3e155]))
+        b = A.matvec(np.ones(3))
+        rec, trace = run_switching(A, b, np.zeros(3), b, st2_plan([A4, A8B10]))
+        assert rec.outcome == "Exhausted"
+        assert rec.residual == trace.events[-1].residual_norm == np.inf
+
+    def test_shadow_whose_norm_underflows_is_accepted(self):
+        # ||y||^2 of y = 1e-200 * 1 underflows to 0, but y is not zero.
+        inst = gen_baheux(BaheuxSpec(n=20, delta=0.2))
+        rec, _ = run_switching(inst.A, inst.b, np.zeros(20), np.full(20, 1e-200),
+                               st2_plan([A4, A12]))
+        assert rec.outcome == "Converged"
+
     def test_paper_anchor_n100_delta02(self):
         # Table 2, n=100: the A4+A12 pairing converges below 1e-13.
         inst = gen_baheux(BaheuxSpec(n=100, delta=0.2))
