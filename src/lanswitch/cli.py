@@ -45,8 +45,8 @@ def _build_parser() -> _Parser:
                    help="switching strategy to run over --pool")
     p.add_argument("--pool", default=None, help="comma list of pool algorithms")
     p.add_argument("--start", default=None, help="starting algorithm for switching")
-    p.add_argument("--cycle", type=int, default=20, help="ST2 cycle length")
-    p.add_argument("--monitor-threshold", type=float, default=1e-8,
+    p.add_argument("--cycle", type=int, default=ST2.cycle_len, help="ST2 cycle length")
+    p.add_argument("--monitor-threshold", type=float, default=ST3.monitor_threshold,
                    help="ST3 denominator threshold")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="residual-norm convergence tolerance")

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 42
-DEFAULT_TOL = 1e-13
+DEFAULT_TOL = SolverConfig.tol
 
 # The published pairings: combination number -> pool, all ST2 with cycle 20.
 PAPER_COMBOS = {
@@ -113,11 +113,10 @@ def _solo_record(inst: ProblemInstance, algo: AlgoId, cfg: SolverConfig) -> RunR
         # The state stops itself once it has used cfg.max_iters iterations:
         # the step after the last one reports IterLimit.
         outcome = run(state, cfg.max_iters + 1)[0].kind
-        x, iterations = state.x, state.iters_used
-        residual = state.residual_norm()
+        x, iterations, residual = state.x, state.iters_used, state.r_norm
     except NonFiniteError:
-        # b - A x0 or the final residual's norm overflowed: the run broke
-        # down, and its residual reads inf, as a switching run's does.
+        # b - A x0 or its norm overflowed: the run broke down, and its
+        # residual reads inf, as a switching run's does.
         outcome = OutcomeKind.BREAKDOWN
     return RunRecord(
         n=inst.A.nrows,

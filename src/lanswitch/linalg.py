@@ -28,17 +28,18 @@ column's row order and the ascending order of A.T's offsets. The padded
 entries of a band are +0.0, and a padded term only adds a signed zero to a
 sum that started at +0.0, which changes nothing for a finite operand. So
 the halves of ``products(v, w)`` equal ``matvec(v)`` and ``matvec_t(w)``
-byte for byte, and neither half reads the other operand. ``products``
-checks neither half: the caller checks each with ``check_finite`` where it
-needs it, and ``matvec`` and ``matvec_t`` check their results themselves.
+byte for byte, and neither half reads the other operand. Every product
+checks its own result: ``products`` checks ``A v`` as ``matvec`` does,
+then ``A.T w`` as ``matvec_t`` does, and raises NonFiniteError naming the
+half that is not finite.
 
 The constructor builds the table in O(nnz + n), without a sort: marking
 ``offset + n - 1`` in a boolean array finds the offsets, a lookup table from
 offset to row places every entry in A's halves, and A.T's band at offset
 -o is A's band at offset o, copied shifted by o.
 
-The kernels other than ``products`` raise NonFiniteError on overflow. None
-of them silences numpy's over/invalid warnings: the public functions of
+The kernels raise NonFiniteError on overflow. None of them silences
+numpy's over/invalid warnings: the public functions of
 ``lanswitch.solvers`` and ``run_switching`` enter one ``np.errstate`` (per
 chunk of steps, per step, per init, per switching run, ...) around every
 kernel call they make. A kernel called directly outside ``np.errstate`` may
@@ -47,9 +48,8 @@ from a DIA band's padded 0 times an infinite operand entry, its
 ``invalid value`` RuntimeWarning. For the same reason a DIA product of a
 non-finite operand may raise NonFiniteError where the bincount path would
 return a finite result (an infinite entry whose column stores nothing).
-Inside the library every operand of a product is a finite-checked vector,
-except the shadow vectors that A12's start multiplies before it checks
-them; the A.T halves they yield are used only after those checks.
+Inside the library every operand of a product is a checked vector, except
+A5/B10's direction p_k, whose overflow its product reports.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ __all__ = [
     "NonFiniteError",
     "SparseMatrix",
     "all_finite",
-    "check_finite",
     "as_vector",
     "dot",
     "norm2",
@@ -139,8 +138,8 @@ def check_finite(out: np.ndarray, context: str) -> np.ndarray:
     """``out``, or NonFiniteError naming ``context`` if an entry is not finite.
 
     Overflow must surface as an error, never propagate silently: every
-    product checks its result with this, and a caller of
-    ``SparseMatrix.products`` checks each half with it.
+    product checks its result with this, ``SparseMatrix.products`` each of
+    its halves.
     """
     if not all_finite(out):
         raise NonFiniteError(f"non-finite result in {context}")
@@ -317,12 +316,12 @@ class SparseMatrix:
         return check_finite(out, "matvec_t")
 
     def products(self, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(A @ v, A.T @ w) of a square matrix in one pass, neither half checked.
+        """(A @ v, A.T @ w) of a square matrix in one pass.
 
-        Each half equals ``matvec(v)`` or ``matvec_t(w)`` byte for byte when
-        that product is finite, and neither half reads the other operand.
-        Unlike those, ``products`` raises no NonFiniteError: the caller checks
-        each half with ``check_finite`` where it needs it.
+        Each half equals ``matvec(v)`` or ``matvec_t(w)`` byte for byte, and
+        neither half reads the other operand. Each half is checked as that
+        product checks it, ``A v`` first: a NonFiniteError names ``matvec``
+        or ``matvec_t``.
         """
         n = self.nrows
         if self.ncols != n or v.shape[0] != n or w.shape[0] != n:
@@ -331,10 +330,13 @@ class SparseMatrix:
                                  f"{v.shape[0]} and {w.shape[0]}")
         bands = self._bands
         if bands is None:
-            return self._bincount_matvec(v), self._bincount_matvec_t(w)
-        g, pad = bands.gap, bands.pad
-        both = _band_sum(bands.pair, np.concatenate((pad, v, pad, pad, w, pad)), 2 * (n + g))
-        return both[:n], both[n + 2 * g:]
+            Av, ATw = self._bincount_matvec(v), self._bincount_matvec_t(w)
+        else:
+            g, pad = bands.gap, bands.pad
+            both = _band_sum(bands.pair, np.concatenate((pad, v, pad, pad, w, pad)),
+                             2 * (n + g))
+            Av, ATw = both[:n], both[n + 2 * g:]
+        return check_finite(Av, "matvec"), check_finite(ATw, "matvec_t")
 
     def _bincount_matvec(self, v):
         return np.bincount(self._rows_of_nnz, weights=self.data * v[self.indices],

@@ -110,6 +110,7 @@ def read_matrix_market(path: str) -> ProblemInstance:
 
     Symmetric files are expanded to full storage. The right-hand side is the
     matrix applied to the all-ones vector, so the exact solution is known.
+    The file must hold exactly the entry count its size line declares.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -133,6 +134,8 @@ def read_matrix_market(path: str) -> ProblemInstance:
         nrows, ncols, nnz = (int(p) for p in parts)
         if nrows != ncols:
             raise MatrixMarketError(f"matrix must be square, got {nrows}x{ncols}")
+        if nnz < 0:
+            raise MatrixMarketError(f"negative entry count {nnz}")
 
         rows = np.empty(0, dtype=np.int64)
         cols = np.empty(0, dtype=np.int64)
@@ -146,6 +149,8 @@ def read_matrix_market(path: str) -> ProblemInstance:
             if len(parts) != 3:
                 raise MatrixMarketError(f"bad entry line: {line!r}")
             entries.append((int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])))
+        if _next_content_line(fh) is not None:
+            raise MatrixMarketError(f"more than the declared {nnz} entries")
 
     if entries:
         rows = np.array([e[0] for e in entries], dtype=np.int64)

@@ -8,10 +8,10 @@ BREAKDOWN_EPS times the natural scale of the expression that produced it
 (for a scalar product (u, v) that scale is ||u|| ||v||), so cancellation
 down to noise is a breakdown while legitimately small, well-determined
 products divide through. No non-finite value is ever written into the
-iterate or the residual. Numpy's over/invalid warnings are silenced once per
-call of ``run`` (for its whole chunk of steps), ``step``, ``init``,
-``denominator_report`` and a state's ``residual_norm`` and
-``true_residual_norm``; the kernels raise NonFiniteError instead.
+iterate or the residual, and a state's ``r_norm`` is always ||r||. Numpy's
+over/invalid warnings are silenced once per call of ``run`` (for its whole
+chunk of steps), ``step``, ``init`` and ``denominator_report``; the kernels
+raise NonFiniteError instead.
 
 Each iteration is a preparation and an update. The preparation computes
 every product, scalar and guarded division of the next update without
@@ -32,11 +32,10 @@ uses, and A8/B10 A z_k with A.T y_k. A12's start makes three such
 passes; A5/B10's start makes its A r_0 with ``matvec`` and, after its
 update, the first step's A.T y_0 with ``matvec_t``. Each start computes
 every value its first step reads, so a first step does the work of a
-later one; only A4's differs, as the recurrence's base case. The halves
-come back unchecked, and each is checked where a lone product would have
-been, so an overflow ends the step with the same label, ``k`` and ``x`` as
-two checked products would: a shadow product that overflows is found only
-after the update installed x and r.
+later one; only A4's differs, as the recurrence's base case. Every product
+checks its own halves, so an overflow in either half ends the preparation
+that made it, before its update: the step breaks down with
+``<algo>.nonfinite`` and leaves x, r and k as they were.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import NonFiniteError, SparseMatrix, all_finite, check_finite, dot, norm2
+from .linalg import NonFiniteError, SparseMatrix, all_finite, dot, norm2
 
 __all__ = [
     "AlgoId",
@@ -145,6 +144,18 @@ class _Breakdown(Exception):
         self.value = value
 
 
+def _check_system(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray) -> None:
+    """ValueError unless A is square, b, x0 and y have its order, and y is nonzero and finite."""
+    A.require_square()
+    n = A.nrows
+    if b.shape[0] != n or x0.shape[0] != n or y.shape[0] != n:
+        raise ValueError("dimension mismatch between matrix and vectors")
+    if not y.any():
+        raise ValueError("shadow vector y must be nonzero")
+    if not all_finite(y):
+        raise ValueError("shadow vector y must be finite")
+
+
 class SolverState:
     """Common state: system handles, iterate, residual, counters, outcome.
 
@@ -165,12 +176,7 @@ class SolverState:
 
     def __init__(self, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
                  y: np.ndarray, cfg: SolverConfig, residual=None):
-        A.require_square()
-        n = A.nrows
-        if b.shape[0] != n or x0.shape[0] != n or y.shape[0] != n:
-            raise ValueError("dimension mismatch between matrix and vectors")
-        if not y.any():
-            raise ValueError("shadow vector y must be nonzero")
+        _check_system(A, b, x0, y)
         self.A = A
         self.b = b
         self.y = np.array(y, copy=True)
@@ -178,10 +184,7 @@ class SolverState:
         self.k = 0
         self.steps_taken = 0
         self.x = np.array(x0, dtype=np.float64, copy=True)
-        # ||r||: every update of r recomputes it for its convergence test.
-        # It goes stale only when that norm overflows after r was replaced,
-        # which ends the state in a nonfinite breakdown. So it is read only
-        # while the state is live; residual_norm() recomputes ||r||. No code
+        # ||r||: every update of r sets it, inf when it overflows. No code
         # writes into r in place, so a residual handed in may be shared.
         if residual is None:
             self.r = b - A.matvec(self.x)
@@ -216,14 +219,17 @@ class SolverState:
         """Install a finite x/r update; True, and Converged, once ||r|| meets tol."""
         # (r, r) is finite only for a finite r, so one dot checks r and gives
         # ||r||. Only when it is not finite is r checked entry by entry: a
-        # finite r whose (r, r) overflows is installed, and norm2 then raises.
+        # finite r whose (r, r) overflows is installed with r_norm inf, and
+        # the update then fails as norm2 would.
         rr = r_next.dot(r_next)
         rr_finite = math.isfinite(rr)
         if not (all_finite(x_next) and (rr_finite or all_finite(r_next))):
             raise NonFiniteError(what)
         self.x, self.r = x_next, r_next
         self.k += 1
-        self.r_norm = math.sqrt(rr) if rr_finite else norm2(r_next)
+        self.r_norm = math.sqrt(rr)
+        if not rr_finite:
+            raise NonFiniteError("non-finite result in norm2")
         if self.r_norm <= self.cfg.tol:
             self.outcome = StepOutcome(OutcomeKind.CONVERGED)
             return True
@@ -271,14 +277,6 @@ class SolverState:
     def iters_used(self) -> int:
         return self.prologue_charge + self.steps_taken
 
-    def residual_norm(self) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return norm2(self.r)
-
-    def true_residual_norm(self) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return norm2(self.b - self.A.matvec(self.x))
-
     def step(self) -> StepOutcome:
         if self.outcome.is_terminal:
             raise SolverStateError(f"step() after terminal outcome {self.outcome.kind.value}")
@@ -314,12 +312,13 @@ def init(algo: AlgoId, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
     already computed (a switching handoff does); the state keeps that array
     without copying, as it keeps ``b``.
 
-    Raises NonFiniteError when b - A x0 or its norm overflows. Otherwise the
-    returned state carries its initialization outcome: Continue for a live
-    state, Converged when r0 (or a prologue residual) already meets the
-    tolerance, or Breakdown when the algorithm's start hits a vanished
-    denominator or overflows. Breakdowns in the start are reported, never
-    raised.
+    Raises ValueError when A is not square, a vector's length is not A's
+    order, or y is zero or not finite, and NonFiniteError when b - A x0 or
+    its norm overflows. Otherwise the returned state carries its
+    initialization outcome: Continue for a live state, Converged when r0 (or
+    a prologue residual) already meets the tolerance, or Breakdown when the
+    algorithm's start hits a vanished denominator or overflows. Breakdowns
+    in the start are reported, never raised.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return _STATE_CLASSES[algo](A, b, x0, y, cfg, residual)
@@ -395,10 +394,7 @@ class _A4State(SolverState):
         else:
             E = -self._div(yr, self.yr_prev, "A4.E: (y_{k-1},r_{k-1})",
                            self.yr_prev_scale, cap=COEFF_LIMIT)
-        # The shadow chain's next vector A.T y_k is checked only once the
-        # update has installed x and r.
         Ar, y_next = self.A.products(self.r, self.y)
-        check_finite(Ar, "matvec")
         # The bracket must cancel the order-k moment of the combination, so
         # the E term enters with a plus sign (the recurrence terminates in n
         # exact steps only with this orientation).
@@ -424,7 +420,7 @@ class _A4State(SolverState):
             return
         # Shadow chain advances every iteration; the pseudocode's IF around
         # it governs termination only.
-        self.y = check_finite(y_next, "matvec_t")
+        self.y = y_next
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +439,13 @@ class _A12State(SolverState):
     def _start(self):
         A, y = self.A, self.y
         r0, x0, r0_norm = self.r, self.x, self.r_norm
-        # The shadow vectors y1..y3 come with the moment products and are
-        # checked only after both prologue updates.
         p, y1 = A.products(r0, y)
-        check_finite(p, "matvec")
         p1, y2 = A.products(p, y1)
-        check_finite(p1, "matvec")
         c0 = dot(y, r0)  # the first step's a13
         c1 = dot(y, p)
         c2 = dot(y, p1)
         p2, y3 = A.products(p1, y2)
-        c3 = dot(y, check_finite(p2, "matvec"))
+        c3 = dot(y, p2)
 
         y_norm = norm2(y)
         step1 = self._div(c0, c1, "A12.c1", y_norm * norm2(p), cap=COEFF_LIMIT)
@@ -475,8 +467,6 @@ class _A12State(SolverState):
         if self._accept(x2, r2, "prologue x/r update"):
             return
 
-        for y_i in (y1, y2, y3):
-            check_finite(y_i, "matvec_t")
         # rs[0] = current residual, rs[1] = previous, rs[2] = the one before;
         # same layout for xs and for the norms in r_norms. ys holds the last
         # four shadow vectors. Carried from each step into the next: A r_{k-3},
@@ -500,9 +490,8 @@ class _A12State(SolverState):
         """
         r1, r2, r3 = self.rs  # r_{k-1}, r_{k-2}, r_{k-3}
         ykm3, ykm2, ykm1, yk = self.ys
-        # y_{k+1}, and A r_{k-2}, which the update checks and uses.
+        # y_{k+1}, and A r_{k-2}, which the update uses.
         q1, y_new = self.A.products(r2, yk)
-        check_finite(y_new, "matvec_t")
         a11 = dot(ykm2, r2)
         a21 = dot(ykm1, r2)
         a31 = dot(yk, r2)
@@ -537,7 +526,6 @@ class _A12State(SolverState):
         # on r_{k-2} and r_{k-3}; with them the recurrence terminates in n
         # exact steps and the x update matches r = b - A x identically.
         # A r_{k-3} is the previous step's A r_{k-2}.
-        check_finite(q1, "matvec")
         q2 = self.A.matvec(q1)
         q3 = self.Ar3
         r_next = Ak * (q2 + B * q1 + C * r2 + F * q3 + G * r3)
@@ -583,12 +571,12 @@ class _A5B10State(SolverState):
         self.A_prev = A1
         if self._accept(x1, r1, "prologue x/r update"):
             return
-        # A.T y, the next step's shadow vector. A main step computes it with
-        # its A p and leaves it unchecked until the next step.
+        # A.T y, the next step's shadow vector; a main step computes it with
+        # its A p.
         self.y_next = self.A.matvec_t(self.y)
 
     def _prepare(self):
-        y_k = check_finite(self.y_next, "matvec_t")
+        y_k = self.y_next
         num = dot(y_k, self.r)
         yp = dot(y_k, self.p)
         den_D = self.C1 * yp
@@ -597,7 +585,6 @@ class _A5B10State(SolverState):
                        abs(self.C1) * y_norm * norm2(self.p))
         p_k = self.r + (D * self.C1) * self.p
         Ap, y_next = self.A.products(p_k, y_k)
-        check_finite(Ap, "matvec")
         A_next = -self._div(num, dot(y_k, Ap), "A5B10.A: (y_k,Ap_k)",
                             y_norm * norm2(Ap))
         # The update closes with the C1 guard on A_k.
@@ -632,9 +619,7 @@ class _A8B10State(SolverState):
         self.yr = dot(self.y, self.r)
 
     def _prepare(self):
-        # A.T y_k is checked only once the update has installed x and r.
         Az, y_next = self.A.products(self.z, self.y)
-        check_finite(Az, "matvec")
         num = self.yr
         den = dot(self.y, Az)
         den_scale = norm2(self.y) * norm2(Az)
@@ -648,7 +633,6 @@ class _A8B10State(SolverState):
         x_next = self.x - A_next * self.z
         if self._accept(x_next, r_next):
             return
-        check_finite(y_next, "matvec_t")
         C1 = self._div(1.0, A_next, "A8B10.C1: A_{k+1}", 1.0)
         yr_next = dot(y_next, r_next)
         B1 = -self._div(C1 * yr_next, den, "A8B10.B1: (y_k,Az_k)", den_scale)

@@ -3,13 +3,14 @@
 One loop drives all three strategies. Each pass runs the current algorithm
 for one chunk and reads its outcome. A convergence claim ends the run only
 if the recomputed residual b - A x meets the tolerance; otherwise a CycleEnd
-handoff follows. A breakdown hands off with a BreakdownSwitch. An iteration
-limit or a spent global budget ends the run Exhausted. Otherwise the
-strategy's switch rule decides. The strategies differ only in their chunk
-and switch rules: ST1 runs the whole remaining budget and never switches on
-its own; ST2 runs the rest of its cycle and switches at a full cycle
-(Restart or ProperSwitch); ST3 runs ``check_every`` iterations and switches
-when a monitored denominator drops below its threshold (MonitorSwitch).
+handoff restarts from that residual. A breakdown hands off with a
+BreakdownSwitch. An iteration limit or a spent global budget ends the run
+Exhausted. Otherwise the strategy's switch rule decides. The strategies
+differ only in their chunk and switch rules: ST1 runs the whole remaining
+budget and never switches on its own; ST2 runs the rest of its cycle and
+switches at a full cycle (Restart or ProperSwitch); ST3 runs
+``check_every`` iterations and switches when a monitored denominator drops
+below its threshold (MonitorSwitch).
 
 A handoff tries the drawn algorithm, then the rest of the pool in order. It
 skips only members that broke down at the current iterate or whose prologue
@@ -41,6 +42,7 @@ import numpy as np
 from .linalg import NonFiniteError, SparseMatrix, norm2
 from .solvers import (
     _STATE_CLASSES,
+    _check_system,
     AlgoId,
     OutcomeKind,
     SolverConfig,
@@ -247,31 +249,28 @@ class _Driver:
     def x(self) -> np.ndarray:
         return self.x0 if self.state is None else self.state.x
 
-    def residual_here(self) -> float:
-        """Recurrence residual norm of the installed state, else ||b - A x0||; inf on overflow."""
-        try:
-            if self.state is not None:
-                return self.state.residual_norm()
-            return norm2(self.b - self.A.matvec(self.x0))
-        except NonFiniteError:
-            return math.inf
+    def residual(self) -> Tuple[np.ndarray, float]:
+        """(b - A x, ||b - A x||) at the current iterate; NonFiniteError on overflow."""
+        r = self.b - self.A.matvec(self.x)
+        return r, norm2(r)
 
     def finish(self, kind: EventKind, residual: float) -> str:
         self.trace.append(SwitchEvent(kind, self.iters, self.current,
                                       self.current, residual))
         return kind.value
 
-    def handoff(self, first_choice: AlgoId, cause: Optional[EventKind]) -> Optional[str]:
+    def handoff(self, first_choice: AlgoId, cause: Optional[EventKind],
+                residual: Optional[Tuple[np.ndarray, float]] = None) -> Optional[str]:
         """Install the next algorithm at the current iterate.
 
         Tries ``first_choice`` first, under the module's skip rule. The
         installed state may already be terminal. ``cause`` labels the event
-        (None: the run's start, no event). Returns an outcome name or None.
+        (None: the run's start, no event). ``residual`` is ``self.residual()``
+        if the caller already has it. Returns an outcome name or None.
         """
         at = self.iters
         previous = self.current
-        r_fresh = self.b - self.A.matvec(self.x)
-        r_norm = norm2(r_fresh)
+        r_fresh, r_norm = residual or self.residual()
         if r_norm <= self.plan.cfg.tol:
             # The iterate already solves the system; no cycle needed.
             return self.finish(EventKind.CONVERGED, r_norm)
@@ -297,7 +296,8 @@ class _Driver:
             self.current = algo
             self.iters += state.iters_used
             return None
-        return self.finish(EventKind.EXHAUSTED, self.residual_here())
+        return self.finish(EventKind.EXHAUSTED,
+                           r_norm if self.state is None else self.state.r_norm)
 
     def drive(self) -> str:
         """Run chunks and handoffs until the run terminates; returns the outcome name."""
@@ -314,29 +314,32 @@ class _Driver:
                     # The iterate moved, so earlier failures are stale.
                     self.barren.clear()
                 kind = state.outcome.kind
-                cause = None
+                cause = residual = None
                 if kind is OutcomeKind.CONVERGED:
                     # Recurrence residuals drift from b - A x; a claim the
-                    # recomputed residual does not confirm starts a new cycle.
-                    if state.true_residual_norm() <= plan.cfg.tol:
-                        return self.finish(EventKind.CONVERGED, state.residual_norm())
+                    # recomputed residual does not confirm starts a new cycle
+                    # from that residual.
+                    residual = self.residual()
+                    if residual[1] <= plan.cfg.tol:
+                        return self.finish(EventKind.CONVERGED, state.r_norm)
                     cause = EventKind.CYCLE_END
                 elif kind is OutcomeKind.BREAKDOWN:
                     self.barren.add(self.current)
                     cause = EventKind.BREAKDOWN_SWITCH
                 if (kind is OutcomeKind.ITER_LIMIT or self.iters >= plan.global_budget
                         or self.barren.issuperset(plan.policy.pool)):
-                    return self.finish(EventKind.EXHAUSTED, self.residual_here())
+                    return self.finish(EventKind.EXHAUSTED, state.r_norm)
                 if cause is None:
                     cause = strategy.switch_kind(state)
                 if cause is not None:
-                    terminal = self.handoff(
-                        select_next(plan.policy, self.rng), cause)
+                    terminal = self.handoff(select_next(plan.policy, self.rng), cause,
+                                            residual)
             return terminal
         except NonFiniteError:
             # The iterate stays finite, but it has grown until a norm of it
             # or of its residual overflowed: no handoff can recover.
-            return self.finish(EventKind.EXHAUSTED, self.residual_here())
+            return self.finish(EventKind.EXHAUSTED,
+                               math.inf if self.state is None else self.state.r_norm)
 
 
 def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
@@ -349,11 +352,10 @@ def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
     when a handoff finds the iterate already converged; inf if it
     overflowed) and the final iterate; delta and seconds are filled in by
     the harness. The record's combo is the pool and the strategy, e.g.
-    ``A4+A12/ST2``.
+    ``A4+A12/ST2``. Invalid input raises ValueError, as ``init`` does.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if not y.any():
-            raise ValueError("shadow vector y must be nonzero")
+        _check_system(A, b, x0, y)
         drv = _Driver(A, b, x0, y, plan)
         outcome_name = drv.drive()
     pool = "+".join(a.value for a in plan.policy.pool)

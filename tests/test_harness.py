@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from lanswitch.cli import cli_main
+from lanswitch.cli import _build_parser, cli_main
 from lanswitch.harness import (
     CSV_COLUMNS,
+    DEFAULT_TOL,
     ExperimentConfig,
     PAPER_COMBOS,
     SwitchTemplate,
@@ -20,7 +21,7 @@ from lanswitch.harness import (
 )
 from lanswitch.linalg import SparseMatrix
 from lanswitch.problems import BaheuxSpec, gen_baheux, write_matrix_market
-from lanswitch.solvers import AlgoId
+from lanswitch.solvers import AlgoId, SolverConfig
 from lanswitch.switching import ST1, ST2, ST3, RunRecord
 
 
@@ -305,6 +306,21 @@ class TestCli:
         assert cli_main(["--problem", f"mm:{path}"] + combo) == 2
         header, line = capsys.readouterr().out.splitlines()
         assert f",{row}," in line
+
+    def test_entry_count_mismatch_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "long.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 1\n1 1 2.0\n2 2 3.0\n")
+        assert cli_main(["--problem", f"mm:{path}", "--solo", "a4"]) == 1
+        assert "more than the declared 1 entries" in capsys.readouterr().err
+
+    def test_defaults_are_the_library_defaults(self):
+        # The CLI and the harness read their defaults from the library, so
+        # a changed library default cannot leave a stale copy behind.
+        args = _build_parser().parse_args([])
+        assert args.cycle == ST2().cycle_len
+        assert args.monitor_threshold == ST3().monitor_threshold
+        assert args.tol == DEFAULT_TOL == SolverConfig().tol
 
     def test_missing_file_exit_one(self):
         assert cli_main(["--problem", "mm:/nonexistent/x.mtx", "--solo", "a4"]) == 1

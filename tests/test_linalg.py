@@ -545,27 +545,54 @@ class TestProducts:
         _assert_pair_equals_products(A, _operand("mixed", n, 3), _operand("mixed", n, 4))
 
     @pytest.mark.parametrize("n", [60, N])
-    def test_halves_do_not_read_the_other_operand(self, n):
-        # A non-finite entry in one operand leaves the other half as it is.
+    def test_halves_do_not_read_the_other_operand(self, monkeypatch, n):
+        # A non-finite entry in one operand fails only the half that reads
+        # it; with the finite check switched off, the other half is as it is.
         A = gen_baheux(BaheuxSpec(n=n, delta=0.2)).A
         v, w = _operand("mixed", n, 5), _operand("mixed", n, 6)
         bad = np.ones(n)
         bad[n // 2] = np.inf
         with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="non-finite result in matvec_t$"):
+                A.products(v, bad)
+            with pytest.raises(NonFiniteError, match="non-finite result in matvec$"):
+                A.products(bad, w)
+            monkeypatch.setattr(linalg, "check_finite", lambda out, context: out)
             assert A.products(v, bad)[0].tobytes() == A.matvec(v).tobytes()
             assert A.products(bad, w)[1].tobytes() == A.matvec_t(w).tobytes()
             assert not np.isfinite(A.products(v, bad)[1]).all()
 
-    def test_no_check_of_its_own(self):
-        # An overflowing half comes back as it is, for the caller to check.
+    def test_checks_like_the_lone_products(self):
+        # products raises exactly when matvec(v) or matvec_t(w) would, with
+        # the first failing one's label: A v is checked before A.T w.
         M = SparseMatrix.from_dense(np.full((2, 2), 1e308))
-        with np.errstate(over="ignore"):
-            Av, ATw = M.products(np.full(2, 1e100), np.full(2, 1e-10))
-        assert np.isinf(Av).all() and np.isfinite(ATw).all()
-        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError,
-                                                        match="non-finite result in matvec"):
-            linalg.check_finite(Av, "matvec")
-        assert linalg.check_finite(ATw, "matvec_t") is ATw
+        small, big = np.full(2, 1e-10), np.full(2, 1e100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v, w, failing in ((small, small, None), (big, small, "matvec"),
+                                  (small, big, "matvec_t"), (big, big, "matvec")):
+                if failing is None:
+                    Av, ATw = M.products(v, w)
+                    assert Av.tobytes() == M.matvec(v).tobytes()
+                    assert ATw.tobytes() == M.matvec_t(w).tobytes()
+                    continue
+                with pytest.raises(NonFiniteError) as err:
+                    M.products(v, w)
+                assert str(err.value) == f"non-finite result in {failing}"
+
+    @pytest.mark.parametrize("n", [60, N])
+    def test_names_the_half_that_overflowed(self, n):
+        # On both storage paths: 4 * 1e308 overflows in A v or in A.T w,
+        # whichever half reads the huge entry.
+        A = gen_baheux(BaheuxSpec(n=n, delta=0.2)).A
+        assert (A._bands is not None) == (n >= self.N)
+        finite = _operand("mixed", n, 7)
+        huge = np.ones(n)
+        huge[n // 3] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v, w, half in ((huge, finite, "matvec"), (finite, huge, "matvec_t")):
+                with pytest.raises(NonFiniteError) as err:
+                    A.products(v, w)
+                assert str(err.value) == f"non-finite result in {half}"
 
     def test_non_square_raises(self):
         i = np.arange(4)

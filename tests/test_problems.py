@@ -147,6 +147,27 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketError):
             read_matrix_market(str(path))
 
+    def test_extra_entries(self, tmp_path):
+        # Reading only the declared entry would give diag(2, 0).
+        path = tmp_path / "long.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 1\n1 1 2.0\n2 2 3.0\n")
+        with pytest.raises(MatrixMarketError, match="more than the declared 1 entries"):
+            read_matrix_market(str(path))
+
+    def test_trailing_comments_and_blank_lines_are_not_entries(self, tmp_path):
+        path = tmp_path / "tail.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 2\n1 1 2.0\n2 2 3.0\n% end\n\n")
+        assert read_matrix_market(str(path)).A.to_dense().tolist() == [[2.0, 0.0], [0.0, 3.0]]
+
+    def test_negative_entry_count(self, tmp_path):
+        # Reading no entries would give the zero matrix.
+        path = tmp_path / "neg.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 -1\n")
+        with pytest.raises(MatrixMarketError, match="negative entry count"):
+            read_matrix_market(str(path))
+
 
 class TestDirectSolveOracle:
     def test_diagonal(self):

@@ -41,7 +41,7 @@ SYSTEMS = list(systems())
 def assert_carry_coherent(st, y_prev):
     # y_prev: the shadow vector of the state's previous step.
     A = st.A
-    assert st.r_norm == st.residual_norm() == norm2(st.r)
+    assert st.r_norm == norm2(st.r)
     if st.algo is AlgoId.A4 and st.k > 0:
         assert st.yr_prev == dot(y_prev, st.r_prev)
         assert st.yr_prev_scale == norm2(y_prev) * norm2(st.r_prev)
@@ -215,31 +215,45 @@ def test_a5b10_start_overflow_ends_in_the_start(monkeypatch):
 
 
 @pytest.mark.parametrize("algo", [AlgoId.A4, AlgoId.A8B10])
-def test_shadow_overflow_ends_after_the_update(algo):
+def test_shadow_overflow_ends_before_the_update(algo):
     # Column 2 holds two entries near the largest double, and r_0 = b is 0
-    # in row 2: A r_0 and the first update are finite, but A.T y_0 overflows
-    # in entry 2. The step installs x and r first, then breaks down on the
-    # shadow product; its half of the paired product is checked only there.
+    # in row 2: A r_0 and the first update would be finite, but A.T y_0
+    # overflows in entry 2. The paired product checks that half itself, so
+    # the first step's preparation breaks down, as its report already says,
+    # and x and r stay x_0 and r_0.
     A = SparseMatrix.from_dense([[1.0, 0.0, 1e308], [0.0, 2.0, 1e308], [0.0, 0.0, 3.0]])
     b = np.array([1.0, 1.0, 0.0])
     st = init(algo, A, b, np.zeros(3), b, CFG)
-    report = denominator_report(st)
-    assert "nonfinite" not in report[-1][0]
+    label = f"{algo}.nonfinite: non-finite result in matvec_t"
+    assert denominator_report(st)[-1][0] == label
     outcome = st.step()
     assert outcome.kind is OutcomeKind.BREAKDOWN
-    assert outcome.label == f"{algo}.nonfinite: non-finite result in matvec_t"
-    assert math.isnan(outcome.value)
-    assert st.k == 1 and st.steps_taken == 1
-    # The update was installed: x_1 = (2/3, 2/3, 0) and r_1 = (1/3, -1/3, 0).
-    assert np.allclose(st.x, [2 / 3, 2 / 3, 0.0], rtol=1e-15, atol=0)
-    assert np.allclose(st.r, [1 / 3, -1 / 3, 0.0], rtol=1e-15, atol=0)
-    assert st.r_norm == norm2(st.r)
+    assert outcome.label == label and math.isnan(outcome.value)
+    assert st.k == 0 and st.steps_taken == 1
+    assert st.x.tobytes() == np.zeros(3).tobytes()
+    assert st.r.tobytes() == b.tobytes() and st.r_norm == norm2(b)
+
+
+def test_r_norm_reads_inf_after_an_overflowing_update():
+    # A4's first update here is x_1 = (1, 0) and r_1 = (0, -1e170): both
+    # finite, but (r_1, r_1) overflows. The update is installed, and r_norm
+    # reads inf, not the ||r_0|| it held before, as the step breaks down.
+    A = SparseMatrix.from_dense([[1.0, 0.0], [1e170, 1.0]])
+    b = np.array([1.0, 0.0])
+    st = init(AlgoId.A4, A, b, np.zeros(2), b, CFG)
+    outcome = st.step()
+    assert outcome.kind is OutcomeKind.BREAKDOWN
+    assert outcome.label == "A4.nonfinite: non-finite result in norm2"
+    assert st.k == 1
+    assert np.array_equal(st.x, [1.0, 0.0]) and np.array_equal(st.r, [0.0, -1e170])
+    assert st.r_norm == math.inf
 
 
 def test_update_check_reuses_the_residual_dot():
     # One (r, r) both checks r and gives ||r||. A non-finite x or r still
     # fails the update before anything is installed; a finite r whose (r, r)
-    # overflows is installed, and its norm then fails as norm2.
+    # overflows is installed with r_norm inf, and the update then fails as
+    # norm2.
     A, b = SYSTEMS[0][1], SYSTEMS[0][2]
     st = init(AlgoId.A4, A, b, np.zeros(A.nrows), b, CFG)
     x, r, k = st.x, st.r, st.k
@@ -257,3 +271,4 @@ def test_update_check_reuses_the_residual_dot():
         st._accept(finite, huge)
     assert str(err.value) == "non-finite result in norm2"
     assert st.x is finite and st.r is huge and st.k == k + 1
+    assert st.r_norm == math.inf

@@ -76,9 +76,19 @@ class TestInit:
         with pytest.raises(ValueError):
             init(AlgoId.A4, A, as_vector([1.0, 1.0]), np.zeros(2), np.zeros(2), CFG)
 
+    @pytest.mark.parametrize("algo", list(AlgoId))
+    def test_non_finite_shadow_vector_rejected(self, algo):
+        # A NaN in y is an invalid argument, not a breakdown of the solver.
+        inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))
+        y = np.array(inst.b)
+        for bad in (np.nan, np.inf):
+            y[3] = bad
+            with pytest.raises(ValueError, match="shadow vector y must be finite"):
+                init(algo, inst.A, inst.b, np.zeros(20), y, CFG)
+
     @pytest.mark.parametrize("scale", [1e155, 1e-200])
     def test_shadow_whose_norm_overflows_or_underflows_is_accepted(self, scale):
-        # Only y = 0 is rejected, also when ||y|| is not representable.
+        # A nonzero finite y is accepted, also when ||y|| is not representable.
         A = SparseMatrix.identity(3)
         st = init(AlgoId.A4, A, as_vector([1.0, 1.0, 1.0]), np.zeros(3),
                   scale * np.array([1.0, 2.0, 3.0]), CFG)
@@ -285,7 +295,7 @@ class TestRecurrenceProperties:
             seq = []
             while not st.outcome.is_terminal:
                 st.step()
-                seq.append(st.residual_norm())
+                seq.append(st.r_norm)
             return seq
 
         first, second = norms(), norms()
@@ -413,13 +423,14 @@ class TestDiagnostics:
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_raises_without_warning(self):
-        # The public solver functions silence numpy's overflow warning and
-        # report the overflow as NonFiniteError.
+        # init silences numpy's overflow warning and reports an overflowing
+        # b - A x0, or an overflowing norm of it, as NonFiniteError.
         A = SparseMatrix.from_dense(np.diag([1e200, 1e200]))
         b = as_vector([1.0, 1.0])
-        st = init(AlgoId.A4, A, b, np.zeros(2), b, SolverConfig(tol=1e-13, max_iters=10))
-        st.x = st.r = as_vector([1e200, 1e200])
-        with pytest.raises(NonFiniteError):
-            st.true_residual_norm()
-        with pytest.raises(NonFiniteError):
-            st.residual_norm()
+        huge = as_vector([1e200, 1e200])
+        cfg = SolverConfig(tol=1e-13, max_iters=10)
+        for algo in AlgoId:
+            with pytest.raises(NonFiniteError, match="non-finite result in matvec$"):
+                init(algo, A, b, huge, b, cfg)
+            with pytest.raises(NonFiniteError, match="non-finite result in norm2$"):
+                init(algo, A, huge, np.zeros(2), b, cfg)

@@ -140,6 +140,26 @@ class TestRunSwitching:
             run_switching(inst.A, inst.b, np.zeros(20), np.zeros(20),
                           st2_plan([A4, A12]))
 
+    @pytest.mark.parametrize("strategy", [ST1(), ST2(20), ST3()], ids=["ST1", "ST2", "ST3"])
+    def test_non_finite_shadow_rejected(self, strategy):
+        # A NaN in the first cycle's y is an invalid argument, checked as
+        # init checks it, before any cycle runs.
+        inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))
+        y = np.array(inst.b)
+        y[3] = np.nan
+        plan = SwitchPlan(strategy, SelectionPolicy((A4, A12), CoinToss(42)), A4,
+                          SolverConfig(tol=1e-13, max_iters=2000), 2000)
+        with pytest.raises(ValueError, match="shadow vector y must be finite"):
+            run_switching(inst.A, inst.b, np.zeros(20), y, plan)
+
+    def test_dimension_mismatch_rejected(self):
+        inst = gen_baheux(BaheuxSpec(n=20, delta=0.2))
+        for b, x0, y in ((inst.b[:10], np.zeros(20), inst.b),
+                         (inst.b, np.zeros(10), inst.b),
+                         (inst.b, np.zeros(20), inst.b[:10])):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                run_switching(inst.A, b, x0, y, st2_plan([A4, A12]))
+
     @pytest.mark.filterwarnings("error")
     def test_shadow_whose_norm_overflows_is_accepted(self):
         # y = b = A 1 is finite, but ||y|| overflows: the run must end
@@ -236,6 +256,45 @@ class TestRunSwitching:
         assert len(shadows) == len(transitions)
         for event, y in zip(transitions, shadows):
             assert event.residual_norm == norm2(y)
+
+    def test_cycle_end_computes_the_residual_once(self, monkeypatch):
+        # At tol 1e-15 a recurrence residual claims convergence that b - A x
+        # does not confirm. The check's b - A x is the CycleEnd handoff's:
+        # from the claiming chunk to the next init, the driver makes one
+        # matvec and one norm2.
+        inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))
+        calls = {"matvec": 0, "norm2": 0}
+        between = []
+        claimed = [False]
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def run_chunk(state, budget):
+            out = run(state, budget)
+            calls.update(matvec=0, norm2=0)
+            claimed[0] = out[0].kind is OutcomeKind.CONVERGED
+            return out
+
+        def init_state(*args, **kwargs):
+            if claimed[0]:
+                between.append(dict(calls))
+                claimed[0] = False
+            return init(*args, **kwargs)
+
+        monkeypatch.setattr(SparseMatrix, "matvec", counted("matvec", SparseMatrix.matvec))
+        for module in (switching, solvers):
+            monkeypatch.setattr(module, "norm2", counted("norm2", module.norm2))
+        monkeypatch.setattr(switching, "run", run_chunk)
+        monkeypatch.setattr(switching, "init", init_state)
+        rec, trace = run_switching(inst.A, inst.b, np.zeros(20), inst.b,
+                                   st2_plan([A4, A8B10], seed=0, tol=1e-15))
+        cycle_ends = [e for e in trace.events if e.kind is EventKind.CYCLE_END]
+        assert cycle_ends and len(between) == len(cycle_ends)
+        assert between == [{"matvec": 1, "norm2": 1}] * len(cycle_ends)
 
     @pytest.mark.parametrize("algo", list(AlgoId))
     def test_handoff_computes_the_residual_once(self, monkeypatch, algo):
