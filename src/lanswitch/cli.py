@@ -125,8 +125,12 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
 
     report = emit_table(records, format=args.format)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(report)
+        try:
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(report)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(report)
 

@@ -165,14 +165,9 @@ def run_experiment(cfg: ExperimentConfig) -> List[RunRecord]:
     delta = cfg.problem.delta if isinstance(cfg.problem, BaheuxSpec) else math.nan
     records: List[RunRecord] = []
     for cell_index, combo in enumerate(cfg.algorithms):
-        timings = []
-        record: Optional[RunRecord] = None
-        for _ in range(cfg.repeats):
-            record, seconds = run_cell(inst, combo, cfg, cell_index)
-            timings.append(seconds)
-        assert record is not None
-        records.append(replace(record, delta=delta,
-                               seconds=statistics.median(timings)))
+        runs = [run_cell(inst, combo, cfg, cell_index) for _ in range(cfg.repeats)]
+        records.append(replace(runs[-1][0], delta=delta,
+                               seconds=statistics.median(s for _, s in runs)))
     return records
 
 
@@ -207,21 +202,13 @@ def emit_table(records: Sequence[RunRecord], format: str = "csv") -> str:
 
 def _emit_markdown(records: Sequence[RunRecord]) -> str:
     out = []
-    deltas = []
-    for r in records:
-        if r.delta not in deltas:
-            deltas.append(r.delta)
-    for delta in deltas:
+    # math.nan is one object, so a dict key, like list membership, groups
+    # every NaN delta into one table.
+    for delta in dict.fromkeys(r.delta for r in records):
         subset = [r for r in records if r.delta == delta or
                   (math.isnan(delta) and math.isnan(r.delta))]
-        combos = []
-        for r in subset:
-            if r.combo not in combos:
-                combos.append(r.combo)
-        dims = []
-        for r in subset:
-            if r.n not in dims:
-                dims.append(r.n)
+        combos = list(dict.fromkeys(r.combo for r in subset))
+        dims = list(dict.fromkeys(r.n for r in subset))
         cell = {(r.n, r.combo): r for r in subset}
         out.append(f"### delta = {delta:g}" if not math.isnan(delta)
                    else "### external problem")

@@ -2,16 +2,20 @@
 
 Each solver advances one recurrence iteration per ``SolverState.step`` call
 and reports convergence, iteration exhaustion, or breakdown with the
-offending denominator named. Every division is guarded before it happens: a
-denominator counts as vanished when its magnitude is at most
-BREAKDOWN_EPS times the natural scale of the expression that produced it
-(for a scalar product (u, v) that scale is ||u|| ||v||), so cancellation
-down to noise is a breakdown while legitimately small, well-determined
-products divide through. No non-finite value is ever written into the
-iterate or the residual, and a state's ``r_norm`` is always ||r||. Numpy's
-over/invalid warnings are silenced once per call of ``run`` (for its whole
-chunk of steps), ``step``, ``init`` and ``denominator_report``; the kernels
-raise NonFiniteError instead.
+offending denominator named. A state keeps one iteration count,
+``iters_used``: its start charges its prologue from the class's
+``PROLOGUE_CHARGES`` table, and each step adds one, also a step that breaks
+down; switching, budgets and reports all read that count.
+
+Every division is guarded before it happens: a denominator counts as
+vanished when its magnitude is at most BREAKDOWN_EPS times the natural
+scale of the expression that produced it (for a scalar product (u, v) that
+scale is ||u|| ||v||), so cancellation down to noise is a breakdown while
+legitimately small, well-determined products divide through. No non-finite
+value is ever written into the iterate or the residual, and a state's
+``r_norm`` is always ||r||. Numpy's over/invalid warnings are silenced once
+per call of ``run`` (for its whole chunk of steps), ``step``, ``init`` and
+``denominator_report``; the kernels raise NonFiniteError instead.
 
 Each iteration is a preparation and an update. The preparation computes
 every product, scalar and guarded division of the next update without
@@ -159,20 +163,19 @@ def _check_system(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray)
 class SolverState:
     """Common state: system handles, iterate, residual, counters, outcome.
 
-    ``k`` counts x-updates performed so far; ``iters_used`` additionally
-    charges a start one iteration per x-update, or ``PROLOGUE_CHARGE`` once
-    it made all ``PROLOGUE_UPDATES`` (its prologue), so cycle accounting
-    stays uniform. Every algorithm starts the same way: the common fields,
-    then, unless r0 already meets tol, the algorithm's ``_start``, which
-    runs its prologue and sets every value its first step reads. A
+    ``k`` counts x-updates performed so far. ``iters_used`` is the one
+    iteration count: the start sets it to ``PROLOGUE_CHARGES[k]`` for the k
+    prologue updates it made, and every step that runs, one that breaks
+    down included, adds 1. Every algorithm starts the same way: the common
+    fields, then, unless r0 already meets tol, the algorithm's ``_start``,
+    which runs its prologue and sets every value its first step reads. A
     breakdown or overflow in ``_start`` is the state's outcome.
     """
 
     algo: AlgoId
-    # Iterations a completed prologue charges; the switching driver budgets
-    # each handoff with it before initializing the algorithm.
-    PROLOGUE_CHARGE = 0
-    PROLOGUE_UPDATES = 0
+    # Iterations a start charges after k prologue updates; the switching
+    # driver budgets each handoff with the last entry, a whole prologue.
+    PROLOGUE_CHARGES = (0,)
 
     def __init__(self, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
                  y: np.ndarray, cfg: SolverConfig, residual=None):
@@ -182,7 +185,6 @@ class SolverState:
         self.y = np.array(y, copy=True)
         self.cfg = cfg
         self.k = 0
-        self.steps_taken = 0
         self.x = np.array(x0, dtype=np.float64, copy=True)
         # ||r||: every update of r sets it, inf when it overflows. No code
         # writes into r in place, so a residual handed in may be shared.
@@ -206,8 +208,7 @@ class SolverState:
                 self._start()
             except (_Breakdown, NonFiniteError) as err:
                 self.outcome = self._failure(err)
-        self.prologue_charge = (self.PROLOGUE_CHARGE if self.k == self.PROLOGUE_UPDATES
-                                else self.k)
+        self.iters_used = self.PROLOGUE_CHARGES[self.k]
 
     # Subclasses define _start, and split one main-loop iteration in two:
     # _prepare computes the next update's products, scalars and guarded
@@ -273,10 +274,6 @@ class SolverState:
                 self._preparation = self._failure(err)
         return self._preparation
 
-    @property
-    def iters_used(self) -> int:
-        return self.prologue_charge + self.steps_taken
-
     def step(self) -> StepOutcome:
         if self.outcome.is_terminal:
             raise SolverStateError(f"step() after terminal outcome {self.outcome.kind.value}")
@@ -288,7 +285,7 @@ class SolverState:
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 self._advance()
-        self.steps_taken += 1
+        self.iters_used += 1
         return self.outcome
 
     def _advance(self) -> None:
@@ -327,28 +324,25 @@ def init(algo: AlgoId, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
 def run(state: SolverState, budget: int) -> tuple[StepOutcome, int]:
     """Step up to ``budget`` times or until a terminal outcome.
 
-    Returns the last outcome and the number of iterations consumed; a
-    breakdown-terminated attempt counts as one iteration. A state whose
-    outcome is already terminal is returned unchanged with count 0.
+    Returns the last outcome and how far the chunk advanced
+    ``state.iters_used``; a breakdown-terminated attempt counts as one
+    iteration. A state whose outcome is already terminal is returned
+    unchanged with count 0.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if state.outcome.is_terminal:
         return state.outcome, 0
-    used = 0
-    outcome = state.outcome
+    start = state.iters_used
     with np.errstate(over="ignore", invalid="ignore"):
         state._quiet = True
         try:
-            while used < budget:
-                before = state.steps_taken
-                outcome = state.step()
-                used += state.steps_taken - before
-                if outcome.is_terminal:
+            for _ in range(budget):
+                if state.step().is_terminal:
                     break
         finally:
             state._quiet = False
-    return outcome, used
+    return state.outcome, state.iters_used - start
 
 
 def denominator_report(state: SolverState) -> list[tuple[str, float]]:
@@ -433,8 +427,7 @@ class _A12State(SolverState):
 
     algo = AlgoId.A12
     # Documented convention: the two-update prologue charges three iterations.
-    PROLOGUE_CHARGE = 3
-    PROLOGUE_UPDATES = 2
+    PROLOGUE_CHARGES = (0, 1, 3)
 
     def _start(self):
         A, y = self.A, self.y
@@ -556,8 +549,7 @@ class _A5B10State(SolverState):
     """
 
     algo = AlgoId.A5B10
-    PROLOGUE_CHARGE = 1
-    PROLOGUE_UPDATES = 1
+    PROLOGUE_CHARGES = (0, 1)
 
     def _start(self):
         r0 = self.r

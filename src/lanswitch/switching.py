@@ -259,6 +259,18 @@ class _Driver:
                                       self.current, residual))
         return kind.value
 
+    def exhausted(self, recomputed: float) -> str:
+        """End the run Exhausted with the outgoing state's residual.
+
+        That is its recurrence residual, unless there is no state yet or the
+        state claims a convergence that ``b - A x`` refuted: then it is
+        ``recomputed``, that ``||b - A x||`` (inf when it overflowed).
+        """
+        state = self.state
+        if state is None or state.outcome.kind is OutcomeKind.CONVERGED:
+            return self.finish(EventKind.EXHAUSTED, recomputed)
+        return self.finish(EventKind.EXHAUSTED, state.r_norm)
+
     def handoff(self, first_choice: AlgoId, cause: Optional[EventKind],
                 residual: Optional[Tuple[np.ndarray, float]] = None) -> Optional[str]:
         """Install the next algorithm at the current iterate.
@@ -277,7 +289,7 @@ class _Driver:
         y_cycle = r_fresh if at > 0 else self.y
         pool = self.plan.policy.pool
         for algo in [first_choice] + [a for a in pool if a != first_choice]:
-            charge = _STATE_CLASSES[algo].PROLOGUE_CHARGE
+            charge = _STATE_CLASSES[algo].PROLOGUE_CHARGES[-1]
             if algo in self.barren or at + charge > self.plan.global_budget:
                 continue
             state = init(algo, self.A, self.b, self.x, y_cycle, self.plan.cfg,
@@ -296,8 +308,7 @@ class _Driver:
             self.current = algo
             self.iters += state.iters_used
             return None
-        return self.finish(EventKind.EXHAUSTED,
-                           r_norm if self.state is None else self.state.r_norm)
+        return self.exhausted(r_norm)
 
     def drive(self) -> str:
         """Run chunks and handoffs until the run terminates; returns the outcome name."""
@@ -328,7 +339,7 @@ class _Driver:
                     cause = EventKind.BREAKDOWN_SWITCH
                 if (kind is OutcomeKind.ITER_LIMIT or self.iters >= plan.global_budget
                         or self.barren.issuperset(plan.policy.pool)):
-                    return self.finish(EventKind.EXHAUSTED, state.r_norm)
+                    return self.exhausted(state.r_norm if residual is None else residual[1])
                 if cause is None:
                     cause = strategy.switch_kind(state)
                 if cause is not None:
@@ -338,8 +349,7 @@ class _Driver:
         except NonFiniteError:
             # The iterate stays finite, but it has grown until a norm of it
             # or of its residual overflowed: no handoff can recover.
-            return self.finish(EventKind.EXHAUSTED,
-                               math.inf if self.state is None else self.state.r_norm)
+            return self.exhausted(math.inf)
 
 
 def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
@@ -350,7 +360,9 @@ def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
     of the outgoing one. The returned record carries the residual norm of the
     terminal event (the recurrence residual, or the recomputed ||b - A x||
     when a handoff finds the iterate already converged; inf if it
-    overflowed) and the final iterate; delta and seconds are filled in by
+    overflowed) and the final iterate. An Exhausted record never carries a
+    refuted residual: after a convergence claim that ||b - A x|| refuted, it
+    reports that recomputed norm; delta and seconds are filled in by
     the harness. The record's combo is the pool and the strategy, e.g.
     ``A4+A12/ST2``. Invalid input raises ValueError, as ``init`` does.
     """

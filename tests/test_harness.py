@@ -335,6 +335,12 @@ class TestCli:
         assert text.startswith("### delta = 0")
         assert "A4+A12/ST2" in text
 
+    def test_unwritable_output_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert cli_main(["--n", "20", "--solo", "a4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_st3_flags(self):
         code = cli_main(["--problem", "baheux", "--n", "60", "--delta", "0.2",
                          "--switch", "st3", "--pool", "a8b10,a4",

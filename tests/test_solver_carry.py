@@ -118,7 +118,7 @@ def test_kernel_calls_per_step(monkeypatch, algo, name, A, b):
     steady, first = STEP_WORK[algo]
     counted = 0
     while st.outcome.kind is OutcomeKind.CONTINUE and counted < STEPS:
-        is_first = st.steps_taken == 0
+        is_first = st.iters_used == st.PROLOGUE_CHARGES[-1]
         counter.take()
         if st.step().kind is OutcomeKind.CONTINUE:
             assert counter.take() == (first if is_first else steady)
@@ -134,7 +134,7 @@ def test_report_then_step_does_the_work_of_step(monkeypatch, algo, name, A, b):
     steady, first = STEP_WORK[algo]
     counted = 0
     while st.outcome.kind is OutcomeKind.CONTINUE and counted < STEPS:
-        is_first = st.steps_taken == 0
+        is_first = st.iters_used == st.PROLOGUE_CHARGES[-1]
         counter.take()
         report = denominator_report(st)
         prepared = counter.take()
@@ -197,7 +197,7 @@ def test_report_never_raises_on_overflow(algo):
     outcome = st.step()
     assert outcome.kind is OutcomeKind.BREAKDOWN
     assert outcome.label == label and math.isnan(outcome.value)
-    assert st.steps_taken == OVERFLOW_STEPS[algo]
+    assert st.iters_used - st.PROLOGUE_CHARGES[-1] == OVERFLOW_STEPS[algo]
 
 
 def test_a5b10_start_overflow_ends_in_the_start(monkeypatch):
@@ -229,7 +229,7 @@ def test_shadow_overflow_ends_before_the_update(algo):
     outcome = st.step()
     assert outcome.kind is OutcomeKind.BREAKDOWN
     assert outcome.label == label and math.isnan(outcome.value)
-    assert st.k == 0 and st.steps_taken == 1
+    assert st.k == 0 and st.iters_used == 1
     assert st.x.tobytes() == np.zeros(3).tobytes()
     assert st.r.tobytes() == b.tobytes() and st.r_norm == norm2(b)
 

@@ -110,7 +110,7 @@ class TestInit:
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.2))
         st = init(AlgoId.A5B10, inst.A, inst.b, np.zeros(20), inst.b, CFG)
         assert st.k == 1
-        assert st.iters_used == st.PROLOGUE_CHARGE == 1
+        assert st.iters_used == st.PROLOGUE_CHARGES[-1] == 1
         assert st.C1 == 1.0
         r0 = inst.b
         Ar0 = inst.A.matvec(r0)
@@ -124,7 +124,24 @@ class TestInit:
         st = init(AlgoId.A12, inst.A, inst.b, np.zeros(20), inst.b, CFG)
         assert st.k == 2  # x1 and x2 computed
         # Charged per the cycle-accounting rule the driver budgets with.
-        assert st.iters_used == st.PROLOGUE_CHARGE == 3
+        assert st.iters_used == st.PROLOGUE_CHARGES[-1] == 3
+
+    @pytest.mark.parametrize("A, b, y, outcome, k, charge", [
+        # (y, r0) = 0 at A12's first division: Breakdown at c1 before x1.
+        (np.diag([1.0, 2.0, 3.0]), [1.0, 1.0, 0.0], [1.0, -0.5, 0.0],
+         (OutcomeKind.BREAKDOWN, "A12.c1"), 0, 0),
+        # A = 2 I: x1 is the solution, so the start ends after one update.
+        (2.0 * np.eye(3), [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], (OutcomeKind.CONVERGED, ""),
+         1, 1),
+        # Two distinct eigenvalues in r0: x2 is the solution.
+        (np.diag([1.0, 2.0, 3.0]), [1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+         (OutcomeKind.CONVERGED, ""), 2, 3),
+    ], ids=["k0", "k1", "k2"])
+    def test_a12_start_charges_its_table_entry(self, A, b, y, outcome, k, charge):
+        st = init(AlgoId.A12, SparseMatrix.from_dense(A), as_vector(b), np.zeros(3),
+                  as_vector(y), CFG)
+        assert (st.outcome.kind, st.outcome.label) == outcome and st.k == k
+        assert st.iters_used == st.PROLOGUE_CHARGES[k] == charge
 
 
 class TestStep:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,7 +8,15 @@ from lanswitch import solvers, switching
 from lanswitch.harness import derive_seed
 from lanswitch.linalg import NonFiniteError, SparseMatrix, as_vector, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
-from lanswitch.solvers import _STATE_CLASSES, AlgoId, OutcomeKind, SolverConfig, init, run
+from lanswitch.solvers import (
+    _STATE_CLASSES,
+    AlgoId,
+    OutcomeKind,
+    SolverConfig,
+    StepOutcome,
+    init,
+    run,
+)
 from lanswitch.switching import (
     ST1,
     ST2,
@@ -456,7 +466,7 @@ class TestRunSwitching:
         assert skips
         illegitimate = [(at, a) for at, x, a in skips
                         if (a, x) not in broke
-                        and at + _STATE_CLASSES[a].PROLOGUE_CHARGE <= plan.global_budget]
+                        and at + _STATE_CLASSES[a].PROLOGUE_CHARGES[-1] <= plan.global_budget]
         assert not illegitimate
 
     def test_budget_exhaustion(self):
@@ -602,3 +612,52 @@ class TestRunSwitching:
         assert rec.residual == trace.events[-1].residual_norm
         assert rec.residual <= plan.cfg.tol
         assert rec.residual == norm2(inst.b - inst.A.matvec(rec.x))
+
+    # An ill-conditioned 2 x 2 system on which every convergence claim of an
+    # ST2(3) run over all four algorithms is refuted by b - A x.
+    REFUTED_A = [[0.08517081042935613, 0.03681965837903331],
+                 [-0.9139400819383104, -0.39509969935986067]]
+    REFUTED_B = [-0.8262193431618032, -2.0859976977356904]
+    REFUTED_Y = [0.7811855330426222, -0.5941795835730395]
+
+    def refuted_run(self, global_budget):
+        A = SparseMatrix.from_dense(self.REFUTED_A)
+        b = as_vector(self.REFUTED_B)
+        plan = SwitchPlan(
+            strategy=ST2(3),
+            policy=SelectionPolicy((A4, A8B10, A5B10, A12), CoinToss(2017765391)),
+            start=A8B10,
+            cfg=SolverConfig(tol=1e-8, max_iters=2176),
+            global_budget=global_budget,
+        )
+        rec, trace = run_switching(A, b, np.zeros(2), as_vector(self.REFUTED_Y), plan)
+        return rec, trace, norm2(b - A.matvec(rec.x))
+
+    def test_budget_exit_after_a_refuted_claim_reports_b_minus_ax(self):
+        # The last chunk ends in a convergence claim that b - A x refutes, and
+        # the budget is spent: the record must not carry the refuted
+        # recurrence residual, which is below tol.
+        rec, trace, true_norm = self.refuted_run(2573)
+        assert rec.outcome == "Exhausted" and rec.iterations == 2573
+        assert rec.residual == trace.events[-1].residual_norm == true_norm
+        assert true_norm > 1e-8
+
+    def test_handoff_exit_after_a_refuted_claim_reports_b_minus_ax(self, monkeypatch):
+        # Once the installed state claims convergence, every member breaks
+        # down at the iterate without an update, so the CycleEnd handoff
+        # after the first refuted claim skips the whole pool.
+        made = []
+
+        def barren_after_a_claim(algo, *args, **kwargs):
+            if made and made[-1].outcome.kind is OutcomeKind.CONVERGED:
+                return SimpleNamespace(k=0, outcome=StepOutcome(OutcomeKind.BREAKDOWN,
+                                                                "double", 0.0))
+            made.append(init(algo, *args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(switching, "init", barren_after_a_claim)
+        rec, trace, true_norm = self.refuted_run(5000)
+        assert rec.outcome == "Exhausted" and rec.iterations < 5000
+        assert made[-1].r_norm <= 1e-8
+        assert rec.residual == trace.events[-1].residual_norm == true_norm
+        assert true_norm > 1e-8
