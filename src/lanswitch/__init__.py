@@ -13,8 +13,6 @@ from .problems import (
     BaheuxSpec,
     MatrixMarketError,
     ProblemInstance,
-    SingularMatrixError,
-    direct_solve_oracle,
     gen_baheux,
     read_matrix_market,
     write_matrix_market,

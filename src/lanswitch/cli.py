@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -90,6 +91,10 @@ def _config_from_args(args) -> ExperimentConfig:
             strategy = ST3(monitor_threshold=args.monitor_threshold)
         start = AlgoId.parse(args.start) if args.start else None
         combos.append(SwitchTemplate(strategy=strategy, pool=pool, start=start))
+    else:
+        for flag, value in (("--pool", args.pool), ("--start", args.start)):
+            if value is not None:
+                raise _UsageError(f"{flag} requires --switch")
     if not combos:
         raise _UsageError("nothing to run: give --solo and/or --switch")
 
@@ -113,7 +118,15 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
-    except (_UsageError, ValueError) as err:
+        if args.out:
+            # Fail before any solve if the report cannot be written. Mode "a"
+            # keeps an existing file as it is until the report is ready, and
+            # a file made only for this check goes again.
+            existed = os.path.exists(args.out)
+            open(args.out, "a").close()
+            if not existed:
+                os.remove(args.out)
+    except (_UsageError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -208,14 +208,13 @@ class SparseMatrix:
         self.data = data
         for arr in (self.indptr, self.indices, self.data):
             arr.flags.writeable = False
-        # Row index of every stored entry: it drives the bincount products;
-        # a DIA matrix drops it and rebuilds it only for to_dense and norm_inf.
-        self._rows_of_nnz = None
-        rows = self._nnz_rows()
+        # Row index of every stored entry: the bincount products read it, and
+        # the band table is built from it; a banded matrix does not keep it.
+        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), indptr[1:] - indptr[:-1])
+        rows.flags.writeable = False
         self._bands = (_dia_bands(self.nrows, indptr, rows, indices, data)
                        if self.nrows == self.ncols and self.nrows >= DIA_MIN_N else None)
-        if self._bands is not None:
-            self._rows_of_nnz = None
+        self._rows_of_nnz = rows if self._bands is None else None
 
     # -- constructors -------------------------------------------------
 
@@ -269,26 +268,6 @@ class SparseMatrix:
     def require_square(self) -> None:
         if not self.is_square:
             raise DimensionError(f"matrix must be square, got {self.nrows}x{self.ncols}")
-
-    def _nnz_rows(self) -> np.ndarray:
-        if self._rows_of_nnz is None:
-            rows = np.repeat(np.arange(self.nrows, dtype=np.int64),
-                             self.indptr[1:] - self.indptr[:-1])
-            rows.flags.writeable = False
-            self._rows_of_nnz = rows
-        return self._rows_of_nnz
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.ncols))
-        out[self._nnz_rows(), self.indices] = self.data
-        return out
-
-    def norm_inf(self) -> float:
-        """Max absolute row sum."""
-        if self.nnz == 0:
-            return 0.0
-        sums = np.bincount(self._nnz_rows(), weights=np.abs(self.data), minlength=self.nrows)
-        return float(sums.max())
 
     # -- kernels --------------------------------------------------------
 

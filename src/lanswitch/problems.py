@@ -1,4 +1,4 @@
-"""Block-tridiagonal test systems, MatrixMarket ingestion, and a dense direct-solve oracle."""
+"""Block-tridiagonal test systems and MatrixMarket input and output."""
 
 from __future__ import annotations
 
@@ -13,24 +13,16 @@ __all__ = [
     "BaheuxSpec",
     "ProblemInstance",
     "MatrixMarketError",
-    "SingularMatrixError",
     "gen_baheux",
     "read_matrix_market",
     "write_matrix_market",
-    "direct_solve_oracle",
 ]
 
 BLOCK_SIZE = 10
 
-DENSE_SOLVE_LIMIT = 2000
-
 
 class MatrixMarketError(ValueError):
     """Malformed or unsupported MatrixMarket input."""
-
-
-class SingularMatrixError(ValueError):
-    """Elimination hit an exactly singular pivot."""
 
 
 @dataclass(frozen=True)
@@ -183,55 +175,11 @@ def _next_content_line(fh):
     return None
 
 
-def write_matrix_market(path: str, A: SparseMatrix, symmetric: bool = False) -> None:
-    """Write ``A`` in coordinate format; with ``symmetric`` only the lower triangle is stored."""
-    dense_rows = np.repeat(np.arange(A.nrows), np.diff(A.indptr))
-    cols = A.indices
-    vals = A.data
-    if symmetric:
-        keep = dense_rows >= cols
-        dense_rows, cols, vals = dense_rows[keep], cols[keep], vals[keep]
-    kind = "symmetric" if symmetric else "general"
+def write_matrix_market(path: str, A: SparseMatrix) -> None:
+    """Write ``A`` in general coordinate format, every stored entry."""
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.indptr))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate real {kind}\n")
-        fh.write(f"{A.nrows} {A.ncols} {len(vals)}\n")
-        for i, j, v in zip(dense_rows, cols, vals):
+        fh.write("%%MatrixMarket matrix coordinate real general\n")
+        fh.write(f"{A.nrows} {A.ncols} {A.nnz}\n")
+        for i, j, v in zip(rows, A.indices, A.data):
             fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
-
-
-# ---------------------------------------------------------------------------
-# Dense direct-solve oracle
-# ---------------------------------------------------------------------------
-
-
-def direct_solve_oracle(A: SparseMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by dense Gaussian elimination with partial pivoting.
-
-    Intentionally independent of the iterative solvers: the matrix is
-    densified and eliminated in place. Refuses systems larger than the
-    densification bound (2000).
-    """
-    A.require_square()
-    n = A.nrows
-    if n > DENSE_SOLVE_LIMIT:
-        raise DimensionError(f"oracle limited to n <= {DENSE_SOLVE_LIMIT}, got {n}")
-    if b.shape[0] != n:
-        raise DimensionError("right-hand side length must match matrix dimension")
-
-    M = A.to_dense()
-    y = np.array(b, dtype=np.float64, copy=True)
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(M[col:, col])))
-        if abs(M[piv, col]) < 1e-300:
-            raise SingularMatrixError(f"singular pivot at column {col}")
-        if piv != col:
-            M[[col, piv], col:] = M[[piv, col], col:]
-            y[[col, piv]] = y[[piv, col]]
-        factors = M[col + 1 :, col] / M[col, col]
-        M[col + 1 :, col:] -= np.outer(factors, M[col, col:])
-        y[col + 1 :] -= factors * y[col]
-
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (y[row] - M[row, row + 1 :] @ x[row + 1 :]) / M[row, row]
-    return x

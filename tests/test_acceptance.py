@@ -15,9 +15,10 @@ from lanswitch.harness import (
     run_experiment,
 )
 from lanswitch.linalg import SparseMatrix, norm2
-from lanswitch.problems import BaheuxSpec, direct_solve_oracle, gen_baheux
+from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, init, run
 from lanswitch.switching import ST2, CoinToss, SelectionPolicy, SwitchPlan, run_switching
+from oracles import direct_solve_oracle, norm_inf
 
 DELTAS = (0.0, 0.2, 5.0, 8.0)
 DIMS = (20, 40, 60, 80, 100, 200, 400, 600, 800, 1000)
@@ -156,7 +157,7 @@ def test_criterion_4_residual_identity_and_7_normalization():
     def check(state, where):
         nonlocal checked
         gap = norm2(state.r - (state.b - state.A.matvec(state.x)))
-        bound = 1e-10 * (norm2(state.b) + state.A.norm_inf() * norm2(state.x))
+        bound = 1e-10 * (norm2(state.b) + norm_inf(state.A) * norm2(state.x))
         checked += 1
         if gap > bound:
             identity_violations.append((where, gap, bound))

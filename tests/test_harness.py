@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from lanswitch import cli
 from lanswitch.cli import _build_parser, cli_main
 from lanswitch.harness import (
     CSV_COLUMNS,
@@ -291,7 +292,7 @@ class TestCli:
     def test_matrix_market_routing(self, tmp_path, capsys):
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))
         path = tmp_path / "prob.mtx"
-        write_matrix_market(str(path), inst.A, symmetric=True)
+        write_matrix_market(str(path), inst.A)
         code = cli_main(["--problem", f"mm:{path}", "--switch", "st1",
                          "--pool", "a5b10,a8b10"])
         assert code == 0
@@ -340,6 +341,39 @@ class TestCli:
         assert cli_main(["--n", "20", "--solo", "a4", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_unwritable_output_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(cfg):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(cli, "run_experiment", no_solve)
+        out = tmp_path / "missing" / "x.csv"
+        assert cli_main(["--n", "20", "--solo", "a4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_failed_run_leaves_output_as_it_was(self, tmp_path, monkeypatch):
+        # The writability check neither truncates an existing report nor
+        # leaves an empty new one behind when the run then fails.
+        def failing_solve(cfg):
+            raise ValueError("solve failed")
+
+        monkeypatch.setattr(cli, "run_experiment", failing_solve)
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("old report\n")
+        for out in (old, new):
+            assert cli_main(["--n", "20", "--solo", "a4", "--out", str(out)]) == 1
+        assert old.read_text() == "old report\n"
+        assert not new.exists()
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--pool", "a4,a12"], "--pool"),
+        (["--start", "a12"], "--start"),
+        (["--pool", "a4,a12", "--start", "a12"], "--pool"),
+    ])
+    def test_switch_flags_without_switch_exit_one(self, capsys, flags, flag):
+        assert cli_main(["--n", "20", "--solo", "a4"] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
 
     def test_st3_flags(self):
         code = cli_main(["--problem", "baheux", "--n", "60", "--delta", "0.2",

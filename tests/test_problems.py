@@ -1,17 +1,44 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from lanswitch.linalg import DimensionError, SparseMatrix, as_vector, norm2
 from lanswitch.problems import (
     BaheuxSpec,
     MatrixMarketError,
-    SingularMatrixError,
-    direct_solve_oracle,
     gen_baheux,
     read_matrix_market,
     write_matrix_market,
 )
+from oracles import SingularMatrixError, direct_solve_oracle, to_dense
+
+
+def write_lower_triangle(path, A):
+    """Write the lower triangle of ``A`` as a symmetric MatrixMarket file."""
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.indptr))
+    keep = rows >= A.indices
+    entries = [f"{i + 1} {j + 1} {float(v)!r}\n"
+               for i, j, v in zip(rows[keep], A.indices[keep], A.data[keep])]
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    f"{A.nrows} {A.ncols} {len(entries)}\n" + "".join(entries))
+
+
+# Finite values in +-1e300, with both zeros, subnormals and the extremes
+# drawn often. Up to 40 of them cannot overflow a sum, so every drawn matrix
+# is one from_coo accepts and its right-hand side A 1 is finite.
+_VALUES = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]))
+
+
+@st.composite
+def coo_matrices(draw):
+    n = draw(st.integers(1, 12))
+    index = st.integers(0, n - 1)
+    triplets = draw(st.lists(st.tuples(index, index, _VALUES), max_size=40))
+    rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+    return SparseMatrix.from_coo(n, n, rows, cols, vals)
 
 
 class TestBaheuxGenerator:
@@ -22,7 +49,7 @@ class TestBaheuxGenerator:
             BaheuxSpec(n=0)
 
     def test_symmetric_corner_entries(self):
-        A = gen_baheux(BaheuxSpec(n=20, delta=0.0)).A.to_dense()
+        A = to_dense(gen_baheux(BaheuxSpec(n=20, delta=0.0)).A)
         assert A[0, 0] == 4.0
         assert A[0, 1] == -1.0
         assert A[1, 0] == -1.0
@@ -30,7 +57,7 @@ class TestBaheuxGenerator:
         assert A[0, 2] == 0.0
 
     def test_skewed_entries(self):
-        A = gen_baheux(BaheuxSpec(n=20, delta=0.2)).A.to_dense()
+        A = to_dense(gen_baheux(BaheuxSpec(n=20, delta=0.2)).A)
         assert A[0, 1] == pytest.approx(-0.8)
         assert A[1, 0] == pytest.approx(-1.2)
 
@@ -44,7 +71,7 @@ class TestBaheuxGenerator:
         coupling = np.eye(nb, k=1) + np.eye(nb, k=-1)
         expected = np.kron(np.eye(nb), T) - np.kron(coupling, np.eye(10))
         A = gen_baheux(BaheuxSpec(n=n, delta=delta)).A
-        assert np.array_equal(A.to_dense(), expected)
+        assert np.array_equal(to_dense(A), expected)
         # Exactly the stencil's entries are stored, in column order per row
         # (for delta = 1 the zero superdiagonal is stored explicitly).
         pattern = (np.kron(np.eye(nb), np.eye(10) + np.eye(10, k=1) + np.eye(10, k=-1))
@@ -57,7 +84,7 @@ class TestBaheuxGenerator:
     def test_rhs_is_row_sums(self):
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))
         assert inst.b[0] == 2.0  # corner row: 4 - 1 - 1
-        assert_allclose(inst.b, inst.A.to_dense().sum(axis=1))
+        assert_allclose(inst.b, to_dense(inst.A).sum(axis=1))
 
     @pytest.mark.parametrize("n", [10, 200, 290, 300, 1000, 2000])
     @pytest.mark.parametrize("delta", [0.0, 0.2, 5.0, 8.0, 1.0, -1.0, 1e-300, -0.0])
@@ -97,25 +124,29 @@ class TestMatrixMarket:
             "3 3 3\n"
             "1 1 1.0\n2 2 1.0\n3 3 1.0\n")
         inst = read_matrix_market(str(path))
-        assert_allclose(inst.A.to_dense(), np.eye(3))
+        assert_allclose(to_dense(inst.A), np.eye(3))
         assert_allclose(inst.b, np.ones(3))
         assert_allclose(inst.x_true, np.ones(3))
 
     def test_symmetric_lower_triangle_matches_generator(self, tmp_path):
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))
         path = tmp_path / "baheux.mtx"
-        write_matrix_market(str(path), inst.A, symmetric=True)
+        write_lower_triangle(path, inst.A)
         back = read_matrix_market(str(path))
-        assert_allclose(back.A.to_dense(), inst.A.to_dense(), rtol=0, atol=0)
+        assert_allclose(to_dense(back.A), to_dense(inst.A), rtol=0, atol=0)
 
-    def test_general_roundtrip_entrywise(self, tmp_path):
-        inst = gen_baheux(BaheuxSpec(n=30, delta=0.2))
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(A=coo_matrices())
+    def test_general_roundtrip_entrywise(self, tmp_path, A):
+        # Every stored entry comes back with the same bits, signed zeros and
+        # subnormals included: the writer prints repr, which round-trips.
         path = tmp_path / "m.mtx"
-        write_matrix_market(str(path), inst.A)
-        back = read_matrix_market(str(path))
-        assert np.array_equal(back.A.indptr, inst.A.indptr)
-        assert np.array_equal(back.A.indices, inst.A.indices)
-        assert np.array_equal(back.A.data, inst.A.data)
+        write_matrix_market(str(path), A)
+        back = read_matrix_market(str(path)).A
+        assert back.indptr.tobytes() == A.indptr.tobytes()
+        assert back.indices.tobytes() == A.indices.tobytes()
+        assert back.data.tobytes() == A.data.tobytes()
 
     def test_non_square_rejected(self, tmp_path):
         path = tmp_path / "rect.mtx"
@@ -159,7 +190,7 @@ class TestMatrixMarket:
         path = tmp_path / "tail.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n"
                         "2 2 2\n1 1 2.0\n2 2 3.0\n% end\n\n")
-        assert read_matrix_market(str(path)).A.to_dense().tolist() == [[2.0, 0.0], [0.0, 3.0]]
+        assert to_dense(read_matrix_market(str(path)).A).tolist() == [[2.0, 0.0], [0.0, 3.0]]
 
     def test_negative_entry_count(self, tmp_path):
         # Reading no entries would give the zero matrix.

@@ -29,6 +29,7 @@ from lanswitch.switching import (
     run_switching,
     select_next,
 )
+from oracles import norm_inf
 from random_systems import random_system
 
 A4, A12, A5B10, A8B10 = AlgoId.A4, AlgoId.A12, AlgoId.A5B10, AlgoId.A8B10
@@ -130,7 +131,7 @@ class TestHandoff:
                 break
             st2.step()
             gap = norm2(st2.r - (inst.b - inst.A.matvec(st2.x)))
-            bound = 1e-10 * (norm2(inst.b) + inst.A.norm_inf() * norm2(st2.x))
+            bound = 1e-10 * (norm2(inst.b) + norm_inf(inst.A) * norm2(st2.x))
             assert gap <= bound
 
 
