@@ -46,9 +46,11 @@ def _build_parser() -> _Parser:
                    help="switching strategy to run over --pool")
     p.add_argument("--pool", default=None, help="comma list of pool algorithms")
     p.add_argument("--start", default=None, help="starting algorithm for switching")
-    p.add_argument("--cycle", type=int, default=ST2.cycle_len, help="ST2 cycle length")
-    p.add_argument("--monitor-threshold", type=float, default=ST3.monitor_threshold,
-                   help="ST3 denominator threshold")
+    p.add_argument("--cycle", type=int, default=None,
+                   help=f"ST2 cycle length (default {ST2.cycle_len}; needs --switch st2)")
+    p.add_argument("--monitor-threshold", type=float, default=None,
+                   help=f"ST3 denominator threshold (default {ST3.monitor_threshold:g}; "
+                        "needs --switch st3)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="residual-norm convergence tolerance")
     p.add_argument("--budget", type=int, default=None,
@@ -76,6 +78,11 @@ def _config_from_args(args) -> ExperimentConfig:
     else:
         raise _UsageError(f"unknown problem {args.problem!r}")
 
+    # A strategy's own flag without that strategy would be ignored.
+    for flag, value, switch in (("--cycle", args.cycle, "st2"),
+                                ("--monitor-threshold", args.monitor_threshold, "st3")):
+        if value is not None and args.switch != switch:
+            raise _UsageError(f"{flag} requires --switch {switch}")
     combos = []
     if args.solo:
         combos.extend(_parse_algos(args.solo))
@@ -86,9 +93,10 @@ def _config_from_args(args) -> ExperimentConfig:
         if args.switch == "st1":
             strategy = ST1()
         elif args.switch == "st2":
-            strategy = ST2(cycle_len=args.cycle)
+            strategy = ST2() if args.cycle is None else ST2(cycle_len=args.cycle)
         else:
-            strategy = ST3(monitor_threshold=args.monitor_threshold)
+            strategy = (ST3() if args.monitor_threshold is None
+                        else ST3(monitor_threshold=args.monitor_threshold))
         start = AlgoId.parse(args.start) if args.start else None
         combos.append(SwitchTemplate(strategy=strategy, pool=pool, start=start))
     else:

@@ -5,35 +5,51 @@ one and freezes it (read-only), while the solvers' iterates are ordinary
 arrays that no code writes into in place. All kernels are pure functions
 and safe to call from concurrent runs on shared, read-only operands.
 
-Storage rule. Every matrix keeps its CSR arrays. A square matrix with at
-least ``DIA_MIN_N`` rows, at most ``DIA_MAX_OFFSETS`` distinct offsets
-``col - row`` and strictly increasing columns in every row also keeps its
-diagonals (DIA storage; Saad, *Iterative Methods for Sparse Linear
-Systems*, 2nd ed., section 3.4) in one padded table, and computes its
-products from contiguous slices, without a gather. The table has a row for
-each offset o of A or of A.T, that is, for the union of A's offsets and
-their negatives, in ascending order: A's band at offset o (entry i is
-A[i, i + o]), then a gap of 2g zeros, where g is the largest offset, then
-A.T's band at offset o (entry j is A[j + o, j]). ``matvec`` and
-``matvec_t`` read their own halves of the rows. ``products(v, w)``
-multiplies each whole row with one slice of [0^g v 0^2g w 0^g], so each
-multiply and add adds a term to both products. Every other matrix computes
-its products with ``np.bincount`` over the stored entries, and its
-``products`` runs the two bincounts of ``matvec`` and ``matvec_t``.
+Storage rule. Every matrix keeps its CSR arrays, and the input alone picks
+one of three ways to compute its products:
 
-Both paths add the terms of an output entry in the same order, so they
-agree bit for bit: ``A v`` adds A's offsets in ascending order, which is a
+- A square matrix with fewer than ``DIA_MIN_N`` rows keeps a pair index:
+  2 nnz terms, each a weight, a position in [v w] and a position in
+  [A v, A.T w]. The first nnz terms are A's entries in CSR order, read from
+  v and added to their rows; the last nnz are the same entries read from w
+  and added to n + their columns. ``products(v, w)`` is one gather, one
+  multiply and one ``np.bincount`` over the terms; ``matvec`` and
+  ``matvec_t`` are one bincount each over the stored entries, whose row
+  index is the first half of the output positions.
+- A square matrix with at least ``DIA_MIN_N`` rows, at most
+  ``DIA_MAX_OFFSETS`` distinct offsets ``col - row`` and strictly
+  increasing columns in every row keeps its diagonals (DIA storage; Saad,
+  *Iterative Methods for Sparse Linear Systems*, 2nd ed., section 3.4) in
+  one padded table, and computes its products from contiguous slices,
+  without a gather. The table has a row for each offset o of A or of A.T,
+  that is, for the union of A's offsets and their negatives, in ascending
+  order: A's band at offset o (entry i is A[i, i + o]), then a gap of 2g
+  zeros, where g is the largest offset, then A.T's band at offset o (entry
+  j is A[j + o, j]). ``matvec`` and ``matvec_t`` read their own halves of
+  the rows. ``products(v, w)`` multiplies each whole row with one slice of
+  [0^g v 0^2g w 0^g], so each multiply and add adds a term to both products.
+- Every other matrix computes each product with one ``np.bincount`` over
+  the stored entries, and its ``products`` runs the two of ``matvec`` and
+  ``matvec_t``.
+
+All paths add the terms of an output entry in the same order, from +0.0,
+so they agree bit for bit. ``np.bincount`` adds its weights in the order
+it is given them, to sums that start at +0.0: a row's in CSR order, a
+column's in ascending row order, also when one call adds the terms of both
+products. On bands ``A v`` adds A's offsets in ascending order, which is a
 row's column order, and ``A.T v`` adds them in descending order, which is a
 column's row order and the ascending order of A.T's offsets. The padded
 entries of a band are +0.0, and a padded term only adds a signed zero to a
 sum that started at +0.0, which changes nothing for a finite operand. So
 the halves of ``products(v, w)`` equal ``matvec(v)`` and ``matvec_t(w)``
 byte for byte, and neither half reads the other operand. Every product
-checks its own result: ``products`` checks ``A v`` as ``matvec`` does,
-then ``A.T w`` as ``matvec_t`` does, and raises NonFiniteError naming the
-half that is not finite.
+checks its own result. ``products`` checks a pair from one pass with one
+``all_finite`` over the whole output, and only if that fails each half,
+``A v`` first; it raises NonFiniteError naming the half that is not
+finite, as ``matvec`` or ``matvec_t`` would.
 
-The constructor builds the table in O(nnz + n), without a sort: marking
+The constructor builds the pair index with two concatenations of the CSR
+arrays. It builds the band table in O(nnz + n), without a sort: marking
 ``offset + n - 1`` in a boolean array finds the offsets, a lookup table from
 offset to row places every entry in A's halves, and A.T's band at offset
 -o is A's band at offset o, copied shifted by o.
@@ -46,8 +62,10 @@ kernel call they make. A kernel called directly outside ``np.errstate`` may
 emit numpy's ``overflow`` RuntimeWarning, and, from the finite check or
 from a DIA band's padded 0 times an infinite operand entry, its
 ``invalid value`` RuntimeWarning. For the same reason a DIA product of a
-non-finite operand may raise NonFiniteError where the bincount path would
-return a finite result (an infinite entry whose column stores nothing).
+non-finite operand may raise NonFiniteError where the other paths return
+a finite result (an infinite entry whose column stores nothing): the pair
+index and the plain bincount have no padding, so no term reads an operand
+entry that no stored entry multiplies.
 Inside the library every operand of a product is a checked vector, except
 A5/B10's direction p_k, whose overflow its product reports.
 """
@@ -101,8 +119,9 @@ def as_vector(data) -> np.ndarray:
 
 
 # A square matrix with at least this many rows computes its products from
-# diagonal bands, if it has at most DIA_MAX_OFFSETS distinct offsets: the
-# measured crossover (see "Sparse storage" in the README).
+# diagonal bands, if it has at most DIA_MAX_OFFSETS distinct offsets, and
+# one with fewer from its pair index: the measured crossover (see "Sparse
+# storage" in the README).
 DIA_MIN_N = 400
 DIA_MAX_OFFSETS = 5
 
@@ -139,7 +158,7 @@ def check_finite(out: np.ndarray, context: str) -> np.ndarray:
 
     Overflow must surface as an error, never propagate silently: every
     product checks its result with this, ``SparseMatrix.products`` each of
-    its halves.
+    its halves (after one failed ``all_finite`` over a one-pass pair).
     """
     if not all_finite(out):
         raise NonFiniteError(f"non-finite result in {context}")
@@ -177,11 +196,13 @@ class SparseMatrix:
     """CSR matrix over float64, immutable after construction.
 
     Products with the transpose are computed by scattering along the stored
-    rows, so no transposed copy is kept. A banded matrix also keeps its
-    diagonal bands (see the module docstring's storage rule).
+    rows, so no transposed copy is kept. A small square matrix also keeps a
+    pair index, and a large banded one its diagonal bands (see the module
+    docstring's storage rule).
     """
 
-    __slots__ = ("nrows", "ncols", "indptr", "indices", "data", "_rows_of_nnz", "_bands")
+    __slots__ = ("nrows", "ncols", "indptr", "indices", "data", "_rows_of_nnz", "_pair",
+                 "_bands")
 
     def __init__(self, nrows: int, ncols: int, indptr, indices, data):
         if nrows < 1 or ncols < 1:
@@ -193,27 +214,35 @@ class SparseMatrix:
             raise DimensionError("indptr must have length nrows + 1")
         if indptr[0] != 0 or indptr[-1] != indices.shape[0]:
             raise LinalgError("indptr must start at 0 and end at nnz")
-        if (indptr[1:] - indptr[:-1]).min() < 0:
-            raise LinalgError("indptr must be monotone non-decreasing")
+        # Row index of every stored entry: the bincount products read it, and
+        # the pair index and the band table are built from it. np.repeat
+        # rejects a negative row length, so it also checks indptr's order.
+        try:
+            rows = np.repeat(np.arange(nrows, dtype=np.int64), indptr[1:] - indptr[:-1])
+        except ValueError:
+            raise LinalgError("indptr must be monotone non-decreasing") from None
         if indices.shape != data.shape:
             raise DimensionError("indices and data must have equal length")
-        if indices.size and (indices.min() < 0 or indices.max() >= ncols):
+        # One comparison: a negative index reads as a huge unsigned one.
+        if np.count_nonzero(indices.view(np.uint64) >= ncols):
             raise LinalgError("column index out of range")
         if not np.isfinite(data).all():
             raise NonFiniteError("matrix values contain NaN or Inf")
-        self.nrows = int(nrows)
+        self.nrows = n = int(nrows)
         self.ncols = int(ncols)
         self.indptr = indptr
         self.indices = indices
         self.data = data
         for arr in (self.indptr, self.indices, self.data):
             arr.flags.writeable = False
-        # Row index of every stored entry: the bincount products read it, and
-        # the band table is built from it; a banded matrix does not keep it.
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), indptr[1:] - indptr[:-1])
-        rows.flags.writeable = False
-        self._bands = (_dia_bands(self.nrows, indptr, rows, indices, data)
-                       if self.nrows == self.ncols and self.nrows >= DIA_MIN_N else None)
+        self._pair = self._bands = None
+        if self.ncols == n and n < DIA_MIN_N:
+            self._pair = _pair_terms(n, rows, indices, data)
+            rows = self._pair.out[:indices.shape[0]]
+        else:
+            rows.flags.writeable = False
+            if self.ncols == n:
+                self._bands = _dia_bands(n, indptr, rows, indices, data)
         self._rows_of_nnz = rows if self._bands is None else None
 
     # -- constructors -------------------------------------------------
@@ -298,24 +327,36 @@ class SparseMatrix:
         """(A @ v, A.T @ w) of a square matrix in one pass.
 
         Each half equals ``matvec(v)`` or ``matvec_t(w)`` byte for byte, and
-        neither half reads the other operand. Each half is checked as that
-        product checks it, ``A v`` first: a NonFiniteError names ``matvec``
-        or ``matvec_t``.
+        neither half reads the other operand. It raises exactly when
+        ``matvec(v)`` or ``matvec_t(w)`` would, ``A v`` first: a
+        NonFiniteError names ``matvec`` or ``matvec_t``.
         """
         n = self.nrows
         if self.ncols != n or v.shape[0] != n or w.shape[0] != n:
             self.require_square()
             raise DimensionError(f"products: matrix has order {n}, vector lengths "
                                  f"{v.shape[0]} and {w.shape[0]}")
-        bands = self._bands
-        if bands is None:
-            Av, ATw = self._bincount_matvec(v), self._bincount_matvec_t(w)
-        else:
-            g, pad = bands.gap, bands.pad
-            both = _band_sum(bands.pair, np.concatenate((pad, v, pad, pad, w, pad)),
+        if self._pair is not None:
+            out, gather, weights = self._pair
+            terms = np.concatenate((v, w))[gather]
+            terms *= weights
+            both = np.bincount(out, weights=terms, minlength=2 * n)
+            Av, ATw = both[:n], both[n:]
+        elif self._bands is not None:
+            g, pad = self._bands.gap, self._bands.pad
+            both = _band_sum(self._bands.pair, np.concatenate((pad, v, pad, pad, w, pad)),
                              2 * (n + g))
             Av, ATw = both[:n], both[n + 2 * g:]
-        return check_finite(Av, "matvec"), check_finite(ATw, "matvec_t")
+        else:
+            return (check_finite(self._bincount_matvec(v), "matvec"),
+                    check_finite(self._bincount_matvec_t(w), "matvec_t"))
+        # One check for the pair. Only a failed one looks at the halves, so the
+        # error names the half, and a non-finite entry in the gap between the
+        # band halves raises nothing.
+        if not all_finite(both):
+            check_finite(Av, "matvec")
+            check_finite(ATw, "matvec_t")
+        return Av, ATw
 
     def _bincount_matvec(self, v):
         return np.bincount(self._rows_of_nnz, weights=self.data * v[self.indices],
@@ -327,6 +368,32 @@ class SparseMatrix:
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
+
+
+class _Pair(NamedTuple):
+    """The terms of (A v, A.T w) for one bincount over [v w], read-only.
+
+    Term t adds ``weights[t] * [v w][gather[t]]`` to entry ``out[t]`` of
+    [A v, A.T w]. The first nnz terms are A's entries in CSR order, read
+    from v and added to their rows; the last nnz are the same entries read
+    from w and added to n + their columns. ``out[:nnz]`` is the row index
+    of the stored entries.
+    """
+
+    out: np.ndarray
+    gather: np.ndarray
+    weights: np.ndarray
+
+
+def _pair_terms(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> _Pair:
+    """The _Pair of an n x n CSR matrix: two concatenations of its arrays."""
+    nnz = cols.shape[0]
+    index = np.concatenate((rows, cols, cols, rows))
+    index.reshape(4, nnz)[1::2] += n
+    weights = np.concatenate((data, data))
+    index.flags.writeable = False
+    weights.flags.writeable = False
+    return _Pair(index[:2 * nnz], index[2 * nnz:], weights)
 
 
 class _Bands(NamedTuple):

@@ -19,6 +19,9 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 10
+# Column offsets of a row's five stencil entries, in column order.
+_STENCIL_OFFSETS = np.array([-BLOCK_SIZE, -1, 0, 1, BLOCK_SIZE])
+_STENCIL_OFFSETS.flags.writeable = False
 
 
 class MatrixMarketError(ValueError):
@@ -64,30 +67,28 @@ def gen_baheux(spec: BaheuxSpec) -> ProblemInstance:
     side is chosen so the exact solution is the all-ones vector.
     """
     n, delta = spec.n, spec.delta
-    i = np.arange(n, dtype=np.int64)
-    t = i % BLOCK_SIZE
-    # Row i's candidate entries in column order: the -I block to the left,
-    # the inner subdiagonal, diagonal and superdiagonal, the -I block to the
-    # right; ``stored`` says which of them lie inside the matrix and block.
-    cols = i[:, None] + np.array([-BLOCK_SIZE, -1, 0, 1, BLOCK_SIZE])
+    # Row i's five candidate entries in column order, at columns
+    # i + _STENCIL_OFFSETS: the -I block to the left, the inner subdiagonal,
+    # diagonal and superdiagonal, the -I block to the right; ``stored``
+    # clears those outside the matrix or the inner block.
     vals = np.array([-1.0, -1.0 - delta, 4.0, -1.0 + delta, -1.0])
-    stored = np.empty((n, 5), dtype=bool)
-    stored[:, 0] = i >= BLOCK_SIZE
-    stored[:, 1] = t > 0
-    stored[:, 2] = True
-    stored[:, 3] = t < BLOCK_SIZE - 1
-    stored[:, 4] = i < n - BLOCK_SIZE
+    stored = np.ones((n, 5), dtype=bool)
+    stored[:BLOCK_SIZE, 0] = False
+    stored[::BLOCK_SIZE, 1] = False
+    stored[BLOCK_SIZE - 1::BLOCK_SIZE, 3] = False
+    stored[n - BLOCK_SIZE:, 4] = False
     # Flat positions of the stored candidates, row by row; row i's entries
     # are those between positions 5 i and 5 (i + 1).
     kept = np.flatnonzero(stored)
+    rows, slot = np.divmod(kept, 5)
     indptr = np.searchsorted(kept, np.arange(0, 5 * n + 1, 5))
-    data = vals[kept % 5]
-    A = SparseMatrix(n, n, indptr, cols.ravel()[kept], data)
+    data = vals[slot]
+    A = SparseMatrix(n, n, indptr, rows + _STENCIL_OFFSETS[slot], data)
     x_true = np.ones(n)
     x_true.flags.writeable = False
     # b = A x_true: row sums in stored order from +0.0, which is how
     # A.matvec(x_true) adds its terms data * 1.0, so the bits are the same.
-    b = np.bincount(kept // 5, weights=data, minlength=n)
+    b = np.bincount(rows, weights=data, minlength=n)
     b.flags.writeable = False
     return ProblemInstance(A=A, b=b, x_true=x_true, label=f"baheux(n={n},delta={delta:g})")
 

@@ -317,10 +317,13 @@ class TestCli:
 
     def test_defaults_are_the_library_defaults(self):
         # The CLI and the harness read their defaults from the library, so
-        # a changed library default cannot leave a stale copy behind.
+        # a changed library default cannot leave a stale copy behind. The
+        # strategy flags keep no copy at all: unset, the library's apply.
         args = _build_parser().parse_args([])
-        assert args.cycle == ST2().cycle_len
-        assert args.monitor_threshold == ST3().monitor_threshold
+        assert args.cycle is None and args.monitor_threshold is None
+        for switch, strategy in (("st2", ST2()), ("st3", ST3())):
+            args = _build_parser().parse_args(["--switch", switch, "--pool", "a4,a12"])
+            assert cli._config_from_args(args).algorithms[0].strategy == strategy
         assert args.tol == DEFAULT_TOL == SolverConfig().tol
 
     def test_missing_file_exit_one(self):
@@ -374,6 +377,35 @@ class TestCli:
         assert cli_main(["--n", "20", "--solo", "a4"] + flags) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--solo", "a4", "--cycle", "5"], "--cycle requires --switch st2"),
+        (["--solo", "a4", "--cycle", "5", "--monitor-threshold", "1"],
+         "--cycle requires --switch st2"),
+        (["--switch", "st1", "--pool", "a4,a12", "--cycle", "5"],
+         "--cycle requires --switch st2"),
+        (["--switch", "st3", "--pool", "a4,a12", "--cycle", "5"],
+         "--cycle requires --switch st2"),
+        (["--solo", "a4", "--monitor-threshold", "1"],
+         "--monitor-threshold requires --switch st3"),
+        (["--switch", "st2", "--pool", "a4,a12", "--monitor-threshold", "1"],
+         "--monitor-threshold requires --switch st3"),
+    ], ids=["cycle-solo", "both-solo", "cycle-st1", "cycle-st3", "threshold-solo",
+            "threshold-st2"])
+    def test_strategy_flag_without_its_strategy_exits_one(self, capsys, monkeypatch,
+                                                          flags, message):
+        # A flag no run would read is an error, found before any solve runs.
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("solve ran"))
+        assert cli_main(["--n", "20"] + flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("switch, flags, strategy", [
+        ("st2", ["--cycle", "7"], ST2(cycle_len=7)),
+        ("st3", ["--monitor-threshold", "1e-5"], ST3(monitor_threshold=1e-5)),
+    ])
+    def test_strategy_flags_reach_the_strategy(self, switch, flags, strategy):
+        args = _build_parser().parse_args(["--switch", switch, "--pool", "a4,a12"] + flags)
+        assert cli._config_from_args(args).algorithms[0].strategy == strategy
 
     def test_st3_flags(self):
         code = cli_main(["--problem", "baheux", "--n", "60", "--delta", "0.2",

@@ -184,6 +184,16 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix(2, 2, [0, 1, 2], [0, 5], [1.0, 1.0])
 
+    @pytest.mark.parametrize("indptr, indices, message", [
+        ([0, 2, 1, 2], [0, 1], "indptr must be monotone non-decreasing"),
+        ([0, 1, 2, 2], [0, -1], "column index out of range"),
+        ([0, 1, 2, 2], [3, 0], "column index out of range"),
+        ([0, 1, 2, 2], [2, -2**63], "column index out of range"),
+    ], ids=["decreasing-indptr", "negative-column", "column-past-end", "most-negative-column"])
+    def test_malformed_csr_rejected(self, indptr, indices, message):
+        with pytest.raises(linalg.LinalgError, match=f"^{message}$"):
+            SparseMatrix(3, 3, indptr, indices, [1.0, 1.0])
+
     def test_non_finite_values_rejected(self):
         with pytest.raises(NonFiniteError):
             SparseMatrix(1, 1, [0, 1], [0], [np.inf])
@@ -203,7 +213,7 @@ class TestSparseMatrix:
 
     def test_matvec_overflow_surfaces(self):
         M = SparseMatrix.from_dense(np.full((2, 2), 1e308))
-        assert M._bands is None
+        assert _path(M) == "pair"
         with pytest.warns(RuntimeWarning) as caught:
             with pytest.raises(NonFiniteError):
                 M.matvec(as_vector([1e100, 1e100]))
@@ -223,6 +233,24 @@ def _bincount_matvec(A, v):
 def _bincount_matvec_t(A, v):
     rows = np.repeat(np.arange(A.nrows), np.diff(A.indptr))
     return np.bincount(A.indices, weights=A.data * v[rows], minlength=A.ncols)
+
+
+def _path(A):
+    # Which storage computes the products: "pair" (one bincount over the pair
+    # index for products, a bincount per lone product), "bands" or "bincount".
+    if A._pair is not None:
+        assert A._bands is None
+        return "pair"
+    return "bincount" if A._bands is None else "bands"
+
+
+def _expected_path(A, offsets):
+    # The storage rule, from the matrix's shape and stored offsets.
+    if A.nrows != A.ncols:
+        return "bincount"
+    if A.nrows < linalg.DIA_MIN_N:
+        return "pair"
+    return "bands" if len(offsets) <= linalg.DIA_MAX_OFFSETS else "bincount"
 
 
 def _banded(monkeypatch, build):
@@ -319,7 +347,7 @@ class TestDiagonalStorage:
         n = linalg.DIA_MIN_N
         i = np.arange(n)
         M = SparseMatrix.from_coo(n, n + 1, i, i + 1, np.ones(n))
-        assert M._bands is None
+        assert _path(M) == "bincount"
         v = np.arange(n + 1, dtype=float)
         assert M.matvec(v).tobytes() == _bincount_matvec(M, v).tobytes()
 
@@ -330,15 +358,22 @@ class TestDiagonalStorage:
             return SparseMatrix.from_coo(n, n, rows, rows + np.repeat(
                 np.arange(count), [n - o for o in range(count)]), np.ones(rows.size))
 
-        assert upper_bands(linalg.DIA_MAX_OFFSETS)._bands is not None
+        assert _path(upper_bands(linalg.DIA_MAX_OFFSETS)) == "bands"
         M = upper_bands(linalg.DIA_MAX_OFFSETS + 1)
-        assert M._bands is None
+        assert _path(M) == "bincount"
         v = np.linspace(-1.0, 1.0, M.nrows)
         assert M.matvec(v).tobytes() == _bincount_matvec(M, v).tobytes()
 
     def test_below_crossover_stays_on_bincount(self):
+        # Below DIA_MIN_N a square matrix keeps the pair index: products is one
+        # bincount over it, and each lone product a bincount over the entries.
         n = (linalg.DIA_MIN_N - 1) // 10 * 10
-        assert gen_baheux(BaheuxSpec(n=n)).A._bands is None
+        A = gen_baheux(BaheuxSpec(n=n)).A
+        assert _path(A) == "pair"
+        assert A._rows_of_nnz.base is A._pair.out.base
+        v = _operand("mixed", n, 1)
+        assert A.matvec(v).tobytes() == _bincount_matvec(A, v).tobytes()
+        assert A.matvec_t(v).tobytes() == _bincount_matvec_t(A, v).tobytes()
 
     def test_paper_grid_banded_from_dia_min_n(self):
         # The library's own threshold, no monkeypatch: every paper-grid n from
@@ -355,7 +390,7 @@ class TestDiagonalStorage:
         indptr = np.arange(0, 2 * n + 1, 2)
         indices = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)[:, ::-1].ravel()
         M = _banded(monkeypatch, lambda: SparseMatrix(n, n, indptr, indices, np.ones(2 * n)))
-        assert M._bands is None
+        assert _path(M) == "bincount"
 
     def test_dia_arrays_read_only(self, monkeypatch):
         A = _banded(monkeypatch, lambda: gen_baheux(BaheuxSpec(n=300, delta=5.0)).A)
@@ -461,7 +496,7 @@ class TestBandDetection:
         row_cols = _band_rows(n, (-1, 0, 1), empty_rows)
         row_cols[row] = cols
         A, _ = _csr(n, row_cols)
-        assert A._bands is None
+        assert _path(A) == "bincount"
         for v in _signed_zero_vectors(n):
             assert A.matvec(v).tobytes() == _bincount_matvec(A, v).tobytes()
 
@@ -495,25 +530,38 @@ OPERAND_KINDS = ("mixed", "zeros", "negative-zeros", "cancelling")
 
 def _assert_pair_equals_products(A, v, w):
     Av, ATw = A.products(v, w)
-    # Bytes compare every bit, sign bits of zeros included.
-    assert Av.tobytes() == A.matvec(v).tobytes()
-    assert ATw.tobytes() == A.matvec_t(w).tobytes()
+    # Bytes compare every bit, sign bits of zeros included: each half equals
+    # its lone product and the plain-numpy bincount reference.
+    assert Av.tobytes() == A.matvec(v).tobytes() == _bincount_matvec(A, v).tobytes()
+    assert ATw.tobytes() == A.matvec_t(w).tobytes() == _bincount_matvec_t(A, w).tobytes()
 
 
 class TestProducts:
     N = linalg.DIA_MIN_N
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_halves_equal_matvec_and_matvec_t(self, data):
         n = data.draw(st.sampled_from([1, 2, 7, 40, self.N - 1, self.N, self.N + 37]), "n")
         offsets = data.draw(st.sets(st.integers(-(n - 1), n - 1),
                                     max_size=linalg.DIA_MAX_OFFSETS + 1), "offsets")
+        full_row = data.draw(st.none() | st.integers(0, n - 1), "full row")
+        full_col = data.draw(st.none() | st.integers(0, n - 1), "full column")
         empty = data.draw(st.sets(st.integers(0, n - 1), max_size=3), "empty rows")
+        empty_cols = data.draw(st.sets(st.integers(0, n - 1), max_size=3), "empty columns")
         seed = data.draw(st.integers(0, 2**32 - 1), "seed")
-        A, _ = _csr(n, _band_rows(n, offsets, empty), seed)
+        # Bands, then a row and a column that store every entry, then rows and
+        # columns that store none.
+        row_cols = _band_rows(n, offsets)
+        if full_row is not None:
+            row_cols[full_row] = list(range(n))
+        if full_col is not None:
+            row_cols = [sorted({*cols, full_col}) for cols in row_cols]
+        row_cols = [[] if i in empty else [c for c in cols if c not in empty_cols]
+                    for i, cols in enumerate(row_cols)]
+        A, _ = _csr(n, row_cols, seed)
         stored = set((A.indices - np.repeat(np.arange(n), np.diff(A.indptr))).tolist())
-        assert (A._bands is not None) == (n >= self.N and len(stored) <= linalg.DIA_MAX_OFFSETS)
+        assert _path(A) == _expected_path(A, stored)
         v = _operand(data.draw(st.sampled_from(OPERAND_KINDS), "v"), n, seed + 1)
         w = _operand(data.draw(st.sampled_from(OPERAND_KINDS), "w"), n, seed + 2)
         _assert_pair_equals_products(A, v, w)
@@ -525,11 +573,11 @@ class TestProducts:
                                   "too-many-offsets"])
     def test_each_path(self, n, offsets):
         # Offsets that are not symmetric give A and A.T different bands; with
-        # no stored entry both halves are +0.0. From DIA_MIN_N on the matrix
-        # runs on bands, unless it has too many offsets.
+        # no stored entry both halves are +0.0. Below DIA_MIN_N the matrix runs
+        # on the pair index; from DIA_MIN_N on, on bands, unless it has too
+        # many offsets.
         A, _ = _csr(n, _band_rows(n, offsets), seed=n)
-        banded = n >= self.N and len(offsets) <= linalg.DIA_MAX_OFFSETS
-        assert (A._bands is not None) == banded
+        assert _path(A) == _expected_path(A, offsets)
         for kind_v in OPERAND_KINDS:
             for kind_w in OPERAND_KINDS:
                 _assert_pair_equals_products(A, _operand(kind_v, n, 1), _operand(kind_w, n, 2))
@@ -540,7 +588,7 @@ class TestProducts:
     @pytest.mark.parametrize("n", [60, N])
     def test_paper_family(self, n):
         A = gen_baheux(BaheuxSpec(n=n, delta=5.0)).A
-        assert (A._bands is not None) == (n >= self.N)
+        assert _path(A) == ("pair" if n < self.N else "bands")
         _assert_pair_equals_products(A, _operand("mixed", n, 3), _operand("mixed", n, 4))
 
     @pytest.mark.parametrize("n", [60, N])
@@ -583,7 +631,7 @@ class TestProducts:
         # On both storage paths: 4 * 1e308 overflows in A v or in A.T w,
         # whichever half reads the huge entry.
         A = gen_baheux(BaheuxSpec(n=n, delta=0.2)).A
-        assert (A._bands is not None) == (n >= self.N)
+        assert _path(A) == ("pair" if n < self.N else "bands")
         finite = _operand("mixed", n, 7)
         huge = np.ones(n)
         huge[n // 3] = 1e308
@@ -606,6 +654,85 @@ class TestProducts:
         for v, w in ((np.ones(2), np.ones(3)), (np.ones(3), np.ones(4))):
             with pytest.raises(DimensionError):
                 A.products(v, w)
+
+
+class TestPairIndex:
+    N = linalg.DIA_MIN_N
+
+    def test_layout(self):
+        # Term t adds weights[t] * [v w][gather[t]] to [A v, A.T w][out[t]]:
+        # A's entries in CSR order, then the same entries for A.T.
+        n = 40
+        A, _ = _csr(n, _band_rows(n, (-3, 0, 1, 7), empty_rows=(0, 5)), seed=4)
+        assert _path(A) == "pair"
+        rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        out, gather, weights = A._pair
+        assert out.tobytes() == np.concatenate((rows, A.indices + n)).tobytes()
+        assert gather.tobytes() == np.concatenate((A.indices, rows + n)).tobytes()
+        assert weights.tobytes() == np.concatenate((A.data, A.data)).tobytes()
+        assert A._rows_of_nnz.tobytes() == rows.tobytes()
+
+    def test_pair_index_read_only(self):
+        A = gen_baheux(BaheuxSpec(n=60, delta=5.0)).A
+        for arr in A._pair + (A._rows_of_nnz,):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    @pytest.mark.parametrize("operand", ["v", "w"])
+    def test_nonfinite_operand_entry_no_term_reads(self, operand):
+        # Row and column j store nothing. The pair index has no padding, so
+        # no term reads entry j of v or w: the products stay finite and equal
+        # the bincount reference, unlike on bands (see TestDiagonalStorage).
+        n, j = 60, 5
+        base = gen_baheux(BaheuxSpec(n=n, delta=0.2)).A
+        rows = np.repeat(np.arange(n), np.diff(base.indptr))
+        keep = (rows != j) & (base.indices != j)
+        A = SparseMatrix.from_coo(n, n, rows[keep], base.indices[keep], base.data[keep])
+        assert _path(A) == "pair"
+        v, w = _operand("mixed", n, 8), _operand("mixed", n, 9)
+        (v if operand == "v" else w)[j] = np.inf
+        Av, ATw = A.products(v, w)
+        assert Av.tobytes() == _bincount_matvec(A, v).tobytes() == A.matvec(v).tobytes()
+        assert ATw.tobytes() == _bincount_matvec_t(A, w).tobytes() == A.matvec_t(w).tobytes()
+        assert np.isfinite(Av).all() and np.isfinite(ATw).all()
+
+    @pytest.mark.parametrize("n, offsets, checks", [
+        (60, (-10, -1, 0, 1, 10), 1),
+        (N, (-10, -1, 0, 1, 10), 1),
+        (N, (-3, -2, -1, 0, 1, 2), 2),
+    ], ids=["pair", "bands", "bincount"])
+    def test_one_finite_check_per_pair(self, monkeypatch, n, offsets, checks):
+        # The pair index and the bands check the whole pair output once; two
+        # separate bincounts check each half.
+        A, _ = _csr(n, _band_rows(n, offsets), seed=n)
+        calls = []
+        check = linalg.all_finite
+        monkeypatch.setattr(linalg, "all_finite", lambda a: calls.append(a.shape) or check(a))
+        _assert_pair_equals_products(A, _operand("mixed", n, 1), _operand("mixed", n, 2))
+        calls.clear()
+        A.products(_operand("mixed", n, 1), _operand("mixed", n, 2))
+        assert len(calls) == checks
+
+    def test_nonfinite_gap_entry_raises_nothing(self, monkeypatch):
+        # A stores only its corner A[n-1, 0]; the band table's gap then meets
+        # the middle of v, which neither half reads. The pair check fails, the
+        # halves pass, and products returns them as matvec and matvec_t would.
+        n = self.N
+        A = SparseMatrix(n, n, np.r_[np.zeros(n, dtype=np.int64), 1], [0], [2.5])
+        assert _path(A) == "bands"
+        v, w = np.ones(n), _operand("mixed", n, 3)
+        v[n // 2] = np.inf
+        verdicts = []
+        check = linalg.all_finite
+        monkeypatch.setattr(linalg, "all_finite", lambda a: verdicts.append(check(a)) or
+                            verdicts[-1])
+        with np.errstate(invalid="ignore"):
+            Av, ATw = A.products(v, w)
+            assert verdicts == [False, True, True]
+            assert Av.tobytes() == A.matvec(v).tobytes()
+            assert ATw.tobytes() == A.matvec_t(w).tobytes()
+        assert np.isfinite(Av).all() and np.isfinite(ATw).all()
 
 
 class TestAllFinite:
