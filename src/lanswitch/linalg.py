@@ -125,23 +125,26 @@ def as_vector(data) -> np.ndarray:
 DIA_MIN_N = 400
 DIA_MAX_OFFSETS = 5
 
-# Read-only zero vectors by length, for all_finite and the bands' padding;
-# cleared when it holds this many lengths, so a process that sees many sizes
-# stays bounded.
-_ZEROS: dict = {}
 _ZEROS_KEPT = 32
 
 
-def _zeros(n: int) -> np.ndarray:
-    """A read-only vector of n zeros, shared through _ZEROS."""
-    zeros = _ZEROS.get(n)
-    if zeros is None:
-        if len(_ZEROS) >= _ZEROS_KEPT:
-            _ZEROS.clear()
-        zeros = np.zeros(n)
+class _ZeroVectors(dict):
+    """Read-only zero vectors by length, each made at its first lookup.
+
+    For all_finite, the solver states' finite checks and the bands' padding;
+    cleared when it holds _ZEROS_KEPT lengths, so a process that sees many
+    sizes stays bounded.
+    """
+
+    def __missing__(self, n: int) -> np.ndarray:
+        if len(self) >= _ZEROS_KEPT:
+            self.clear()
+        zeros = self[n] = np.zeros(n)
         zeros.flags.writeable = False
-        _ZEROS[n] = zeros
-    return zeros
+        return zeros
+
+
+_ZEROS = _ZeroVectors()
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -150,7 +153,7 @@ def all_finite(a: np.ndarray) -> bool:
     One call: the dot product with zeros is +-0 for a finite ``a`` and nan
     as soon as any entry is inf or nan, and it cannot overflow.
     """
-    return math.isfinite(a.dot(_zeros(a.shape[0])))
+    return math.isfinite(a.dot(_ZEROS[a.shape[0]]))
 
 
 def check_finite(out: np.ndarray, context: str) -> np.ndarray:
@@ -469,5 +472,5 @@ def _dia_bands(n: int, indptr: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         flat[to + j0:to + j1] = flat[fro + j0:fro + j1]
     table.flags.writeable = False
     starts = [gap + o for o in offsets]
-    return _Bands(table, gap, _zeros(gap), tuple(zip(table[:, :n], starts)),
+    return _Bands(table, gap, _ZEROS[gap], tuple(zip(table[:, :n], starts)),
                   tuple(zip(table[:, at_t:], starts)), tuple(zip(table, starts)))

@@ -29,6 +29,12 @@ state. Only an overflow in the update itself is found by the step alone.
 Values a later step needs again, such as A4's (y_{k-1}, r_{k-1}) and every
 ||r_k||, are carried over in the state.
 
+Between its kernel calls a step does only the recurrence's own
+bookkeeping. One method takes the preparation a report left, or makes it,
+and applies it; ``StepOutcome.is_terminal`` is stored, not computed; the
+update's finite checks dot with the state's own zero vector, as
+``all_finite`` does; and ``run`` looks ``state.step`` up once per chunk.
+
 Each main step makes its A v and its A.T w (the shadow chain's next vector)
 in one ``SparseMatrix.products`` pass: A4 pairs A r_k with A.T y_k, A12
 A r_{k-2} with A.T y_k, A5/B10 A p_k with A.T y_k, which the next step
@@ -46,12 +52,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .linalg import NonFiniteError, SparseMatrix, all_finite, dot, norm2
+from .linalg import _ZEROS, NonFiniteError, SparseMatrix, all_finite, dot, norm2
 
 __all__ = [
     "AlgoId",
@@ -129,10 +135,11 @@ class StepOutcome:
     kind: OutcomeKind
     label: str = ""
     value: Optional[float] = None
+    # Stored, not computed: every step and every chunk reads it.
+    is_terminal: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_terminal(self) -> bool:
-        return self.kind is not OutcomeKind.CONTINUE
+    def __post_init__(self):
+        object.__setattr__(self, "is_terminal", self.kind is not OutcomeKind.CONTINUE)
 
 
 class SolverStateError(RuntimeError):
@@ -146,6 +153,10 @@ class _Breakdown(Exception):
         super().__init__(label)
         self.label = label
         self.value = value
+
+
+# What ends a start, a preparation or an update in a Breakdown outcome.
+_FAILURES = (_Breakdown, NonFiniteError)
 
 
 def _check_system(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray) -> None:
@@ -184,6 +195,9 @@ class SolverState:
         self.b = b
         self.y = np.array(y, copy=True)
         self.cfg = cfg
+        # The updates' finite checks dot with these zeros, as all_finite does:
+        # the result is +-0 for a finite vector and nan otherwise.
+        self._zeros = _ZEROS[A.nrows]
         self.k = 0
         self.x = np.array(x0, dtype=np.float64, copy=True)
         # ||r||: every update of r sets it, inf when it overflows. No code
@@ -206,7 +220,7 @@ class SolverState:
         if not self.outcome.is_terminal:
             try:
                 self._start()
-            except (_Breakdown, NonFiniteError) as err:
+            except _FAILURES as err:
                 self.outcome = self._failure(err)
         self.iters_used = self.PROLOGUE_CHARGES[self.k]
 
@@ -224,7 +238,9 @@ class SolverState:
         # the update then fails as norm2 would.
         rr = r_next.dot(r_next)
         rr_finite = math.isfinite(rr)
-        if not (all_finite(x_next) and (rr_finite or all_finite(r_next))):
+        zeros = self._zeros
+        if not (math.isfinite(x_next.dot(zeros))
+                and (rr_finite or math.isfinite(r_next.dot(zeros)))):
             raise NonFiniteError(what)
         self.x, self.r = x_next, r_next
         self.k += 1
@@ -270,7 +286,7 @@ class SolverState:
             self._ledger = []
             try:
                 self._preparation = self._prepare()
-            except (_Breakdown, NonFiniteError) as err:
+            except _FAILURES as err:
                 self._preparation = self._failure(err)
         return self._preparation
 
@@ -289,15 +305,18 @@ class SolverState:
         return self.outcome
 
     def _advance(self) -> None:
-        """Apply the prepared update, or take the breakdown it ended in."""
-        prepared, self._preparation = self._prepared(), None
-        if isinstance(prepared, StepOutcome):
-            self.outcome = prepared
-        else:
-            try:
-                self._update(*prepared)
-            except (_Breakdown, NonFiniteError) as err:
-                self.outcome = self._failure(err)
+        """Apply the next update, prepared here unless a report prepared it."""
+        prepared, self._preparation = self._preparation, None
+        try:
+            if prepared is None:
+                self._ledger = []
+                prepared = self._prepare()
+            elif isinstance(prepared, StepOutcome):
+                self.outcome = prepared
+                return
+            self._update(*prepared)
+        except _FAILURES as err:
+            self.outcome = self._failure(err)
 
 
 def init(algo: AlgoId, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
@@ -334,11 +353,12 @@ def run(state: SolverState, budget: int) -> tuple[StepOutcome, int]:
     if state.outcome.is_terminal:
         return state.outcome, 0
     start = state.iters_used
+    step = state.step
     with np.errstate(over="ignore", invalid="ignore"):
         state._quiet = True
         try:
             for _ in range(budget):
-                if state.step().is_terminal:
+                if step().is_terminal:
                     break
         finally:
             state._quiet = False
@@ -629,7 +649,7 @@ class _A8B10State(SolverState):
         yr_next = dot(y_next, r_next)
         B1 = -self._div(C1 * yr_next, den, "A8B10.B1: (y_k,Az_k)", den_scale)
         z_next = B1 * self.z + C1 * r_next
-        if not all_finite(z_next):
+        if not math.isfinite(z_next.dot(self._zeros)):
             raise NonFiniteError("z update")
         self.y = y_next
         self.z = z_next

@@ -4,9 +4,12 @@ After every step the carried values must equal a fresh recomputation
 bitwise, and a main-loop step must call each kernel the stated number of
 times, also when ``denominator_report`` prepared it. The report must end
 with the offender of the breakdown the next step returns, and must not
-raise when the preparation overflows.
+raise when the preparation overflows. Advancing a state by ``run``, by
+direct steps, or by steps with reports in between must leave it the same,
+byte for byte.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -146,6 +149,61 @@ def test_report_then_step_does_the_work_of_step(monkeypatch, algo, name, A, b):
             assert work == (first if is_first else steady)
             counted += 1
     assert counted >= 5
+
+
+# Chunk lengths that sum to STEPS, and a second config whose iteration
+# limit ends every state within them.
+CHUNKS = (1, 2, 3, 5, 8, 13, 21, 27)
+SHORT_CFG = SolverConfig(tol=1e-13, max_iters=12)
+
+
+def _snapshot(st):
+    # A live state's report is taken on a copy, so that the path under test
+    # makes no report of its own.
+    outcome = st.outcome
+    report = [] if outcome.is_terminal else denominator_report(copy.deepcopy(st))
+    return (st.x.tobytes(), st.r.tobytes(), repr(st.r_norm), st.k, st.iters_used,
+            outcome.kind, outcome.label, repr(outcome.value),
+            [(label, repr(value)) for label, value in report])
+
+
+def _by_run(st, count):
+    solvers.run(st, count)
+
+
+def _by_step(st, count):
+    for _ in range(count):
+        if st.outcome.is_terminal:
+            return
+        st.step()
+
+
+def _by_report_and_step(st, count):
+    # Two reports, one or none before a step, by its iteration count mod 3.
+    for _ in range(count):
+        if st.outcome.is_terminal:
+            return
+        for _ in range((2, 1, 0)[st.iters_used % 3]):
+            denominator_report(st)
+        st.step()
+
+
+@pytest.mark.parametrize("cfg", [CFG, SHORT_CFG], ids=["long", "short"])
+@pytest.mark.parametrize("algo", list(AlgoId))
+@pytest.mark.parametrize("name, A, b", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+def test_step_paths_agree_bytewise(algo, name, A, b, cfg):
+    # run(st, k), k direct steps, and steps with reports in between must
+    # leave the same state and the same next report after every chunk.
+    histories = []
+    for advance in (_by_run, _by_step, _by_report_and_step):
+        st = init(algo, A, b, np.zeros(A.nrows), b, cfg)
+        history = [_snapshot(st)]
+        for count in CHUNKS:
+            advance(st, count)
+            history.append(_snapshot(st))
+        histories.append(history)
+    assert histories[1] == histories[0]
+    assert histories[2] == histories[0]
 
 
 def _same_entry(entry, label, value):
