@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ValueError("tol must be positive")
         if self.budget is not None and self.budget < 1:
             raise ValueError("budget must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.algorithms:
             raise ValueError("at least one algorithm or plan is required")
 
@@ -128,7 +130,7 @@ def _solo_record(inst: ProblemInstance, algo: AlgoId, cfg: SolverConfig) -> RunR
         switches=0,
         restarts=0,
         seconds=math.nan,
-        x=np.array(x, copy=True),
+        x=x,
     )
 
 

@@ -5,10 +5,11 @@ one and freezes it (read-only), while the solvers' iterates are ordinary
 arrays that no code writes into in place. All kernels are pure functions
 and safe to call from concurrent runs on shared, read-only operands.
 
-Storage rule. Every matrix keeps its CSR arrays, and the input alone picks
+Storage rule. Every matrix is square, of order ``nrows``: the recurrences
+solve square systems. It keeps its CSR arrays, and the input alone picks
 one of three ways to compute its products:
 
-- A square matrix with fewer than ``DIA_MIN_N`` rows keeps a pair index:
+- A matrix with fewer than ``DIA_MIN_N`` rows keeps a pair index:
   2 nnz terms, each a weight, a position in [v w] and a position in
   [A v, A.T w]. The first nnz terms are A's entries in CSR order, read from
   v and added to their rows; the last nnz are the same entries read from w
@@ -16,7 +17,7 @@ one of three ways to compute its products:
   multiply and one ``np.bincount`` over the terms; ``matvec`` and
   ``matvec_t`` are one bincount each over the stored entries, whose row
   index is the first half of the output positions.
-- A square matrix with at least ``DIA_MIN_N`` rows, at most
+- A matrix with at least ``DIA_MIN_N`` rows, at most
   ``DIA_MAX_OFFSETS`` distinct offsets ``col - row`` and strictly
   increasing columns in every row keeps its diagonals (DIA storage; Saad,
   *Iterative Methods for Sparse Linear Systems*, 2nd ed., section 3.4) in
@@ -118,7 +119,7 @@ def as_vector(data) -> np.ndarray:
     return v
 
 
-# A square matrix with at least this many rows computes its products from
+# A matrix with at least this many rows computes its products from
 # diagonal bands, if it has at most DIA_MAX_OFFSETS distinct offsets, and
 # one with fewer from its pair index: the measured crossover (see "Sparse
 # storage" in the README).
@@ -196,72 +197,64 @@ def norm2(v: np.ndarray) -> float:
 
 
 class SparseMatrix:
-    """CSR matrix over float64, immutable after construction.
+    """n x n CSR matrix over float64, immutable after construction.
 
-    Products with the transpose are computed by scattering along the stored
-    rows, so no transposed copy is kept. A small square matrix also keeps a
-    pair index, and a large banded one its diagonal bands (see the module
-    docstring's storage rule).
+    The module docstring's storage rule picks how its products run.
     """
 
-    __slots__ = ("nrows", "ncols", "indptr", "indices", "data", "_rows_of_nnz", "_pair",
-                 "_bands")
+    __slots__ = ("nrows", "indptr", "indices", "data", "_rows_of_nnz", "_pair", "_bands")
 
-    def __init__(self, nrows: int, ncols: int, indptr, indices, data):
-        if nrows < 1 or ncols < 1:
-            raise DimensionError("matrix dimensions must be positive")
+    def __init__(self, n: int, indptr, indices, data):
+        if n < 1:
+            raise DimensionError("matrix order must be positive")
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64)
         data = np.asarray(data, dtype=np.float64)
-        if indptr.shape != (nrows + 1,):
-            raise DimensionError("indptr must have length nrows + 1")
+        if indptr.shape != (n + 1,):
+            raise DimensionError("indptr must have length n + 1")
         if indptr[0] != 0 or indptr[-1] != indices.shape[0]:
             raise LinalgError("indptr must start at 0 and end at nnz")
         # Row index of every stored entry: the bincount products read it, and
         # the pair index and the band table are built from it. np.repeat
         # rejects a negative row length, so it also checks indptr's order.
         try:
-            rows = np.repeat(np.arange(nrows, dtype=np.int64), indptr[1:] - indptr[:-1])
+            rows = np.repeat(np.arange(n, dtype=np.int64), indptr[1:] - indptr[:-1])
         except ValueError:
             raise LinalgError("indptr must be monotone non-decreasing") from None
         if indices.shape != data.shape:
             raise DimensionError("indices and data must have equal length")
         # One comparison: a negative index reads as a huge unsigned one.
-        if np.count_nonzero(indices.view(np.uint64) >= ncols):
+        if np.count_nonzero(indices.view(np.uint64) >= n):
             raise LinalgError("column index out of range")
         if not np.isfinite(data).all():
             raise NonFiniteError("matrix values contain NaN or Inf")
-        self.nrows = n = int(nrows)
-        self.ncols = int(ncols)
+        self.nrows = n = int(n)
         self.indptr = indptr
         self.indices = indices
         self.data = data
         for arr in (self.indptr, self.indices, self.data):
             arr.flags.writeable = False
         self._pair = self._bands = None
-        if self.ncols == n and n < DIA_MIN_N:
+        if n < DIA_MIN_N:
             self._pair = _pair_terms(n, rows, indices, data)
             rows = self._pair.out[:indices.shape[0]]
         else:
             rows.flags.writeable = False
-            if self.ncols == n:
-                self._bands = _dia_bands(n, indptr, rows, indices, data)
+            self._bands = _dia_bands(n, indptr, rows, indices, data)
         self._rows_of_nnz = rows if self._bands is None else None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_coo(cls, nrows: int, ncols: int, rows, cols, vals) -> "SparseMatrix":
-        """Build from coordinate triplets; duplicate entries are summed."""
+    def from_coo(cls, n: int, rows, cols, vals) -> "SparseMatrix":
+        """Build the n x n matrix of coordinate triplets; duplicates are summed."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
         if not (rows.shape == cols.shape == vals.shape):
             raise DimensionError("coordinate arrays must have equal length")
-        if rows.size and (rows.min() < 0 or rows.max() >= nrows):
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
             raise LinalgError("row index out of range")
-        if cols.size and (cols.min() < 0 or cols.max() >= ncols):
-            raise LinalgError("column index out of range")
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
         if rows.size:
@@ -270,22 +263,22 @@ class SparseMatrix:
             group = np.cumsum(keep) - 1
             summed = np.bincount(group, weights=vals)
             rows, cols, vals = rows[keep], cols[keep], summed
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
-        return cls(nrows, ncols, indptr, cols, vals)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(n, indptr, cols, vals)
 
     @classmethod
     def from_dense(cls, dense) -> "SparseMatrix":
         dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2:
-            raise DimensionError("expected a 2-D array")
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+            raise DimensionError(f"expected a square 2-D array, got shape {dense.shape}")
         rows, cols = np.nonzero(dense)
-        return cls.from_coo(dense.shape[0], dense.shape[1], rows, cols, dense[rows, cols])
+        return cls.from_coo(dense.shape[0], rows, cols, dense[rows, cols])
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
         idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
+        return cls(n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
 
     # -- properties ----------------------------------------------------
 
@@ -293,20 +286,12 @@ class SparseMatrix:
     def nnz(self) -> int:
         return int(self.indices.shape[0])
 
-    @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def require_square(self) -> None:
-        if not self.is_square:
-            raise DimensionError(f"matrix must be square, got {self.nrows}x{self.ncols}")
-
     # -- kernels --------------------------------------------------------
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Product A @ v."""
-        if v.shape[0] != self.ncols:
-            raise DimensionError(f"matvec: matrix has {self.ncols} columns, vector length {v.shape[0]}")
+        if v.shape[0] != self.nrows:
+            raise DimensionError(f"matvec: matrix has order {self.nrows}, vector length {v.shape[0]}")
         if self._bands is None:
             out = self._bincount_matvec(v)
         else:
@@ -315,9 +300,9 @@ class SparseMatrix:
         return check_finite(out, "matvec")
 
     def matvec_t(self, v: np.ndarray) -> np.ndarray:
-        """Product A.T @ v, by scattering stored rows into the output."""
+        """Product A.T @ v."""
         if v.shape[0] != self.nrows:
-            raise DimensionError(f"matvec_t: matrix has {self.nrows} rows, vector length {v.shape[0]}")
+            raise DimensionError(f"matvec_t: matrix has order {self.nrows}, vector length {v.shape[0]}")
         if self._bands is None:
             out = self._bincount_matvec_t(v)
         else:
@@ -327,7 +312,7 @@ class SparseMatrix:
         return check_finite(out, "matvec_t")
 
     def products(self, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(A @ v, A.T @ w) of a square matrix in one pass.
+        """(A @ v, A.T @ w) in one pass.
 
         Each half equals ``matvec(v)`` or ``matvec_t(w)`` byte for byte, and
         neither half reads the other operand. It raises exactly when
@@ -335,8 +320,7 @@ class SparseMatrix:
         NonFiniteError names ``matvec`` or ``matvec_t``.
         """
         n = self.nrows
-        if self.ncols != n or v.shape[0] != n or w.shape[0] != n:
-            self.require_square()
+        if v.shape[0] != n or w.shape[0] != n:
             raise DimensionError(f"products: matrix has order {n}, vector lengths "
                                  f"{v.shape[0]} and {w.shape[0]}")
         if self._pair is not None:
@@ -367,20 +351,17 @@ class SparseMatrix:
 
     def _bincount_matvec_t(self, v):
         return np.bincount(self.indices, weights=self.data * v[self._rows_of_nnz],
-                           minlength=self.ncols)
+                           minlength=self.nrows)
 
     def __repr__(self) -> str:
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
+        return f"SparseMatrix({self.nrows}x{self.nrows}, nnz={self.nnz})"
 
 
 class _Pair(NamedTuple):
     """The terms of (A v, A.T w) for one bincount over [v w], read-only.
 
     Term t adds ``weights[t] * [v w][gather[t]]`` to entry ``out[t]`` of
-    [A v, A.T w]. The first nnz terms are A's entries in CSR order, read
-    from v and added to their rows; the last nnz are the same entries read
-    from w and added to n + their columns. ``out[:nnz]`` is the row index
-    of the stored entries.
+    [A v, A.T w]; ``out[:nnz]`` is the row index of the stored entries.
     """
 
     out: np.ndarray
@@ -389,7 +370,7 @@ class _Pair(NamedTuple):
 
 
 def _pair_terms(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> _Pair:
-    """The _Pair of an n x n CSR matrix: two concatenations of its arrays."""
+    """The _Pair of a CSR matrix: two concatenations of its arrays."""
     nnz = cols.shape[0]
     index = np.concatenate((rows, cols, cols, rows))
     index.reshape(4, nnz)[1::2] += n
@@ -400,21 +381,16 @@ def _pair_terms(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) ->
 
 
 class _Bands(NamedTuple):
-    """The diagonals of an n x n banded matrix in one padded table.
+    """The diagonals of a banded matrix, as read-only views of its band table.
 
     ``gap`` is the largest offset (0 without bands) and ``pad`` holds that
-    many read-only zeros. For each offset o of A or of A.T, in ascending
-    order, a row of ``table`` (width 2n + 2 gap, read-only) holds A's band
-    at offset o in columns [0, n) (entry i is A[i, i + o]), zeros in the
-    gap, and A.T's band at offset o in columns [n + 2 gap, 2n + 2 gap)
-    (entry j is A[j + o, j]); +0.0 wherever the matrix stores nothing, so
-    the half of an offset that only the other matrix stores is all zeros.
-    The terms are ``(band, gap + o)`` with read-only views of the table:
-    ``own`` holds A's half of every row, ``transposed`` A.T's half, and
-    ``pair`` the whole rows.
+    many read-only zeros. The terms are ``(band, gap + o)``, one per row of
+    the table, in ascending offset o: ``own`` holds A's half of every row,
+    ``transposed`` A.T's half, and ``pair`` the whole rows. A band holds
+    +0.0 wherever the matrix stores nothing, so the half of an offset that
+    only the other matrix stores is all zeros.
     """
 
-    table: np.ndarray
     gap: int
     pad: np.ndarray
     own: tuple
@@ -433,7 +409,7 @@ def _band_sum(terms: tuple, z: np.ndarray, length: int) -> np.ndarray:
 
 def _dia_bands(n: int, indptr: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                data: np.ndarray):
-    """The _Bands of an n x n CSR matrix, or None if it is not banded.
+    """The _Bands of a CSR matrix, or None if it is not banded.
 
     None when there are more than DIA_MAX_OFFSETS offsets, or when a row's
     columns do not strictly increase (its bincount sum would then not run in
@@ -472,5 +448,5 @@ def _dia_bands(n: int, indptr: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         flat[to + j0:to + j1] = flat[fro + j0:fro + j1]
     table.flags.writeable = False
     starts = [gap + o for o in offsets]
-    return _Bands(table, gap, _ZEROS[gap], tuple(zip(table[:, :n], starts)),
+    return _Bands(gap, _ZEROS[gap], tuple(zip(table[:, :n], starts)),
                   tuple(zip(table[:, at_t:], starts)), tuple(zip(table, starts)))

@@ -52,7 +52,6 @@ class ProblemInstance:
     A: SparseMatrix
     b: np.ndarray
     x_true: np.ndarray
-    label: str
 
     def __post_init__(self):
         if self.b.shape[0] != self.A.nrows:
@@ -83,14 +82,14 @@ def gen_baheux(spec: BaheuxSpec) -> ProblemInstance:
     rows, slot = np.divmod(kept, 5)
     indptr = np.searchsorted(kept, np.arange(0, 5 * n + 1, 5))
     data = vals[slot]
-    A = SparseMatrix(n, n, indptr, rows + _STENCIL_OFFSETS[slot], data)
+    A = SparseMatrix(n, indptr, rows + _STENCIL_OFFSETS[slot], data)
     x_true = np.ones(n)
     x_true.flags.writeable = False
     # b = A x_true: row sums in stored order from +0.0, which is how
     # A.matvec(x_true) adds its terms data * 1.0, so the bits are the same.
     b = np.bincount(rows, weights=data, minlength=n)
     b.flags.writeable = False
-    return ProblemInstance(A=A, b=b, x_true=x_true, label=f"baheux(n={n},delta={delta:g})")
+    return ProblemInstance(A=A, b=b, x_true=x_true)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +120,10 @@ def read_matrix_market(path: str) -> ProblemInstance:
         size_line = _next_content_line(fh)
         if size_line is None:
             raise MatrixMarketError("missing size line")
-        parts = size_line.split()
-        if len(parts) != 3:
-            raise MatrixMarketError(f"bad size line: {size_line!r}")
-        nrows, ncols, nnz = (int(p) for p in parts)
+        try:
+            nrows, ncols, nnz = (int(p) for p in size_line.split())
+        except ValueError:
+            raise MatrixMarketError(f"bad size line: {size_line!r}") from None
         if nrows != ncols:
             raise MatrixMarketError(f"matrix must be square, got {nrows}x{ncols}")
         if nnz < 0:
@@ -138,10 +137,11 @@ def read_matrix_market(path: str) -> ProblemInstance:
             line = _next_content_line(fh)
             if line is None:
                 raise MatrixMarketError(f"expected {nnz} entries, file ended early")
-            parts = line.split()
-            if len(parts) != 3:
-                raise MatrixMarketError(f"bad entry line: {line!r}")
-            entries.append((int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])))
+            try:
+                i, j, v = line.split()
+                entries.append((int(i) - 1, int(j) - 1, float(v)))
+            except ValueError:
+                raise MatrixMarketError(f"bad entry line: {line!r}") from None
         if _next_content_line(fh) is not None:
             raise MatrixMarketError(f"more than the declared {nnz} entries")
 
@@ -160,12 +160,12 @@ def read_matrix_market(path: str) -> ProblemInstance:
             np.concatenate([vals, vals[off]]),
         )
 
-    A = SparseMatrix.from_coo(nrows, ncols, rows, cols, vals)
+    A = SparseMatrix.from_coo(nrows, rows, cols, vals)
 
     x_true = as_vector(np.ones(nrows))
     b = A.matvec(x_true)
     b.flags.writeable = False
-    return ProblemInstance(A=A, b=b, x_true=x_true, label=path)
+    return ProblemInstance(A=A, b=b, x_true=x_true)
 
 
 def _next_content_line(fh):
@@ -181,6 +181,6 @@ def write_matrix_market(path: str, A: SparseMatrix) -> None:
     rows = np.repeat(np.arange(A.nrows), np.diff(A.indptr))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{A.nrows} {A.ncols} {A.nnz}\n")
+        fh.write(f"{A.nrows} {A.nrows} {A.nnz}\n")
         for i, j, v in zip(rows, A.indices, A.data):
             fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")

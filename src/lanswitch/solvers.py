@@ -27,13 +27,8 @@ guards up to and including the offender, ending in ``<algo>.nonfinite``
 with value nan when the preparation overflows, so it never raises on a live
 state. Only an overflow in the update itself is found by the step alone.
 Values a later step needs again, such as A4's (y_{k-1}, r_{k-1}) and every
-||r_k||, are carried over in the state.
-
-Between its kernel calls a step does only the recurrence's own
-bookkeeping. One method takes the preparation a report left, or makes it,
-and applies it; ``StepOutcome.is_terminal`` is stored, not computed; the
-update's finite checks dot with the state's own zero vector, as
-``all_finite`` does; and ``run`` looks ``state.step`` up once per chunk.
+||r_k||, are carried over in the state. A step by ``run``, a direct
+``step`` and a step after a report leave the state byte for byte the same.
 
 Each main step makes its A v and its A.T w (the shadow chain's next vector)
 in one ``SparseMatrix.products`` pass: A4 pairs A r_k with A.T y_k, A12
@@ -160,8 +155,7 @@ _FAILURES = (_Breakdown, NonFiniteError)
 
 
 def _check_system(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray) -> None:
-    """ValueError unless A is square, b, x0 and y have its order, and y is nonzero and finite."""
-    A.require_square()
+    """ValueError unless b, x0 and y have A's order, and y is nonzero and finite."""
     n = A.nrows
     if b.shape[0] != n or x0.shape[0] != n or y.shape[0] != n:
         raise ValueError("dimension mismatch between matrix and vectors")

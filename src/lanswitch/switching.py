@@ -382,6 +382,6 @@ def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
         switches=sum(e.from_algo != e.to_algo for e in transitions),
         restarts=sum(e.from_algo == e.to_algo for e in transitions),
         seconds=math.nan,
-        x=np.array(drv.x, copy=True),
+        x=drv.x,
     )
     return record, drv.trace

@@ -21,7 +21,7 @@ def _nnz_rows(A: SparseMatrix) -> np.ndarray:
 
 
 def to_dense(A: SparseMatrix) -> np.ndarray:
-    out = np.zeros((A.nrows, A.ncols))
+    out = np.zeros((A.nrows, A.nrows))
     out[_nnz_rows(A), A.indices] = A.data
     return out
 
@@ -41,7 +41,6 @@ def direct_solve_oracle(A: SparseMatrix, b: np.ndarray) -> np.ndarray:
     densified and eliminated in place. Refuses systems larger than the
     densification bound (2000).
     """
-    A.require_square()
     n = A.nrows
     if n > DENSE_SOLVE_LIMIT:
         raise DimensionError(f"oracle limited to n <= {DENSE_SOLVE_LIMIT}, got {n}")

@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, init, run
 from lanswitch.switching import ST2, CoinToss, SelectionPolicy, SwitchPlan, run_switching
 from oracles import direct_solve_oracle, norm_inf
+from test_readme import README
 
 DELTAS = (0.0, 0.2, 5.0, 8.0)
 DIMS = (20, 40, 60, 80, 100, 200, 400, 600, 800, 1000)
@@ -261,10 +264,19 @@ def test_criterion_6_determinism(problems_cache):
     assert not mismatches, mismatches
 
 
+def _readme_restart_counts():
+    """The restart-only rows of the README's "Switching against restarting"
+    table: {algorithm: (cells converged, cells)}."""
+    with open(README, encoding="utf-8") as fh:
+        rows = re.findall(r"^\| (\S+), restart only \| (\d+)/(\d+) \|$", fh.read(), re.M)
+    return {AlgoId.parse(name): (int(count), int(cells)) for name, count, cells in rows}
+
+
 def test_criterion_8_switching_beats_restarting(grid_records):
     """Switching, not restarting, avoids breakdown: every pairing converges on
     all 40 (delta, n) cells, while restarting any single algorithm under the
-    same ST2 cycle and budget converges on strictly fewer."""
+    same ST2 cycle and budget converges on strictly fewer, as many as the
+    README's table says."""
     cells = len(DELTAS) * len(DIMS)
     templates = tuple(SwitchTemplate(ST2(20), (algo,)) for algo in AlgoId)
     restart_only = dict.fromkeys(AlgoId, 0)
@@ -285,3 +297,4 @@ def test_criterion_8_switching_beats_restarting(grid_records):
                                         for a, c in restart_only.items())
             + "; pairings " + ", ".join(f"{k} {c}/{cells}" for k, c in pairing.items()))
     assert ok, (pairing, restart_only)
+    assert _readme_restart_counts() == {a: (c, cells) for a, c in restart_only.items()}

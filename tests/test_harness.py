@@ -277,6 +277,13 @@ class TestCli:
                          "--budget", "0"]) == 1
         assert "budget must be at least 1" in capsys.readouterr().err
 
+    def test_negative_seed_exits_one_before_any_solve(self, capsys):
+        assert cli_main(["--n", "20", "--solo", "a4", "--switch", "st2",
+                         "--pool", "a4,a12", "--seed", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "seed must be non-negative" in err
+
     @pytest.mark.parametrize("module", ["lanswitch", "lanswitch.cli"])
     def test_module_entry_points(self, module):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -178,11 +178,11 @@ class TestSparseMatrix:
 
     def test_invalid_indptr(self):
         with pytest.raises(ValueError):
-            SparseMatrix(2, 2, [0, 2, 1], [0, 1], [1.0, 1.0])
+            SparseMatrix(2, [0, 2, 1], [0, 1], [1.0, 1.0])
 
     def test_column_index_out_of_range(self):
         with pytest.raises(ValueError):
-            SparseMatrix(2, 2, [0, 1, 2], [0, 5], [1.0, 1.0])
+            SparseMatrix(2, [0, 1, 2], [0, 5], [1.0, 1.0])
 
     @pytest.mark.parametrize("indptr, indices, message", [
         ([0, 2, 1, 2], [0, 1], "indptr must be monotone non-decreasing"),
@@ -192,19 +192,22 @@ class TestSparseMatrix:
     ], ids=["decreasing-indptr", "negative-column", "column-past-end", "most-negative-column"])
     def test_malformed_csr_rejected(self, indptr, indices, message):
         with pytest.raises(linalg.LinalgError, match=f"^{message}$"):
-            SparseMatrix(3, 3, indptr, indices, [1.0, 1.0])
+            SparseMatrix(3, indptr, indices, [1.0, 1.0])
 
     def test_non_finite_values_rejected(self):
         with pytest.raises(NonFiniteError):
-            SparseMatrix(1, 1, [0, 1], [0], [np.inf])
+            SparseMatrix(1, [0, 1], [0], [np.inf])
 
-    def test_require_square(self):
-        M = SparseMatrix.from_coo(2, 3, [0], [1], [5.0])
+    def test_from_coo_column_index_out_of_range(self):
+        with pytest.raises(linalg.LinalgError, match="^column index out of range$"):
+            SparseMatrix.from_coo(2, [0], [2], [1.0])
+
+    def test_from_dense_rejects_non_square(self):
         with pytest.raises(DimensionError):
-            M.require_square()
+            SparseMatrix.from_dense(np.ones((2, 3)))
 
     def test_duplicate_coordinates_summed(self):
-        M = SparseMatrix.from_coo(2, 2, [0, 0], [0, 0], [1.5, 2.5])
+        M = SparseMatrix.from_coo(2, [0, 0], [0, 0], [1.5, 2.5])
         assert_allclose(to_dense(M), [[4.0, 0.0], [0.0, 0.0]])
 
     def test_norm_inf(self):
@@ -220,7 +223,7 @@ class TestSparseMatrix:
         _only_overflow_or_invalid(caught)
 
     def test_empty_row_handled(self):
-        M = SparseMatrix(2, 2, [0, 0, 1], [1], [7.0])
+        M = SparseMatrix(2, [0, 0, 1], [1], [7.0])
         assert_allclose(M.matvec(as_vector([1.0, 2.0])), [0.0, 14.0])
 
 
@@ -232,7 +235,7 @@ def _bincount_matvec(A, v):
 
 def _bincount_matvec_t(A, v):
     rows = np.repeat(np.arange(A.nrows), np.diff(A.indptr))
-    return np.bincount(A.indices, weights=A.data * v[rows], minlength=A.ncols)
+    return np.bincount(A.indices, weights=A.data * v[rows], minlength=A.nrows)
 
 
 def _path(A):
@@ -245,9 +248,7 @@ def _path(A):
 
 
 def _expected_path(A, offsets):
-    # The storage rule, from the matrix's shape and stored offsets.
-    if A.nrows != A.ncols:
-        return "bincount"
+    # The storage rule, from the matrix's order and stored offsets.
     if A.nrows < linalg.DIA_MIN_N:
         return "pair"
     return "bands" if len(offsets) <= linalg.DIA_MAX_OFFSETS else "bincount"
@@ -274,7 +275,7 @@ def _csr(n, row_cols, seed=0):
     data[rng.random(indices.size) < 0.2] = -0.0
     dense = np.zeros((n, n))
     dense[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
-    return SparseMatrix(n, n, indptr, indices, data), dense
+    return SparseMatrix(n, indptr, indices, data), dense
 
 
 def _band_rows(n, offsets, empty_rows=()):
@@ -332,7 +333,7 @@ class TestDiagonalStorage:
         indptr = np.concatenate([[0], np.cumsum([2] * (n - 1) + [1])])
         indices = np.concatenate([np.repeat(np.arange(n - 1), 2) + np.tile([0, 1], n - 1), [n - 1]])
         data = np.where(np.arange(2 * n - 1) % 3, -0.0, 2.5)
-        A = _banded(monkeypatch, lambda: SparseMatrix(n, n, indptr, indices, data))
+        A = _banded(monkeypatch, lambda: SparseMatrix(n, indptr, indices, data))
         assert A._bands is not None
         assert np.signbit(A.data).any()
         for v in _signed_zero_vectors(n):
@@ -343,19 +344,11 @@ class TestDiagonalStorage:
         n = -(-linalg.DIA_MIN_N // 10) * 10
         assert gen_baheux(BaheuxSpec(n=n)).A._bands is not None
 
-    def test_non_square_stays_on_bincount(self):
-        n = linalg.DIA_MIN_N
-        i = np.arange(n)
-        M = SparseMatrix.from_coo(n, n + 1, i, i + 1, np.ones(n))
-        assert _path(M) == "bincount"
-        v = np.arange(n + 1, dtype=float)
-        assert M.matvec(v).tobytes() == _bincount_matvec(M, v).tobytes()
-
     def test_too_many_offsets_stay_on_bincount(self):
         def upper_bands(count):
             n = linalg.DIA_MIN_N
             rows = np.concatenate([np.arange(n - o) for o in range(count)])
-            return SparseMatrix.from_coo(n, n, rows, rows + np.repeat(
+            return SparseMatrix.from_coo(n, rows, rows + np.repeat(
                 np.arange(count), [n - o for o in range(count)]), np.ones(rows.size))
 
         assert _path(upper_bands(linalg.DIA_MAX_OFFSETS)) == "bands"
@@ -389,13 +382,13 @@ class TestDiagonalStorage:
         n = 300
         indptr = np.arange(0, 2 * n + 1, 2)
         indices = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)[:, ::-1].ravel()
-        M = _banded(monkeypatch, lambda: SparseMatrix(n, n, indptr, indices, np.ones(2 * n)))
+        M = _banded(monkeypatch, lambda: SparseMatrix(n, indptr, indices, np.ones(2 * n)))
         assert _path(M) == "bincount"
 
     def test_dia_arrays_read_only(self, monkeypatch):
         A = _banded(monkeypatch, lambda: gen_baheux(BaheuxSpec(n=300, delta=5.0)).A)
         bands = A._bands
-        for arr in (bands.table, bands.pad) + tuple(
+        for arr in (bands.pad, bands.pair[0][0].base) + tuple(
                 band for band, _ in bands.own + bands.transposed + bands.pair):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -419,7 +412,7 @@ class TestDiagonalStorage:
         rows = np.repeat(np.arange(n), np.diff(base.indptr))
         keep = (rows != j) & (base.indices != j)
         A = _banded(monkeypatch, lambda: SparseMatrix.from_coo(
-            n, n, rows[keep], base.indices[keep], base.data[keep]))
+            n, rows[keep], base.indices[keep], base.data[keep]))
         assert A._bands is not None
         v = np.ones(n)
         v[j] = np.inf
@@ -465,16 +458,17 @@ class TestBandDetection:
         union = sorted(set(present) | {-o for o in present})
         for terms in (bands.own, bands.transposed, bands.pair):
             assert [start - bands.gap for _, start in terms] == union
-        # The table holds the matrix's diagonals and the transpose's, padded
-        # with +0.0 where no entry is stored, and every band is a view of it;
-        # bytes compare sign bits too.
+        # The table, whose rows are the pair terms' bands, holds the matrix's
+        # diagonals and the transpose's, padded with +0.0 where no entry is
+        # stored, and every band is a view of it; bytes compare sign bits too.
         assert to_dense(A).tobytes() == dense.tobytes()
         table = _band_table(dense, present)
-        assert table.tobytes() == bands.table.tobytes()
+        rows = [band for band, _ in bands.pair]
+        assert b"".join(row.tobytes() for row in rows) == table.tobytes()
         halves = (slice(0, n), slice(n + 2 * bands.gap, None), slice(None))
         for terms, half in zip((bands.own, bands.transposed, bands.pair), halves):
             for band, start in terms:
-                assert band.base is bands.table
+                assert band.base is rows[0].base
                 assert band.tobytes() == table[union.index(start - bands.gap), half].tobytes()
         for v in _signed_zero_vectors(n):
             assert A.matvec(v).tobytes() == _bincount_matvec(A, v).tobytes()
@@ -503,7 +497,7 @@ class TestBandDetection:
     def test_banded_overflow_surfaces(self):
         n = self.N
         T, _ = _csr(n, _band_rows(n, (-1, 0, 1)))
-        A = SparseMatrix(n, n, T.indptr, T.indices, np.full(T.nnz, 1e308))
+        A = SparseMatrix(n, T.indptr, T.indices, np.full(T.nnz, 1e308))
         assert A._bands is not None
         for product in (A.matvec, A.matvec_t):
             with pytest.warns(RuntimeWarning) as caught:
@@ -641,14 +635,6 @@ class TestProducts:
                     A.products(v, w)
                 assert str(err.value) == f"non-finite result in {half}"
 
-    def test_non_square_raises(self):
-        i = np.arange(4)
-        M = SparseMatrix.from_coo(4, 5, i, i + 1, np.ones(4))
-        with pytest.raises(DimensionError):
-            M.products(np.ones(5), np.ones(4))
-        with pytest.raises(DimensionError):
-            M.products(np.ones(4), np.ones(4))
-
     def test_length_mismatch_raises(self):
         A = SparseMatrix.identity(3)
         for v, w in ((np.ones(2), np.ones(3)), (np.ones(3), np.ones(4))):
@@ -688,7 +674,7 @@ class TestPairIndex:
         base = gen_baheux(BaheuxSpec(n=n, delta=0.2)).A
         rows = np.repeat(np.arange(n), np.diff(base.indptr))
         keep = (rows != j) & (base.indices != j)
-        A = SparseMatrix.from_coo(n, n, rows[keep], base.indices[keep], base.data[keep])
+        A = SparseMatrix.from_coo(n, rows[keep], base.indices[keep], base.data[keep])
         assert _path(A) == "pair"
         v, w = _operand("mixed", n, 8), _operand("mixed", n, 9)
         (v if operand == "v" else w)[j] = np.inf
@@ -719,7 +705,7 @@ class TestPairIndex:
         # the middle of v, which neither half reads. The pair check fails, the
         # halves pass, and products returns them as matvec and matvec_t would.
         n = self.N
-        A = SparseMatrix(n, n, np.r_[np.zeros(n, dtype=np.int64), 1], [0], [2.5])
+        A = SparseMatrix(n, np.r_[np.zeros(n, dtype=np.int64), 1], [0], [2.5])
         assert _path(A) == "bands"
         v, w = np.ones(n), _operand("mixed", n, 3)
         v[n // 2] = np.inf

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,7 +23,7 @@ def write_lower_triangle(path, A):
     entries = [f"{i + 1} {j + 1} {float(v)!r}\n"
                for i, j, v in zip(rows[keep], A.indices[keep], A.data[keep])]
     path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
-                    f"{A.nrows} {A.ncols} {len(entries)}\n" + "".join(entries))
+                    f"{A.nrows} {A.nrows} {len(entries)}\n" + "".join(entries))
 
 
 # Finite values in +-1e300, with both zeros, subnormals and the extremes
@@ -38,7 +40,7 @@ def coo_matrices(draw):
     index = st.integers(0, n - 1)
     triplets = draw(st.lists(st.tuples(index, index, _VALUES), max_size=40))
     rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
-    return SparseMatrix.from_coo(n, n, rows, cols, vals)
+    return SparseMatrix.from_coo(n, rows, cols, vals)
 
 
 class TestBaheuxGenerator:
@@ -154,6 +156,17 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketError):
             read_matrix_market(str(path))
 
+    @pytest.mark.parametrize("body, message", [
+        ("2 2 1\n1.5 1 1.0\n", "bad entry line: '1.5 1 1.0'"),
+        ("2 2 x\n1 1 1.0\n", "bad size line: '2 2 x'"),
+        ("2 2 1\n1 1 1.0.0\n", "bad entry line: '1 1 1.0.0'"),
+    ], ids=["non-integer-index", "non-numeric-count", "non-float-value"])
+    def test_unparsable_field_names_its_line(self, tmp_path, body, message):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n" + body)
+        with pytest.raises(MatrixMarketError, match=f"^{re.escape(message)}$"):
+            read_matrix_market(str(path))
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.mtx"
         path.write_text("%%NotMatrixMarket nope\n1 1 1\n1 1 1.0\n")
@@ -211,7 +224,7 @@ class TestDirectSolveOracle:
         assert np.max(np.abs(x - 1.0)) <= 1e-8
 
     def test_singular_rejected(self):
-        A = SparseMatrix(2, 2, [0, 0, 0], [], [])
+        A = SparseMatrix(2, [0, 0, 0], [], [])
         with pytest.raises(SingularMatrixError):
             direct_solve_oracle(A, as_vector([1.0, 1.0]))
 

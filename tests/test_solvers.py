@@ -100,11 +100,6 @@ class TestInit:
         with pytest.raises(ValueError):
             init(AlgoId.A4, A, as_vector([1.0, 1.0]), np.zeros(3), np.ones(3), CFG)
 
-    def test_non_square_rejected(self):
-        A = SparseMatrix.from_coo(2, 3, [0], [0], [1.0])
-        with pytest.raises(ValueError):
-            init(AlgoId.A4, A, as_vector([1.0, 1.0]), np.zeros(3), np.ones(3), CFG)
-
     def test_a5b10_prologue_state(self):
         # init already performs the first update: r1 = r0 + A_1 A r0 with
         # A_1 = -(y0,r0)/(y0,Ar0), direction p = r0 and scaling C1 = 1.

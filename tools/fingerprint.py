@@ -16,7 +16,8 @@ test's Gaussian, sparse, ill-conditioned and Baheux matrices
 (``tests/random_systems.py``) with n <= 24, every pool and strategy,
 budgets 1-5000 and random x0 and y. A solve that raises prints the
 exception class instead of the fields. Warnings that escape a solve are
-counted and reported on standard error, outside the fingerprint lines.
+counted and reported on standard error, outside the fingerprint lines, and
+the tool exits 1 if any solve let one escape.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def main(argv=None) -> int:
             leaky += bool(caught)
             print(f"{label}: {line}", flush=True)
     print(f"# solves that let a warning escape: {leaky}", file=sys.stderr)
-    return 0
+    return 1 if leaky else 0
 
 
 if __name__ == "__main__":
