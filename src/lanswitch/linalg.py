@@ -267,19 +267,6 @@ class SparseMatrix:
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(n, indptr, cols, vals)
 
-    @classmethod
-    def from_dense(cls, dense) -> "SparseMatrix":
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise DimensionError(f"expected a square 2-D array, got shape {dense.shape}")
-        rows, cols = np.nonzero(dense)
-        return cls.from_coo(dense.shape[0], rows, cols, dense[rows, cols])
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
     # -- properties ----------------------------------------------------
 
     @property
@@ -293,7 +280,8 @@ class SparseMatrix:
         if v.shape[0] != self.nrows:
             raise DimensionError(f"matvec: matrix has order {self.nrows}, vector length {v.shape[0]}")
         if self._bands is None:
-            out = self._bincount_matvec(v)
+            out = np.bincount(self._rows_of_nnz, weights=self.data * v[self.indices],
+                              minlength=self.nrows)
         else:
             bands = self._bands
             out = _band_sum(bands.own, np.concatenate((bands.pad, v, bands.pad)), self.nrows)
@@ -304,7 +292,8 @@ class SparseMatrix:
         if v.shape[0] != self.nrows:
             raise DimensionError(f"matvec_t: matrix has order {self.nrows}, vector length {v.shape[0]}")
         if self._bands is None:
-            out = self._bincount_matvec_t(v)
+            out = np.bincount(self.indices, weights=self.data * v[self._rows_of_nnz],
+                              minlength=self.nrows)
         else:
             bands = self._bands
             out = _band_sum(bands.transposed, np.concatenate((bands.pad, v, bands.pad)),
@@ -335,8 +324,7 @@ class SparseMatrix:
                              2 * (n + g))
             Av, ATw = both[:n], both[n + 2 * g:]
         else:
-            return (check_finite(self._bincount_matvec(v), "matvec"),
-                    check_finite(self._bincount_matvec_t(w), "matvec_t"))
+            return self.matvec(v), self.matvec_t(w)
         # One check for the pair. Only a failed one looks at the halves, so the
         # error names the half, and a non-finite entry in the gap between the
         # band halves raises nothing.
@@ -344,14 +332,6 @@ class SparseMatrix:
             check_finite(Av, "matvec")
             check_finite(ATw, "matvec_t")
         return Av, ATw
-
-    def _bincount_matvec(self, v):
-        return np.bincount(self._rows_of_nnz, weights=self.data * v[self.indices],
-                           minlength=self.nrows)
-
-    def _bincount_matvec_t(self, v):
-        return np.bincount(self.indices, weights=self.data * v[self._rows_of_nnz],
-                           minlength=self.nrows)
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.nrows}x{self.nrows}, nnz={self.nnz})"

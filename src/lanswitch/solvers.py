@@ -275,7 +275,11 @@ class SolverState:
         return outcome
 
     def _prepared(self):
-        """The next update's preparation, made at most once."""
+        """The next update's preparation, made at most once.
+
+        A preparation that fails is kept as its Breakdown outcome; ``step``
+        and ``denominator_report`` both take the preparation from here.
+        """
         if self._preparation is None:
             self._ledger = []
             try:
@@ -300,14 +304,12 @@ class SolverState:
 
     def _advance(self) -> None:
         """Apply the next update, prepared here unless a report prepared it."""
-        prepared, self._preparation = self._preparation, None
+        prepared = self._prepared()
+        self._preparation = None
+        if isinstance(prepared, StepOutcome):
+            self.outcome = prepared
+            return
         try:
-            if prepared is None:
-                self._ledger = []
-                prepared = self._prepare()
-            elif isinstance(prepared, StepOutcome):
-                self.outcome = prepared
-                return
             self._update(*prepared)
         except _FAILURES as err:
             self.outcome = self._failure(err)

@@ -65,7 +65,6 @@ __all__ = [
     "SwitchTrace",
     "RunRecord",
     "select_next",
-    "make_rng",
     "run_switching",
 ]
 
@@ -224,11 +223,6 @@ def select_next(policy: SelectionPolicy, rng: np.random.Generator) -> AlgoId:
     return policy.pool[int(rng.integers(0, len(policy.pool)))]
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """The plan-level generator: PCG64 over a SeedSequence of the given seed."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 class _Driver:
     """Mutable loop state of one switching run."""
 
@@ -237,7 +231,8 @@ class _Driver:
         self.plan = plan
         self.trace = SwitchTrace()
         self.iters = 0
-        self.rng = make_rng(plan.policy.mode.seed)
+        # The coin toss: PCG64 over a SeedSequence of the policy's seed.
+        self.rng = np.random.default_rng(plan.policy.mode.seed)
         self.current = plan.start
         self.x0 = np.array(x0, dtype=np.float64, copy=True)
         # Pool members that broke down at the current iterate; once every

@@ -1,7 +1,9 @@
-"""Test-only references: dense views of a SparseMatrix and a dense direct solver.
+"""Test-only helpers: SparseMatrix builders from dense arrays, dense views of a
+SparseMatrix and a dense direct solver.
 
-They read only a matrix's public CSR arrays (``indptr``, ``indices``,
-``data``) and share no code with the kernels or the iterative solvers.
+The builders go through the public constructors; the views read only a
+matrix's public CSR arrays (``indptr``, ``indices``, ``data``). None of them
+shares code with the kernels or the iterative solvers.
 """
 
 import numpy as np
@@ -13,6 +15,21 @@ DENSE_SOLVE_LIMIT = 2000
 
 class SingularMatrixError(ValueError):
     """Elimination hit an exactly singular pivot."""
+
+
+def from_dense(dense) -> SparseMatrix:
+    """The SparseMatrix storing the nonzero entries of a square 2-D array."""
+    dense = np.asarray(dense, dtype=np.float64)
+    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+        raise DimensionError(f"expected a square 2-D array, got shape {dense.shape}")
+    rows, cols = np.nonzero(dense)
+    return SparseMatrix.from_coo(dense.shape[0], rows, cols, dense[rows, cols])
+
+
+def identity(n: int) -> SparseMatrix:
+    """The n x n identity."""
+    idx = np.arange(n, dtype=np.int64)
+    return SparseMatrix(n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
 
 
 def _nnz_rows(A: SparseMatrix) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from lanswitch.linalg import SparseMatrix
 from lanswitch.problems import BaheuxSpec, gen_baheux
+from oracles import from_dense
 
 KINDS = ("gaussian", "gaussian", "sparse", "ill", "baheux")
 
@@ -22,4 +22,4 @@ def random_system(kind, n, seed):
         u, _ = np.linalg.qr(rng.standard_normal((n, n)))
         v, _ = np.linalg.qr(rng.standard_normal((n, n)))
         dense = (u * np.logspace(0, -12, n)) @ v.T
-    return SparseMatrix.from_dense(dense), rng.standard_normal(n)
+    return from_dense(dense), rng.standard_normal(n)

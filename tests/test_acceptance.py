@@ -16,11 +16,11 @@ from lanswitch.harness import (
     SwitchTemplate,
     run_experiment,
 )
-from lanswitch.linalg import SparseMatrix, norm2
+from lanswitch.linalg import norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, init, run
-from lanswitch.switching import ST2, CoinToss, SelectionPolicy, SwitchPlan, run_switching
-from oracles import direct_solve_oracle, norm_inf
+from lanswitch.switching import ST1, ST2, CoinToss, SelectionPolicy, SwitchPlan, run_switching
+from oracles import direct_solve_oracle, from_dense, norm_inf
 from test_readme import README
 
 DELTAS = (0.0, 0.2, 5.0, 8.0)
@@ -34,10 +34,10 @@ def _report(name, ok, detail=""):
     print(f"[ACCEPTANCE] {name}: {status}{suffix}")
 
 
-@pytest.fixture(scope="module")
-def grid_records():
-    """All 160 switching cells: 4 deltas x 10 dims x 4 paper pairings."""
-    templates = tuple(SwitchTemplate(ST2(20), PAPER_COMBOS[k])
+def _grid(strategy):
+    """All 160 switching cells under ``strategy``: 4 deltas x 10 dims x 4
+    paper pairings, at the harness's default budget."""
+    templates = tuple(SwitchTemplate(strategy, PAPER_COMBOS[k])
                       for k in sorted(PAPER_COMBOS))
     out = {}
     for delta in DELTAS:
@@ -48,6 +48,12 @@ def grid_records():
             for number, rec in zip(sorted(PAPER_COMBOS), run_experiment(cfg)):
                 out[(delta, n, number)] = rec
     return out
+
+
+@pytest.fixture(scope="module")
+def grid_records():
+    """The 160 cells under ST2(20), the paper's strategy."""
+    return _grid(ST2(20))
 
 
 @pytest.fixture(scope="module")
@@ -63,42 +69,72 @@ def problems_cache():
     return get
 
 
-def test_criterion_1_switching_convergence(grid_records, problems_cache):
-    """Every pairing converges on the full grid with true residual <= 1e-12."""
+def _assert_grid_converges(name, records, problems_cache):
+    """Every cell ends Converged with recomputed residual <= 1e-12."""
     violations = []
-    for (delta, n, number), rec in grid_records.items():
+    for (delta, n, number), rec in records.items():
         inst = problems_cache(n, delta)
         true_res = norm2(inst.b - inst.A.matvec(rec.x))
         if rec.outcome != "Converged" or rec.residual > TOL or true_res > 1e-12:
             violations.append((delta, n, number, rec.outcome, true_res))
-    _report("criterion 1 (switching convergence)", not violations,
-            f"{len(grid_records) - len(violations)}/{len(grid_records)} cells converged "
+    _report(name, not violations,
+            f"{len(records) - len(violations)}/{len(records)} cells converged "
             f"with recomputed residual <= 1e-12")
     assert not violations, violations[:10]
 
 
+def test_criterion_1_switching_convergence(grid_records, problems_cache):
+    """Every pairing converges under ST2 on the full grid with true residual <= 1e-12."""
+    _assert_grid_converges("criterion 1 (switching convergence)", grid_records,
+                           problems_cache)
+
+
+def test_criterion_1_st1_switching_convergence(problems_cache):
+    """The same bar under ST1, which switches only after a breakdown."""
+    _assert_grid_converges("criterion 1, ST1 (switching convergence)", _grid(ST1()),
+                           problems_cache)
+
+
+def _readme_solo_counts():
+    """The solo rows of the README's opening table: {algorithm: (cells
+    converged, cells, fewest and most updates before a breakdown)}."""
+    with open(README, encoding="utf-8") as fh:
+        rows = re.findall(r"^\| (\S+), solo \| (\d+)/(\d+) \| (\d+)–(\d+) \|$",
+                          fh.read(), re.M)
+    return {AlgoId.parse(name): tuple(map(int, counts)) for name, *counts in rows}
+
+
 def test_criterion_2_solo_fragility(problems_cache):
-    """Each solo algorithm fails somewhere on the grid at n >= 60, budget 5n."""
+    """Each solo algorithm fails somewhere on the grid at n >= 60, budget 5n.
+    Over all 40 cells it converges on as many cells, and breaks down after as
+    few and as many updates, as the README's opening table says."""
+    cells = len(DELTAS) * len(DIMS)
     failures = {}
+    converged = dict.fromkeys(AlgoId, 0)
+    breakdown_updates = {algo: [] for algo in AlgoId}
     for algo in AlgoId:
         for delta in DELTAS:
-            for n in [d for d in DIMS if d >= 60]:
+            for n in DIMS:
                 inst = problems_cache(n, delta)
                 cfg = SolverConfig(tol=TOL, max_iters=5 * n)
                 st = init(algo, inst.A, inst.b, np.zeros(n), inst.b, cfg)
                 outcome = st.outcome
                 if not outcome.is_terminal:
                     outcome, _ = run(st, 5 * n)
-                if outcome.kind in (OutcomeKind.BREAKDOWN, OutcomeKind.ITER_LIMIT):
-                    failures[algo] = (n, delta, outcome.kind.value)
-                    break
-            if algo in failures:
-                break
+                converged[algo] += outcome.kind is OutcomeKind.CONVERGED
+                if outcome.kind is OutcomeKind.BREAKDOWN:
+                    breakdown_updates[algo].append(st.k)
+                if n >= 60 and outcome.kind in (OutcomeKind.BREAKDOWN, OutcomeKind.ITER_LIMIT):
+                    failures.setdefault(algo, (n, delta, outcome.kind.value))
     ok = set(failures) == set(AlgoId)
     _report("criterion 2 (solo fragility)", ok,
             "; ".join(f"{a.value} fails at n={v[0]}, delta={v[1]} ({v[2]})"
-                      for a, v in sorted(failures.items(), key=lambda t: t[0].value)))
+                      for a, v in sorted(failures.items(), key=lambda t: t[0].value))
+            + "; converged " + ", ".join(f"{a.value} {c}/{cells}" for a, c in converged.items()))
     assert ok, f"missing solo failures for {set(AlgoId) - set(failures)}"
+    assert _readme_solo_counts() == {
+        a: (converged[a], cells, min(breakdown_updates[a]), max(breakdown_updates[a]))
+        for a in AlgoId}
 
 
 def test_criterion_3_oracle_equivalence(grid_records, problems_cache):
@@ -146,7 +182,7 @@ def test_criterion_3_oracle_equivalence(grid_records, problems_cache):
 def _diag_dominant(rng, n, spread=3.0):
     dense = rng.standard_normal((n, n))
     dense += np.diag(np.sign(np.diag(dense)) * (np.abs(dense).sum(axis=1) + spread))
-    return SparseMatrix.from_dense(dense)
+    return from_dense(dense)
 
 
 def test_criterion_4_residual_identity_and_7_normalization():

@@ -20,10 +20,10 @@ from lanswitch.harness import (
     emit_table,
     run_experiment,
 )
-from lanswitch.linalg import SparseMatrix
 from lanswitch.problems import BaheuxSpec, gen_baheux, write_matrix_market
 from lanswitch.solvers import AlgoId, SolverConfig
 from lanswitch.switching import ST1, ST2, ST3, RunRecord
+from oracles import from_dense
 
 
 def make_cfg(**kw):
@@ -137,7 +137,7 @@ class TestRunExperiment:
         # b = A 1 is finite, but ||b - A x0|| overflows: the solo row breaks
         # down and the switching row is exhausted, both with residual inf.
         path = tmp_path / "huge.mtx"
-        write_matrix_market(str(path), SparseMatrix.from_dense(np.diag([1e155, 2e155, 3e155])))
+        write_matrix_market(str(path), from_dense(np.diag([1e155, 2e155, 3e155])))
         cfg = make_cfg(problem=str(path),
                        algorithms=(AlgoId.A4, SwitchTemplate(ST2(20), (AlgoId.A4, AlgoId.A8B10))))
         solo, switching = run_experiment(cfg)
@@ -310,7 +310,7 @@ class TestCli:
     ])
     def test_overflowing_residual_exit_two(self, tmp_path, capsys, combo, row):
         path = tmp_path / "huge.mtx"
-        write_matrix_market(str(path), SparseMatrix.from_dense(np.diag([1e155, 2e155, 3e155])))
+        write_matrix_market(str(path), from_dense(np.diag([1e155, 2e155, 3e155])))
         assert cli_main(["--problem", f"mm:{path}"] + combo) == 2
         header, line = capsys.readouterr().out.splitlines()
         assert f",{row}," in line

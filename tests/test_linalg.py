@@ -13,12 +13,12 @@ from lanswitch.linalg import (
     norm2,
 )
 from lanswitch.problems import BaheuxSpec, gen_baheux
-from oracles import norm_inf, to_dense
+from oracles import from_dense, identity, norm_inf, to_dense
 
 
 def random_csr(rng, n, density=0.3):
     dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
-    return SparseMatrix.from_dense(dense), dense
+    return from_dense(dense), dense
 
 
 class TestVector:
@@ -106,11 +106,11 @@ class TestNorm2:
 
 class TestSparseMatrix:
     def test_identity_matvec(self):
-        I = SparseMatrix.identity(3)
+        I = identity(3)
         assert_allclose(I.matvec(as_vector([1, 2, 3])), [1, 2, 3])
 
     def test_diagonal_scaling(self):
-        D = SparseMatrix.from_dense(np.diag([2.0, 3.0]))
+        D = from_dense(np.diag([2.0, 3.0]))
         assert_allclose(D.matvec(as_vector([2, 3])), [4, 9])
 
     def test_baheux_row_sums(self):
@@ -134,16 +134,16 @@ class TestSparseMatrix:
         assert_allclose(got, expected, rtol=0, atol=0)
 
     def test_matvec_dimension_error(self):
-        I = SparseMatrix.identity(3)
+        I = identity(3)
         with pytest.raises(DimensionError):
             I.matvec(as_vector([1.0, 2.0]))
 
     def test_matvec_t_identity(self):
-        I = SparseMatrix.identity(3)
+        I = identity(3)
         assert_allclose(I.matvec_t(as_vector([1, 2, 3])), [1, 2, 3])
 
     def test_matvec_t_shift_matrix(self):
-        M = SparseMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        M = from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert_allclose(M.matvec_t(as_vector([1, 0])), [0, 1])
 
     def test_symmetric_baheux_transpose_equals_forward(self):
@@ -204,18 +204,18 @@ class TestSparseMatrix:
 
     def test_from_dense_rejects_non_square(self):
         with pytest.raises(DimensionError):
-            SparseMatrix.from_dense(np.ones((2, 3)))
+            from_dense(np.ones((2, 3)))
 
     def test_duplicate_coordinates_summed(self):
         M = SparseMatrix.from_coo(2, [0, 0], [0, 0], [1.5, 2.5])
         assert_allclose(to_dense(M), [[4.0, 0.0], [0.0, 0.0]])
 
     def test_norm_inf(self):
-        M = SparseMatrix.from_dense(np.array([[1.0, -2.0], [3.0, 0.0]]))
+        M = from_dense(np.array([[1.0, -2.0], [3.0, 0.0]]))
         assert norm_inf(M) == 3.0
 
     def test_matvec_overflow_surfaces(self):
-        M = SparseMatrix.from_dense(np.full((2, 2), 1e308))
+        M = from_dense(np.full((2, 2), 1e308))
         assert _path(M) == "pair"
         with pytest.warns(RuntimeWarning) as caught:
             with pytest.raises(NonFiniteError):
@@ -606,7 +606,7 @@ class TestProducts:
     def test_checks_like_the_lone_products(self):
         # products raises exactly when matvec(v) or matvec_t(w) would, with
         # the first failing one's label: A v is checked before A.T w.
-        M = SparseMatrix.from_dense(np.full((2, 2), 1e308))
+        M = from_dense(np.full((2, 2), 1e308))
         small, big = np.full(2, 1e-10), np.full(2, 1e100)
         with np.errstate(over="ignore", invalid="ignore"):
             for v, w, failing in ((small, small, None), (big, small, "matvec"),
@@ -636,7 +636,7 @@ class TestProducts:
                 assert str(err.value) == f"non-finite result in {half}"
 
     def test_length_mismatch_raises(self):
-        A = SparseMatrix.identity(3)
+        A = identity(3)
         for v, w in ((np.ones(2), np.ones(3)), (np.ones(3), np.ones(4))):
             with pytest.raises(DimensionError):
                 A.products(v, w)

@@ -19,6 +19,7 @@ from lanswitch import solvers
 from lanswitch.linalg import NonFiniteError, SparseMatrix, dot, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, denominator_report, init
+from oracles import from_dense
 from random_systems import random_system
 
 CFG = SolverConfig(tol=1e-13, max_iters=1000)
@@ -35,7 +36,7 @@ def systems():
         dense = rng.standard_normal((n, n))
         if seed % 2 == 0:
             dense += np.diag(np.sign(np.diag(dense)) * (np.abs(dense).sum(axis=1) + 3.0))
-        yield f"random-{seed}", SparseMatrix.from_dense(dense), rng.standard_normal(n)
+        yield f"random-{seed}", from_dense(dense), rng.standard_normal(n)
 
 
 SYSTEMS = list(systems())
@@ -225,7 +226,7 @@ def test_report_ends_with_the_offender(algo, name, A, b):
 def test_report_ends_with_the_closing_c1_guard():
     # (y, r0) = 1e-13 makes the prologue's A_1 about 1e-13: the first main
     # step passes its own guards, updates, and breaks at C1 / A_1.
-    A = SparseMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
+    A = from_dense(np.diag([1.0, 2.0, 3.0]))
     b = np.ones(3)
     st = init(AlgoId.A5B10, A, b, np.zeros(3), np.array([1.0, -1.0, 1e-13]), CFG)
     report = denominator_report(st)
@@ -279,7 +280,7 @@ def test_shadow_overflow_ends_before_the_update(algo):
     # overflows in entry 2. The paired product checks that half itself, so
     # the first step's preparation breaks down, as its report already says,
     # and x and r stay x_0 and r_0.
-    A = SparseMatrix.from_dense([[1.0, 0.0, 1e308], [0.0, 2.0, 1e308], [0.0, 0.0, 3.0]])
+    A = from_dense([[1.0, 0.0, 1e308], [0.0, 2.0, 1e308], [0.0, 0.0, 3.0]])
     b = np.array([1.0, 1.0, 0.0])
     st = init(algo, A, b, np.zeros(3), b, CFG)
     label = f"{algo}.nonfinite: non-finite result in matvec_t"
@@ -296,7 +297,7 @@ def test_r_norm_reads_inf_after_an_overflowing_update():
     # A4's first update here is x_1 = (1, 0) and r_1 = (0, -1e170): both
     # finite, but (r_1, r_1) overflows. The update is installed, and r_norm
     # reads inf, not the ||r_0|| it held before, as the step breaks down.
-    A = SparseMatrix.from_dense([[1.0, 0.0], [1e170, 1.0]])
+    A = from_dense([[1.0, 0.0], [1e170, 1.0]])
     b = np.array([1.0, 0.0])
     st = init(AlgoId.A4, A, b, np.zeros(2), b, CFG)
     outcome = st.step()

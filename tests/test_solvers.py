@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lanswitch.linalg import NonFiniteError, SparseMatrix, as_vector, norm2
+from lanswitch.linalg import NonFiniteError, as_vector, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import (
     AlgoId,
@@ -15,7 +15,7 @@ from lanswitch.solvers import (
     init,
     run,
 )
-from oracles import direct_solve_oracle, norm_inf
+from oracles import direct_solve_oracle, from_dense, identity, norm_inf
 from random_systems import random_system
 
 ALL_ALGOS = list(AlgoId)
@@ -25,7 +25,7 @@ CFG = SolverConfig(tol=1e-13, max_iters=1000)
 def diag_dominant(rng, n, spread=3.0):
     dense = rng.standard_normal((n, n))
     dense += np.diag(np.sign(np.diag(dense)) * (np.abs(dense).sum(axis=1) + spread))
-    return SparseMatrix.from_dense(dense)
+    return from_dense(dense)
 
 
 def residual_identity_holds(state):
@@ -47,7 +47,7 @@ class TestConfig:
 
 class TestInit:
     def test_a4_initial_residual(self):
-        A = SparseMatrix.from_dense(np.diag([2.0, 3.0]))
+        A = from_dense(np.diag([2.0, 3.0]))
         b = as_vector([2.0, 3.0])
         st = init(AlgoId.A4, A, b, np.zeros(2), b, CFG)
         assert st.outcome.kind is OutcomeKind.CONTINUE
@@ -64,7 +64,7 @@ class TestInit:
     def test_a12_equal_moments_breaks_on_delta(self):
         # diag(1, 2) with y = e1 and r0 = (1, 5): every moment equals 1, so
         # c1*c3 - c2^2 = 0 while r1 = (0, -5) is far from converged.
-        A = SparseMatrix.from_dense(np.diag([1.0, 2.0]))
+        A = from_dense(np.diag([1.0, 2.0]))
         b = as_vector([1.0, 5.0])
         y = as_vector([1.0, 0.0])
         st = init(AlgoId.A12, A, b, np.zeros(2), y, CFG)
@@ -73,7 +73,7 @@ class TestInit:
         assert st.outcome.value == 0.0
 
     def test_zero_shadow_vector_rejected(self):
-        A = SparseMatrix.identity(2)
+        A = identity(2)
         with pytest.raises(ValueError):
             init(AlgoId.A4, A, as_vector([1.0, 1.0]), np.zeros(2), np.zeros(2), CFG)
 
@@ -90,13 +90,13 @@ class TestInit:
     @pytest.mark.parametrize("scale", [1e155, 1e-200])
     def test_shadow_whose_norm_overflows_or_underflows_is_accepted(self, scale):
         # A nonzero finite y is accepted, also when ||y|| is not representable.
-        A = SparseMatrix.identity(3)
+        A = identity(3)
         st = init(AlgoId.A4, A, as_vector([1.0, 1.0, 1.0]), np.zeros(3),
                   scale * np.array([1.0, 2.0, 3.0]), CFG)
         assert st.outcome.kind is OutcomeKind.CONTINUE
 
     def test_dimension_mismatch_rejected(self):
-        A = SparseMatrix.identity(3)
+        A = identity(3)
         with pytest.raises(ValueError):
             init(AlgoId.A4, A, as_vector([1.0, 1.0]), np.zeros(3), np.ones(3), CFG)
 
@@ -134,7 +134,7 @@ class TestInit:
          (OutcomeKind.CONVERGED, ""), 2, 3),
     ], ids=["k0", "k1", "k2"])
     def test_a12_start_charges_its_table_entry(self, A, b, y, outcome, k, charge):
-        st = init(AlgoId.A12, SparseMatrix.from_dense(A), as_vector(b), np.zeros(3),
+        st = init(AlgoId.A12, from_dense(A), as_vector(b), np.zeros(3),
                   as_vector(y), CFG)
         assert (st.outcome.kind, st.outcome.label) == outcome and st.k == k
         assert st.iters_used == st.PROLOGUE_CHARGES[k] == charge
@@ -143,7 +143,7 @@ class TestInit:
 class TestStep:
     def test_a4_first_step_exact_fractions(self):
         # Worked by hand: E_1 = 0, B_1 = -35/13, A_1 = -13/35.
-        A = SparseMatrix.from_dense(np.diag([2.0, 3.0]))
+        A = from_dense(np.diag([2.0, 3.0]))
         b = as_vector([2.0, 3.0])
         st = init(AlgoId.A4, A, b, np.zeros(2), b, CFG)
         out = st.step()
@@ -154,7 +154,7 @@ class TestStep:
 
     @pytest.mark.parametrize("algo", ALL_ALGOS)
     def test_identity_converges_first_check(self, algo):
-        A = SparseMatrix.identity(4)
+        A = identity(4)
         b = as_vector([1.0, 2.0, 3.0, 4.0])
         st = init(algo, A, b, np.zeros(4), b, CFG)
         if not st.outcome.is_terminal:
@@ -164,7 +164,7 @@ class TestStep:
         assert_allclose(st.x, b, rtol=0, atol=1e-15)
 
     def test_a4_orthogonal_shadow_breaks_first_step(self):
-        A = SparseMatrix.from_dense(np.diag([1.0, 2.0]))
+        A = from_dense(np.diag([1.0, 2.0]))
         b = as_vector([3.0, 0.0])
         y = as_vector([0.0, 1.0])  # (y, r0) = 0
         st = init(AlgoId.A4, A, b, np.zeros(2), y, CFG)
@@ -173,7 +173,7 @@ class TestStep:
         assert "(y_k,r_k)" in out.label
 
     def test_step_after_terminal_raises(self):
-        A = SparseMatrix.identity(2)
+        A = identity(2)
         b = as_vector([1.0, 1.0])
         st = init(AlgoId.A8B10, A, b, np.ones(2), b, CFG)
         assert st.outcome.is_terminal
@@ -197,7 +197,7 @@ class TestRun:
             run(st, 0)
 
     def test_terminal_state_returned_unchanged(self):
-        A = SparseMatrix.identity(2)
+        A = identity(2)
         b = as_vector([1.0, 1.0])
         st = init(AlgoId.A4, A, b, np.ones(2), b, CFG)
         out, used = run(st, 10)
@@ -336,7 +336,7 @@ class TestDenominatorReport:
         assert any("(y_k,Az_k)" in lbl for lbl in labels)
 
     def test_reports_forced_zero(self):
-        A = SparseMatrix.from_dense(np.diag([1.0, 2.0]))
+        A = from_dense(np.diag([1.0, 2.0]))
         b = as_vector([3.0, 0.0])
         y = as_vector([0.0, 1.0])  # (y, r0) = 0
         st = init(AlgoId.A4, A, b, np.zeros(2), y, CFG)
@@ -356,7 +356,7 @@ class TestDenominatorReport:
             assert np.array_equal(st1.r, st2.r)
 
     def test_terminal_state_rejected(self):
-        A = SparseMatrix.identity(2)
+        A = identity(2)
         b = as_vector([1.0, 1.0])
         st = init(AlgoId.A4, A, b, np.ones(2), b, CFG)
         with pytest.raises(SolverStateError):
@@ -438,7 +438,7 @@ class TestDiagnostics:
     def test_overflow_raises_without_warning(self):
         # init silences numpy's overflow warning and reports an overflowing
         # b - A x0, or an overflowing norm of it, as NonFiniteError.
-        A = SparseMatrix.from_dense(np.diag([1e200, 1e200]))
+        A = from_dense(np.diag([1e200, 1e200]))
         b = as_vector([1.0, 1.0])
         huge = as_vector([1e200, 1e200])
         cfg = SolverConfig(tol=1e-13, max_iters=10)

@@ -25,11 +25,10 @@ from lanswitch.switching import (
     EventKind,
     SelectionPolicy,
     SwitchPlan,
-    make_rng,
     run_switching,
     select_next,
 )
-from oracles import norm_inf
+from oracles import from_dense, norm_inf
 from random_systems import random_system
 
 A4, A12, A5B10, A8B10 = AlgoId.A4, AlgoId.A12, AlgoId.A5B10, AlgoId.A8B10
@@ -79,15 +78,16 @@ class TestPlanValidation:
 
 class TestSelectNext:
     def test_coin_toss_seed42_regression(self):
-        # Frozen from the PCG64(SeedSequence(42)) stream.
+        # Frozen from the PCG64(SeedSequence(42)) stream, which
+        # np.random.default_rng(42) draws from, as the switching driver does.
         pol = SelectionPolicy((A4, A12), CoinToss(42))
-        rng = make_rng(42)
+        rng = np.random.default_rng(42)
         seen = [select_next(pol, rng) for _ in range(5)]
         assert seen == [A4, A12, A12, A4, A4]
 
     def test_coin_toss_reproducible_over_100_draws(self):
         pol = SelectionPolicy((A4, A12), CoinToss(7))
-        rng_a, rng_b = make_rng(7), make_rng(7)
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
         draws_a = [select_next(pol, rng_a) for _ in range(100)]
         draws_b = [select_next(pol, rng_b) for _ in range(100)]
         assert draws_a == draws_b
@@ -111,7 +111,7 @@ class TestHandoff:
 
     def test_prologue_breakdown_reported_not_raised(self):
         # Equal-moment construction: the incoming A12 prologue must fail.
-        A = SparseMatrix.from_dense(np.diag([1.0, 2.0]))
+        A = from_dense(np.diag([1.0, 2.0]))
         b = as_vector([1.0, 5.0])
         y = as_vector([1.0, 0.0])
         st = init(A12, A, b, np.zeros(2), y, SolverConfig(tol=1e-13))
@@ -175,7 +175,7 @@ class TestRunSwitching:
     def test_shadow_whose_norm_overflows_is_accepted(self):
         # y = b = A 1 is finite, but ||y|| overflows: the run must end
         # Exhausted with residual inf instead of raising.
-        A = SparseMatrix.from_dense(np.diag([1e155, 2e155, 3e155]))
+        A = from_dense(np.diag([1e155, 2e155, 3e155]))
         b = A.matvec(np.ones(3))
         rec, trace = run_switching(A, b, np.zeros(3), b, st2_plan([A4, A8B10]))
         assert rec.outcome == "Exhausted"
@@ -386,7 +386,7 @@ class TestRunSwitching:
         # the current residual (y = b = r0 at the start, then the re-seeded
         # one), so A4 and A8B10 both break down at their first step, at the
         # same iterate.
-        A = SparseMatrix.from_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        A = from_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         b = as_vector([1.0, 2.0])
         plan = SwitchPlan(
             strategy=ST2(5),
@@ -481,7 +481,7 @@ class TestRunSwitching:
         # A12's prologue on the equal-moment system produces x1 and then dies
         # on delta; the driver hands the iterate to A4, whose shadow is the
         # recomputed residual at x1, and A4 solves the 2x2 system.
-        A = SparseMatrix.from_dense(np.diag([1.0, 2.0]))
+        A = from_dense(np.diag([1.0, 2.0]))
         b = as_vector([1.0, 5.0])
         y = as_vector([1.0, 0.0])
         plan = SwitchPlan(
@@ -503,7 +503,7 @@ class TestRunSwitching:
         # c0 = (y, b) is healthy while c1 = (y, A b) cancels to the guard
         # level: A5B10's prologue dies before producing an iterate, so the
         # driver tries A4 at the same point without a trace event.
-        A = SparseMatrix.from_dense(np.array([
+        A = from_dense(np.array([
             [1.0, 1.0, -1.0 + 1e-13 - 1e-11],
             [0.0, 2.0, 0.0],
             [0.0, 0.0, 2.0],
@@ -581,7 +581,7 @@ class TestRunSwitching:
         # finite, but the norm of its recomputed residual overflows at a
         # handoff. The run must end Exhausted instead of raising.
         rng = np.random.default_rng(1480)
-        A = SparseMatrix.from_dense(rng.standard_normal((24, 24)))
+        A = from_dense(rng.standard_normal((24, 24)))
         b = rng.standard_normal(24)
         plan = SwitchPlan(
             strategy=ST2(cycle_len=5),
@@ -622,7 +622,7 @@ class TestRunSwitching:
     REFUTED_Y = [0.7811855330426222, -0.5941795835730395]
 
     def refuted_run(self, global_budget):
-        A = SparseMatrix.from_dense(self.REFUTED_A)
+        A = from_dense(self.REFUTED_A)
         b = as_vector(self.REFUTED_B)
         plan = SwitchPlan(
             strategy=ST2(3),
