@@ -5,7 +5,6 @@ from .linalg import (
     LinalgError,
     NonFiniteError,
     SparseMatrix,
-    as_vector,
     dot,
     norm2,
 )

@@ -109,12 +109,6 @@ def derive_seed(seed: int, cell_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def load_problem(problem: Union[BaheuxSpec, str]) -> ProblemInstance:
-    if isinstance(problem, BaheuxSpec):
-        return gen_baheux(problem)
-    return read_matrix_market(problem)
-
-
 def _solo_record(inst: ProblemInstance, algo: AlgoId, cfg: SolverConfig) -> RunRecord:
     x = np.zeros(inst.A.nrows)
     residual, iterations = math.inf, 0
@@ -171,8 +165,10 @@ def run_experiment(cfg: ExperimentConfig) -> List[RunRecord]:
     Problem generation is excluded from timing. Failures of individual runs
     end up in their record's outcome; they never abort the batch.
     """
-    inst = load_problem(cfg.problem)
-    delta = cfg.problem.delta if isinstance(cfg.problem, BaheuxSpec) else math.nan
+    if isinstance(cfg.problem, BaheuxSpec):
+        inst, delta = gen_baheux(cfg.problem), cfg.problem.delta
+    else:
+        inst, delta = read_matrix_market(cfg.problem), math.nan
     records: List[RunRecord] = []
     for cell_index, combo in enumerate(cfg.algorithms):
         runs = [run_cell(inst, combo, cfg, cell_index) for _ in range(cfg.repeats)]

@@ -1,9 +1,9 @@
 """Dense vectors and CSR sparse matrices with the kernels the recurrences need.
 
-Vectors are one-dimensional float64 numpy arrays; ``as_vector`` validates
-one and freezes it (read-only), while the solvers' iterates are ordinary
-arrays that no code writes into in place. All kernels are pure functions
-and safe to call from concurrent runs on shared, read-only operands.
+Vectors are one-dimensional float64 numpy arrays. The problem builders
+freeze theirs (read-only), and no code writes into the solvers' iterates in
+place. All kernels are pure functions and safe to call from concurrent runs
+on shared, read-only operands.
 
 Storage rule. Every matrix is square, of order ``nrows``: the recurrences
 solve square systems. It keeps its CSR arrays, and the input alone picks
@@ -84,7 +84,6 @@ __all__ = [
     "NonFiniteError",
     "SparseMatrix",
     "all_finite",
-    "as_vector",
     "dot",
     "norm2",
 ]
@@ -100,23 +99,6 @@ class DimensionError(LinalgError):
 
 class NonFiniteError(LinalgError):
     """A value or result contains NaN or Inf."""
-
-
-def as_vector(data) -> np.ndarray:
-    """Validate and freeze ``data`` as a 1-D float64 vector.
-
-    Rejects empty input and any non-finite entry. The returned array is
-    marked read-only; callers that need a scratch copy must copy explicitly.
-    """
-    v = np.array(data, dtype=np.float64, copy=True)
-    if v.ndim != 1:
-        raise DimensionError(f"expected a 1-D vector, got ndim={v.ndim}")
-    if v.size == 0:
-        raise DimensionError("vector must have positive length")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteError("vector contains NaN or Inf")
-    v.flags.writeable = False
-    return v
 
 
 # A matrix with at least this many rows computes its products from

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, SparseMatrix, as_vector
+from .linalg import DimensionError, SparseMatrix
 
 __all__ = [
     "BLOCK_SIZE",
@@ -83,11 +83,16 @@ def gen_baheux(spec: BaheuxSpec) -> ProblemInstance:
     indptr = np.searchsorted(kept, np.arange(0, 5 * n + 1, 5))
     data = vals[slot]
     A = SparseMatrix(n, indptr, rows + _STENCIL_OFFSETS[slot], data)
-    x_true = np.ones(n)
+    # A times ones: row sums in stored order from +0.0, which is how
+    # A.matvec adds its terms data * 1.0, so the bits are the same.
+    return _ones_solution(A, np.bincount(rows, weights=data, minlength=n))
+
+
+def _ones_solution(A: SparseMatrix, b: np.ndarray) -> ProblemInstance:
+    """The problem ``A x = b`` for ``b`` equal to ``A`` times the all-ones
+    vector, which is its exact solution; both vectors are frozen."""
+    x_true = np.ones(A.nrows)
     x_true.flags.writeable = False
-    # b = A x_true: row sums in stored order from +0.0, which is how
-    # A.matvec(x_true) adds its terms data * 1.0, so the bits are the same.
-    b = np.bincount(rows, weights=data, minlength=n)
     b.flags.writeable = False
     return ProblemInstance(A=A, b=b, x_true=x_true)
 
@@ -161,11 +166,7 @@ def read_matrix_market(path: str) -> ProblemInstance:
         )
 
     A = SparseMatrix.from_coo(nrows, rows, cols, vals)
-
-    x_true = as_vector(np.ones(nrows))
-    b = A.matvec(x_true)
-    b.flags.writeable = False
-    return ProblemInstance(A=A, b=b, x_true=x_true)
+    return _ones_solution(A, A.matvec(np.ones(nrows)))
 
 
 def _next_content_line(fh):

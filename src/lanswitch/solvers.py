@@ -622,7 +622,7 @@ class _A8B10State(SolverState):
     algo = AlgoId.A8B10
 
     def _start(self):
-        self.z = np.array(self.r, copy=True)
+        self.z = self.r
         # (y_k, r_k): the previous step's (y_{k+1}, r_{k+1}).
         self.yr = dot(self.y, self.r)
 

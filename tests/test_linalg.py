@@ -8,12 +8,11 @@ from lanswitch.linalg import (
     DimensionError,
     NonFiniteError,
     SparseMatrix,
-    as_vector,
     dot,
     norm2,
 )
 from lanswitch.problems import BaheuxSpec, gen_baheux
-from oracles import from_dense, identity, norm_inf, to_dense
+from oracles import as_vector, from_dense, identity, norm_inf, to_dense
 
 
 def random_csr(rng, n, density=0.3):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from lanswitch.linalg import DimensionError, SparseMatrix, as_vector, norm2
+from lanswitch.linalg import DimensionError, SparseMatrix, norm2
 from lanswitch.problems import (
     BaheuxSpec,
     MatrixMarketError,
@@ -13,7 +13,8 @@ from lanswitch.problems import (
     read_matrix_market,
     write_matrix_market,
 )
-from oracles import SingularMatrixError, direct_solve_oracle, from_dense, identity, to_dense
+from oracles import (SingularMatrixError, as_vector, direct_solve_oracle, from_dense,
+                     identity, to_dense)
 
 
 def write_lower_triangle(path, A):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lanswitch.linalg import NonFiniteError, as_vector, norm2
+from lanswitch.linalg import NonFiniteError, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import (
     AlgoId,
@@ -15,7 +15,7 @@ from lanswitch.solvers import (
     init,
     run,
 )
-from oracles import direct_solve_oracle, from_dense, identity, norm_inf
+from oracles import as_vector, direct_solve_oracle, from_dense, identity, norm_inf
 from random_systems import random_system
 
 ALL_ALGOS = list(AlgoId)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from lanswitch import solvers, switching
 from lanswitch.harness import derive_seed
-from lanswitch.linalg import NonFiniteError, SparseMatrix, as_vector, norm2
+from lanswitch.linalg import NonFiniteError, SparseMatrix, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import (
     _STATE_CLASSES,
@@ -28,7 +28,7 @@ from lanswitch.switching import (
     run_switching,
     select_next,
 )
-from oracles import from_dense, norm_inf
+from oracles import as_vector, from_dense, norm_inf
 from random_systems import random_system
 
 A4, A12, A5B10, A8B10 = AlgoId.A4, AlgoId.A12, AlgoId.A5B10, AlgoId.A8B10
