@@ -43,7 +43,6 @@ from .switching import (
 )
 from .harness import (
     DEFAULT_SEED,
-    DEFAULT_TOL,
     PAPER_COMBOS,
     ExperimentConfig,
     SwitchTemplate,

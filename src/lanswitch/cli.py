@@ -9,14 +9,13 @@ from typing import List, Optional
 
 from .harness import (
     DEFAULT_SEED,
-    DEFAULT_TOL,
     ExperimentConfig,
     SwitchTemplate,
     emit_table,
     run_experiment,
 )
 from .problems import BaheuxSpec
-from .solvers import AlgoId
+from .solvers import AlgoId, SolverConfig
 from .switching import ST1, ST2, ST3
 
 
@@ -51,7 +50,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--monitor-threshold", type=float, default=None,
                    help=f"ST3 denominator threshold (default {ST3.monitor_threshold:g}; "
                         "needs --switch st3)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    p.add_argument("--tol", type=float, default=SolverConfig.tol,
                    help="residual-norm convergence tolerance")
     p.add_argument("--budget", type=int, default=None,
                    help="iteration budget (default 5n solo, 100n switching)")

@@ -31,7 +31,6 @@ from .switching import (
 
 __all__ = [
     "DEFAULT_SEED",
-    "DEFAULT_TOL",
     "PAPER_COMBOS",
     "SwitchTemplate",
     "ExperimentConfig",
@@ -42,7 +41,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 42
-DEFAULT_TOL = SolverConfig.tol
 
 # The published pairings: combination number -> pool, all ST2 with cycle 20.
 PAPER_COMBOS = {
@@ -85,7 +83,7 @@ Combo = Union[AlgoId, SwitchTemplate]
 class ExperimentConfig:
     problem: Union[BaheuxSpec, str]
     algorithms: Tuple[Combo, ...]
-    tol: float = DEFAULT_TOL
+    tol: float = SolverConfig.tol
     seed: int = DEFAULT_SEED
     budget: Optional[int] = None
     repeats: int = 1

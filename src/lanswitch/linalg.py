@@ -9,7 +9,8 @@ Storage rule. Every matrix is square, of order ``nrows``: the recurrences
 solve square systems. It keeps its CSR arrays, and the input alone picks
 one of three ways to compute its products:
 
-- A matrix with fewer than ``DIA_MIN_N`` rows keeps a pair index:
+- A matrix with fewer than ``DIA_MIN_N`` rows and at least one stored
+  entry keeps a pair index:
   2 nnz terms, each a weight, a position in [v w] and a position in
   [A v, A.T w]. The first nnz terms are A's entries in CSR order, read from
   v and added to their rows; the last nnz are the same entries read from w
@@ -29,6 +30,9 @@ one of three ways to compute its products:
   j is A[j + o, j]). ``matvec`` and ``matvec_t`` read their own halves of
   the rows. ``products(v, w)`` multiplies each whole row with one slice of
   [0^g v 0^2g w 0^g], so each multiply and add adds a term to both products.
+  A matrix with no stored entries keeps its empty table at every order:
+  its products are float64 zeros, where ``np.bincount`` of no terms would
+  return int64 zeros.
 - Every other matrix computes each product with one ``np.bincount`` over
   the stored entries, and its ``products`` runs the two of ``matvec`` and
   ``matvec_t``.
@@ -217,7 +221,7 @@ class SparseMatrix:
         for arr in (self.indptr, self.indices, self.data):
             arr.flags.writeable = False
         self._pair = self._bands = None
-        if n < DIA_MIN_N:
+        if n < DIA_MIN_N and indices.shape[0]:
             self._pair = _pair_terms(n, rows, indices, data)
             rows = self._pair.out[:indices.shape[0]]
         else:

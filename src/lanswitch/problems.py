@@ -47,11 +47,14 @@ class BaheuxSpec:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A linear system with its known solution."""
+    """The linear system ``A x = b``.
+
+    Both builders make ``b`` as ``A`` times the all-ones vector, so that
+    vector is the exact solution, and freeze ``b`` (read-only).
+    """
 
     A: SparseMatrix
     b: np.ndarray
-    x_true: np.ndarray
 
     def __post_init__(self):
         if self.b.shape[0] != self.A.nrows:
@@ -85,16 +88,9 @@ def gen_baheux(spec: BaheuxSpec) -> ProblemInstance:
     A = SparseMatrix(n, indptr, rows + _STENCIL_OFFSETS[slot], data)
     # A times ones: row sums in stored order from +0.0, which is how
     # A.matvec adds its terms data * 1.0, so the bits are the same.
-    return _ones_solution(A, np.bincount(rows, weights=data, minlength=n))
-
-
-def _ones_solution(A: SparseMatrix, b: np.ndarray) -> ProblemInstance:
-    """The problem ``A x = b`` for ``b`` equal to ``A`` times the all-ones
-    vector, which is its exact solution; both vectors are frozen."""
-    x_true = np.ones(A.nrows)
-    x_true.flags.writeable = False
+    b = np.bincount(rows, weights=data, minlength=n)
     b.flags.writeable = False
-    return ProblemInstance(A=A, b=b, x_true=x_true)
+    return ProblemInstance(A=A, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +130,6 @@ def read_matrix_market(path: str) -> ProblemInstance:
         if nnz < 0:
             raise MatrixMarketError(f"negative entry count {nnz}")
 
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-        vals = np.empty(0, dtype=np.float64)
         entries = []
         for _ in range(nnz):
             line = _next_content_line(fh)
@@ -150,10 +143,9 @@ def read_matrix_market(path: str) -> ProblemInstance:
         if _next_content_line(fh) is not None:
             raise MatrixMarketError(f"more than the declared {nnz} entries")
 
-    if entries:
-        rows = np.array([e[0] for e in entries], dtype=np.int64)
-        cols = np.array([e[1] for e in entries], dtype=np.int64)
-        vals = np.array([e[2] for e in entries], dtype=np.float64)
+    rows = np.array([e[0] for e in entries], dtype=np.int64)
+    cols = np.array([e[1] for e in entries], dtype=np.int64)
+    vals = np.array([e[2] for e in entries], dtype=np.float64)
     if rows.size and (rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols):
         raise MatrixMarketError("entry index out of bounds")
 
@@ -166,7 +158,9 @@ def read_matrix_market(path: str) -> ProblemInstance:
         )
 
     A = SparseMatrix.from_coo(nrows, rows, cols, vals)
-    return _ones_solution(A, A.matvec(np.ones(nrows)))
+    b = A.matvec(np.ones(nrows))
+    b.flags.writeable = False
+    return ProblemInstance(A=A, b=b)
 
 
 def _next_content_line(fh):

@@ -37,10 +37,9 @@ uses, and A8/B10 A z_k with A.T y_k. A12's start makes three such
 passes; A5/B10's start makes its A r_0 with ``matvec`` and, after its
 update, the first step's A.T y_0 with ``matvec_t``. Each start computes
 every value its first step reads, so a first step does the work of a
-later one; only A4's differs, as the recurrence's base case. Every product
-checks its own halves, so an overflow in either half ends the preparation
-that made it, before its update: the step breaks down with
-``<algo>.nonfinite`` and leaves x, r and k as they were.
+later one. Every product checks its own halves, so an overflow in either
+half ends the preparation that made it, before its update: the step
+breaks down with ``<algo>.nonfinite`` and leaves x, r and k as they were.
 """
 
 from __future__ import annotations
@@ -190,7 +189,8 @@ class SolverState:
         self.y = np.array(y, copy=True)
         self.cfg = cfg
         # The updates' finite checks dot with these zeros, as all_finite does:
-        # the result is +-0 for a finite vector and nan otherwise.
+        # the result is +-0 for a finite vector and nan otherwise. A4 starts
+        # from them as x_{-1} and r_{-1}.
         self._zeros = _ZEROS[A.nrows]
         self.k = 0
         self.x = np.array(x0, dtype=np.float64, copy=True)
@@ -324,13 +324,14 @@ def init(algo: AlgoId, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
     already computed (a switching handoff does); the state keeps that array
     without copying, as it keeps ``b``.
 
-    Raises ValueError when A is not square, a vector's length is not A's
-    order, or y is zero or not finite, and NonFiniteError when b - A x0 or
-    its norm overflows. Otherwise the returned state carries its
-    initialization outcome: Continue for a live state, Converged when r0 (or
-    a prologue residual) already meets the tolerance, or Breakdown when the
-    algorithm's start hits a vanished denominator or overflows. Breakdowns
-    in the start are reported, never raised.
+    Raises ValueError when a vector's length is not the order of A (every
+    ``SparseMatrix`` is square), or y is zero or not finite, and
+    NonFiniteError when b - A x0 or its norm overflows. Otherwise the
+    returned state carries its initialization outcome: Continue for a live
+    state, Converged when r0 (or a prologue residual) already meets the
+    tolerance, or Breakdown when the algorithm's start hits a vanished
+    denominator or overflows. Breakdowns in the start are reported, never
+    raised.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return _STATE_CLASSES[algo](A, b, x0, y, cfg, residual)
@@ -389,8 +390,8 @@ class _A4State(SolverState):
     algo = AlgoId.A4
 
     def _start(self):
-        self.x_prev = None
-        self.r_prev = None
+        # x_{-1} = r_{-1} = 0: the first step is the general one with E = 0.
+        self.x_prev = self.r_prev = self._zeros
         # (y_{k-1}, r_{k-1}) and its guard scale ||y_{k-1}|| ||r_{k-1}||:
         # the previous step's (y_k, r_k) and scale.
         self.yr_prev = math.nan
@@ -399,6 +400,7 @@ class _A4State(SolverState):
 
     def _prepare(self):
         yr = dot(self.y, self.r)
+        # At k = 0 there is no (y_{-1}, r_{-1}) to divide by, and no guard.
         if self.k == 0:
             E = 0.0
         else:
@@ -408,7 +410,7 @@ class _A4State(SolverState):
         # The bracket must cancel the order-k moment of the combination, so
         # the E term enters with a plus sign (the recurrence terminates in n
         # exact steps only with this orientation).
-        num_B = dot(self.y, Ar) + (E * dot(self.y, self.r_prev) if self.k > 0 else 0.0)
+        num_B = dot(self.y, Ar) + E * dot(self.y, self.r_prev)
         yr_scale = norm2(self.y) * self.r_norm
         B = -self._div(num_B, yr, "A4.B: (y_k,r_k)", yr_scale, cap=COEFF_LIMIT)
         S = B + E
@@ -417,12 +419,8 @@ class _A4State(SolverState):
         return E, B, S, A_next, Ar, y_next, yr, yr_scale
 
     def _update(self, E, B, S, A_next, Ar, y_next, yr, yr_scale):
-        if self.k == 0:
-            x_next = A_next * (B * self.x - self.r)
-            r_next = A_next * (Ar + B * self.r)
-        else:
-            x_next = A_next * (B * self.x + E * self.x_prev - self.r)
-            r_next = A_next * (Ar + B * self.r + E * self.r_prev)
+        x_next = A_next * (B * self.x + E * self.x_prev - self.r)
+        r_next = A_next * (Ar + B * self.r + E * self.r_prev)
         self.last_normalization = A_next * S
         self.x_prev, self.r_prev = self.x, self.r
         self.yr_prev, self.yr_prev_scale = yr, yr_scale

@@ -14,13 +14,16 @@ from lanswitch.harness import (
     PAPER_COMBOS,
     ExperimentConfig,
     SwitchTemplate,
+    run_cell,
     run_experiment,
 )
 from lanswitch.linalg import norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, init, run
 from lanswitch.switching import ST1, ST2, CoinToss, SelectionPolicy, SwitchPlan, run_switching
-from oracles import direct_solve_oracle, from_dense, lanczos_iterate, norm_inf
+from oracles import (SingularMatrixError, direct_solve_oracle, from_dense, lanczos_iterate,
+                     norm_inf)
+from random_systems import convection_diffusion
 from test_readme import README
 
 DELTAS = (0.0, 0.2, 5.0, 8.0)
@@ -354,6 +357,47 @@ def test_criterion_8_switching_beats_restarting(cycle, grid_records):
         **{k: (c, cells) for k, c in pairing.items()}}
 
 
+# Criterion 9's family: the convection-diffusion operator of an m x m grid
+# for each (beta, gamma).
+CD_SIZES = (10, 20, 30)
+CD_PARAMS = ((0.5, 0.5), (2.0, 0.0), (5.0, 5.0), (0.9, 3.0))
+
+
+def test_criterion_9_second_family():
+    """The paper's claim on a second family, 2-D convection-diffusion with
+    b = A 1: under ST2(20) every pairing converges on all 12 (m, beta,
+    gamma) cells with max |x - 1| <= 1e-8, every solo run fails, and
+    restarting any single algorithm converges on fewer cells, at the
+    harness's budgets (100n switching, 5n solo) and seeds."""
+    pairings = tuple(SwitchTemplate(ST2(20), PAPER_COMBOS[k]) for k in sorted(PAPER_COMBOS))
+    restarts = tuple(SwitchTemplate(ST2(20), (algo,)) for algo in AlgoId)
+    combos = pairings + tuple(AlgoId) + restarts
+    # run_cell reads the config's tolerance, seed and budget, not its problem.
+    cfg = ExperimentConfig(problem="convection-diffusion", algorithms=combos, tol=TOL,
+                           seed=DEFAULT_SEED)
+    converged = [0] * len(combos)
+    worst = 0.0
+    for m in CD_SIZES:
+        for beta, gamma in CD_PARAMS:
+            inst = convection_diffusion(m, beta, gamma)
+            for index, combo in enumerate(combos):
+                rec, _ = run_cell(inst, combo, cfg, index)
+                converged[index] += rec.outcome == "Converged"
+                if index < len(pairings):
+                    worst = max(worst, np.max(np.abs(rec.x - 1.0)))
+    cells = len(CD_SIZES) * len(CD_PARAMS)
+    pairing = converged[:len(pairings)]
+    solo = converged[len(pairings):len(pairings) + len(AlgoId)]
+    restart_only = converged[len(pairings) + len(AlgoId):]
+    ok = (all(c == cells for c in pairing) and worst <= 1e-8 and not any(solo)
+          and all(c < cells for c in restart_only))
+    _report("criterion 9 (second family)", ok,
+            f"pairings {sum(pairing)}/{len(pairing) * cells} (max |x - 1| {worst:.1e}), "
+            f"solo {sum(solo)}/{len(solo) * cells}, restart-only "
+            + ", ".join(f"{a.value} {c}/{cells}" for a, c in zip(AlgoId, restart_only)))
+    assert ok, (pairing, worst, solo, restart_only)
+
+
 def test_criterion_10_lanczos_iterates():
     """Each algorithm computes the Lanczos iterates: from x0 = 0 with y = b,
     its iterate after k updates is the Petrov-Galerkin one, x_k in K_k(A, b)
@@ -386,3 +430,42 @@ def test_criterion_10_lanczos_iterates():
             + ", ".join(f"{a.value} {dev:.1e}" for a, dev in worst.items()))
     assert not stopped, stopped
     assert ok, worst
+
+
+# The guard each algorithm trips when (y, A r0) = 0 exactly.
+EXACT_BREAKDOWN_LABELS = {
+    AlgoId.A4: "A4.A: B+E",
+    AlgoId.A12: "A12.c1",
+    AlgoId.A5B10: "A5B10.A1: (y_0,Ar_0)",
+    AlgoId.A8B10: "A8B10.A: (y_k,Az_k)",
+}
+
+
+def test_criterion_10_exact_breakdowns():
+    """Where the Lanczos iterate x_1 does not exist, every algorithm ends in
+    a labeled Breakdown before its first update: on 5 nonsingular
+    skew-symmetric integer matrices K of order 8 (strict upper triangle in
+    [-3, 3]) with an integer b and y = b, (y, K r0) = 0 exactly, so the
+    exact oracle's system is singular at k = 1."""
+    rng = np.random.default_rng(DEFAULT_SEED)
+    wrong = []
+    systems = 0
+    while systems < 5:
+        K = np.triu(rng.integers(-3, 4, (8, 8)), 1)
+        K -= K.T
+        b = rng.integers(-3, 4, 8)
+        if np.linalg.matrix_rank(K) < 8 or not b.any():
+            continue
+        systems += 1
+        with pytest.raises(SingularMatrixError):
+            lanczos_iterate(K, b, b, 1)
+        A, b = from_dense(K.astype(float)), b.astype(float)
+        for algo in AlgoId:
+            st = init(algo, A, b, np.zeros(8), b, SolverConfig(tol=TOL, max_iters=100))
+            run(st, 10)
+            if (st.outcome.kind, st.k, st.outcome.label) != (
+                    OutcomeKind.BREAKDOWN, 0, EXACT_BREAKDOWN_LABELS[algo]):
+                wrong.append((systems, algo.value, st.outcome, st.k))
+    _report("criterion 10, exact breakdowns", not wrong,
+            "every algorithm breaks down at k = 0 where (y, A r0) = 0")
+    assert not wrong, wrong

@@ -12,7 +12,6 @@ from lanswitch import cli
 from lanswitch.cli import _build_parser, cli_main
 from lanswitch.harness import (
     CSV_COLUMNS,
-    DEFAULT_TOL,
     ExperimentConfig,
     PAPER_COMBOS,
     SwitchTemplate,
@@ -332,7 +331,7 @@ class TestCli:
         for switch, strategy in (("st2", ST2()), ("st3", ST3())):
             args = _build_parser().parse_args(["--switch", switch, "--pool", "a4,a12"])
             assert cli._config_from_args(args).algorithms[0].strategy == strategy
-        assert args.tol == DEFAULT_TOL == SolverConfig().tol
+        assert args.tol == SolverConfig().tol
 
     def test_missing_file_exit_one(self):
         assert cli_main(["--problem", "mm:/nonexistent/x.mtx", "--solo", "a4"]) == 1

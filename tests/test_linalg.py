@@ -225,6 +225,16 @@ class TestSparseMatrix:
         M = SparseMatrix(2, [0, 0, 1], [1], [7.0])
         assert_allclose(M.matvec(as_vector([1.0, 2.0])), [0.0, 14.0])
 
+    @pytest.mark.parametrize("n", [3, linalg.DIA_MIN_N])
+    def test_no_entries_products_are_float64_zeros(self, n):
+        # np.bincount of no terms returns int64 zeros whatever its weights,
+        # whose bytes equal float64 zeros; only the dtype tells them apart.
+        M = SparseMatrix(n, [0] * (n + 1), [], [])
+        ones = np.ones(n)
+        for out in (M.matvec(ones), M.matvec_t(ones), *M.products(ones, ones)):
+            assert out.dtype == np.float64
+            assert out.tobytes() == np.zeros(n).tobytes()
+
 
 def _bincount_matvec(A, v):
     # The CSR reference product, in plain numpy: row sums in stored order.
@@ -248,7 +258,7 @@ def _path(A):
 
 def _expected_path(A, offsets):
     # The storage rule, from the matrix's order and stored offsets.
-    if A.nrows < linalg.DIA_MIN_N:
+    if A.nrows < linalg.DIA_MIN_N and A.nnz:
         return "pair"
     return "bands" if len(offsets) <= linalg.DIA_MAX_OFFSETS else "bincount"
 
@@ -566,9 +576,9 @@ class TestProducts:
                                   "too-many-offsets"])
     def test_each_path(self, n, offsets):
         # Offsets that are not symmetric give A and A.T different bands; with
-        # no stored entry both halves are +0.0. Below DIA_MIN_N the matrix runs
-        # on the pair index; from DIA_MIN_N on, on bands, unless it has too
-        # many offsets.
+        # no stored entry both halves are float64 +0.0. Below DIA_MIN_N the
+        # matrix runs on the pair index, unless it stores nothing; from
+        # DIA_MIN_N on, on bands, unless it has too many offsets.
         A, _ = _csr(n, _band_rows(n, offsets), seed=n)
         assert _path(A) == _expected_path(A, offsets)
         for kind_v in OPERAND_KINDS:
@@ -577,6 +587,7 @@ class TestProducts:
         if not offsets:
             Av, ATw = A.products(np.ones(n), np.ones(n))
             assert Av.tobytes() == ATw.tobytes() == np.zeros(n).tobytes()
+            assert Av.dtype == ATw.dtype == np.float64
 
     @pytest.mark.parametrize("n", [60, N])
     def test_paper_family(self, n):
