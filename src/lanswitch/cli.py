@@ -48,8 +48,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--cycle", type=int, default=None,
                    help=f"ST2 cycle length (default {ST2.cycle_len}; needs --switch st2)")
     p.add_argument("--monitor-threshold", type=float, default=None,
-                   help=f"ST3 denominator threshold (default {ST3.monitor_threshold:g}; "
-                        "needs --switch st3)")
+                   help=f"ST3 threshold relative to a guard's scale (default "
+                        f"{ST3.monitor_threshold:g}; needs --switch st3)")
     p.add_argument("--tol", type=float, default=SolverConfig.tol,
                    help="residual-norm convergence tolerance")
     p.add_argument("--budget", type=int, default=None,

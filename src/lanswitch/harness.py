@@ -59,6 +59,15 @@ class SwitchTemplate:
     pool: Tuple[AlgoId, ...]
     start: Optional[AlgoId] = None
 
+    def __post_init__(self):
+        # A bad pool or start fails here, before any cell is solved.
+        self.plan(0, SolverConfig(), 1)
+
+    def plan(self, seed: int, cfg: SolverConfig, budget: int) -> SwitchPlan:
+        """The run plan under a coin toss seeded with ``seed``."""
+        policy = SelectionPolicy(pool=self.pool, mode=CoinToss(seed=seed))
+        return SwitchPlan(self.strategy, policy, self.resolve_start(), cfg, budget)
+
     def resolve_start(self) -> AlgoId:
         """``start`` if given; else A8/B10 for an ST1 pool that holds it; else
         the pool's first member.
@@ -146,11 +155,7 @@ def run_cell(inst: ProblemInstance, combo: Combo, cfg: ExperimentConfig,
         record = _solo_record(inst, combo, solver_cfg)
         return record, time.perf_counter() - t0
 
-    policy = SelectionPolicy(pool=combo.pool,
-                             mode=CoinToss(seed=derive_seed(cfg.seed, cell_index)))
-    plan = SwitchPlan(strategy=combo.strategy, policy=policy,
-                      start=combo.resolve_start(), cfg=solver_cfg,
-                      global_budget=budget)
+    plan = combo.plan(derive_seed(cfg.seed, cell_index), solver_cfg, budget)
     x0 = np.zeros(n)
     t0 = time.perf_counter()
     record, _ = run_switching(inst.A, inst.b, x0, inst.b, plan)

@@ -101,9 +101,11 @@ def gen_baheux(spec: BaheuxSpec) -> ProblemInstance:
 def read_matrix_market(path: str) -> ProblemInstance:
     """Read a coordinate-format MatrixMarket file into a square problem.
 
-    Symmetric files are expanded to full storage. The right-hand side is the
-    matrix applied to the all-ones vector, so the exact solution is known.
-    The file must hold exactly the entry count its size line declares.
+    A symmetric file stores only its entries on and below the diagonal, and
+    is expanded to full storage; an entry above the diagonal is an error.
+    The right-hand side is the matrix applied to the all-ones vector, so
+    the exact solution is known. The file must hold exactly the entry count
+    its size line declares.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -140,6 +142,8 @@ def read_matrix_market(path: str) -> ProblemInstance:
                 entries.append((int(i) - 1, int(j) - 1, float(v)))
             except ValueError:
                 raise MatrixMarketError(f"bad entry line: {line!r}") from None
+            if symmetry == "symmetric" and int(j) > int(i):
+                raise MatrixMarketError(f"symmetric file, entry above the diagonal: {line!r}")
         if _next_content_line(fh) is not None:
             raise MatrixMarketError(f"more than the declared {nnz} entries")
 

@@ -21,14 +21,16 @@ Each iteration is a preparation and an update. The preparation computes
 every product, scalar and guarded division of the next update without
 changing the iterate; it is made once, and ``denominator_report`` and the
 following ``step`` share it. Each guard, and each closing C1 guard whose
-value the preparation already knows, enters its label and denominator in
-the state's ledger before it is checked. The report copies that ledger: the
-guards up to and including the offender, ending in ``<algo>.nonfinite``
-with value nan when the preparation overflows, so it never raises on a live
-state. Only an overflow in the update itself is found by the step alone.
-Values a later step needs again, such as A4's (y_{k-1}, r_{k-1}) and every
-||r_k||, are carried over in the state. A step by ``run``, a direct
-``step`` and a step after a report leave the state byte for byte the same.
+value the preparation already knows, enters its label, denominator and
+scale in the state's ledger before it is checked (a C1 guard and an
+overflow have scale 1). The report copies the labels and denominators of
+that ledger: the guards up to and including the offender, ending in
+``<algo>.nonfinite`` with value nan when the preparation overflows, so it
+never raises on a live state. Only an overflow in the update itself is
+found by the step alone. Values a later step needs again, such as A4's
+(y_{k-1}, r_{k-1}) and every ||r_k||, are carried over in the state. A step
+by ``run``, a direct ``step`` and a step after a report leave the state byte
+for byte the same.
 
 Each main step makes its A v and its A.T w (the shadow chain's next vector)
 in one ``SparseMatrix.products`` pass: A4 pairs A r_k with A.T y_k, A12
@@ -203,10 +205,10 @@ class SolverState:
             self.r, self.r_norm = residual
         self.outcome = StepOutcome(OutcomeKind.CONVERGED if self.r_norm <= cfg.tol
                                    else OutcomeKind.CONTINUE)
-        # The guards run so far, in order, as (label, denominator); and what
-        # _prepare returned for the next update or the breakdown outcome it
-        # ended in, None until prepared and again once step() applied it.
-        self._ledger: list[tuple[str, float]] = []
+        # The guards run so far, in order, as (label, denominator, scale); and
+        # what _prepare returned for the next update or the breakdown outcome
+        # it ended in, None until prepared and again once step() applied it.
+        self._ledger: list[tuple[str, float, float]] = []
         self._preparation = None
         # True while run() holds the np.errstate of its chunk, so that step()
         # need not enter its own.
@@ -253,9 +255,9 @@ class SolverState:
         ``scale`` is the natural magnitude of the denominator expression; a
         denominator at or below eps * scale has cancelled to noise. ``cap``,
         if given, additionally rejects quotients whose magnitude would exceed
-        it. The guard enters the ledger before it is checked.
+        it. The guard enters the ledger, with its scale, before it is checked.
         """
-        self._ledger.append((label, den))
+        self._ledger.append((label, den, scale))
         if not math.isfinite(den) or abs(den) <= eps * scale:
             raise _Breakdown(label, den)
         if cap is not None and abs(den) * cap <= abs(num):
@@ -271,7 +273,7 @@ class SolverState:
             return StepOutcome(OutcomeKind.BREAKDOWN, err.label, err.value)
         outcome = StepOutcome(OutcomeKind.BREAKDOWN, f"{self.algo}.nonfinite: {err}",
                               math.nan)
-        self._ledger.append((outcome.label, outcome.value))
+        self._ledger.append((outcome.label, outcome.value, 1.0))
         return outcome
 
     def _prepared(self):
@@ -376,7 +378,7 @@ def denominator_report(state: SolverState) -> list[tuple[str, float]]:
         raise SolverStateError("denominator_report on a terminal state")
     with np.errstate(over="ignore", invalid="ignore"):
         state._prepared()
-    return list(state._ledger)
+    return [(label, value) for label, value, _ in state._ledger]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +398,6 @@ class _A4State(SolverState):
         # the previous step's (y_k, r_k) and scale.
         self.yr_prev = math.nan
         self.yr_prev_scale = math.nan
-        self.last_normalization = math.nan
 
     def _prepare(self):
         yr = dot(self.y, self.r)
@@ -413,15 +414,13 @@ class _A4State(SolverState):
         num_B = dot(self.y, Ar) + E * dot(self.y, self.r_prev)
         yr_scale = norm2(self.y) * self.r_norm
         B = -self._div(num_B, yr, "A4.B: (y_k,r_k)", yr_scale, cap=COEFF_LIMIT)
-        S = B + E
-        A_next = self._div(1.0, S, "A4.A: B+E", max(1.0, abs(B), abs(E)),
+        A_next = self._div(1.0, B + E, "A4.A: B+E", max(1.0, abs(B), abs(E)),
                            eps=NORMALIZATION_EPS)
-        return E, B, S, A_next, Ar, y_next, yr, yr_scale
+        return E, B, A_next, Ar, y_next, yr, yr_scale
 
-    def _update(self, E, B, S, A_next, Ar, y_next, yr, yr_scale):
+    def _update(self, E, B, A_next, Ar, y_next, yr, yr_scale):
         x_next = A_next * (B * self.x + E * self.x_prev - self.r)
         r_next = A_next * (Ar + B * self.r + E * self.r_prev)
-        self.last_normalization = A_next * S
         self.x_prev, self.r_prev = self.x, self.r
         self.yr_prev, self.yr_prev_scale = yr, yr_scale
         if self._accept(x_next, r_next):
@@ -594,7 +593,7 @@ class _A5B10State(SolverState):
         A_next = -self._div(num, dot(y_k, Ap), "A5B10.A: (y_k,Ap_k)",
                             y_norm * norm2(Ap))
         # The update closes with the C1 guard on A_k.
-        self._ledger.append(("A5B10.C1: A_k", self.A_prev))
+        self._ledger.append(("A5B10.C1: A_k", self.A_prev, 1.0))
         return y_k, p_k, Ap, y_next, A_next
 
     def _update(self, y_k, p_k, Ap, y_next, A_next):
@@ -631,7 +630,7 @@ class _A8B10State(SolverState):
         den_scale = norm2(self.y) * norm2(Az)
         A_next = -self._div(num, den, "A8B10.A: (y_k,Az_k)", den_scale)
         # The update closes with the C1 guard on A_{k+1}.
-        self._ledger.append(("A8B10.C1: A_{k+1}", A_next))
+        self._ledger.append(("A8B10.C1: A_{k+1}", A_next, 1.0))
         return Az, y_next, den, den_scale, A_next
 
     def _update(self, Az, y_next, den, den_scale, A_next):

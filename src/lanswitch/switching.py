@@ -8,9 +8,9 @@ BreakdownSwitch. An iteration limit or a spent global budget ends the run
 Exhausted. Otherwise the strategy's switch rule decides. The strategies
 differ only in their chunk and switch rules: ST1 runs the whole remaining
 budget and never switches on its own; ST2 runs the rest of its cycle and
-switches at a full cycle (Restart or ProperSwitch); ST3 runs
-``check_every`` iterations and switches when a monitored denominator drops
-below its threshold (MonitorSwitch).
+switches at a full cycle (Restart or ProperSwitch); ST3 runs one step and
+switches when a monitored denominator drops below its threshold relative to
+its guard's scale (MonitorSwitch).
 
 A handoff tries the drawn algorithm, then the rest of the pool in order. It
 skips only members that broke down at the current iterate or whose prologue
@@ -101,23 +101,30 @@ class ST2:
 
 @dataclass(frozen=True)
 class ST3:
-    """Switch when any upcoming denominator magnitude drops below the threshold."""
+    """Switch when an upcoming denominator is small for its guard's scale.
+
+    After every step, each denominator the next step will divide by is
+    compared with ``monitor_threshold`` times the natural scale its guard
+    uses (||u|| ||v|| for a scalar product (u, v), 1 for a C1 coefficient).
+    A relative test does not fire merely because the residual, and with it
+    every product (y, r), has become small.
+    """
 
     monitor_threshold: float = 1e-8
-    check_every: int = 1
 
     def __post_init__(self):
         if not (self.monitor_threshold > 0):
             raise ValueError("monitor_threshold must be positive")
-        if self.check_every < 1:
-            raise ValueError("check_every must be at least 1")
 
     def chunk(self, state: SolverState, remaining: int) -> int:
-        return min(self.check_every, remaining)
+        return min(1, remaining)
 
     def switch_kind(self, state: SolverState) -> Optional[EventKind]:
-        report = denominator_report(state)
-        if any(abs(v) < self.monitor_threshold for _, v in report):
+        # The report makes the next step's preparation; the ledger it copies
+        # also holds each guard's scale.
+        denominator_report(state)
+        if any(abs(value) < self.monitor_threshold * scale
+               for _, value, scale in state._ledger):
             return EventKind.MONITOR_SWITCH
         return None
 

@@ -20,11 +20,13 @@ from lanswitch.harness import (
 from lanswitch.linalg import norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, init, run
-from lanswitch.switching import ST1, ST2, CoinToss, SelectionPolicy, SwitchPlan, run_switching
+from lanswitch.switching import (ST1, ST2, ST3, CoinToss, SelectionPolicy, SwitchPlan,
+                                 run_switching)
 from oracles import (SingularMatrixError, direct_solve_oracle, from_dense, lanczos_iterate,
                      norm_inf)
 from random_systems import convection_diffusion
 from test_readme import README
+from test_solvers import a4_normalization
 
 DELTAS = (0.0, 0.2, 5.0, 8.0)
 DIMS = (20, 40, 60, 80, 100, 200, 400, 600, 800, 1000)
@@ -95,6 +97,13 @@ def test_criterion_1_switching_convergence(grid_records, problems_cache):
 def test_criterion_1_st1_switching_convergence(problems_cache):
     """The same bar under ST1, which switches only after a breakdown."""
     _assert_grid_converges("criterion 1, ST1 (switching convergence)", _grid(ST1()),
+                           problems_cache)
+
+
+def test_criterion_1_st3_switching_convergence(problems_cache):
+    """The same bar under ST3 at its default threshold, which switches when
+    a denominator the next step divides by is small for its guard's scale."""
+    _assert_grid_converges("criterion 1, ST3 (switching convergence)", _grid(ST3()),
                            problems_cache)
 
 
@@ -196,15 +205,21 @@ def test_criterion_4_residual_identity_and_7_normalization():
     identity_violations = []
     normalization_violations = []
 
-    def check(state, where):
+    def step_and_check(state, *where):
+        """Step ``state`` once and check it if the step updated the iterate."""
         nonlocal checked
+        # A4's normalization comes from the preparation the step applies.
+        normalization = a4_normalization(state) if state.algo is AlgoId.A4 else 1.0
+        if state.step().kind not in (OutcomeKind.CONTINUE, OutcomeKind.CONVERGED):
+            return
+        where = (*where, state.k)
         gap = norm2(state.r - (state.b - state.A.matvec(state.x)))
         bound = 1e-10 * (norm2(state.b) + norm_inf(state.A) * norm2(state.x))
         checked += 1
         if gap > bound:
             identity_violations.append((where, gap, bound))
-        if state.algo is AlgoId.A4 and abs(state.last_normalization - 1.0) > 1e-14:
-            normalization_violations.append((where, state.last_normalization))
+        if abs(normalization - 1.0) > 1e-14:
+            normalization_violations.append((where, normalization))
 
     for algo_i, algo in enumerate(algos):
         rng = np.random.default_rng(17 + algo_i)
@@ -219,9 +234,7 @@ def test_criterion_4_residual_identity_and_7_normalization():
             for _ in range(12):
                 if st.outcome.is_terminal:
                     break
-                out = st.step()
-                if out.kind in (OutcomeKind.CONTINUE, OutcomeKind.CONVERGED):
-                    check(st, (algo.value, trial, st.k))
+                step_and_check(st, algo.value, trial)
             r_fresh = b - A.matvec(st.x)
             if norm2(r_fresh) <= TOL:
                 continue
@@ -229,9 +242,7 @@ def test_criterion_4_residual_identity_and_7_normalization():
             for _ in range(3):
                 if st2.outcome.is_terminal:
                     break
-                out = st2.step()
-                if out.kind in (OutcomeKind.CONTINUE, OutcomeKind.CONVERGED):
-                    check(st2, (next_algo.value, trial, "post-handoff", st2.k))
+                step_and_check(st2, next_algo.value, trial, "post-handoff")
 
     _report("criterion 4 (residual identity)", not identity_violations and checked >= 200,
             f"{checked} steps checked, including post-handoff steps")

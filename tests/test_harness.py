@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from lanswitch import cli
+from lanswitch import cli, harness
 from lanswitch.cli import _build_parser, cli_main
 from lanswitch.harness import (
     CSV_COLUMNS,
@@ -384,6 +384,21 @@ class TestCli:
         assert cli_main(["--n", "20", "--solo", "a4"] + flags) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--pool", "a4,a4"], "pool entries must be distinct"),
+        (["--start", "a12", "--pool", "a4,a8b10"], "start algorithm must be a pool member"),
+        (["--pool", ","], "pool must be non-empty"),
+    ], ids=["repeated", "start-outside", "empty"])
+    def test_bad_pool_or_start_exits_one_before_any_solve(self, capsys, monkeypatch,
+                                                          flags, message):
+        # The solo cells come first, so a late check would solve them.
+        cells, run_cell = [], harness.run_cell
+        monkeypatch.setattr(harness, "run_cell",
+                            lambda *args: cells.append(args) or run_cell(*args))
+        assert cli_main(["--n", "20", "--solo", "a4,a12", "--switch", "st2"] + flags) == 1
+        assert cells == []
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flags, message", [
         (["--solo", "a4", "--cycle", "5"], "--cycle requires --switch st2"),

@@ -137,6 +137,15 @@ class TestMatrixMarket:
         back = read_matrix_market(str(path))
         assert_allclose(to_dense(back.A), to_dense(inst.A), rtol=0, atol=0)
 
+    def test_symmetric_entry_above_the_diagonal_rejected(self, tmp_path):
+        # Read and mirrored, the two entries would give [[4, 2], [2, 0]].
+        path = tmp_path / "upper.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        "2 2 3\n1 1 4.0\n2 1 1.0\n1 2 1.0\n")
+        message = "symmetric file, entry above the diagonal: '1 2 1.0'"
+        with pytest.raises(MatrixMarketError, match=f"^{re.escape(message)}$"):
+            read_matrix_market(str(path))
+
     @settings(max_examples=200, derandomize=True, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(A=coo_matrices())

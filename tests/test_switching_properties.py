@@ -27,7 +27,7 @@ def cases(draw):
     strategy = draw(st.one_of(
         st.just(ST1()),
         st.builds(ST2, st.integers(1, 30)),
-        st.builds(ST3, st.sampled_from([1e-8, 1e-3, 1e9]), st.integers(1, 4)),
+        st.builds(ST3, st.sampled_from([1e-8, 1e-3, 1e9])),
     ))
     budget = draw(st.integers(1, 1000))
     plan = SwitchPlan(
