@@ -23,10 +23,10 @@ changing the iterate; it is made once, and ``denominator_report`` and the
 following ``step`` share it. Each guard, and each closing C1 guard whose
 value the preparation already knows, enters its label, denominator and
 scale in the state's ledger before it is checked (a C1 guard and an
-overflow have scale 1). The report copies the labels and denominators of
-that ledger: the guards up to and including the offender, ending in
-``<algo>.nonfinite`` with value nan when the preparation overflows, so it
-never raises on a live state. Only an overflow in the update itself is
+overflow have scale 1). The report is a copy of that ledger, one
+(label, value, scale) triple per guard: the guards up to and including
+the offender, ending in ``<algo>.nonfinite`` with value nan when the
+preparation overflows, so it never raises on a live state. Only an overflow in the update itself is
 found by the step alone. Values a later step needs again, such as A4's
 (y_{k-1}, r_{k-1}) and every ||r_k||, are carried over in the state. A step
 by ``run``, a direct ``step`` and a step after a report leave the state byte
@@ -364,21 +364,23 @@ def run(state: SolverState, budget: int) -> tuple[StepOutcome, int]:
     return state.outcome, state.iters_used - start
 
 
-def denominator_report(state: SolverState) -> list[tuple[str, float]]:
-    """(label, value) of every denominator the NEXT step will divide by.
+def denominator_report(state: SolverState) -> list[tuple[str, float, float]]:
+    """(label, value, scale) of every denominator the NEXT step will divide by.
 
-    The next step's preparation is made here if it was not yet, and the
-    step then reuses it; ``x``, ``r``, ``k`` and the outcome are untouched.
-    The entries run in the order the step checks them, up to and including
-    the offender when one has vanished (an overflow is the
-    ``<algo>.nonfinite`` entry with value nan); the report never raises on
-    a live state.
+    ``scale`` is the natural magnitude the entry's guard compares the value
+    with (||u|| ||v|| for a scalar product (u, v)); it is 1.0 for a closing
+    C1 entry and for an overflow. The next step's preparation is made here
+    if it was not yet, and the step then reuses it; ``x``, ``r``, ``k`` and
+    the outcome are untouched. The entries run in the order the step checks
+    them, up to and including the offender when one has vanished (an
+    overflow is the ``<algo>.nonfinite`` entry with value nan); the report
+    never raises on a live state.
     """
     if state.outcome.is_terminal:
         raise SolverStateError("denominator_report on a terminal state")
     with np.errstate(over="ignore", invalid="ignore"):
         state._prepared()
-    return [(label, value) for label, value, _ in state._ledger]
+    return list(state._ledger)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ BreakdownSwitch. An iteration limit or a spent global budget ends the run
 Exhausted. Otherwise the strategy's switch rule decides. The strategies
 differ only in their chunk and switch rules: ST1 runs the whole remaining
 budget and never switches on its own; ST2 runs the rest of its cycle and
-switches at a full cycle (Restart or ProperSwitch); ST3 runs one step and
-switches when a monitored denominator drops below its threshold relative to
-its guard's scale (MonitorSwitch).
+switches at a full cycle (ProperSwitch); ST3 runs one step and switches
+(MonitorSwitch) when an entry of ``denominator_report``, the next step's
+denominators, has a magnitude below its threshold times the entry's scale,
+the one its guard uses.
 
 A handoff tries the drawn algorithm, then the rest of the pool in order. It
 skips only members that broke down at the current iterate or whose prologue
@@ -120,11 +121,11 @@ class ST3:
         return min(1, remaining)
 
     def switch_kind(self, state: SolverState) -> Optional[EventKind]:
-        # The report makes the next step's preparation; the ledger it copies
-        # also holds each guard's scale.
-        denominator_report(state)
+        # The report makes the next step's preparation, which that step
+        # reuses. The handoff relabels it Restart if the same algorithm takes
+        # over.
         if any(abs(value) < self.monitor_threshold * scale
-               for _, value, scale in state._ledger):
+               for _, value, scale in denominator_report(state)):
             return EventKind.MONITOR_SWITCH
         return None
 

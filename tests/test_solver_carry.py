@@ -160,7 +160,7 @@ def _snapshot(st):
     report = [] if outcome.is_terminal else denominator_report(copy.deepcopy(st))
     return (st.x.tobytes(), st.r.tobytes(), repr(st.r_norm), st.k, st.iters_used,
             outcome.kind, outcome.label, repr(outcome.value),
-            [(label, repr(value)) for label, value in report])
+            [(label, repr(value), repr(scale)) for label, value, scale in report])
 
 
 def _by_run(st, count):
@@ -227,7 +227,7 @@ def test_report_ends_with_the_closing_c1_guard():
     report = denominator_report(st)
     outcome = st.step()
     assert outcome.label == "A5B10.C1: A_k"
-    assert report[-1] == (outcome.label, outcome.value)
+    assert report[-1] == (outcome.label, outcome.value, 1.0)
 
 
 # A shadow vector of norm about 1e151 on a 24x24 Gaussian system: the shadow

@@ -333,19 +333,19 @@ class TestDenominatorReport:
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.2))
         st = init(AlgoId.A4, inst.A, inst.b, np.zeros(20), inst.b, CFG)
         fresh = denominator_report(st)
-        labels = [lbl for lbl, _ in fresh]
+        labels = [lbl for lbl, _, _ in fresh]
         assert "A4.B: (y_k,r_k)" in labels
         assert "A4.A: B+E" in labels
-        assert all(math.isfinite(v) for _, v in fresh)
+        assert all(math.isfinite(v) and s > 0 for _, v, s in fresh)
         st.step()
         after = denominator_report(st)
-        assert [lbl for lbl, _ in after][0] == "A4.E: (y_{k-1},r_{k-1})"
+        assert after[0][0] == "A4.E: (y_{k-1},r_{k-1})"
         assert len(after) == 3
 
     def test_a8b10_contains_core_denominator(self):
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.2))
         st = init(AlgoId.A8B10, inst.A, inst.b, np.zeros(20), inst.b, CFG)
-        labels = [lbl for lbl, _ in denominator_report(st)]
+        labels = [lbl for lbl, _, _ in denominator_report(st)]
         assert any("(y_k,Az_k)" in lbl for lbl in labels)
 
     def test_reports_forced_zero(self):
@@ -353,7 +353,7 @@ class TestDenominatorReport:
         b = as_vector([3.0, 0.0])
         y = as_vector([0.0, 1.0])  # (y, r0) = 0
         st = init(AlgoId.A4, A, b, np.zeros(2), y, CFG)
-        values = dict(denominator_report(st))
+        values = {lbl: v for lbl, v, _ in denominator_report(st)}
         assert values["A4.B: (y_k,r_k)"] == 0.0
 
     def test_probe_does_not_mutate(self):
