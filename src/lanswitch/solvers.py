@@ -26,11 +26,11 @@ scale in the state's ledger before it is checked (a C1 guard and an
 overflow have scale 1). The report is a copy of that ledger, one
 (label, value, scale) triple per guard: the guards up to and including
 the offender, ending in ``<algo>.nonfinite`` with value nan when the
-preparation overflows, so it never raises on a live state. Only an overflow in the update itself is
-found by the step alone. Values a later step needs again, such as A4's
-(y_{k-1}, r_{k-1}) and every ||r_k||, are carried over in the state. A step
-by ``run``, a direct ``step`` and a step after a report leave the state byte
-for byte the same.
+preparation overflows, so it never raises on a live state. Only an
+overflow in the update itself is found by the step alone. Values a later
+step needs again, such as A4's (y_{k-1}, r_{k-1}) and every ||r_k||, are
+carried over in the state. A step by ``run``, a direct ``step`` and a step
+after a report leave the state byte for byte the same.
 
 Each main step makes its A v and its A.T w (the shadow chain's next vector)
 in one ``SparseMatrix.products`` pass: A4 pairs A r_k with A.T y_k, A12

@@ -16,7 +16,9 @@ the one its guard uses.
 A handoff tries the drawn algorithm, then the rest of the pool in order. It
 skips only members that broke down at the current iterate or whose prologue
 would overrun the budget; an x-update, by a step or by a prologue, makes
-every earlier breakdown stale.
+every earlier breakdown stale. A switch rule's handoff (ProperSwitch or
+MonitorSwitch) that installs the running algorithm again is a Restart, so
+every transition from an algorithm to itself is a Restart or a CycleEnd.
 
 A handoff re-initializes the incoming algorithm at the current iterate with
 a freshly recomputed residual, so every cycle starts with an exact residual
@@ -301,7 +303,8 @@ class _Driver:
                 self.barren.add(algo)
                 continue
             if cause is not None:
-                same = cause is EventKind.PROPER_SWITCH and algo == previous
+                same = (cause in (EventKind.PROPER_SWITCH, EventKind.MONITOR_SWITCH)
+                        and algo == previous)
                 kind = EventKind.RESTART if same else cause
                 # The transition is stamped at the handoff iteration, before
                 # the incoming prologue consumes its charge, with the residual

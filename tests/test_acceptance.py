@@ -24,12 +24,11 @@ from lanswitch.switching import (ST1, ST2, ST3, CoinToss, SelectionPolicy, Switc
                                  run_switching)
 from oracles import (SingularMatrixError, direct_solve_oracle, from_dense, lanczos_iterate,
                      norm_inf)
+from paper_grid import PAPER_DELTAS, PAPER_DIMS
 from random_systems import convection_diffusion
 from test_readme import README
 from test_solvers import a4_normalization
 
-DELTAS = (0.0, 0.2, 5.0, 8.0)
-DIMS = (20, 40, 60, 80, 100, 200, 400, 600, 800, 1000)
 TOL = 1e-13
 
 
@@ -45,8 +44,8 @@ def _grid(strategy):
     templates = tuple(SwitchTemplate(strategy, PAPER_COMBOS[k])
                       for k in sorted(PAPER_COMBOS))
     out = {}
-    for delta in DELTAS:
-        for n in DIMS:
+    for delta in PAPER_DELTAS:
+        for n in PAPER_DIMS:
             cfg = ExperimentConfig(problem=BaheuxSpec(n=n, delta=delta),
                                    algorithms=templates, tol=TOL,
                                    seed=DEFAULT_SEED)
@@ -120,13 +119,13 @@ def test_criterion_2_solo_fragility(problems_cache):
     """Each solo algorithm fails somewhere on the grid at n >= 60, budget 5n.
     Over all 40 cells it converges on as many cells, and breaks down after as
     few and as many updates, as the README's opening table says."""
-    cells = len(DELTAS) * len(DIMS)
+    cells = len(PAPER_DELTAS) * len(PAPER_DIMS)
     failures = {}
     converged = dict.fromkeys(AlgoId, 0)
     breakdown_updates = {algo: [] for algo in AlgoId}
     for algo in AlgoId:
-        for delta in DELTAS:
-            for n in DIMS:
+        for delta in PAPER_DELTAS:
+            for n in PAPER_DIMS:
                 inst = problems_cache(n, delta)
                 cfg = SolverConfig(tol=TOL, max_iters=5 * n)
                 st = init(algo, inst.A, inst.b, np.zeros(n), inst.b, cfg)
@@ -170,7 +169,7 @@ def test_criterion_3_oracle_equivalence(grid_records, problems_cache):
             violations.append((delta, n, number, rel, ones_err))
     # Solo runs that converge (small n) are held to the same bound.
     for algo in AlgoId:
-        for delta in DELTAS:
+        for delta in PAPER_DELTAS:
             for n in (10, 20, 30, 40):
                 inst = problems_cache(n, delta)
                 cfg = SolverConfig(tol=TOL, max_iters=5 * n)
@@ -342,11 +341,11 @@ def test_criterion_8_switching_beats_restarting(cycle, grid_records):
     single algorithm under the same cycle and budget converges on strictly
     fewer. At cycle 10 restarting A5/B10 alone ties the pairings. Every count
     is the one in the README's table."""
-    cells = len(DELTAS) * len(DIMS)
+    cells = len(PAPER_DELTAS) * len(PAPER_DIMS)
     templates = tuple(SwitchTemplate(ST2(cycle), (algo,)) for algo in AlgoId)
     restart_only = dict.fromkeys(AlgoId, 0)
-    for delta in DELTAS:
-        for n in DIMS:
+    for delta in PAPER_DELTAS:
+        for n in PAPER_DIMS:
             cfg = ExperimentConfig(problem=BaheuxSpec(n=n, delta=delta),
                                    algorithms=templates, tol=TOL,
                                    seed=DEFAULT_SEED)
@@ -354,7 +353,7 @@ def test_criterion_8_switching_beats_restarting(cycle, grid_records):
                 restart_only[algo] += rec.outcome == "Converged"
     records = grid_records if cycle == 20 else _grid(ST2(cycle))
     pairing = {number: sum(records[(delta, n, number)].outcome == "Converged"
-                           for delta in DELTAS for n in DIMS)
+                           for delta in PAPER_DELTAS for n in PAPER_DIMS)
                for number in sorted(PAPER_COMBOS)}
     ties = {algo for algo, count in restart_only.items() if count >= cells}
     ok = all(count == cells for count in pairing.values()) and ties == RESTART_TIES[cycle]

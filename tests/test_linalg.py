@@ -13,6 +13,7 @@ from lanswitch.linalg import (
 )
 from lanswitch.problems import BaheuxSpec, gen_baheux
 from oracles import as_vector, from_dense, identity, norm_inf, to_dense
+from paper_grid import PAPER_DELTAS, PAPER_DIMS
 
 
 def random_csr(rng, n, density=0.3):
@@ -270,9 +271,6 @@ def _banded(monkeypatch, build):
     return build()
 
 
-PAPER_DIMS = (20, 40, 60, 80, 100, 200, 400, 600, 800, 1000)
-
-
 def _csr(n, row_cols, seed=0):
     # Square CSR matrix storing row i's columns row_cols[i] in the given
     # order, with random values, some of them -0.0; and the same matrix dense.
@@ -323,7 +321,7 @@ def _band_table(dense, offsets):
 
 class TestDiagonalStorage:
     @pytest.mark.parametrize("n", [300, 1000, 2000])
-    @pytest.mark.parametrize("delta", [0.0, 0.2, 5.0, 8.0])
+    @pytest.mark.parametrize("delta", PAPER_DELTAS)
     def test_dia_products_bitwise_equal_bincount(self, monkeypatch, n, delta):
         A = _banded(monkeypatch, lambda: gen_baheux(BaheuxSpec(n=n, delta=delta)).A)
         assert A._bands is not None

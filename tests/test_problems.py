@@ -15,6 +15,7 @@ from lanswitch.problems import (
 )
 from oracles import (SingularMatrixError, as_vector, direct_solve_oracle, from_dense,
                      identity, to_dense)
+from paper_grid import PAPER_DELTAS
 
 
 def write_lower_triangle(path, A):
@@ -65,7 +66,7 @@ class TestBaheuxGenerator:
         assert A[1, 0] == pytest.approx(-1.2)
 
     @pytest.mark.parametrize("n", [10, 20, 200, 1000])
-    @pytest.mark.parametrize("delta", [0.0, 0.2, 5.0, 8.0, 1.0])
+    @pytest.mark.parametrize("delta", [*PAPER_DELTAS, 1.0])
     def test_matches_block_definition(self, n, delta):
         # The documented definition: 10x10 blocks with 4 on their diagonal,
         # -1+delta above it and -1-delta below it, coupled by -I blocks.
@@ -90,7 +91,7 @@ class TestBaheuxGenerator:
         assert_allclose(inst.b, to_dense(inst.A).sum(axis=1))
 
     @pytest.mark.parametrize("n", [10, 200, 290, 300, 1000, 2000])
-    @pytest.mark.parametrize("delta", [0.0, 0.2, 5.0, 8.0, 1.0, -1.0, 1e-300, -0.0])
+    @pytest.mark.parametrize("delta", [*PAPER_DELTAS, 1.0, -1.0, 1e-300, -0.0])
     def test_rhs_is_the_product_bitwise(self, n, delta):
         # b is summed directly from the stored values, and matches A times
         # ones bit for bit on the bincount path and on bands.
@@ -103,7 +104,7 @@ class TestBaheuxGenerator:
         assert norm2(inst.b - inst.A.matvec(np.ones(40))) <= 1e-10 * norm2(inst.b)
 
     @pytest.mark.parametrize("n", [10, 30, 100])
-    @pytest.mark.parametrize("delta", [0.0, 0.2, 5.0, 8.0])
+    @pytest.mark.parametrize("delta", PAPER_DELTAS)
     def test_nonzero_count(self, n, delta):
         A = gen_baheux(BaheuxSpec(n=n, delta=delta)).A
         expected = n + 2 * (n - n // 10) + 2 * (n - 10)
@@ -256,7 +257,7 @@ class TestDirectSolveOracle:
             direct_solve_oracle(A, as_vector(np.ones(2001)))
 
     @pytest.mark.parametrize("n", [20, 100, 200, 400])
-    @pytest.mark.parametrize("delta", [0.0, 0.2, 5.0, 8.0])
+    @pytest.mark.parametrize("delta", PAPER_DELTAS)
     def test_residual_bound_on_baheux(self, n, delta):
         inst = gen_baheux(BaheuxSpec(n=n, delta=delta))
         x = direct_solve_oracle(inst.A, inst.b)

@@ -17,6 +17,7 @@ from lanswitch.solvers import (
     run,
 )
 from oracles import as_vector, direct_solve_oracle, from_dense, identity, norm_inf
+from paper_grid import PAPER_DELTAS
 from random_systems import random_system
 
 ALL_ALGOS = list(AlgoId)
@@ -287,7 +288,7 @@ class TestRecurrenceProperties:
                     assert abs(normalization - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("algo", ALL_ALGOS)
-    @pytest.mark.parametrize("delta", [0.0, 0.2, 5.0, 8.0])
+    @pytest.mark.parametrize("delta", PAPER_DELTAS)
     def test_oracle_equivalence_when_solo_converges(self, algo, delta):
         for n in (10, 20, 30, 40):
             inst = gen_baheux(BaheuxSpec(n=n, delta=delta))

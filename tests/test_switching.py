@@ -362,6 +362,28 @@ class TestRunSwitching:
         assert rec.restarts >= n_restart
         assert rec.switches >= n_proper
 
+    @pytest.mark.parametrize("strategy", [ST2(20), ST3(), ST3(1e-3)], ids=repr)
+    def test_same_algorithm_transitions_are_restarts_or_cycle_ends(self, strategy):
+        # A switch rule's handoff that installs the running algorithm again
+        # is a Restart, under ST3 as under ST2; only a refuted convergence
+        # claim (CycleEnd) may hand an algorithm to itself otherwise.
+        inst = gen_baheux(BaheuxSpec(n=60, delta=5.0))
+        plan = SwitchPlan(
+            strategy=strategy,
+            policy=SelectionPolicy((A4, A12), CoinToss(42)),
+            start=A4,
+            cfg=SolverConfig(tol=1e-13, max_iters=6000),
+            global_budget=6000,
+        )
+        rec, trace = run_switching(inst.A, inst.b, np.zeros(60), inst.b, plan)
+        transitions = trace.events[:-1]
+        same = [e for e in transitions if e.from_algo == e.to_algo]
+        assert all(e.kind in (EventKind.RESTART, EventKind.CYCLE_END) for e in same)
+        assert all(e.from_algo == e.to_algo for e in transitions
+                   if e.kind is EventKind.RESTART)
+        assert any(e.kind is EventKind.RESTART for e in same)
+        assert rec.restarts == len(same)
+
     def test_seeded_determinism_bitwise(self):
         inst = gen_baheux(BaheuxSpec(n=100, delta=8.0))
         plan = st2_plan([A4, A8B10], seed=1234, budget=10000)
@@ -599,7 +621,9 @@ class TestRunSwitching:
         # outgoing state's recurrence residual is above it; the record must
         # report the residual that ended the run. Here a MonitorSwitch at
         # iteration 227 leaves A5/B10 at a recurrence residual of 1.0116e-13,
-        # and b - A x is 9.938e-14.
+        # and b - A x is 9.938e-14. The transition before it, at iteration
+        # 214, is a MonitorSwitch whose draw installed A5/B10 again: a
+        # Restart.
         inst = gen_baheux(BaheuxSpec(n=40, delta=5.0))
         plan = SwitchPlan(
             strategy=ST3(1e-3),
@@ -609,6 +633,9 @@ class TestRunSwitching:
             global_budget=800,
         )
         rec, trace = run_switching(inst.A, inst.b, np.zeros(40), inst.b, plan)
+        restart = trace.events[-2]
+        assert (restart.kind, restart.at_iteration, restart.from_algo, restart.to_algo) == (
+            EventKind.RESTART, 214, A5B10, A5B10)
         assert rec.outcome == "Converged"
         assert rec.residual == trace.events[-1].residual_norm
         assert rec.residual <= plan.cfg.tol
