@@ -14,8 +14,12 @@ scale is ||u|| ||v||), so cancellation down to noise is a breakdown while
 legitimately small, well-determined products divide through. No non-finite
 value is ever written into the iterate or the residual, and a state's
 ``r_norm`` is always ||r||. Numpy's over/invalid warnings are silenced once
-per call of ``run`` (for its whole chunk of steps), ``step``, ``init`` and
-``denominator_report``; the kernels raise NonFiniteError instead.
+per call of ``run`` (for its whole chunk of steps, and for the reports its
+``stop`` takes between them), ``step``, ``init`` and ``denominator_report``;
+the kernels raise NonFiniteError instead. ``run``'s ``stop`` is a predicate
+on the state, asked after each step that leaves it live; the switching
+driver passes its strategy's monitor there, so a monitored run checks after
+every step without leaving the chunk.
 
 Each iteration is a preparation and an update. The preparation computes
 every product, scalar and guarded division of the next update without
@@ -49,7 +53,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -339,13 +343,18 @@ def init(algo: AlgoId, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
         return _STATE_CLASSES[algo](A, b, x0, y, cfg, residual)
 
 
-def run(state: SolverState, budget: int) -> tuple[StepOutcome, int]:
-    """Step up to ``budget`` times or until a terminal outcome.
+def run(state: SolverState, budget: int,
+        stop: Optional[Callable[[SolverState], bool]] = None) -> tuple[StepOutcome, int]:
+    """Step up to ``budget`` times, until a terminal outcome, or until ``stop``.
 
-    Returns the last outcome and how far the chunk advanced
-    ``state.iters_used``; a breakdown-terminated attempt counts as one
-    iteration. A state whose outcome is already terminal is returned
-    unchanged with count 0.
+    ``stop``, if given, is asked ``stop(state)`` after each step that leaves
+    the state live, never before the first step nor after a terminal one;
+    the chunk ends after the first step it answers True. It runs inside the
+    chunk's one ``np.errstate``, so a stop that takes ``denominator_report``
+    (ST3's monitor does) lets no warning escape either. Returns the last
+    outcome and how far the chunk advanced ``state.iters_used``; a
+    breakdown-terminated attempt counts as one iteration. A state whose
+    outcome is already terminal is returned unchanged with count 0.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -357,7 +366,7 @@ def run(state: SolverState, budget: int) -> tuple[StepOutcome, int]:
         state._quiet = True
         try:
             for _ in range(budget):
-                if step().is_terminal:
+                if step().is_terminal or (stop is not None and stop(state)):
                     break
         finally:
             state._quiet = False

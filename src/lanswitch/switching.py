@@ -1,17 +1,20 @@
 """Switching framework: run one Lanczos-type solver, hand its iterate to another.
 
-One loop drives all three strategies. Each pass runs the current algorithm
-for one chunk and reads its outcome. A convergence claim ends the run only
-if the recomputed residual b - A x meets the tolerance; otherwise a CycleEnd
-handoff restarts from that residual. A breakdown hands off with a
-BreakdownSwitch. An iteration limit or a spent global budget ends the run
-Exhausted. Otherwise the strategy's switch rule decides. The strategies
-differ only in their chunk and switch rules: ST1 runs the whole remaining
-budget and never switches on its own; ST2 runs the rest of its cycle and
-switches at a full cycle (ProperSwitch); ST3 runs one step and switches
-(MonitorSwitch) when an entry of ``denominator_report``, the next step's
-denominators, has a magnitude below its threshold times the entry's scale,
-the one its guard uses.
+One loop drives all three strategies, and a strategy is two values that
+loop reads: a cycle cap ``cycle_len`` and a ``monitor(state) -> bool``,
+each None when the strategy has no such rule. ST1 has neither, ST2 has the
+cap, and ST3 has the monitor: it holds when an entry of
+``denominator_report``, the next step's denominators, has a magnitude below
+its threshold times the entry's scale, the one its guard uses. Each pass
+runs the current algorithm for one chunk, the remaining budget cut at the
+end of the cycle when there is a cap, with the monitor as ``run``'s
+``stop``, so the chunk also ends after the first step at which the monitor
+holds. A convergence claim ends the run only if the recomputed residual
+b - A x meets the tolerance; otherwise a CycleEnd handoff restarts from
+that residual. A breakdown hands off with a BreakdownSwitch. An iteration
+limit or a spent global budget ends the run Exhausted. Otherwise a full
+cycle hands off with a ProperSwitch, and a monitor that holds with a
+MonitorSwitch.
 
 A handoff tries the drawn algorithm, then the rest of the pool in order. It
 skips only members that broke down at the current iterate or whose prologue
@@ -38,7 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple, Union
+from typing import ClassVar, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -76,11 +79,8 @@ __all__ = [
 class ST1:
     """Switch only when the running algorithm breaks down."""
 
-    def chunk(self, state: SolverState, remaining: int) -> int:
-        return remaining
-
-    def switch_kind(self, state: SolverState) -> Optional[EventKind]:
-        return None
+    cycle_len: ClassVar[None] = None
+    monitor: ClassVar[None] = None
 
 
 @dataclass(frozen=True)
@@ -88,18 +88,11 @@ class ST2:
     """Pre-emptive switching after every ``cycle_len`` iterations."""
 
     cycle_len: int = 20
+    monitor: ClassVar[None] = None
 
     def __post_init__(self):
         if self.cycle_len < 1:
             raise ValueError("cycle_len must be at least 1")
-
-    def chunk(self, state: SolverState, remaining: int) -> int:
-        # An A12 prologue alone can fill a short cycle.
-        return min(max(0, self.cycle_len - state.iters_used), remaining)
-
-    def switch_kind(self, state: SolverState) -> Optional[EventKind]:
-        # The handoff relabels it Restart if the same algorithm takes over.
-        return EventKind.PROPER_SWITCH if state.iters_used >= self.cycle_len else None
 
 
 @dataclass(frozen=True)
@@ -113,23 +106,18 @@ class ST3:
     every product (y, r), has become small.
     """
 
+    cycle_len: ClassVar[None] = None
     monitor_threshold: float = 1e-8
 
     def __post_init__(self):
         if not (self.monitor_threshold > 0):
             raise ValueError("monitor_threshold must be positive")
 
-    def chunk(self, state: SolverState, remaining: int) -> int:
-        return min(1, remaining)
-
-    def switch_kind(self, state: SolverState) -> Optional[EventKind]:
+    def monitor(self, state: SolverState) -> bool:
         # The report makes the next step's preparation, which that step
-        # reuses. The handoff relabels it Restart if the same algorithm takes
-        # over.
-        if any(abs(value) < self.monitor_threshold * scale
-               for _, value, scale in denominator_report(state)):
-            return EventKind.MONITOR_SWITCH
-        return None
+        # reuses.
+        return any(abs(value) < self.monitor_threshold * scale
+                   for _, value, scale in denominator_report(state))
 
 
 Strategy = Union[ST1, ST2, ST3]
@@ -323,10 +311,12 @@ class _Driver:
             terminal = self.handoff(plan.start, None)
             while terminal is None:
                 state = self.state
-                if not state.outcome.is_terminal:
-                    chunk = strategy.chunk(state, plan.global_budget - self.iters)
-                    if chunk > 0:
-                        self.iters += run(state, chunk)[1]
+                chunk = plan.global_budget - self.iters
+                if strategy.cycle_len is not None:
+                    # An A12 prologue alone can fill a short cycle.
+                    chunk = min(chunk, strategy.cycle_len - state.iters_used)
+                if chunk > 0 and not state.outcome.is_terminal:
+                    self.iters += run(state, chunk, strategy.monitor)[1]
                 if state.k > 0:
                     # The iterate moved, so earlier failures are stale.
                     self.barren.clear()
@@ -347,7 +337,13 @@ class _Driver:
                         or self.barren.issuperset(plan.policy.pool)):
                     return self.exhausted(state.r_norm if residual is None else residual[1])
                 if cause is None:
-                    cause = strategy.switch_kind(state)
+                    # The handoff relabels either rule's event Restart if the
+                    # same algorithm takes over. The monitor is asked again,
+                    # on the preparation its last answer made.
+                    if strategy.cycle_len is not None and state.iters_used >= strategy.cycle_len:
+                        cause = EventKind.PROPER_SWITCH
+                    elif strategy.monitor is not None and strategy.monitor(state):
+                        cause = EventKind.MONITOR_SWITCH
                 if cause is not None:
                     terminal = self.handoff(select_next(plan.policy, self.rng), cause,
                                             residual)

@@ -435,6 +435,35 @@ class TestDiagnostics:
         st.step()
         assert len(entered) == 2
 
+    def test_run_asks_stop_after_each_live_step(self):
+        # stop is asked once after every step that leaves the state live,
+        # never before the first step, and the chunk ends right after its
+        # first True.
+        inst = gen_baheux(BaheuxSpec(n=60, delta=0.2))
+        st = init(AlgoId.A4, inst.A, inst.b, np.zeros(60), inst.b, SolverConfig(max_iters=100))
+        start = st.iters_used
+        asked = []
+
+        def stop(state):
+            assert state is st and not state.outcome.is_terminal
+            asked.append(state.iters_used)
+            return len(asked) == 4
+
+        assert run(st, 10, stop) == (st.outcome, 4)
+        assert asked == [start + 1, start + 2, start + 3, start + 4]
+        # A chunk that its budget ends asks after its last step too.
+        assert run(st, 2, stop) == (st.outcome, 2)
+        assert asked[4:] == [start + 5, start + 6]
+
+    def test_run_never_asks_stop_after_a_terminal_step(self):
+        inst = gen_baheux(BaheuxSpec(n=60, delta=0.2))
+        st = init(AlgoId.A4, inst.A, inst.b, np.zeros(60), inst.b, SolverConfig(max_iters=1000))
+        asked = []
+        outcome, used = run(st, 1000, lambda state: asked.append(state.outcome.kind) or False)
+        assert outcome.kind in (OutcomeKind.CONVERGED, OutcomeKind.BREAKDOWN)
+        assert asked == [OutcomeKind.CONTINUE] * (used - 1)
+        assert run(st, 5, lambda state: pytest.fail("asked")) == (outcome, 0)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("algo", [AlgoId.A4, AlgoId.A5B10, AlgoId.A8B10])
     def test_run_and_step_let_no_warning_escape(self, algo):

@@ -14,6 +14,7 @@ from lanswitch.solvers import (
     OutcomeKind,
     SolverConfig,
     StepOutcome,
+    denominator_report,
     init,
     run,
 )
@@ -282,8 +283,8 @@ class TestRunSwitching:
                 return fn(*args)
             return wrapper
 
-        def run_chunk(state, budget):
-            out = run(state, budget)
+        def run_chunk(state, budget, stop=None):
+            out = run(state, budget, stop)
             calls.update(matvec=0, norm2=0)
             claimed[0] = out[0].kind is OutcomeKind.CONVERGED
             return out
@@ -450,8 +451,8 @@ class TestRunSwitching:
             live["iters"] += state.iters_used
             return state
 
-        def recording_run(state, budget):
-            outcome, used = run(state, budget)
+        def recording_run(state, budget, stop=None):
+            outcome, used = run(state, budget, stop)
             live["iters"] += used
             if outcome.kind is OutcomeKind.BREAKDOWN:
                 broke.add((state.algo, state.x.tobytes()))
@@ -584,6 +585,44 @@ class TestRunSwitching:
         rec, _ = run_switching(inst.A, inst.b, np.zeros(60), inst.b, plan)
         assert rec.outcome == "Converged"
         assert norm2(inst.b - inst.A.matvec(rec.x)) <= 1e-12
+
+    def test_st3_calls_run_once_per_cycle(self, monkeypatch):
+        # ST3's monitor is run's stop, so a cycle is one run call, one more
+        # than the transitions; it was one call per iteration when ST3's
+        # chunk was a single step.
+        inst = gen_baheux(BaheuxSpec(n=60, delta=0.2))
+        plan = SwitchPlan(ST3(), SelectionPolicy((A8B10, A4), CoinToss(5)), A8B10,
+                          SolverConfig(tol=1e-13, max_iters=6000), 6000)
+        chunks = []
+
+        def counted_run(state, budget, stop=None):
+            chunks.append(budget)
+            return run(state, budget, stop)
+
+        monkeypatch.setattr(switching, "run", counted_run)
+        rec, trace = run_switching(inst.A, inst.b, np.zeros(60), inst.b, plan)
+        transitions = trace.events[:-1]
+        assert rec.outcome == "Converged" and rec.iterations == 65
+        assert sum(e.kind is EventKind.MONITOR_SWITCH for e in transitions) == 3
+        assert len(chunks) == len(transitions) + 1 == 5
+
+    @pytest.mark.parametrize("strategy", [ST1(), ST2(), ST2(cycle_len=5), ST3()])
+    def test_only_st3_takes_denominator_reports(self, monkeypatch, strategy):
+        # ST1 and ST2 have no monitor, so they never prepare a report; ST3
+        # takes its reports through switching's own binding.
+        inst = gen_baheux(BaheuxSpec(n=100, delta=5.0))
+        reports = []
+
+        def counted_report(state):
+            reports.append(state.iters_used)
+            return denominator_report(state)
+
+        monkeypatch.setattr(switching, "denominator_report", counted_report)
+        plan = SwitchPlan(strategy, SelectionPolicy((A4, A12), CoinToss(42)), A4,
+                          SolverConfig(tol=1e-13, max_iters=10000), 10000)
+        rec, trace = run_switching(inst.A, inst.b, np.zeros(100), inst.b, plan)
+        assert rec.outcome == "Converged" and len(trace.events) > 1
+        assert bool(reports) is isinstance(strategy, ST3)
 
     @pytest.mark.parametrize("pool", [
         (A4, A12), (A4, A5B10), (A4, A8B10), (A5B10, A8B10),
