@@ -18,7 +18,7 @@ import numpy as np
 
 from .problems import BaheuxSpec, ProblemInstance, gen_baheux, read_matrix_market
 from .linalg import NonFiniteError
-from .solvers import AlgoId, OutcomeKind, SolverConfig, init, run
+from .solvers import AlgoId, OutcomeKind, SolverConfig, _check_count, init, run
 from .switching import (
     ST1,
     CoinToss,
@@ -98,12 +98,11 @@ class ExperimentConfig:
     repeats: int = 1
 
     def __post_init__(self):
-        if self.repeats < 1:
-            raise ValueError("repeats must be at least 1")
+        _check_count("repeats", self.repeats)
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be at least 1")
+        if self.budget is not None:
+            _check_count("budget", self.budget)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.algorithms:

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -107,6 +108,16 @@ NORMALIZATION_EPS = 1e-3
 COEFF_LIMIT = 1e5
 
 
+def _check_count(name: str, value) -> None:
+    """ValueError unless ``value`` is an integer (a numpy one too) of at least 1."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Convergence tolerance and iteration budget shared by all solvers."""
@@ -117,8 +128,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        _check_count("max_iters", self.max_iters)
 
 
 class OutcomeKind(enum.Enum):

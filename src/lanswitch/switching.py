@@ -48,6 +48,7 @@ import numpy as np
 from .linalg import NonFiniteError, SparseMatrix, norm2
 from .solvers import (
     _STATE_CLASSES,
+    _check_count,
     _check_system,
     AlgoId,
     OutcomeKind,
@@ -91,8 +92,7 @@ class ST2:
     monitor: ClassVar[None] = None
 
     def __post_init__(self):
-        if self.cycle_len < 1:
-            raise ValueError("cycle_len must be at least 1")
+        _check_count("cycle_len", self.cycle_len)
 
 
 @dataclass(frozen=True)
@@ -161,8 +161,7 @@ class SwitchPlan:
     def __post_init__(self):
         if self.start not in self.policy.pool:
             raise ValueError("start algorithm must be a pool member")
-        if self.global_budget < 1:
-            raise ValueError("global_budget must be at least 1")
+        _check_count("global_budget", self.global_budget)
 
 
 class EventKind(enum.Enum):

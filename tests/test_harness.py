@@ -21,7 +21,8 @@ from lanswitch.harness import (
 )
 from lanswitch.problems import BaheuxSpec, gen_baheux, write_matrix_market
 from lanswitch.solvers import AlgoId, SolverConfig
-from lanswitch.switching import ST1, ST2, ST3, RunRecord
+from lanswitch.switching import (ST1, ST2, ST3, CoinToss, RunRecord, SelectionPolicy,
+                                 SwitchPlan)
 from oracles import from_dense
 
 
@@ -47,6 +48,23 @@ class TestConfig:
     def test_requires_positive_tol(self):
         with pytest.raises(ValueError, match="tol"):
             make_cfg(tol=0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda v: ST2(cycle_len=v),
+        lambda v: SwitchPlan(ST2(), SelectionPolicy((AlgoId.A4,), CoinToss(0)), AlgoId.A4,
+                             SolverConfig(), v),
+        lambda v: SolverConfig(max_iters=v),
+        lambda v: make_cfg(budget=v),
+        lambda v: make_cfg(repeats=v),
+    ], ids=["cycle_len", "global_budget", "max_iters", "budget", "repeats"])
+    def test_counts_must_be_integers(self, make):
+        # A non-integer count used to pass validation, and then a switching
+        # run raised TypeError from range() mid-solve (a max_iters of 50.5
+        # ran without error). A numpy integer is an integer.
+        for value in (2.5, np.float64(20.0), "20"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                make(value)
+        make(np.int64(20))
 
     def test_combo_labels(self):
         records = run_experiment(make_cfg(algorithms=(
