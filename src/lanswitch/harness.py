@@ -26,6 +26,7 @@ from .switching import (
     SelectionPolicy,
     Strategy,
     SwitchPlan,
+    _check_seed,
     run_switching,
 )
 
@@ -103,8 +104,7 @@ class ExperimentConfig:
             raise ValueError("tol must be positive")
         if self.budget is not None:
             _check_count("budget", self.budget)
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        _check_seed(self.seed)
         if not self.algorithms:
             raise ValueError("at least one algorithm or plan is required")
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionError, SparseMatrix
+from .solvers import _check_int
 
 __all__ = [
     "BLOCK_SIZE",
@@ -32,16 +33,17 @@ class MatrixMarketError(ValueError):
 class BaheuxSpec:
     """Parameters of the block-tridiagonal test family.
 
-    ``n`` must be a multiple of the fixed block size 10; ``delta`` skews the
-    inner blocks (superdiagonal -1+delta, subdiagonal -1-delta). delta=0
-    gives a symmetric matrix.
+    ``n`` must be an integer multiple of the fixed block size 10; ``delta``
+    skews the inner blocks (superdiagonal -1+delta, subdiagonal -1-delta).
+    delta=0 gives a symmetric matrix.
     """
 
     n: int
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.n < BLOCK_SIZE or self.n % BLOCK_SIZE != 0:
+        n = _check_int("n", self.n)
+        if n < BLOCK_SIZE or n % BLOCK_SIZE != 0:
             raise ValueError(f"n must be a positive multiple of {BLOCK_SIZE}, got {self.n}")
 
 

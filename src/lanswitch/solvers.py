@@ -108,13 +108,17 @@ NORMALIZATION_EPS = 1e-3
 COEFF_LIMIT = 1e5
 
 
-def _check_count(name: str, value) -> None:
-    """ValueError unless ``value`` is an integer (a numpy one too) of at least 1."""
+def _check_int(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is an integer (a numpy one too)."""
     try:
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
+
+
+def _check_count(name: str, value) -> None:
+    """ValueError unless ``value`` is an integer (a numpy one too) of at least 1."""
+    if _check_int(name, value) < 1:
         raise ValueError(f"{name} must be at least 1")
 
 
@@ -364,10 +368,10 @@ def run(state: SolverState, budget: int,
     (ST3's monitor does) lets no warning escape either. Returns the last
     outcome and how far the chunk advanced ``state.iters_used``; a
     breakdown-terminated attempt counts as one iteration. A state whose
-    outcome is already terminal is returned unchanged with count 0.
+    outcome is already terminal is returned unchanged with count 0. A
+    ``budget`` that is not an integer of at least 1 raises ValueError.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    _check_count("budget", budget)
     if state.outcome.is_terminal:
         return state.outcome, 0
     start = state.iters_used

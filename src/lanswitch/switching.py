@@ -9,12 +9,15 @@ its threshold times the entry's scale, the one its guard uses. Each pass
 runs the current algorithm for one chunk, the remaining budget cut at the
 end of the cycle when there is a cap, with the monitor as ``run``'s
 ``stop``, so the chunk also ends after the first step at which the monitor
-holds. A convergence claim ends the run only if the recomputed residual
-b - A x meets the tolerance; otherwise a CycleEnd handoff restarts from
-that residual. A breakdown hands off with a BreakdownSwitch. An iteration
-limit or a spent global budget ends the run Exhausted. Otherwise a full
-cycle hands off with a ProperSwitch, and a monitor that holds with a
-MonitorSwitch.
+holds. The handoff's cause comes from what the chunk did, and the strategy
+is not asked again. A convergence claim ends the run only if the
+recomputed residual b - A x meets the tolerance; otherwise a CycleEnd
+handoff restarts from that residual. A breakdown hands off with a
+BreakdownSwitch. A live state whose chunk advanced fewer iterations than
+it was given stopped because the monitor held, and hands off with a
+MonitorSwitch; otherwise the cycle is full and hands off with a
+ProperSwitch. An iteration limit or a spent global budget ends the run
+Exhausted instead of handing off.
 
 A handoff tries the drawn algorithm, then the rest of the pool in order. It
 skips only members that broke down at the current iterate or whose prologue
@@ -49,6 +52,7 @@ from .linalg import NonFiniteError, SparseMatrix, norm2
 from .solvers import (
     _STATE_CLASSES,
     _check_count,
+    _check_int,
     _check_system,
     AlgoId,
     OutcomeKind,
@@ -123,11 +127,20 @@ class ST3:
 Strategy = Union[ST1, ST2, ST3]
 
 
+def _check_seed(seed) -> None:
+    """ValueError unless ``seed`` is a non-negative integer (a numpy one too)."""
+    if _check_int("seed", seed) < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class CoinToss:
     """Uniform random choice from the pool on a seeded PCG64 stream."""
 
     seed: int
+
+    def __post_init__(self):
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -232,8 +245,8 @@ class _Driver:
         self.rng = np.random.default_rng(plan.policy.mode.seed)
         self.current = plan.start
         self.x0 = np.array(x0, dtype=np.float64, copy=True)
-        # Pool members that broke down at the current iterate; once every
-        # member is in here no further handoff can make progress.
+        # Pool members that broke down at the current iterate; a handoff
+        # skips them, and ends the run Exhausted when it skips every member.
         self.barren: Set[AlgoId] = set()
         self.state: Optional[SolverState] = None
 
@@ -314,13 +327,13 @@ class _Driver:
                 if strategy.cycle_len is not None:
                     # An A12 prologue alone can fill a short cycle.
                     chunk = min(chunk, strategy.cycle_len - state.iters_used)
-                if chunk > 0 and not state.outcome.is_terminal:
-                    self.iters += run(state, chunk, strategy.monitor)[1]
+                used = run(state, chunk, strategy.monitor)[1] if chunk > 0 else 0
+                self.iters += used
                 if state.k > 0:
                     # The iterate moved, so earlier failures are stale.
                     self.barren.clear()
                 kind = state.outcome.kind
-                cause = residual = None
+                residual = None
                 if kind is OutcomeKind.CONVERGED:
                     # Recurrence residuals drift from b - A x; a claim the
                     # recomputed residual does not confirm starts a new cycle
@@ -332,20 +345,17 @@ class _Driver:
                 elif kind is OutcomeKind.BREAKDOWN:
                     self.barren.add(self.current)
                     cause = EventKind.BREAKDOWN_SWITCH
-                if (kind is OutcomeKind.ITER_LIMIT or self.iters >= plan.global_budget
-                        or self.barren.issuperset(plan.policy.pool)):
+                elif used < chunk:
+                    # ``run`` ends a chunk early on a live state only when
+                    # its ``stop``, the monitor, holds.
+                    cause = EventKind.MONITOR_SWITCH
+                else:
+                    cause = EventKind.PROPER_SWITCH
+                if kind is OutcomeKind.ITER_LIMIT or self.iters >= plan.global_budget:
                     return self.exhausted(state.r_norm if residual is None else residual[1])
-                if cause is None:
-                    # The handoff relabels either rule's event Restart if the
-                    # same algorithm takes over. The monitor is asked again,
-                    # on the preparation its last answer made.
-                    if strategy.cycle_len is not None and state.iters_used >= strategy.cycle_len:
-                        cause = EventKind.PROPER_SWITCH
-                    elif strategy.monitor is not None and strategy.monitor(state):
-                        cause = EventKind.MONITOR_SWITCH
-                if cause is not None:
-                    terminal = self.handoff(select_next(plan.policy, self.rng), cause,
-                                            residual)
+                # The handoff relabels either rule's event Restart if the
+                # same algorithm takes over.
+                terminal = self.handoff(select_next(plan.policy, self.rng), cause, residual)
             return terminal
         except NonFiniteError:
             # The iterate stays finite, but it has grown until a norm of it

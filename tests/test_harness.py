@@ -66,6 +66,18 @@ class TestConfig:
                 make(value)
         make(np.int64(20))
 
+    @pytest.mark.parametrize("make", [
+        lambda v: SelectionPolicy((AlgoId.A4, AlgoId.A12), CoinToss(v)),
+        lambda v: make_cfg(seed=v),
+    ], ids=["coin_toss", "experiment"])
+    @pytest.mark.parametrize("seed", [1.5, "3", -1])
+    def test_seeds_must_be_non_negative_integers(self, make, seed):
+        # A float or string seed used to pass, and a run then raised
+        # TypeError; CoinToss(-1) raised numpy's ValueError mid-run.
+        with pytest.raises(ValueError, match="seed must be"):
+            make(seed)
+        make(np.int64(3))
+
     def test_combo_labels(self):
         records = run_experiment(make_cfg(algorithms=(
             AlgoId.A4,

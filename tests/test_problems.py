@@ -52,6 +52,14 @@ class TestBaheuxGenerator:
         with pytest.raises(ValueError):
             BaheuxSpec(n=0)
 
+    def test_rejects_non_integer_dimension(self):
+        # BaheuxSpec(n=20.0) used to pass, and gen_baheux then raised
+        # TypeError. A numpy integer is an integer.
+        for n in (20.0, np.float64(20.0), "20"):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                BaheuxSpec(n=n)
+        assert gen_baheux(BaheuxSpec(n=np.int64(20))).A.nrows == 20
+
     def test_symmetric_corner_entries(self):
         A = to_dense(gen_baheux(BaheuxSpec(n=20, delta=0.0)).A)
         assert A[0, 0] == 4.0

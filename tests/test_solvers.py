@@ -209,6 +209,17 @@ class TestRun:
         with pytest.raises(ValueError):
             run(st, 0)
 
+    def test_budget_must_be_an_integer(self):
+        # A float budget used to pass the check and raise TypeError from
+        # range(). A numpy integer is an integer.
+        inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))
+        st = init(AlgoId.A4, inst.A, inst.b, np.zeros(20), inst.b, CFG)
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            run(st, 2.5)
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            run(st, -1)
+        assert run(st, np.int64(2))[1] == 2
+
     def test_terminal_state_returned_unchanged(self):
         A = identity(2)
         b = as_vector([1.0, 1.0])

@@ -606,6 +606,74 @@ class TestRunSwitching:
         assert sum(e.kind is EventKind.MONITOR_SWITCH for e in transitions) == 3
         assert len(chunks) == len(transitions) + 1 == 5
 
+    def test_st3_asks_the_monitor_once_per_preparation(self, monkeypatch):
+        # The handoff's cause comes from run's count, so no report is taken
+        # twice on one preparation: the driver does not ask the monitor
+        # again after run's stop has held.
+        inst = gen_baheux(BaheuxSpec(n=60, delta=0.2))
+        plan = SwitchPlan(ST3(), SelectionPolicy((A8B10, A4), CoinToss(5)), A8B10,
+                          SolverConfig(tol=1e-13, max_iters=6000), 6000)
+        asked = []
+
+        def recorded_report(state):
+            # Holding the state keeps its id from being reused.
+            asked.append((state, state.iters_used))
+            return denominator_report(state)
+
+        monkeypatch.setattr(switching, "denominator_report", recorded_report)
+        rec, trace = run_switching(inst.A, inst.b, np.zeros(60), inst.b, plan)
+        assert rec.outcome == "Converged"
+        assert sum(e.kind is EventKind.MONITOR_SWITCH for e in trace.events) == 3
+        keys = [(id(state), iters) for state, iters in asked]
+        assert keys and len(set(keys)) == len(keys)
+
+    def test_cap_and_monitor_strategy_hands_off_by_either_rule(self, monkeypatch):
+        # A strategy with both a cycle cap and a monitor: a full cycle hands
+        # off with a ProperSwitch, a chunk the monitor ended early with a
+        # MonitorSwitch (either may be relabeled Restart in the trace).
+        inst = gen_baheux(BaheuxSpec(n=60, delta=0.2))
+        threshold = 1e-8
+        strategy = SimpleNamespace(cycle_len=15, monitor=ST3(threshold).monitor)
+        plan = SwitchPlan(strategy, SelectionPolicy((A8B10, A4), CoinToss(5)), A8B10,
+                          SolverConfig(tol=1e-13, max_iters=6000), 6000)
+        left = []
+        handoff = switching._Driver.handoff
+
+        def recorded_handoff(self, first_choice, cause, residual=None):
+            if cause in (EventKind.PROPER_SWITCH, EventKind.MONITOR_SWITCH):
+                state = self.state
+                small = any(abs(value) < threshold * scale
+                            for _, value, scale in denominator_report(state))
+                left.append((cause, state.iters_used, small))
+            return handoff(self, first_choice, cause, residual)
+
+        monkeypatch.setattr(switching._Driver, "handoff", recorded_handoff)
+        rec, _ = run_switching(inst.A, inst.b, np.zeros(60), inst.b, plan)
+        assert rec.outcome == "Converged" and rec.iterations == 72
+        assert {cause for cause, _, _ in left} == {EventKind.PROPER_SWITCH,
+                                                  EventKind.MONITOR_SWITCH}
+        for cause, iters, small in left:
+            if cause is EventKind.PROPER_SWITCH:
+                assert iters == strategy.cycle_len
+            else:
+                assert small and iters < strategy.cycle_len
+
+    def test_one_member_pool_ends_at_a_breakdown_after_progress(self):
+        # The breakdown leaves the only member barren at this iterate, so
+        # the handoff skips it and ends the run Exhausted at the breakdown's
+        # iteration with the breakdown state's recurrence residual.
+        inst = gen_baheux(BaheuxSpec(n=20, delta=0.2))
+        cfg = SolverConfig(tol=1e-13, max_iters=2000)
+        solo = init(A4, inst.A, inst.b, np.zeros(20), inst.b, cfg)
+        run(solo, 2000)
+        assert solo.outcome.kind is OutcomeKind.BREAKDOWN and solo.k == 18
+        plan = SwitchPlan(ST1(), SelectionPolicy((A4,), CoinToss(0)), A4, cfg, 2000)
+        rec, trace = run_switching(inst.A, inst.b, np.zeros(20), inst.b, plan)
+        assert [(e.kind, e.at_iteration) for e in trace.events] == [
+            (EventKind.EXHAUSTED, solo.iters_used)]
+        assert rec.residual == solo.r_norm
+        np.testing.assert_array_equal(rec.x, solo.x)
+
     @pytest.mark.parametrize("strategy", [ST1(), ST2(), ST2(cycle_len=5), ST3()])
     def test_only_st3_takes_denominator_reports(self, monkeypatch, strategy):
         # ST1 and ST2 have no monitor, so they never prepare a report; ST3
