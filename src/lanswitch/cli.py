@@ -9,6 +9,8 @@ from typing import List, Optional
 
 from .harness import (
     DEFAULT_SEED,
+    SOLO_BUDGET_PER_N,
+    SWITCH_BUDGET_PER_N,
     ExperimentConfig,
     SwitchTemplate,
     emit_table,
@@ -53,7 +55,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=SolverConfig.tol,
                    help="residual-norm convergence tolerance")
     p.add_argument("--budget", type=int, default=None,
-                   help="iteration budget (default 5n solo, 100n switching)")
+                   help=f"iteration budget (default {SOLO_BUDGET_PER_N}n solo, "
+                        f"{SWITCH_BUDGET_PER_N}n switching)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for the coin-toss selection")
     p.add_argument("--repeats", type=int, default=1,

@@ -1,18 +1,26 @@
-"""Experiment harness: configure runs, time them, and emit table reports.
+"""Experiment harness: the paper grid, configured runs, their timing and reports.
 
 A cell is one (problem, combo) pair. Solo cells run a single algorithm with
-an iteration budget; switching cells run a plan. Coin-toss seeds are derived
-per cell from the experiment seed through numpy's SeedSequence spawn keys,
-so batches are reproducible and cells are independent.
+an iteration budget; switching cells run a plan. A run's switching combos
+are numbered 0, 1, ... among themselves, in order, and cell i draws its
+coin-toss seed from the run's seed through numpy's SeedSequence spawn key
+(i,); solo cells draw none. So batches are reproducible, cells are
+independent, and adding solo combos to a run changes no switching cell.
+
+The paper grid is defined here once: its deltas, orders, pairings,
+tolerance, budgets per n and seed. ``run_grid`` runs combos on every
+instance of a family, as the acceptance criteria and the README's result
+tables do.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,10 +41,17 @@ from .switching import (
 __all__ = [
     "DEFAULT_SEED",
     "PAPER_COMBOS",
+    "PAPER_DELTAS",
+    "PAPER_DIMS",
+    "PAPER_TOL",
+    "SOLO_BUDGET_PER_N",
+    "SWITCH_BUDGET_PER_N",
     "SwitchTemplate",
     "ExperimentConfig",
     "run_experiment",
     "run_cell",
+    "run_grid",
+    "paper_instances",
     "emit_table",
     "derive_seed",
 ]
@@ -50,6 +65,15 @@ PAPER_COMBOS = {
     8: (AlgoId.A4, AlgoId.A8B10),
     9: (AlgoId.A5B10, AlgoId.A8B10),
 }
+
+# The paper's Baheux grid: 4 deltas x 10 orders, solved to PAPER_TOL with a
+# budget of SOLO_BUDGET_PER_N * n iterations alone and SWITCH_BUDGET_PER_N * n
+# switching.
+PAPER_DELTAS = (0.0, 0.2, 5.0, 8.0)
+PAPER_DIMS = (20, 40, 60, 80, 100, 200, 400, 600, 800, 1000)
+PAPER_TOL = 1e-13
+SOLO_BUDGET_PER_N = 5
+SWITCH_BUDGET_PER_N = 100
 
 
 @dataclass(frozen=True)
@@ -73,11 +97,11 @@ class SwitchTemplate:
         """``start`` if given; else A8/B10 for an ST1 pool that holds it; else
         the pool's first member.
 
-        The ST1 rule saves iterations. On the paper grid (40 Baheux cells,
-        n 20-1000, tol 1e-13, budget 100n, seed 42), ST1 converges on every
-        cell from either start, in 7,250 iterations in all for A4 + A8/B10
-        started with A8/B10 against 7,794 started with A4, and in 7,117 for
-        A5/B10 + A8/B10 against 7,307 started with A5/B10.
+        The ST1 rule saves iterations. On the paper grid (``run_grid`` on
+        ``paper_instances()``), ST1 converges on every cell from either
+        start, in 7,298 iterations in all for A4 + A8/B10 started with A8/B10
+        against 7,751 started with A4, and in 7,117 for A5/B10 + A8/B10
+        against 7,307 started with A5/B10 (the README's ST1 table).
         """
         if self.start is not None:
             return self.start
@@ -115,6 +139,15 @@ def derive_seed(seed: int, cell_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _cell_seeds(combos: Sequence[Combo], seed: int) -> List[Optional[int]]:
+    """Each combo's coin-toss seed: ``derive_seed(seed, i)`` for the i-th
+    switching combo, counted from 0 among the switching combos alone, and
+    None for a solo combo."""
+    switching = itertools.count()
+    return [None if isinstance(combo, AlgoId) else derive_seed(seed, next(switching))
+            for combo in combos]
+
+
 def _solo_record(inst: ProblemInstance, algo: AlgoId, cfg: SolverConfig) -> RunRecord:
     x = np.zeros(inst.A.nrows)
     residual, iterations = math.inf, 0
@@ -142,19 +175,24 @@ def _solo_record(inst: ProblemInstance, algo: AlgoId, cfg: SolverConfig) -> RunR
     )
 
 
-def run_cell(inst: ProblemInstance, combo: Combo, cfg: ExperimentConfig,
-             cell_index: int) -> Tuple[RunRecord, float]:
-    """Run one cell once; returns the record and the wall seconds of the solve."""
+def run_cell(inst: ProblemInstance, combo: Combo, seed: Optional[int],
+             tol: float = PAPER_TOL, budget: Optional[int] = None) -> Tuple[RunRecord, float]:
+    """Run one cell once; returns the record and the wall seconds of the solve.
+
+    ``seed`` is a switching cell's coin-toss seed; a solo cell takes None.
+    ``budget`` defaults to the combo's budget per n times the order n.
+    """
     n = inst.A.nrows
     solo = isinstance(combo, AlgoId)
-    budget = cfg.budget if cfg.budget is not None else (5 if solo else 100) * n
-    solver_cfg = SolverConfig(tol=cfg.tol, max_iters=budget)
+    if budget is None:
+        budget = (SOLO_BUDGET_PER_N if solo else SWITCH_BUDGET_PER_N) * n
+    solver_cfg = SolverConfig(tol=tol, max_iters=budget)
     if solo:
         t0 = time.perf_counter()
         record = _solo_record(inst, combo, solver_cfg)
         return record, time.perf_counter() - t0
 
-    plan = combo.plan(derive_seed(cfg.seed, cell_index), solver_cfg, budget)
+    plan = combo.plan(seed, solver_cfg, budget)
     x0 = np.zeros(n)
     t0 = time.perf_counter()
     record, _ = run_switching(inst.A, inst.b, x0, inst.b, plan)
@@ -172,11 +210,31 @@ def run_experiment(cfg: ExperimentConfig) -> List[RunRecord]:
     else:
         inst, delta = read_matrix_market(cfg.problem), math.nan
     records: List[RunRecord] = []
-    for cell_index, combo in enumerate(cfg.algorithms):
-        runs = [run_cell(inst, combo, cfg, cell_index) for _ in range(cfg.repeats)]
+    for combo, seed in zip(cfg.algorithms, _cell_seeds(cfg.algorithms, cfg.seed)):
+        runs = [run_cell(inst, combo, seed, cfg.tol, cfg.budget) for _ in range(cfg.repeats)]
         records.append(replace(runs[-1][0], delta=delta,
                                seconds=statistics.median(s for _, s in runs)))
     return records
+
+
+def paper_instances() -> Dict[Tuple[float, int], ProblemInstance]:
+    """The paper grid's 40 Baheux problems, keyed (delta, n)."""
+    return {(delta, n): gen_baheux(BaheuxSpec(n=n, delta=delta))
+            for delta in PAPER_DELTAS for n in PAPER_DIMS}
+
+
+def run_grid(instances: Mapping[Hashable, ProblemInstance], combos: Sequence[Combo],
+             seed: int = DEFAULT_SEED) -> Dict[Tuple[Hashable, int], RunRecord]:
+    """Every combo on every instance, at the paper grid's tolerance and budgets.
+
+    Returns the records keyed (instance key, combo position). Cells are
+    numbered as ``run_experiment`` numbers them, so a combo's coin toss is the
+    same on every instance. A record's delta and seconds stay NaN.
+    """
+    _check_seed(seed)
+    seeds = _cell_seeds(combos, seed)
+    return {(key, position): run_cell(inst, combo, seeds[position])[0]
+            for key, inst in instances.items() for position, combo in enumerate(combos)}
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ class SolverState:
         self._ledger: list[tuple[str, float, float]] = []
         self._preparation = None
         # True while run() holds the np.errstate of its chunk, so that step()
-        # need not enter its own.
+        # and a report that run's stop takes need not enter their own.
         self._quiet = False
         if not self.outcome.is_terminal:
             try:
@@ -401,8 +401,11 @@ def denominator_report(state: SolverState) -> list[tuple[str, float, float]]:
     """
     if state.outcome.is_terminal:
         raise SolverStateError("denominator_report on a terminal state")
-    with np.errstate(over="ignore", invalid="ignore"):
+    if state._quiet:
         state._prepared()
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            state._prepared()
     return list(state._ledger)
 
 

@@ -4,18 +4,18 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.
 """
 
-import re
-
 import numpy as np
 import pytest
 
+import paper_report as report
 from lanswitch.harness import (
     DEFAULT_SEED,
     PAPER_COMBOS,
-    ExperimentConfig,
-    SwitchTemplate,
-    run_cell,
-    run_experiment,
+    PAPER_DELTAS,
+    PAPER_TOL,
+    SOLO_BUDGET_PER_N,
+    paper_instances,
+    run_grid,
 )
 from lanswitch.linalg import norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
@@ -24,12 +24,35 @@ from lanswitch.switching import (ST1, ST2, ST3, CoinToss, SelectionPolicy, Switc
                                  run_switching)
 from oracles import (SingularMatrixError, direct_solve_oracle, from_dense, lanczos_iterate,
                      norm_inf)
-from paper_grid import PAPER_DELTAS, PAPER_DIMS
 from random_systems import convection_diffusion
-from test_readme import README
 from test_solvers import a4_normalization
 
-TOL = 1e-13
+# Criterion 9's family: the convection-diffusion operator of an m x m grid
+# for each (beta, gamma).
+CD_SIZES = (10, 20, 30)
+CD_PARAMS = ((0.5, 0.5), (2.0, 0.0), (5.0, 5.0), (0.9, 3.0))
+
+FAMILIES = {
+    "baheux": paper_instances,
+    "convection-diffusion": lambda: {(m, beta, gamma): convection_diffusion(m, beta, gamma)
+                                     for m in CD_SIZES for beta, gamma in CD_PARAMS},
+}
+
+# The grid rows the criteria and the README's tables read: (family, row) ->
+# the combos run on every instance of the family, with the harness's
+# tolerance, budgets and seed. A strategy's row holds the four paper
+# pairings (positions 0-3) and, where restarting is compared, each
+# algorithm restarted alone (positions 4-7).
+ROWS = {
+    ("baheux", "solo"): report.SOLO,
+    ("baheux", "ST1"): report.pairings(ST1()),
+    ("baheux", "ST1, first member"): report.pairings(ST1(), first_member=True),
+    ("baheux", "ST3"): report.pairings(ST3()),
+    **{("baheux", f"ST2({c})"): report.versus_restarting(ST2(c)) for c in (10, 20, 40)},
+    ("convection-diffusion", "solo"): report.SOLO,
+    ("convection-diffusion", "ST2(20)"): report.versus_restarting(ST2(20)),
+}
+PAIRINGS = range(len(PAPER_COMBOS))
 
 
 def _report(name, ok, detail=""):
@@ -38,127 +61,95 @@ def _report(name, ok, detail=""):
     print(f"[ACCEPTANCE] {name}: {status}{suffix}")
 
 
-def _grid(strategy):
-    """All 160 switching cells under ``strategy``: 4 deltas x 10 dims x 4
-    paper pairings, at the harness's default budget."""
-    templates = tuple(SwitchTemplate(strategy, PAPER_COMBOS[k])
-                      for k in sorted(PAPER_COMBOS))
-    out = {}
-    for delta in PAPER_DELTAS:
-        for n in PAPER_DIMS:
-            cfg = ExperimentConfig(problem=BaheuxSpec(n=n, delta=delta),
-                                   algorithms=templates, tol=TOL,
-                                   seed=DEFAULT_SEED)
-            for number, rec in zip(sorted(PAPER_COMBOS), run_experiment(cfg)):
-                out[(delta, n, number)] = rec
-    return out
+@pytest.fixture(scope="module")
+def instances():
+    return {family: build() for family, build in FAMILIES.items()}
 
 
 @pytest.fixture(scope="module")
-def grid_records():
-    """The 160 cells under ST2(20), the paper's strategy."""
-    return _grid(ST2(20))
+def grid(instances):
+    """grid(family, row): the records of one row of ROWS, keyed (instance
+    key, combo position); each row runs once per module."""
+    done = {}
 
-
-@pytest.fixture(scope="module")
-def problems_cache():
-    cache = {}
-
-    def get(n, delta):
-        key = (n, delta)
-        if key not in cache:
-            cache[key] = gen_baheux(BaheuxSpec(n=n, delta=delta))
-        return cache[key]
+    def get(family, row):
+        if (family, row) not in done:
+            done[family, row] = run_grid(instances[family], ROWS[family, row])
+        return done[family, row]
 
     return get
 
 
-def _assert_grid_converges(name, records, problems_cache):
-    """Every cell ends Converged with recomputed residual <= 1e-12."""
-    violations = []
-    for (delta, n, number), rec in records.items():
-        inst = problems_cache(n, delta)
+def _converged(records, position):
+    return sum(rec.outcome == "Converged"
+               for (_, pos), rec in records.items() if pos == position)
+
+
+def _assert_pairings_converge(name, row, grid, instances):
+    """Every pairing cell of the Baheux row ends Converged with recomputed
+    residual <= 1e-12."""
+    violations, cells = [], 0
+    for (key, position), rec in grid("baheux", row).items():
+        if position not in PAIRINGS:
+            continue
+        inst = instances["baheux"][key]
         true_res = norm2(inst.b - inst.A.matvec(rec.x))
-        if rec.outcome != "Converged" or rec.residual > TOL or true_res > 1e-12:
-            violations.append((delta, n, number, rec.outcome, true_res))
+        cells += 1
+        if rec.outcome != "Converged" or rec.residual > PAPER_TOL or true_res > 1e-12:
+            violations.append((key, position, rec.outcome, true_res))
     _report(name, not violations,
-            f"{len(records) - len(violations)}/{len(records)} cells converged "
+            f"{cells - len(violations)}/{cells} cells converged "
             f"with recomputed residual <= 1e-12")
     assert not violations, violations[:10]
 
 
-def test_criterion_1_switching_convergence(grid_records, problems_cache):
+def test_criterion_1_switching_convergence(grid, instances):
     """Every pairing converges under ST2 on the full grid with true residual <= 1e-12."""
-    _assert_grid_converges("criterion 1 (switching convergence)", grid_records,
-                           problems_cache)
+    _assert_pairings_converge("criterion 1 (switching convergence)", "ST2(20)", grid,
+                              instances)
 
 
-def test_criterion_1_st1_switching_convergence(problems_cache):
+def test_criterion_1_st1_switching_convergence(grid, instances):
     """The same bar under ST1, which switches only after a breakdown."""
-    _assert_grid_converges("criterion 1, ST1 (switching convergence)", _grid(ST1()),
-                           problems_cache)
+    _assert_pairings_converge("criterion 1, ST1 (switching convergence)", "ST1", grid,
+                              instances)
 
 
-def test_criterion_1_st3_switching_convergence(problems_cache):
+def test_criterion_1_st3_switching_convergence(grid, instances):
     """The same bar under ST3 at its default threshold, which switches when
     a denominator the next step divides by is small for its guard's scale."""
-    _assert_grid_converges("criterion 1, ST3 (switching convergence)", _grid(ST3()),
-                           problems_cache)
+    _assert_pairings_converge("criterion 1, ST3 (switching convergence)", "ST3", grid,
+                              instances)
 
 
-def _readme_solo_counts():
-    """The solo rows of the README's opening table: {algorithm: (cells
-    converged, cells, fewest and most updates before a breakdown)}."""
-    with open(README, encoding="utf-8") as fh:
-        rows = re.findall(r"^\| (\S+), solo \| (\d+)/(\d+) \| (\d+)–(\d+) \|$",
-                          fh.read(), re.M)
-    return {AlgoId.parse(name): tuple(map(int, counts)) for name, *counts in rows}
-
-
-def test_criterion_2_solo_fragility(problems_cache):
-    """Each solo algorithm fails somewhere on the grid at n >= 60, budget 5n.
-    Over all 40 cells it converges on as many cells, and breaks down after as
-    few and as many updates, as the README's opening table says."""
-    cells = len(PAPER_DELTAS) * len(PAPER_DIMS)
+def test_criterion_2_solo_fragility(grid, instances):
+    """Each solo algorithm fails somewhere on the grid at n >= 60, budget 5n."""
+    records = grid("baheux", "solo")
+    cells = len(instances["baheux"])
     failures = {}
-    converged = dict.fromkeys(AlgoId, 0)
-    breakdown_updates = {algo: [] for algo in AlgoId}
-    for algo in AlgoId:
-        for delta in PAPER_DELTAS:
-            for n in PAPER_DIMS:
-                inst = problems_cache(n, delta)
-                cfg = SolverConfig(tol=TOL, max_iters=5 * n)
-                st = init(algo, inst.A, inst.b, np.zeros(n), inst.b, cfg)
-                outcome = st.outcome
-                if not outcome.is_terminal:
-                    outcome, _ = run(st, 5 * n)
-                converged[algo] += outcome.kind is OutcomeKind.CONVERGED
-                if outcome.kind is OutcomeKind.BREAKDOWN:
-                    breakdown_updates[algo].append(st.k)
-                if n >= 60 and outcome.kind in (OutcomeKind.BREAKDOWN, OutcomeKind.ITER_LIMIT):
-                    failures.setdefault(algo, (n, delta, outcome.kind.value))
+    for ((delta, n), position), rec in records.items():
+        if n >= 60 and rec.outcome in ("Breakdown", "IterLimit"):
+            failures.setdefault(report.SOLO[position], (n, delta, rec.outcome))
     ok = set(failures) == set(AlgoId)
     _report("criterion 2 (solo fragility)", ok,
             "; ".join(f"{a.value} fails at n={v[0]}, delta={v[1]} ({v[2]})"
                       for a, v in sorted(failures.items(), key=lambda t: t[0].value))
-            + "; converged " + ", ".join(f"{a.value} {c}/{cells}" for a, c in converged.items()))
+            + "; converged " + ", ".join(f"{a.value} {_converged(records, i)}/{cells}"
+                                         for i, a in enumerate(report.SOLO)))
     assert ok, f"missing solo failures for {set(AlgoId) - set(failures)}"
-    assert _readme_solo_counts() == {
-        a: (converged[a], cells, min(breakdown_updates[a]), max(breakdown_updates[a]))
-        for a in AlgoId}
 
 
-def test_criterion_3_oracle_equivalence(grid_records, problems_cache):
+def test_criterion_3_oracle_equivalence(grid, instances):
     """Converged runs with n <= 400 match the dense oracle and the ones vector."""
     oracles = {}
     checked = 0
     violations = []
-    for (delta, n, number), rec in grid_records.items():
-        if n > 400 or rec.outcome != "Converged":
+    for ((delta, n), position), rec in grid("baheux", "ST2(20)").items():
+        if n > 400 or position not in PAIRINGS or rec.outcome != "Converged":
             continue
         key = (n, delta)
         if key not in oracles:
-            inst = problems_cache(n, delta)
+            inst = instances["baheux"][delta, n]
             oracles[key] = direct_solve_oracle(inst.A, inst.b)
         x_oracle = oracles[key]
         rel = (np.max(np.abs(rec.x - x_oracle))
@@ -166,16 +157,16 @@ def test_criterion_3_oracle_equivalence(grid_records, problems_cache):
         ones_err = np.max(np.abs(rec.x - 1.0))
         checked += 1
         if rel > 1e-8 or ones_err > 1e-8:
-            violations.append((delta, n, number, rel, ones_err))
+            violations.append((delta, n, position, rel, ones_err))
     # Solo runs that converge (small n) are held to the same bound.
     for algo in AlgoId:
         for delta in PAPER_DELTAS:
             for n in (10, 20, 30, 40):
-                inst = problems_cache(n, delta)
-                cfg = SolverConfig(tol=TOL, max_iters=5 * n)
+                inst = gen_baheux(BaheuxSpec(n=n, delta=delta))
+                cfg = SolverConfig(tol=PAPER_TOL, max_iters=SOLO_BUDGET_PER_N * n)
                 st = init(algo, inst.A, inst.b, np.zeros(n), inst.b, cfg)
                 if not st.outcome.is_terminal:
-                    run(st, 5 * n)
+                    run(st, SOLO_BUDGET_PER_N * n)
                 if st.outcome.kind is OutcomeKind.CONVERGED:
                     key = (n, delta)
                     if key not in oracles:
@@ -229,13 +220,13 @@ def test_criterion_4_residual_identity_and_7_normalization():
             b = rng.standard_normal(n)
             x0 = rng.standard_normal(n)
             y = (b - A.matvec(x0)).copy()
-            st = init(algo, A, b, x0, y, SolverConfig(tol=TOL, max_iters=100))
+            st = init(algo, A, b, x0, y, SolverConfig(tol=PAPER_TOL, max_iters=100))
             for _ in range(12):
                 if st.outcome.is_terminal:
                     break
                 step_and_check(st, algo.value, trial)
             r_fresh = b - A.matvec(st.x)
-            if norm2(r_fresh) <= TOL:
+            if norm2(r_fresh) <= PAPER_TOL:
                 continue
             st2 = init(next_algo, A, b, st.x, r_fresh, SolverConfig(max_iters=100))
             for _ in range(3):
@@ -271,7 +262,7 @@ def test_criterion_5_breakdown_honesty():
                 # near-degenerate instead of exactly orthogonal
                 y += 1e-15 * norm2(y) * r0 / norm2(r0)
             st = init(algo, A, b, np.zeros(n), y,
-                      SolverConfig(tol=TOL, max_iters=200))
+                      SolverConfig(tol=PAPER_TOL, max_iters=200))
             outcome = st.outcome
             while not outcome.is_terminal:
                 outcome = st.step()
@@ -287,16 +278,16 @@ def test_criterion_5_breakdown_honesty():
     assert not bad, bad[:10]
 
 
-def test_criterion_6_determinism(problems_cache):
+def test_criterion_6_determinism(instances):
     """Identical config and seed give bitwise-identical traces and iterates."""
     mismatches = []
+    inst = instances["baheux"][5.0, 100]
     for number, pool in sorted(PAPER_COMBOS.items()):
-        inst = problems_cache(100, 5.0)
         plan = SwitchPlan(
             strategy=ST2(20),
             policy=SelectionPolicy(pool, CoinToss(DEFAULT_SEED + number)),
             start=pool[0],
-            cfg=SolverConfig(tol=TOL, max_iters=10000),
+            cfg=SolverConfig(tol=PAPER_TOL, max_iters=10000),
             global_budget=10000,
         )
         rec1, trace1 = run_switching(inst.A, inst.b, np.zeros(100), inst.b, plan)
@@ -316,45 +307,21 @@ def test_criterion_6_determinism(problems_cache):
 # Restart-only runs that converge on as many cells as every pairing, by ST2
 # cycle length: at cycle 10, restarting A5/B10 alone converges everywhere.
 RESTART_TIES = {10: {AlgoId.A5B10}, 20: set(), 40: set()}
-
-
-def _readme_cycle_counts(cycle):
-    """The README's "Switching against restarting" table at ``cycle``:
-    {algorithm of a restart-only row or pairing number: (cells converged,
-    cells)}."""
-    with open(README, encoding="utf-8") as fh:
-        text = fh.read()
-    header = re.search(r"^\| run(?: \| cycle \d+)+ \|$", text, re.M).group(0)
-    column = [int(c) for c in re.findall(r"cycle (\d+)", header)].index(cycle)
-    out = {}
-    for label, counts in re.findall(r"^\| ([^|]+?) \|((?: \d+/\d+ \|)+)$", text, re.M):
-        key = (AlgoId.parse(label.removesuffix(", restart only"))
-               if label.endswith(", restart only") else int(label.split(":")[0]))
-        out[key] = tuple(map(int, re.findall(r"(\d+)/(\d+)", counts)[column]))
-    return out
+RESTARTS = range(len(PAPER_COMBOS), len(PAPER_COMBOS) + len(AlgoId))
 
 
 @pytest.mark.parametrize("cycle", sorted(RESTART_TIES))
-def test_criterion_8_switching_beats_restarting(cycle, grid_records):
+def test_criterion_8_switching_beats_restarting(cycle, grid, instances):
     """Switching, not restarting, avoids breakdown at ST2 cycle 20 and 40:
     every pairing converges on all 40 (delta, n) cells, while restarting any
     single algorithm under the same cycle and budget converges on strictly
-    fewer. At cycle 10 restarting A5/B10 alone ties the pairings. Every count
-    is the one in the README's table."""
-    cells = len(PAPER_DELTAS) * len(PAPER_DIMS)
-    templates = tuple(SwitchTemplate(ST2(cycle), (algo,)) for algo in AlgoId)
-    restart_only = dict.fromkeys(AlgoId, 0)
-    for delta in PAPER_DELTAS:
-        for n in PAPER_DIMS:
-            cfg = ExperimentConfig(problem=BaheuxSpec(n=n, delta=delta),
-                                   algorithms=templates, tol=TOL,
-                                   seed=DEFAULT_SEED)
-            for algo, rec in zip(AlgoId, run_experiment(cfg)):
-                restart_only[algo] += rec.outcome == "Converged"
-    records = grid_records if cycle == 20 else _grid(ST2(cycle))
-    pairing = {number: sum(records[(delta, n, number)].outcome == "Converged"
-                           for delta in PAPER_DELTAS for n in PAPER_DIMS)
-               for number in sorted(PAPER_COMBOS)}
+    fewer. At cycle 10 restarting A5/B10 alone ties the pairings."""
+    records = grid("baheux", f"ST2({cycle})")
+    cells = len(instances["baheux"])
+    pairing = {number: _converged(records, position)
+               for position, number in enumerate(PAPER_COMBOS)}
+    restart_only = {algo: _converged(records, position)
+                    for algo, position in zip(AlgoId, RESTARTS)}
     ties = {algo for algo, count in restart_only.items() if count >= cells}
     ok = all(count == cells for count in pairing.values()) and ties == RESTART_TIES[cycle]
     _report(f"criterion 8, cycle {cycle} (switching beats restarting)", ok,
@@ -362,43 +329,22 @@ def test_criterion_8_switching_beats_restarting(cycle, grid_records):
                                         for a, c in restart_only.items())
             + "; pairings " + ", ".join(f"{k} {c}/{cells}" for k, c in pairing.items()))
     assert ok, (pairing, restart_only)
-    assert _readme_cycle_counts(cycle) == {
-        **{a: (c, cells) for a, c in restart_only.items()},
-        **{k: (c, cells) for k, c in pairing.items()}}
 
 
-# Criterion 9's family: the convection-diffusion operator of an m x m grid
-# for each (beta, gamma).
-CD_SIZES = (10, 20, 30)
-CD_PARAMS = ((0.5, 0.5), (2.0, 0.0), (5.0, 5.0), (0.9, 3.0))
-
-
-def test_criterion_9_second_family():
+def test_criterion_9_second_family(grid, instances):
     """The paper's claim on a second family, 2-D convection-diffusion with
     b = A 1: under ST2(20) every pairing converges on all 12 (m, beta,
     gamma) cells with max |x - 1| <= 1e-8, every solo run fails, and
     restarting any single algorithm converges on fewer cells, at the
-    harness's budgets (100n switching, 5n solo) and seeds."""
-    pairings = tuple(SwitchTemplate(ST2(20), PAPER_COMBOS[k]) for k in sorted(PAPER_COMBOS))
-    restarts = tuple(SwitchTemplate(ST2(20), (algo,)) for algo in AlgoId)
-    combos = pairings + tuple(AlgoId) + restarts
-    # run_cell reads the config's tolerance, seed and budget, not its problem.
-    cfg = ExperimentConfig(problem="convection-diffusion", algorithms=combos, tol=TOL,
-                           seed=DEFAULT_SEED)
-    converged = [0] * len(combos)
-    worst = 0.0
-    for m in CD_SIZES:
-        for beta, gamma in CD_PARAMS:
-            inst = convection_diffusion(m, beta, gamma)
-            for index, combo in enumerate(combos):
-                rec, _ = run_cell(inst, combo, cfg, index)
-                converged[index] += rec.outcome == "Converged"
-                if index < len(pairings):
-                    worst = max(worst, np.max(np.abs(rec.x - 1.0)))
-    cells = len(CD_SIZES) * len(CD_PARAMS)
-    pairing = converged[:len(pairings)]
-    solo = converged[len(pairings):len(pairings) + len(AlgoId)]
-    restart_only = converged[len(pairings) + len(AlgoId):]
+    harness's budgets, tolerance and seed."""
+    records = grid("convection-diffusion", "ST2(20)")
+    solo_records = grid("convection-diffusion", "solo")
+    cells = len(instances["convection-diffusion"])
+    pairing = [_converged(records, position) for position in PAIRINGS]
+    worst = max(np.max(np.abs(rec.x - 1.0))
+                for (_, position), rec in records.items() if position in PAIRINGS)
+    solo = [_converged(solo_records, position) for position in range(len(report.SOLO))]
+    restart_only = [_converged(records, position) for position in RESTARTS]
     ok = (all(c == cells for c in pairing) and worst <= 1e-8 and not any(solo)
           and all(c < cells for c in restart_only))
     _report("criterion 9 (second family)", ok,
@@ -406,6 +352,17 @@ def test_criterion_9_second_family():
             f"solo {sum(solo)}/{len(solo) * cells}, restart-only "
             + ", ".join(f"{a.value} {c}/{cells}" for a, c in zip(AlgoId, restart_only)))
     assert ok, (pairing, worst, solo, restart_only)
+
+
+def test_readme_result_tables(grid):
+    """The README's solo and ST1-start tables, and its switching-against-
+    restarting table at ST2 cycles 10, 20 and 40, are verbatim what
+    tools/paper_report.py prints from these rows (the tool checks the rest)."""
+    held = report.readme_tables()
+    assert report.solo_table(grid("baheux", "solo")) in held
+    assert report.st1_table(grid("baheux", "ST1"), grid("baheux", "ST1, first member")) in held
+    cycles = {f"cycle {c}": grid("baheux", f"ST2({c})") for c in sorted(RESTART_TIES)}
+    assert report.restart_table(cycles) in [report.columns(table, cycles) for table in held]
 
 
 def test_criterion_10_lanczos_iterates():
@@ -423,7 +380,7 @@ def test_criterion_10_lanczos_iterates():
         exact = [None] + [lanczos_iterate(dense, b, b, k) for k in range(1, 7)]
         A = from_dense(dense)
         for algo in AlgoId:
-            st = init(algo, A, b, np.zeros(8), b, SolverConfig(tol=TOL, max_iters=100))
+            st = init(algo, A, b, np.zeros(8), b, SolverConfig(tol=PAPER_TOL, max_iters=100))
             while True:
                 if st.k >= 1:
                     x_k = exact[st.k]
@@ -471,7 +428,7 @@ def test_criterion_10_exact_breakdowns():
             lanczos_iterate(K, b, b, 1)
         A, b = from_dense(K.astype(float)), b.astype(float)
         for algo in AlgoId:
-            st = init(algo, A, b, np.zeros(8), b, SolverConfig(tol=TOL, max_iters=100))
+            st = init(algo, A, b, np.zeros(8), b, SolverConfig(tol=PAPER_TOL, max_iters=100))
             run(st, 10)
             if (st.outcome.kind, st.k, st.outcome.label) != (
                     OutcomeKind.BREAKDOWN, 0, EXACT_BREAKDOWN_LABELS[algo]):

@@ -18,6 +18,7 @@ from lanswitch.harness import (
     derive_seed,
     emit_table,
     run_experiment,
+    run_grid,
 )
 from lanswitch.problems import BaheuxSpec, gen_baheux, write_matrix_market
 from lanswitch.solvers import AlgoId, SolverConfig
@@ -69,7 +70,8 @@ class TestConfig:
     @pytest.mark.parametrize("make", [
         lambda v: SelectionPolicy((AlgoId.A4, AlgoId.A12), CoinToss(v)),
         lambda v: make_cfg(seed=v),
-    ], ids=["coin_toss", "experiment"])
+        lambda v: run_grid({}, (), v),
+    ], ids=["coin_toss", "experiment", "grid"])
     @pytest.mark.parametrize("seed", [1.5, "3", -1])
     def test_seeds_must_be_non_negative_integers(self, make, seed):
         # A float or string seed used to pass, and a run then raised
@@ -147,6 +149,22 @@ class TestRunExperiment:
             assert a.switches == b.switches
             assert a.restarts == b.restarts
             assert np.array_equal(a.x, b.x)
+
+    def test_grid_numbers_cells_as_experiments_do(self):
+        # run_grid keys each record by (instance key, combo position), and
+        # its cells toss the coins run_experiment's do.
+        combos = (AlgoId.A4, SwitchTemplate(ST2(20), PAPER_COMBOS[6]), AlgoId.A12,
+                  SwitchTemplate(ST1(), PAPER_COMBOS[9]))
+        problems = {"a": BaheuxSpec(n=60, delta=5.0), "b": BaheuxSpec(n=40, delta=0.2)}
+        grid = run_grid({key: gen_baheux(spec) for key, spec in problems.items()}, combos)
+        assert list(grid) == [(key, i) for key in problems for i in range(len(combos))]
+        for key, spec in problems.items():
+            for i, rec in enumerate(run_experiment(make_cfg(problem=spec, algorithms=combos))):
+                assert ((grid[key, i].combo, grid[key, i].outcome, grid[key, i].iterations,
+                         grid[key, i].switches, grid[key, i].restarts)
+                        == (rec.combo, rec.outcome, rec.iterations, rec.switches,
+                            rec.restarts))
+                assert np.array_equal(grid[key, i].x, rec.x)
 
     def test_repeats_report_median(self):
         cfg = make_cfg(repeats=3)
@@ -287,6 +305,18 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "Converged" in out
+
+    @pytest.mark.parametrize("solo", [[], ["--solo", "a4"], ["--solo", "a12,a4,a8b10"]])
+    def test_solo_combos_leave_the_switching_cell_alone(self, capsys, solo):
+        # Only switching combos are numbered for their coin-toss seed, so a
+        # solo combo listed before the switching one changes none of its
+        # draws. Numbered among all combos, --solo a4 gave 299 iterations,
+        # 11 switches and 5 restarts.
+        cli_main(["--n", "100", "--delta", "5", *solo, "--switch", "st2",
+                  "--pool", "a4,a12"])
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert row[2:4] == ["A4+A12/ST2", "Converged"]
+        assert [int(v) for v in row[5:8]] == [292, 6, 10]
 
     def test_usage_error_exit_one(self, capsys):
         assert cli_main(["--switch", "st2"]) == 1  # missing --pool

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from lanswitch import linalg
+from lanswitch.harness import PAPER_DELTAS, PAPER_DIMS
 from lanswitch.linalg import (
     DimensionError,
     NonFiniteError,
@@ -13,7 +14,6 @@ from lanswitch.linalg import (
 )
 from lanswitch.problems import BaheuxSpec, gen_baheux
 from oracles import as_vector, from_dense, identity, norm_inf, to_dense
-from paper_grid import PAPER_DELTAS, PAPER_DIMS
 
 
 def random_csr(rng, n, density=0.3):

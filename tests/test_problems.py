@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from lanswitch.harness import PAPER_DELTAS
 from lanswitch.linalg import DimensionError, SparseMatrix, norm2
 from lanswitch.problems import (
     BaheuxSpec,
@@ -15,7 +16,6 @@ from lanswitch.problems import (
 )
 from oracles import (SingularMatrixError, as_vector, direct_solve_oracle, from_dense,
                      identity, to_dense)
-from paper_grid import PAPER_DELTAS
 
 
 def write_lower_triangle(path, A):

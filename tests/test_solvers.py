@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lanswitch.harness import PAPER_DELTAS, PAPER_TOL, SOLO_BUDGET_PER_N
 from lanswitch.linalg import NonFiniteError, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import (
@@ -17,7 +18,6 @@ from lanswitch.solvers import (
     run,
 )
 from oracles import as_vector, direct_solve_oracle, from_dense, identity, norm_inf
-from paper_grid import PAPER_DELTAS
 from random_systems import random_system
 
 ALL_ALGOS = list(AlgoId)
@@ -303,10 +303,10 @@ class TestRecurrenceProperties:
     def test_oracle_equivalence_when_solo_converges(self, algo, delta):
         for n in (10, 20, 30, 40):
             inst = gen_baheux(BaheuxSpec(n=n, delta=delta))
-            cfg = SolverConfig(tol=1e-13, max_iters=5 * n)
+            cfg = SolverConfig(tol=PAPER_TOL, max_iters=SOLO_BUDGET_PER_N * n)
             st = init(algo, inst.A, inst.b, np.zeros(n), inst.b, cfg)
             if not st.outcome.is_terminal:
-                run(st, 5 * n)
+                run(st, SOLO_BUDGET_PER_N * n)
             if st.outcome.kind is OutcomeKind.CONVERGED:
                 x_oracle = direct_solve_oracle(inst.A, inst.b)
                 rel = norm2(st.x - x_oracle) / norm2(x_oracle)
@@ -487,6 +487,31 @@ class TestDiagnostics:
             while not out.is_terminal:
                 out = advance(st)
             assert out.kind is OutcomeKind.BREAKDOWN and "nonfinite" in out.label
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algo", [AlgoId.A4, AlgoId.A5B10, AlgoId.A8B10])
+    def test_report_lets_no_warning_escape_inside_or_outside_run(self, monkeypatch, algo):
+        # A report taken by run's stop runs inside run's errstate and enters
+        # none of its own; a report called directly enters one. Either way
+        # the preparation that overflows lets no warning escape.
+        entered = []
+        errstate = np.errstate
+        monkeypatch.setattr(np, "errstate",
+                            lambda **kw: entered.append(kw) or errstate(**kw))
+        A, b = random_system("gaussian", 24, 1243153968)
+
+        def overflowed(state):
+            return "nonfinite" in denominator_report(state)[-1][0]
+
+        st = init(algo, A, b, np.zeros(24), 1e150 * b, SolverConfig(max_iters=50))
+        entered.clear()
+        run(st, 50, overflowed)
+        assert not st.outcome.is_terminal and overflowed(st)
+        assert len(entered) == 2  # run's, then the direct report's
+        st = init(algo, A, b, np.zeros(24), 1e150 * b, SolverConfig(max_iters=50))
+        while not overflowed(st):
+            st.step()
+        assert math.isnan(denominator_report(st)[-1][1])
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_raises_without_warning(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lanswitch.harness import PAPER_DELTAS
 from lanswitch.linalg import dot, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, denominator_report, init
@@ -18,7 +19,6 @@ from lanswitch.switching import (
     SwitchPlan,
     run_switching,
 )
-from paper_grid import PAPER_DELTAS
 from random_systems import KINDS, random_system
 
 
