@@ -46,6 +46,16 @@ every value its first step reads, so a first step does the work of a
 later one. Every product checks its own halves, so an overflow in either
 half ends the preparation that made it, before its update: the step
 breaks down with ``<algo>.nonfinite`` and leaves x, r and k as they were.
+
+A coefficient enters a main step's vector products as one of the state's
+0-d float64 slots: the step writes it there (``slot[()] = value``) and
+multiplies by the slot. ``c * u`` with a 0-d array ``c`` gives the bits of
+``c * u`` with the Python float, but skips numpy's scalar promotion, which
+costs about a third of the product at the sizes the solvers run; an
+``np.float64`` takes the slow path too. A slot is scratch that one
+preparation or update writes and then reads: it is never carried from one
+step to the next, and no two states share one, so concurrent runs stay
+safe. Carried scalars are Python floats.
 """
 
 from __future__ import annotations
@@ -200,6 +210,8 @@ class SolverState:
     # Iterations a start charges after k prologue updates; the switching
     # driver budgets each handoff with the last entry, a whole prologue.
     PROLOGUE_CHARGES = (0,)
+    # How many coefficients a main step scales vectors by at once.
+    SLOTS = 0
 
     def __init__(self, A: SparseMatrix, b: np.ndarray, x0: np.ndarray,
                  y: np.ndarray, cfg: SolverConfig, residual=None):
@@ -212,6 +224,7 @@ class SolverState:
         # the result is +-0 for a finite vector and nan otherwise. A4 starts
         # from them as x_{-1} and r_{-1}.
         self._zeros = _ZEROS[A.nrows]
+        self._slots = tuple(np.empty(()) for _ in range(self.SLOTS))
         self.k = 0
         self.x = np.array(x0, dtype=np.float64, copy=True)
         # ||r||: every update of r sets it, inf when it overflows. No code
@@ -297,8 +310,9 @@ class SolverState:
     def _prepared(self):
         """The next update's preparation, made at most once.
 
-        A preparation that fails is kept as its Breakdown outcome; ``step``
-        and ``denominator_report`` both take the preparation from here.
+        A preparation that fails is kept as its Breakdown outcome;
+        ``denominator_report`` takes the preparation from here, and
+        ``_advance`` does what this does inline.
         """
         if self._preparation is None:
             self._ledger = []
@@ -324,12 +338,18 @@ class SolverState:
 
     def _advance(self) -> None:
         """Apply the next update, prepared here unless a report prepared it."""
-        prepared = self._prepared()
+        # _prepared inline, one frame less on every step: the step prepares
+        # without caching, and only a report's preparation is taken from the
+        # cache.
+        prepared = self._preparation
         self._preparation = None
-        if isinstance(prepared, StepOutcome):
-            self.outcome = prepared
-            return
         try:
+            if prepared is None:
+                self._ledger = []
+                prepared = self._prepare()
+            elif isinstance(prepared, StepOutcome):
+                self.outcome = prepared
+                return
             self._update(*prepared)
         except _FAILURES as err:
             self.outcome = self._failure(err)
@@ -418,6 +438,7 @@ class _A4State(SolverState):
     """Two-term recurrence A4; normalization A_{k+1} (B_{k+1}+E_{k+1}) = 1."""
 
     algo = AlgoId.A4
+    SLOTS = 3
 
     def _start(self):
         # x_{-1} = r_{-1} = 0: the first step is the general one with E = 0.
@@ -447,8 +468,10 @@ class _A4State(SolverState):
         return E, B, A_next, Ar, y_next, yr, yr_scale
 
     def _update(self, E, B, A_next, Ar, y_next, yr, yr_scale):
-        x_next = A_next * (B * self.x + E * self.x_prev - self.r)
-        r_next = A_next * (Ar + B * self.r + E * self.r_prev)
+        e, b, a = self._slots
+        e[()], b[()], a[()] = E, B, A_next
+        x_next = a * (b * self.x + e * self.x_prev - self.r)
+        r_next = a * (Ar + b * self.r + e * self.r_prev)
         self.x_prev, self.r_prev = self.x, self.r
         self.yr_prev, self.yr_prev_scale = yr, yr_scale
         if self._accept(x_next, r_next):
@@ -469,6 +492,7 @@ class _A12State(SolverState):
     algo = AlgoId.A12
     # Documented convention: the two-update prologue charges three iterations.
     PROLOGUE_CHARGES = (0, 1, 3)
+    SLOTS = 5
 
     def _start(self):
         A, y = self.A, self.y
@@ -562,8 +586,10 @@ class _A12State(SolverState):
         # A r_{k-3} is the previous step's A r_{k-2}.
         q2 = self.A.matvec(q1)
         q3 = self.Ar3
-        r_next = Ak * (q2 + B * q1 + C * r2 + F * q3 + G * r3)
-        x_next = Ak * (C * self.xs[1] + G * self.xs[2] - (q1 + B * r2 + F * r3))
+        a, b, c, f, g = self._slots
+        a[()], b[()], c[()], f[()], g[()] = Ak, B, C, F, G
+        r_next = a * (q2 + b * q1 + c * r2 + f * q3 + g * r3)
+        x_next = a * (c * self.xs[1] + g * self.xs[2] - (q1 + b * r2 + f * r3))
         self._accept(x_next, r_next)
         self.rs = [r_next, r1, r2]
         self.xs = [x_next, self.xs[0], self.xs[1]]
@@ -591,6 +617,7 @@ class _A5B10State(SolverState):
 
     algo = AlgoId.A5B10
     PROLOGUE_CHARGES = (0, 1)
+    SLOTS = 1
 
     def _start(self):
         r0 = self.r
@@ -616,7 +643,9 @@ class _A5B10State(SolverState):
         y_norm = norm2(y_k)
         D = -self._div(num, den_D, "A5B10.D: C1*(y_k,p_{k-1})",
                        abs(self.C1) * y_norm * norm2(self.p))
-        p_k = self.r + (D * self.C1) * self.p
+        dc, = self._slots
+        dc[()] = D * self.C1
+        p_k = self.r + dc * self.p
         Ap, y_next = self.A.products(p_k, y_k)
         A_next = -self._div(num, dot(y_k, Ap), "A5B10.A: (y_k,Ap_k)",
                             y_norm * norm2(Ap))
@@ -625,8 +654,10 @@ class _A5B10State(SolverState):
         return y_k, p_k, Ap, y_next, A_next
 
     def _update(self, y_k, p_k, Ap, y_next, A_next):
-        r_next = self.r + A_next * Ap
-        x_next = self.x - A_next * p_k
+        a, = self._slots
+        a[()] = A_next
+        r_next = self.r + a * Ap
+        x_next = self.x - a * p_k
         self.y, self.y_next = y_k, y_next
         self.p = p_k
         if self._accept(x_next, r_next):
@@ -645,6 +676,7 @@ class _A8B10State(SolverState):
     """Coupled recurrence A8/B10 driving the auxiliary direction z."""
 
     algo = AlgoId.A8B10
+    SLOTS = 3
 
     def _start(self):
         self.z = self.r
@@ -662,14 +694,17 @@ class _A8B10State(SolverState):
         return Az, y_next, den, den_scale, A_next
 
     def _update(self, Az, y_next, den, den_scale, A_next):
-        r_next = self.r + A_next * Az
-        x_next = self.x - A_next * self.z
+        a, b1, c1 = self._slots
+        a[()] = A_next
+        r_next = self.r + a * Az
+        x_next = self.x - a * self.z
         if self._accept(x_next, r_next):
             return
         C1 = self._div(1.0, A_next, "A8B10.C1: A_{k+1}", 1.0)
         yr_next = dot(y_next, r_next)
         B1 = -self._div(C1 * yr_next, den, "A8B10.B1: (y_k,Az_k)", den_scale)
-        z_next = B1 * self.z + C1 * r_next
+        b1[()], c1[()] = B1, C1
+        z_next = b1 * self.z + c1 * r_next
         if not math.isfinite(z_next.dot(self._zeros)):
             raise NonFiniteError("z update")
         self.y = y_next

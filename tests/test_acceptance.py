@@ -11,31 +11,22 @@ import paper_report as report
 from lanswitch.harness import (
     DEFAULT_SEED,
     PAPER_COMBOS,
-    PAPER_DELTAS,
     PAPER_TOL,
-    SOLO_BUDGET_PER_N,
     paper_instances,
     run_grid,
 )
 from lanswitch.linalg import norm2
-from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, init, run
 from lanswitch.switching import (ST1, ST2, ST3, CoinToss, SelectionPolicy, SwitchPlan,
                                  run_switching)
 from oracles import (SingularMatrixError, direct_solve_oracle, from_dense, lanczos_iterate,
                      norm_inf)
-from random_systems import convection_diffusion
 from test_solvers import a4_normalization
 
-# Criterion 9's family: the convection-diffusion operator of an m x m grid
-# for each (beta, gamma).
-CD_SIZES = (10, 20, 30)
-CD_PARAMS = ((0.5, 0.5), (2.0, 0.0), (5.0, 5.0), (0.9, 3.0))
-
+# Criterion 9's second family is the report's convection-diffusion problems.
 FAMILIES = {
     "baheux": paper_instances,
-    "convection-diffusion": lambda: {(m, beta, gamma): convection_diffusion(m, beta, gamma)
-                                     for m in CD_SIZES for beta, gamma in CD_PARAMS},
+    "convection-diffusion": report.second_family_instances,
 }
 
 # The grid rows the criteria and the README's tables read: (family, row) ->
@@ -140,7 +131,9 @@ def test_criterion_2_solo_fragility(grid, instances):
 
 
 def test_criterion_3_oracle_equivalence(grid, instances):
-    """Converged runs with n <= 400 match the dense oracle and the ones vector."""
+    """Converged switching runs with n <= 400 match the dense oracle and the
+    ones vector. Converged solo runs (n <= 40) are held to the same bounds by
+    test_solvers.py::TestRecurrenceProperties::test_oracle_equivalence_when_solo_converges."""
     oracles = {}
     checked = 0
     violations = []
@@ -158,24 +151,6 @@ def test_criterion_3_oracle_equivalence(grid, instances):
         checked += 1
         if rel > 1e-8 or ones_err > 1e-8:
             violations.append((delta, n, position, rel, ones_err))
-    # Solo runs that converge (small n) are held to the same bound.
-    for algo in AlgoId:
-        for delta in PAPER_DELTAS:
-            for n in (10, 20, 30, 40):
-                inst = gen_baheux(BaheuxSpec(n=n, delta=delta))
-                cfg = SolverConfig(tol=PAPER_TOL, max_iters=SOLO_BUDGET_PER_N * n)
-                st = init(algo, inst.A, inst.b, np.zeros(n), inst.b, cfg)
-                if not st.outcome.is_terminal:
-                    run(st, SOLO_BUDGET_PER_N * n)
-                if st.outcome.kind is OutcomeKind.CONVERGED:
-                    key = (n, delta)
-                    if key not in oracles:
-                        oracles[key] = direct_solve_oracle(inst.A, inst.b)
-                    rel = (np.max(np.abs(st.x - oracles[key]))
-                           / np.max(np.abs(oracles[key])))
-                    checked += 1
-                    if rel > 1e-8 or np.max(np.abs(st.x - 1.0)) > 1e-8:
-                        violations.append((delta, n, algo.value, rel))
     _report("criterion 3 (oracle equivalence)", not violations,
             f"{checked} converged runs within 1e-8 of the dense solve and of ones")
     assert not violations, violations[:10]
@@ -355,14 +330,16 @@ def test_criterion_9_second_family(grid, instances):
 
 
 def test_readme_result_tables(grid):
-    """The README's solo and ST1-start tables, and its switching-against-
-    restarting table at ST2 cycles 10, 20 and 40, are verbatim what
-    tools/paper_report.py prints from these rows (the tool checks the rest)."""
+    """The README's solo, ST1-start and second-family tables, and its
+    switching-against-restarting table at ST2 cycles 10, 20 and 40, are
+    verbatim what tools/paper_report.py prints from these rows (the tool
+    checks the rest)."""
     held = report.readme_tables()
     assert report.solo_table(grid("baheux", "solo")) in held
     assert report.st1_table(grid("baheux", "ST1"), grid("baheux", "ST1, first member")) in held
     cycles = {f"cycle {c}": grid("baheux", f"ST2({c})") for c in sorted(RESTART_TIES)}
     assert report.restart_table(cycles) in [report.columns(table, cycles) for table in held]
+    assert report.second_family_table(grid("convection-diffusion", "ST2(20)")) in held
 
 
 def test_criterion_10_lanczos_iterates():

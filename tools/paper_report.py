@@ -5,8 +5,10 @@ Run from the repository root:
     python3 tools/paper_report.py
 
 Every table comes from ``lanswitch.harness.run_grid`` on the paper's 40
-Baheux problems (``harness.paper_instances``), at the harness's tolerance,
-budgets per n and seed unless a column names another seed:
+Baheux problems (``harness.paper_instances``), or on the 12
+convection-diffusion problems of acceptance criterion 9 where it says so,
+at the harness's tolerance, budgets per n and seed unless a column names
+another seed:
 
 - solo: the cells each algorithm converges on alone, and the fewest and
   most iterations it had run when it broke down;
@@ -16,7 +18,10 @@ budgets per n and seed unless a column names another seed:
 - the ST3 sweep: iterations (switches + restarts) summed over the pairings'
   160 cells at each monitor threshold and under ST2(20), at four seeds;
 - switching against restarting: the cells each pairing, and each algorithm
-  restarted alone, converges on under ST2 at cycles 5-60 and under ST3.
+  restarted alone, converges on under ST2 at cycles 5-60 and under ST3;
+- the second family: the convection-diffusion cells each algorithm
+  restarted alone, and each pairing, converges on under ST2(20), and the
+  longest converged run.
 
 The tables are printed in that order. The tool exits 1 when the README
 does not hold one of them verbatim, naming the header of each such table
@@ -34,6 +39,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(ROOT, "README.md")
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from lanswitch.harness import (  # noqa: E402
     DEFAULT_SEED,
@@ -44,11 +50,22 @@ from lanswitch.harness import (  # noqa: E402
 )
 from lanswitch.solvers import AlgoId  # noqa: E402
 from lanswitch.switching import ST1, ST2, ST3  # noqa: E402
+from random_systems import convection_diffusion  # noqa: E402
 
 SOLO = tuple(AlgoId)
 CYCLES = (5, 10, 20, 30, 40, 60)
 SWEEP_EXPONENTS = range(3, 12)  # ST3 thresholds 1e-3 to 1e-11
 SWEEP_SEEDS = (DEFAULT_SEED, 7, 101, 2024)
+# The second family: the convection-diffusion operator of an m x m grid for
+# each (beta, gamma), b = A 1.
+CD_SIZES = (10, 20, 30)
+CD_PARAMS = ((0.5, 0.5), (2.0, 0.0), (5.0, 5.0), (0.9, 3.0))
+
+
+def second_family_instances():
+    """The 12 convection-diffusion problems, keyed (m, beta, gamma)."""
+    return {(m, beta, gamma): convection_diffusion(m, beta, gamma)
+            for m in CD_SIZES for beta, gamma in CD_PARAMS}
 
 
 def pairings(strategy, first_member=False):
@@ -113,16 +130,30 @@ def st1_table(default, first_member):
     return markdown(rows)
 
 
+def _versus_rows(cells):
+    """The rows of a ``versus_restarting`` grid: each algorithm restarted
+    alone, then each pairing, labelled and followed by ``cells(position)``."""
+    rows = [(f"{_name(algo)}, restart only", *cells(position))
+            for position, algo in enumerate(AlgoId, start=len(PAPER_COMBOS))]
+    return rows + [(_pairing(number), *cells(position))
+                   for position, number in enumerate(PAPER_COMBOS)]
+
+
 def restart_table(columns):
     """From ``{column header: grid of versus_restarting(strategy)}``."""
-    rows = [("run", *columns)]
-    for position, algo in enumerate(AlgoId, start=len(PAPER_COMBOS)):
-        rows.append((f"{_name(algo)}, restart only",
-                     *(_converged(grid, position) for grid in columns.values())))
-    for position, number in enumerate(PAPER_COMBOS):
-        rows.append((_pairing(number),
-                     *(_converged(grid, position) for grid in columns.values())))
-    return markdown(rows)
+    return markdown([("run", *columns)] + _versus_rows(
+        lambda position: [_converged(grid, position) for grid in columns.values()]))
+
+
+def second_family_table(grid):
+    """From the convection-diffusion grid of ``versus_restarting(ST2(20))``."""
+    def cells(position):
+        spent = [rec.iterations for rec in _records(grid, position)
+                 if rec.outcome == "Converged"]
+        return _converged(grid, position), f"{max(spent):,}" if spent else "–"
+
+    return markdown([("run, convection–diffusion, ST2(20)", "cells converged",
+                      "longest converged run")] + _versus_rows(cells))
 
 
 def sweep_table(grid):
@@ -156,8 +187,10 @@ def columns(table, headers):
     return markdown([[row[i] for i in keep] for row in rows[:1] + rows[2:]])
 
 
-def report(grid):
-    """Every README result table, in README order, from ``grid(combos, seed)``."""
+def report(grid, second_family):
+    """Every README result table, in README order, from ``grid(combos, seed)``
+    on the Baheux problems and ``second_family(combos)`` on the
+    convection-diffusion ones."""
     strategies = {f"cycle {c}": ST2(c) for c in CYCLES}
     strategies["ST3"] = ST3()
     return [
@@ -167,12 +200,15 @@ def report(grid):
         sweep_table(grid),
         restart_table({header: grid(versus_restarting(strategy), DEFAULT_SEED)
                        for header, strategy in strategies.items()}),
+        second_family_table(second_family(versus_restarting(ST2(20)))),
     ]
 
 
 def main() -> int:
     instances = paper_instances()
-    tables = report(lambda combos, seed: run_grid(instances, combos, seed))
+    second = second_family_instances()
+    tables = report(lambda combos, seed: run_grid(instances, combos, seed),
+                    lambda combos: run_grid(second, combos))
     held = readme_tables()
     stale = 0
     for table in tables:
