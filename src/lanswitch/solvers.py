@@ -197,13 +197,26 @@ def _check_system(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray)
 class SolverState:
     """Common state: system handles, iterate, residual, counters, outcome.
 
-    ``k`` counts x-updates performed so far. ``iters_used`` is the one
-    iteration count: the start sets it to ``PROLOGUE_CHARGES[k]`` for the k
-    prologue updates it made, and every step that runs, one that breaks
-    down included, adds 1. Every algorithm starts the same way: the common
-    fields, then, unless r0 already meets tol, the algorithm's ``_start``,
-    which runs its prologue and sets every value its first step reads. A
-    breakdown or overflow in ``_start`` is the state's outcome.
+    The fields every algorithm shares mean the same in each:
+
+    - ``x``: the current iterate, x_0 before any update;
+    - ``r``: its residual b - A x, as the recurrence computes it;
+    - ``r_norm``: ||r||, inf when that overflowed;
+    - ``y``: on a live state, the shadow vector the next step pairs with
+      the residual, the ``w`` of that step's ``SparseMatrix.products(v, w)``
+      call. It is y_k = (A.T)^k y_0 of the y_0 handed in for A4, A5/B10 and
+      A8/B10, and y_{k+1} for A12, whose start makes three products;
+    - ``k``: the x-updates performed so far;
+    - ``iters_used``: the one iteration count. The start sets it to
+      ``PROLOGUE_CHARGES[k]`` for the k prologue updates it made, and every
+      step that runs, one that breaks down included, adds 1;
+    - ``outcome``: the last ``StepOutcome``, Continue while the state is live.
+
+    No other field repeats one of these, and a state keeps no vector that
+    no step reads. Every algorithm starts the same way: the common fields,
+    then, unless r0 already meets tol, the algorithm's ``_start``, which runs
+    its prologue and sets every value its first step reads. A breakdown or
+    overflow in ``_start`` is the state's outcome.
     """
 
     algo: AlgoId
@@ -442,11 +455,10 @@ class _A4State(SolverState):
 
     def _start(self):
         # x_{-1} = r_{-1} = 0: the first step is the general one with E = 0.
+        # The steps carry (y_{k-1}, r_{k-1}) and its guard scale
+        # ||y_{k-1}|| ||r_{k-1}|| as yr_prev and yr_prev_scale, the previous
+        # step's (y_k, r_k) and scale; the first step reads neither.
         self.x_prev = self.r_prev = self._zeros
-        # (y_{k-1}, r_{k-1}) and its guard scale ||y_{k-1}|| ||r_{k-1}||:
-        # the previous step's (y_k, r_k) and scale.
-        self.yr_prev = math.nan
-        self.yr_prev_scale = math.nan
 
     def _prepare(self):
         yr = dot(self.y, self.r)
@@ -472,13 +484,9 @@ class _A4State(SolverState):
         e[()], b[()], a[()] = E, B, A_next
         x_next = a * (b * self.x + e * self.x_prev - self.r)
         r_next = a * (Ar + b * self.r + e * self.r_prev)
-        self.x_prev, self.r_prev = self.x, self.r
+        self.x_prev, self.r_prev, self.y = self.x, self.r, y_next
         self.yr_prev, self.yr_prev_scale = yr, yr_scale
-        if self._accept(x_next, r_next):
-            return
-        # Shadow chain advances every iteration; the pseudocode's IF around
-        # it governs termination only.
-        self.y = y_next
+        self._accept(x_next, r_next)
 
 
 # ---------------------------------------------------------------------------
@@ -525,15 +533,16 @@ class _A12State(SolverState):
         if self._accept(x2, r2, "prologue x/r update"):
             return
 
-        # rs[0] = current residual, rs[1] = previous, rs[2] = the one before;
-        # same layout for xs and for the norms in r_norms. ys holds the last
-        # four shadow vectors. Carried from each step into the next: A r_{k-3},
-        # the a_ij entries (a13, a23, a33, t) that pair the shadow vectors with
-        # r_{k-3}, and ||y_{k-3}||.
-        self.rs = [r2, r1, r0]
-        self.xs = [x2, x1, x0]
-        self.ys = [y, y1, y2, y3]
-        self.r_norms = [self.r_norm, r1_norm, r0_norm]
+        # In the steps' indexing r, x and r_norm are r_{k-1}, x_{k-1} and
+        # ||r_{k-1}||; rs holds (r_{k-2}, r_{k-3}), and xs and r_norms the
+        # same two iterates and norms. y is y_k and ys (y_{k-2}, y_{k-1}).
+        # Carried from each step into the next: A r_{k-3}, the a_ij entries
+        # (a13, a23, a33, t) that pair y_{k-3}, ..., y_k with r_{k-3}, and
+        # ||y_{k-3}||.
+        self.rs = (r1, r0)
+        self.xs = (x1, x0)
+        self.r_norms = (r1_norm, r0_norm)
+        self.ys, self.y = (y1, y2), y3
         self.Ar3 = p
         self.a_carry = (c0, dot(y1, r0), dot(y2, r0), dot(y3, r0))
         self.y3_norm = y_norm
@@ -546,8 +555,9 @@ class _A12State(SolverState):
         start's, for the first step), so they come from ``a_carry``; so do
         ||y_{k-3}|| and ||r_{k-3}||.
         """
-        r1, r2, r3 = self.rs  # r_{k-1}, r_{k-2}, r_{k-3}
-        ykm3, ykm2, ykm1, yk = self.ys
+        r2, r3 = self.rs  # r_{k-2}, r_{k-3}
+        ykm2, ykm1 = self.ys
+        yk = self.y
         # y_{k+1}, and A r_{k-2}, which the update uses.
         q1, y_new = self.A.products(r2, yk)
         a11 = dot(ykm2, r2)
@@ -557,7 +567,7 @@ class _A12State(SolverState):
         a13, a23, a33, t = self.a_carry
         a22 = a11
         a32 = a21
-        a13_scale = self.y3_norm * self.r_norms[2]
+        a13_scale = self.y3_norm * self.r_norms[1]
         F = -self._div(a11, a13, "A12.a13", a13_scale, cap=COEFF_LIMIT)
         b1 = -a21 - a23 * F
         b2 = -a31 - a33 * F
@@ -571,14 +581,15 @@ class _A12State(SolverState):
         G = self._div(b1 - a11 * B, a13, "A12.a13", a13_scale, cap=COEFF_LIMIT)
         y2_norm = norm2(ykm2)
         C = self._div(b2 - a21 * B - a23 * G, a22, "A12.a22",
-                      y2_norm * self.r_norms[1], cap=COEFF_LIMIT)
+                      y2_norm * self.r_norms[0], cap=COEFF_LIMIT)
         S = C + G
         Ak = self._div(1.0, S, "A12.Ak: C_k+G_k", max(1.0, abs(C), abs(G)),
                        eps=NORMALIZATION_EPS)
         return q1, y_new, F, B, G, C, Ak, (a11, a21, a31, s), y2_norm
 
     def _update(self, q1, y_new, F, B, G, C, Ak, a_carry, y2_norm):
-        r1, r2, r3 = self.rs
+        r2, r3 = self.rs
+        x2, x3 = self.xs
         # The coefficient table solves the orthogonality of
         # (x^2 + B x + C) P_{k-2} + (F x + G) P_{k-3}, so the products feed
         # on r_{k-2} and r_{k-3}; with them the recurrence terminates in n
@@ -589,13 +600,11 @@ class _A12State(SolverState):
         a, b, c, f, g = self._slots
         a[()], b[()], c[()], f[()], g[()] = Ak, B, C, F, G
         r_next = a * (q2 + b * q1 + c * r2 + f * q3 + g * r3)
-        x_next = a * (c * self.xs[1] + g * self.xs[2] - (q1 + b * r2 + f * r3))
-        self._accept(x_next, r_next)
-        self.rs = [r_next, r1, r2]
-        self.xs = [x_next, self.xs[0], self.xs[1]]
-        self.ys = [self.ys[1], self.ys[2], self.ys[3], y_new]
+        x_next = a * (c * x2 + g * x3 - (q1 + b * r2 + f * r3))
+        self.rs, self.xs, self.r_norms = (self.r, r2), (self.x, x2), (self.r_norm, self.r_norms[0])
+        self.ys, self.y = (self.ys[1], self.y), y_new
         self.Ar3, self.a_carry, self.y3_norm = q1, a_carry, y2_norm
-        self.r_norms = [self.r_norm] + self.r_norms[:2]
+        self._accept(x_next, r_next)
 
 
 # ---------------------------------------------------------------------------
@@ -631,12 +640,12 @@ class _A5B10State(SolverState):
         self.A_prev = A1
         if self._accept(x1, r1, "prologue x/r update"):
             return
-        # A.T y, the next step's shadow vector; a main step computes it with
-        # its A p.
-        self.y_next = self.A.matvec_t(self.y)
+        # y_1 = A.T y_0, the first step's shadow vector; a main step computes
+        # the next one with its A p.
+        self.y = self.A.matvec_t(self.y)
 
     def _prepare(self):
-        y_k = self.y_next
+        y_k = self.y
         num = dot(y_k, self.r)
         yp = dot(y_k, self.p)
         den_D = self.C1 * yp
@@ -651,15 +660,14 @@ class _A5B10State(SolverState):
                             y_norm * norm2(Ap))
         # The update closes with the C1 guard on A_k.
         self._ledger.append(("A5B10.C1: A_k", self.A_prev, 1.0))
-        return y_k, p_k, Ap, y_next, A_next
+        return p_k, Ap, y_next, A_next
 
-    def _update(self, y_k, p_k, Ap, y_next, A_next):
+    def _update(self, p_k, Ap, y_next, A_next):
         a, = self._slots
         a[()] = A_next
         r_next = self.r + a * Ap
         x_next = self.x - a * p_k
-        self.y, self.y_next = y_k, y_next
-        self.p = p_k
+        self.y, self.p = y_next, p_k
         if self._accept(x_next, r_next):
             return
         # A_k is an O(1) normalized coefficient, so its guard is absolute.

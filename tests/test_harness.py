@@ -272,6 +272,16 @@ class TestEmitTable:
         data_rows = lines[2:]
         assert [row.split("|")[1].strip() for row in data_rows] == ["20", "40", "60"]
 
+    def test_markdown_marks_a_cell_a_combo_lacks(self):
+        # A4/solo has no n = 40 record: its two cells there read "-".
+        records = [RunRecord(n=n, delta=0.0, combo=combo, outcome="Converged",
+                             residual=1e-14, iterations=10, switches=0, restarts=0,
+                             seconds=0.5)
+                   for n, combo in ((20, "A4/solo"), (20, "A12/solo"), (40, "A12/solo"))]
+        lines = [ln for ln in emit_table(records, format="md").split("\n")
+                 if ln.startswith("| 40 ")]
+        assert lines == ["| 40 | - | - | 1.0000e-14 | 5.0000e-01 |"]
+
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             emit_table([], format="csv")
@@ -323,6 +333,9 @@ class TestCli:
         assert cli_main(["--problem", "nosuch"]) == 1
         assert cli_main(["--unknown-flag"]) == 1
         assert cli_main([]) == 1  # nothing to run
+        capsys.readouterr()
+        assert cli_main(["--problem", "mm:", "--solo", "a4"]) == 1
+        assert capsys.readouterr().err == "error: empty path in mm:<path>\n"
 
     def test_bad_algorithm_name(self):
         assert cli_main(["--solo", "a99"]) == 1

@@ -135,8 +135,9 @@ class TestSparseMatrix:
 
     def test_matvec_dimension_error(self):
         I = identity(3)
-        with pytest.raises(DimensionError):
-            I.matvec(as_vector([1.0, 2.0]))
+        for product in (I.matvec, I.matvec_t):
+            with pytest.raises(DimensionError):
+                product(as_vector([1.0, 2.0]))
 
     def test_matvec_t_identity(self):
         I = identity(3)
@@ -184,15 +185,19 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix(2, [0, 1, 2], [0, 5], [1.0, 1.0])
 
-    @pytest.mark.parametrize("indptr, indices, message", [
-        ([0, 2, 1, 2], [0, 1], "indptr must be monotone non-decreasing"),
-        ([0, 1, 2, 2], [0, -1], "column index out of range"),
-        ([0, 1, 2, 2], [3, 0], "column index out of range"),
-        ([0, 1, 2, 2], [2, -2**63], "column index out of range"),
-    ], ids=["decreasing-indptr", "negative-column", "column-past-end", "most-negative-column"])
-    def test_malformed_csr_rejected(self, indptr, indices, message):
+    @pytest.mark.parametrize("n, indptr, indices, data, message", [
+        (3, [0, 2, 1, 2], [0, 1], [1.0, 1.0], "indptr must be monotone non-decreasing"),
+        (3, [0, 1, 2, 2], [0, -1], [1.0, 1.0], "column index out of range"),
+        (3, [0, 1, 2, 2], [3, 0], [1.0, 1.0], "column index out of range"),
+        (3, [0, 1, 2, 2], [2, -2**63], [1.0, 1.0], "column index out of range"),
+        (0, [0], [], [], "matrix order must be positive"),
+        (3, [0, 1, 2], [0, 1], [1.0, 1.0], "indptr must have length n \\+ 1"),
+        (3, [0, 1, 2, 3], [0, 1, 2], [1.0, 1.0], "indices and data must have equal length"),
+    ], ids=["decreasing-indptr", "negative-column", "column-past-end", "most-negative-column",
+            "order-zero", "short-indptr", "data-shorter-than-indices"])
+    def test_malformed_csr_rejected(self, n, indptr, indices, data, message):
         with pytest.raises(linalg.LinalgError, match=f"^{message}$"):
-            SparseMatrix(3, indptr, indices, [1.0, 1.0])
+            SparseMatrix(n, indptr, indices, data)
 
     def test_non_finite_values_rejected(self):
         with pytest.raises(NonFiniteError):
@@ -201,6 +206,16 @@ class TestSparseMatrix:
     def test_from_coo_column_index_out_of_range(self):
         with pytest.raises(linalg.LinalgError, match="^column index out of range$"):
             SparseMatrix.from_coo(2, [0], [2], [1.0])
+
+    @pytest.mark.parametrize("rows, cols, vals, message", [
+        ([0, 1], [0], [1.0, 1.0], "coordinate arrays must have equal length"),
+        ([0], [0], [1.0, 2.0], "coordinate arrays must have equal length"),
+        ([2], [0], [1.0], "row index out of range"),
+        ([-1], [0], [1.0], "row index out of range"),
+    ], ids=["short-cols", "long-vals", "row-past-end", "negative-row"])
+    def test_malformed_coo_rejected(self, rows, cols, vals, message):
+        with pytest.raises(linalg.LinalgError, match=f"^{message}$"):
+            SparseMatrix.from_coo(2, rows, cols, vals)
 
     def test_from_dense_rejects_non_square(self):
         with pytest.raises(DimensionError):

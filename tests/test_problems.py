@@ -10,6 +10,7 @@ from lanswitch.linalg import DimensionError, SparseMatrix, norm2
 from lanswitch.problems import (
     BaheuxSpec,
     MatrixMarketError,
+    ProblemInstance,
     gen_baheux,
     read_matrix_market,
     write_matrix_market,
@@ -126,6 +127,12 @@ class TestBaheuxGenerator:
             assert_allclose(inst.A.matvec_t(v), inst.A.matvec(v), atol=1e-14)
 
 
+class TestProblemInstance:
+    def test_rejects_a_right_hand_side_of_the_wrong_length(self):
+        with pytest.raises(DimensionError, match="^right-hand side length must match"):
+            ProblemInstance(A=identity(3), b=np.ones(2))
+
+
 class TestMatrixMarket:
     def test_identity_roundtrip(self, tmp_path):
         path = tmp_path / "eye.mtx"
@@ -182,6 +189,20 @@ class TestMatrixMarket:
     def test_unparsable_field_names_its_line(self, tmp_path, body, message):
         path = tmp_path / "bad.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n" + body)
+        with pytest.raises(MatrixMarketError, match=f"^{re.escape(message)}$"):
+            read_matrix_market(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n4.0\n",
+         "only coordinate format supported, got 'array'"),
+        ("%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n1 1 1.0\n",
+         "only general/symmetric supported, got 'hermitian'"),
+        ("%%MatrixMarket matrix coordinate real general\n% no size line\n\n",
+         "missing size line"),
+    ], ids=["array-format", "hermitian", "no-size-line"])
+    def test_unsupported_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
         with pytest.raises(MatrixMarketError, match=f"^{re.escape(message)}$"):
             read_matrix_market(str(path))
 

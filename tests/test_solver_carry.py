@@ -42,23 +42,39 @@ def systems():
 SYSTEMS = list(systems())
 
 
-def assert_carry_coherent(st, y_prev):
-    # y_prev: the shadow vector of the state's previous step.
-    A = st.A
+def shadow_chain(A, y0):
+    """y_j = (A.T)^j y_0 as a function of j, each vector made once by matvec_t."""
+    chain = [np.array(y0, dtype=np.float64)]
+
+    def y(j):
+        while len(chain) <= j:
+            chain.append(A.matvec_t(chain[-1]))
+        return chain[j]
+
+    return y
+
+
+def assert_carry_coherent(st, shadow):
+    # shadow(j): y_j, the shadow chain of the state's y_0.
+    A, k = st.A, st.k
     assert st.r_norm == norm2(st.r)
-    if st.algo is AlgoId.A4 and st.k > 0:
-        assert st.yr_prev == dot(y_prev, st.r_prev)
-        assert st.yr_prev_scale == norm2(y_prev) * norm2(st.r_prev)
-    elif st.algo is AlgoId.A12:
-        r1, r2, r3 = st.rs
-        ykm3, ykm2, ykm1, yk = st.ys
+    if st.algo is AlgoId.A12:
+        # The steps index r as r_{k-1}, so y is y_{k+1} in the state's k,
+        # ys holds (y_{k-1}, y_k), and y_{k-3} of the steps is y_{k-2} here.
+        r2, r3 = st.rs
+        assert st.y.tobytes() == shadow(k + 1).tobytes()
+        assert [y.tobytes() for y in st.ys] == [shadow(k - 1).tobytes(), shadow(k).tobytes()]
+        # The histories hold older entries only, never the live r or x.
+        assert all(v is not st.r for v in st.rs) and all(v is not st.x for v in st.xs)
         assert st.Ar3.tobytes() == A.matvec(r3).tobytes()
-        assert st.r_norms == [norm2(r1), norm2(r2), norm2(r3)]
-        assert st.y3_norm == norm2(ykm3)
-        assert st.a_carry == (dot(ykm3, r3), dot(ykm2, r3), dot(ykm1, r3), dot(yk, r3))
-    elif st.algo is AlgoId.A5B10:
-        # The look-ahead the next step's y_k comes from.
-        assert st.y_next.tobytes() == A.matvec_t(st.y).tobytes()
+        assert st.r_norms == (norm2(r2), norm2(r3))
+        assert st.y3_norm == norm2(shadow(k - 2))
+        assert st.a_carry == tuple(dot(shadow(j), r3) for j in range(k - 2, k + 2))
+        return
+    assert st.y.tobytes() == shadow(k).tobytes()
+    if st.algo is AlgoId.A4 and k > 0:
+        assert st.yr_prev == dot(shadow(k - 1), st.r_prev)
+        assert st.yr_prev_scale == norm2(shadow(k - 1)) * norm2(st.r_prev)
     elif st.algo is AlgoId.A8B10:
         assert st.yr == dot(st.y, st.r)
 
@@ -67,16 +83,40 @@ def assert_carry_coherent(st, y_prev):
 @pytest.mark.parametrize("name, A, b", SYSTEMS, ids=[s[0] for s in SYSTEMS])
 def test_carried_values_match_recomputation(algo, name, A, b):
     st = init(algo, A, b, np.zeros(A.nrows), b, CFG)
+    shadow = shadow_chain(A, b)
     live = 0
-    y_prev = None
     while st.outcome.kind is OutcomeKind.CONTINUE and live < STEPS:
-        assert_carry_coherent(st, y_prev)
-        y_prev = st.y
+        assert_carry_coherent(st, shadow)
         st.step()
         live += 1
     if st.outcome.kind is OutcomeKind.CONTINUE:
-        assert_carry_coherent(st, y_prev)
+        assert_carry_coherent(st, shadow)
     assert live > 0
+
+
+CONTRACT_SYSTEMS = [SYSTEMS[1], SYSTEMS[2]]
+
+
+@pytest.mark.parametrize("algo", list(AlgoId))
+@pytest.mark.parametrize("name, A, b", CONTRACT_SYSTEMS, ids=[s[0] for s in CONTRACT_SYSTEMS])
+def test_state_y_is_the_next_steps_shadow_operand(monkeypatch, algo, name, A, b):
+    # On a live state, y is the very array the next step hands
+    # SparseMatrix.products as w; a step that breaks down before its
+    # products call makes none.
+    st = init(algo, A, b, np.zeros(A.nrows), b, CFG)
+    operands = []
+    products = SparseMatrix.products
+    monkeypatch.setattr(SparseMatrix, "products",
+                        lambda self, v, w: operands.append(w) or products(self, v, w))
+    live = 0
+    while st.outcome.kind is OutcomeKind.CONTINUE and live < STEPS:
+        y = st.y
+        operands.clear()
+        if st.step().kind is OutcomeKind.CONTINUE:
+            live += 1
+            assert len(operands) == 1
+        assert all(w is y for w in operands) and len(operands) <= 1
+    assert live >= 5
 
 
 # Kernel calls of one main-loop step that continues, (matvec, matvec_t,

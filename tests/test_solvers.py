@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lanswitch import solvers
 from lanswitch.harness import PAPER_DELTAS, PAPER_TOL, SOLO_BUDGET_PER_N
 from lanswitch.linalg import NonFiniteError, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
@@ -487,6 +488,49 @@ class TestBreakdownHonesty:
                 out = st.step()
                 assert np.all(np.isfinite(st.x)) and np.all(np.isfinite(st.r))
             assert out.kind in (OutcomeKind.BREAKDOWN, OutcomeKind.CONVERGED)
+
+
+def _a8b10_first_step_with_yr(monkeypatch, yr_of):
+    """A8/B10's first step with its (y_1, r_1) replaced by ``yr_of(den, C1)``.
+
+    On diag(1, 2, 3) with z_0 = r_0 = b = (1e3, 2e3, 3e3) and y_0 = 1e-20 b,
+    den = (y_0, A z_0) is about 3.6e-13 and C1 = 1 / A_1 is O(1), so a huge
+    (y_1, r_1) makes B1 = -C1 (y_1, r_1) / den huge. The report before the
+    step makes its preparation, so the step's one dot call is (y_1, r_1).
+    Returns the outcome, den, C1 and the (y_1, r_1) used.
+    """
+    A = from_dense(np.diag([1.0, 2.0, 3.0]))
+    b = np.array([1e3, 2e3, 3e3])
+    st = init(AlgoId.A8B10, A, b, np.zeros(3), 1e-20 * b, CFG)
+    report = {label: value for label, value, _ in denominator_report(st)}
+    den, C1 = report["A8B10.A: (y_k,Az_k)"], 1.0 / report["A8B10.C1: A_{k+1}"]
+    yr = yr_of(den, C1)
+    monkeypatch.setattr(solvers, "dot", lambda u, v: yr)
+    outcome = st.step()
+    # The update was installed before B1: x_1 and r_1 are finite.
+    assert st.k == 1 and np.all(np.isfinite(st.x)) and np.all(np.isfinite(st.r))
+    return outcome, den, C1, yr
+
+
+class TestUpdateGuards:
+    """Guards that only a huge (y_{k+1}, r_{k+1}) reaches."""
+
+    def test_overflowing_quotient_breaks_down_at_its_guard(self, monkeypatch):
+        # C1 (y_1, r_1) is finite and den passes B1's guard, but their
+        # quotient overflows: the guard, not the z update, ends the step.
+        outcome, den, C1, yr = _a8b10_first_step_with_yr(monkeypatch, lambda den, C1: 1e300)
+        assert math.isfinite(C1 * yr) and not math.isfinite(C1 * yr / den)
+        assert outcome.kind is OutcomeKind.BREAKDOWN
+        assert outcome.label == "A8B10.B1: (y_k,Az_k)" and outcome.value == den
+
+    def test_overflowing_z_update_breaks_down(self, monkeypatch):
+        # |B1| is about 1e306, finite, but B1 z_0 overflows.
+        outcome, den, C1, yr = _a8b10_first_step_with_yr(
+            monkeypatch, lambda den, C1: 1e306 * abs(den / C1))
+        B1 = -(C1 * yr) / den
+        assert math.isfinite(B1) and not math.isfinite(B1 * 1e3)
+        assert outcome.kind is OutcomeKind.BREAKDOWN
+        assert outcome.label == "A8B10.nonfinite: z update" and math.isnan(outcome.value)
 
 
 class TestDiagnostics:

@@ -27,6 +27,8 @@ from lanswitch.switching import (
     SelectionPolicy,
     SwitchPlan,
     run_switching,
+    SwitchEvent,
+    SwitchTrace,
     select_next,
 )
 from oracles import as_vector, from_dense, norm_inf
@@ -238,6 +240,14 @@ class TestRunSwitching:
         assert len(set(iters)) == len(iters)
         assert rec.iterations <= plan.global_budget
         assert trace.events[-1].kind in (EventKind.CONVERGED, EventKind.EXHAUSTED)
+
+    @pytest.mark.parametrize("at", [5, 4])
+    def test_trace_rejects_an_event_that_is_not_later(self, at):
+        trace = SwitchTrace()
+        trace.append(SwitchEvent(EventKind.RESTART, 5, AlgoId.A4, AlgoId.A4, 1.0))
+        with pytest.raises(ValueError, match="^event iterations must strictly increase$"):
+            trace.append(SwitchEvent(EventKind.CONVERGED, at, AlgoId.A4, AlgoId.A4, 0.0))
+        assert len(trace.events) == 1
 
     def test_handoff_continuity(self, monkeypatch):
         # Every handoff after the start seeds the incoming algorithm's shadow

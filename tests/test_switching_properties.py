@@ -77,26 +77,30 @@ def test_run_switching_invariants(case):
 MONITOR_THRESHOLDS = (1e-3, 1e-8, 1e9)
 
 
-def guard_scales(state, previous_yr_scale):
+def guard_scales(state, previous_yr_scale, y_oldest):
     """The scale of each scalar-product guard of the next step, by label,
-    recomputed from the state (lazily: a product may overflow)."""
+    recomputed from the state (lazily: a product may overflow).
+
+    The walk keeps what the state no longer holds: ``previous_yr_scale``,
+    A4's (y_k, r_k) scale of the step before, and ``y_oldest``, A12's
+    y_{k-3}."""
     A = state.A
     if state.algo is AlgoId.A4:
         return {"A4.B: (y_k,r_k)": lambda: norm2(state.y) * state.r_norm,
                 "A4.E: (y_{k-1},r_{k-1})": lambda: previous_yr_scale}
     if state.algo is AlgoId.A12:
-        return {"A12.a13": lambda: norm2(state.ys[0]) * state.r_norms[2],
-                "A12.a22": lambda: norm2(state.ys[1]) * state.r_norms[1]}
+        return {"A12.a13": lambda: norm2(y_oldest) * state.r_norms[1],
+                "A12.a22": lambda: norm2(state.ys[0]) * state.r_norms[0]}
     if state.algo is AlgoId.A8B10:
         return {"A8B10.A: (y_k,Az_k)": lambda: norm2(state.y) * norm2(A.matvec(state.z))}
 
     def a5b10_a():
-        y_k = state.y_next
+        y_k = state.y
         D = -(dot(y_k, state.r) / (state.C1 * dot(y_k, state.p)))
         return norm2(y_k) * norm2(A.matvec(state.r + (D * state.C1) * state.p))
 
     return {"A5B10.D: C1*(y_k,p_{k-1})":
-            lambda: abs(state.C1) * norm2(state.y_next) * norm2(state.p),
+            lambda: abs(state.C1) * norm2(state.y) * norm2(state.p),
             "A5B10.A: (y_k,Ap_k)": a5b10_a}
 
 
@@ -124,10 +128,11 @@ def test_st3_fires_exactly_when_an_entry_is_small_for_its_scale(walk):
     # |value| < t * scale.
     algo, A, b, y = walk
     state = init(algo, A, b, np.zeros(A.nrows), y, SolverConfig(tol=1e-13, max_iters=60))
-    previous_yr_scale = None
+    # A12's y_{k-3} at its first step is y_0.
+    previous_yr_scale, y_oldest = None, y
     while state.outcome.kind is OutcomeKind.CONTINUE:
         report = denominator_report(state)
-        expected = guard_scales(state, previous_yr_scale)
+        expected = guard_scales(state, previous_yr_scale, y_oldest)
         for label, value, scale in report:
             if label in expected:
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -144,4 +149,6 @@ def test_st3_fires_exactly_when_an_entry_is_small_for_its_scale(walk):
         if algo is AlgoId.A4:
             previous_yr_scale = {label: scale for label, _, scale in report}.get(
                 "A4.B: (y_k,r_k)")
+        elif algo is AlgoId.A12:
+            y_oldest = state.ys[0]
         state.step()

@@ -36,10 +36,11 @@ import re
 import statistics
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(ROOT, "README.md")
 sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from lanswitch.harness import (  # noqa: E402
     DEFAULT_SEED,
@@ -48,9 +49,10 @@ from lanswitch.harness import (  # noqa: E402
     paper_instances,
     run_grid,
 )
+from lanswitch.linalg import SparseMatrix  # noqa: E402
+from lanswitch.problems import ProblemInstance  # noqa: E402
 from lanswitch.solvers import AlgoId  # noqa: E402
 from lanswitch.switching import ST1, ST2, ST3  # noqa: E402
-from random_systems import convection_diffusion  # noqa: E402
 
 SOLO = tuple(AlgoId)
 CYCLES = (5, 10, 20, 30, 40, 60)
@@ -60,6 +62,29 @@ SWEEP_SEEDS = (DEFAULT_SEED, 7, 101, 2024)
 # each (beta, gamma), b = A 1.
 CD_SIZES = (10, 20, 30)
 CD_PARAMS = ((0.5, 0.5), (2.0, 0.0), (5.0, 5.0), (0.9, 3.0))
+
+
+def convection_diffusion(m, beta, gamma):
+    """The 5-point convection-diffusion operator of an m x m grid, b = A 1.
+
+    Node (i, j) is unknown i m + j. Its row holds 4 on the diagonal,
+    -1 - beta and -1 + beta for its left and right neighbours (j - 1 and
+    j + 1), and -1 - gamma and -1 + gamma for those below and above (i - 1
+    and i + 1); a neighbour outside the grid is dropped. Saad, *Iterative
+    Methods for Sparse Linear Systems*, 2nd ed., ch. 2.
+    """
+    i, j = np.divmod(np.arange(m * m), m)
+    rows, cols, vals = [], [], []
+    for di, dj, value in ((0, 0, 4.0), (0, -1, -1.0 - beta), (0, 1, -1.0 + beta),
+                          (-1, 0, -1.0 - gamma), (1, 0, -1.0 + gamma)):
+        ni, nj = i + di, j + dj
+        inside = (ni >= 0) & (ni < m) & (nj >= 0) & (nj < m)
+        rows.append(np.flatnonzero(inside))
+        cols.append((ni * m + nj)[inside])
+        vals.append(np.full(rows[-1].size, value))
+    A = SparseMatrix.from_coo(m * m, np.concatenate(rows), np.concatenate(cols),
+                              np.concatenate(vals))
+    return ProblemInstance(A=A, b=A.matvec(np.ones(m * m)))
 
 
 def second_family_instances():
