@@ -100,7 +100,7 @@ class SwitchTemplate:
         The ST1 rule saves iterations. On the paper grid (``run_grid`` on
         ``paper_instances()``), ST1 converges on every cell from either
         start, in 7,298 iterations in all for A4 + A8/B10 started with A8/B10
-        against 7,751 started with A4, and in 7,117 for A5/B10 + A8/B10
+        against 7,665 started with A4, and in 7,117 for A5/B10 + A8/B10
         against 7,307 started with A5/B10 (the README's ST1 table).
         """
         if self.start is not None:

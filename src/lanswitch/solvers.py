@@ -108,14 +108,12 @@ class AlgoId(enum.Enum):
 # times its natural magnitude: the product has lost essentially all its
 # significant digits to cancellation.
 BREAKDOWN_EPS = 1e-12
-# The guard of the 1/(B+E)-type normalization denominators. The cancellation
-# there equals the roundoff amplification of the whole update, so losing
-# three orders is treated as a (near-)non-existent polynomial.
+# The guard of the 1/(B+E)-type normalization denominators, relative to the
+# larger magnitude of the two terms. The cancellation there equals the
+# roundoff amplification of the whole update, so losing three orders is
+# treated as a (near-)non-existent polynomial. No guard compares with an
+# absolute constant but the closing C1 guards, whose scale is 1.
 NORMALIZATION_EPS = 1e-3
-# The bound on the multi-term update coefficients of A4 and A12: an exploding
-# coefficient is the floating-point face of a vanishing Hankel determinant.
-# The coupled two-term recurrences do not need it.
-COEFF_LIMIT = 1e5
 
 
 def _check_int(name: str, value) -> int:
@@ -293,18 +291,16 @@ class SolverState:
         return False
 
     def _div(self, num: float, den: float, label: str, scale: float,
-             eps: float = BREAKDOWN_EPS, cap: Optional[float] = None) -> float:
+             eps: float = BREAKDOWN_EPS) -> float:
         """Divide with the vanishing guard; breakdown instead of blowup.
 
         ``scale`` is the natural magnitude of the denominator expression; a
-        denominator at or below eps * scale has cancelled to noise. ``cap``,
-        if given, additionally rejects quotients whose magnitude would exceed
-        it. The guard enters the ledger, with its scale, before it is checked.
+        denominator at or below eps * scale has cancelled to noise, and a
+        quotient that overflows is a breakdown too. The guard enters the
+        ledger, with its scale, before it is checked.
         """
         self._ledger.append((label, den, scale))
         if not math.isfinite(den) or abs(den) <= eps * scale:
-            raise _Breakdown(label, den)
-        if cap is not None and abs(den) * cap <= abs(num):
             raise _Breakdown(label, den)
         q = num / den
         if not math.isfinite(q):
@@ -466,16 +462,15 @@ class _A4State(SolverState):
         if self.k == 0:
             E = 0.0
         else:
-            E = -self._div(yr, self.yr_prev, "A4.E: (y_{k-1},r_{k-1})",
-                           self.yr_prev_scale, cap=COEFF_LIMIT)
+            E = -self._div(yr, self.yr_prev, "A4.E: (y_{k-1},r_{k-1})", self.yr_prev_scale)
         Ar, y_next = self.A.products(self.r, self.y)
         # The bracket must cancel the order-k moment of the combination, so
         # the E term enters with a plus sign (the recurrence terminates in n
         # exact steps only with this orientation).
         num_B = dot(self.y, Ar) + E * dot(self.y, self.r_prev)
         yr_scale = norm2(self.y) * self.r_norm
-        B = -self._div(num_B, yr, "A4.B: (y_k,r_k)", yr_scale, cap=COEFF_LIMIT)
-        A_next = self._div(1.0, B + E, "A4.A: B+E", max(1.0, abs(B), abs(E)),
+        B = -self._div(num_B, yr, "A4.B: (y_k,r_k)", yr_scale)
+        A_next = self._div(1.0, B + E, "A4.A: B+E", max(abs(B), abs(E)),
                            eps=NORMALIZATION_EPS)
         return E, B, A_next, Ar, y_next, yr, yr_scale
 
@@ -514,7 +509,7 @@ class _A12State(SolverState):
         c3 = dot(y, p2)
 
         y_norm = norm2(y)
-        step1 = self._div(c0, c1, "A12.c1", y_norm * norm2(p), cap=COEFF_LIMIT)
+        step1 = self._div(c0, c1, "A12.c1", y_norm * norm2(p))
         r1 = r0 - step1 * p
         x1 = x0 + step1 * r0
         if self._accept(x1, r1, "prologue x/r update"):
@@ -524,10 +519,8 @@ class _A12State(SolverState):
         delta = c1 * c3 - c2 * c2
         num_alpha = c0 * c3 - c1 * c2
         num_beta = c0 * c2 - c1 * c1
-        alpha = self._div(num_alpha, delta, "A12.delta: c1*c3-c2^2",
-                          abs(c1 * c3) + c2 * c2, cap=COEFF_LIMIT)
-        beta = self._div(num_beta, delta, "A12.delta: c1*c3-c2^2",
-                         abs(c1 * c3) + c2 * c2, cap=COEFF_LIMIT)
+        alpha = self._div(num_alpha, delta, "A12.delta: c1*c3-c2^2", abs(c1 * c3) + c2 * c2)
+        beta = self._div(num_beta, delta, "A12.delta: c1*c3-c2^2", abs(c1 * c3) + c2 * c2)
         r2 = r0 - alpha * p + beta * p1
         x2 = x0 + alpha * r0 - beta * p
         if self._accept(x2, r2, "prologue x/r update"):
@@ -568,7 +561,7 @@ class _A12State(SolverState):
         a22 = a11
         a32 = a21
         a13_scale = self.y3_norm * self.r_norms[1]
-        F = -self._div(a11, a13, "A12.a13", a13_scale, cap=COEFF_LIMIT)
+        F = -self._div(a11, a13, "A12.a13", a13_scale)
         b1 = -a21 - a23 * F
         b2 = -a31 - a33 * F
         b3 = -s - t * F
@@ -577,13 +570,12 @@ class _A12State(SolverState):
         delta_scale = (abs(a11) * (abs(a22 * a33) + abs(a32 * a23))
                        + abs(a13) * (abs(a21 * a32) + abs(a31 * a22)))
         num_B = b1 * minor + a13 * (b2 * a32 - b3 * a22)
-        B = self._div(num_B, Delta, "A12.Delta_k", delta_scale, cap=COEFF_LIMIT)
-        G = self._div(b1 - a11 * B, a13, "A12.a13", a13_scale, cap=COEFF_LIMIT)
+        B = self._div(num_B, Delta, "A12.Delta_k", delta_scale)
+        G = self._div(b1 - a11 * B, a13, "A12.a13", a13_scale)
         y2_norm = norm2(ykm2)
-        C = self._div(b2 - a21 * B - a23 * G, a22, "A12.a22",
-                      y2_norm * self.r_norms[0], cap=COEFF_LIMIT)
+        C = self._div(b2 - a21 * B - a23 * G, a22, "A12.a22", y2_norm * self.r_norms[0])
         S = C + G
-        Ak = self._div(1.0, S, "A12.Ak: C_k+G_k", max(1.0, abs(C), abs(G)),
+        Ak = self._div(1.0, S, "A12.Ak: C_k+G_k", max(abs(C), abs(G)),
                        eps=NORMALIZATION_EPS)
         return q1, y_new, F, B, G, C, Ak, (a11, a21, a31, s), y2_norm
 
@@ -670,7 +662,9 @@ class _A5B10State(SolverState):
         self.y, self.p = y_next, p_k
         if self._accept(x_next, r_next):
             return
-        # A_k is an O(1) normalized coefficient, so its guard is absolute.
+        # Absolute, as A8/B10's C1 guard is: A_k carries the units of 1/A, so
+        # this guard depends on the scale of A. It stays because most of
+        # criterion 5's degenerate-shadow runs of A5/B10 break down here.
         self.C1 = self._div(self.C1, self.A_prev, "A5B10.C1: A_k", 1.0)
         self.A_prev = A_next
 

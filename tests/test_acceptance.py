@@ -11,11 +11,15 @@ import paper_report as report
 from lanswitch.harness import (
     DEFAULT_SEED,
     PAPER_COMBOS,
+    PAPER_DELTAS,
     PAPER_TOL,
+    derive_seed,
     paper_instances,
+    run_cell,
     run_grid,
 )
-from lanswitch.linalg import norm2
+from lanswitch.linalg import SparseMatrix, norm2
+from lanswitch.problems import BaheuxSpec, ProblemInstance, gen_baheux
 from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, init, run
 from lanswitch.switching import (ST1, ST2, ST3, CoinToss, SelectionPolicy, SwitchPlan,
                                  run_switching)
@@ -111,6 +115,39 @@ def test_criterion_1_st3_switching_convergence(grid, instances):
     a denominator the next step divides by is small for its guard's scale."""
     _assert_pairings_converge("criterion 1, ST3 (switching convergence)", "ST3", grid,
                               instances)
+
+
+# Scaling A, b and tol by 2^s is exact in binary floating point, and every
+# guard but the closing C1 guards compares its denominator with the scale
+# of its own expression. ST3 is held to this at |s| <= 20 only: its monitor
+# reads the C1 entries at the absolute scale 1, where A_k, in the units of
+# 1/A, looks small at 2^30, and three of the 48 cells end Exhausted there.
+SCALED_STRATEGIES = ([(ST1(), s) for s in (-30, -20, 20, 30)]
+                     + [(ST2(20), s) for s in (-30, -20, 20, 30)]
+                     + [(ST3(), s) for s in (-20, 20)])
+
+
+@pytest.mark.parametrize("strategy, s", SCALED_STRATEGIES,
+                         ids=[f"{type(strategy).__name__}-2^{s}"
+                              for strategy, s in SCALED_STRATEGIES])
+def test_criterion_1_holds_at_every_binary_scale(strategy, s):
+    """Every pairing converges on the paper grid's n = 20, 40 and 60 cells
+    with A, b and tol scaled by 2^s, at the harness's budgets and seeds."""
+    factor = 2.0 ** s
+    failed = []
+    for delta in PAPER_DELTAS:
+        for n in (20, 40, 60):
+            inst = gen_baheux(BaheuxSpec(n=n, delta=delta))
+            A = inst.A
+            scaled = ProblemInstance(SparseMatrix(n, A.indptr, A.indices, A.data * factor),
+                                     inst.b * factor)
+            # Numbered as run_grid numbers the four pairings.
+            for position, combo in enumerate(report.pairings(strategy)):
+                rec, _ = run_cell(scaled, combo, derive_seed(DEFAULT_SEED, position),
+                                  tol=PAPER_TOL * factor)
+                if rec.outcome != "Converged":
+                    failed.append((delta, n, position, rec.outcome))
+    assert not failed, failed
 
 
 def test_criterion_2_solo_fragility(grid, instances):

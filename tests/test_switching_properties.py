@@ -23,10 +23,8 @@ from random_systems import KINDS, random_system
 
 
 @st.composite
-def cases(draw):
-    A, b = random_system(draw(st.sampled_from(KINDS)), draw(st.integers(2, 24)),
-                         draw(st.integers(0, 2**32 - 1)))
-    n = A.nrows
+def plans(draw):
+    """A random plan: pool, coin toss, strategy, budgets, start and tolerance."""
     pool = tuple(draw(st.permutations(list(AlgoId)))[:draw(st.integers(1, 4))])
     mode = draw(st.builds(CoinToss, st.integers(0, 2**31)))
     strategy = draw(st.one_of(
@@ -35,7 +33,7 @@ def cases(draw):
         st.builds(ST3, st.sampled_from([1e-8, 1e-3, 1e9])),
     ))
     budget = draw(st.integers(1, 1000))
-    plan = SwitchPlan(
+    return SwitchPlan(
         strategy=strategy,
         policy=SelectionPolicy(pool, mode),
         start=draw(st.sampled_from(pool)),
@@ -43,8 +41,21 @@ def cases(draw):
                          max_iters=draw(st.integers(1, budget))),
         global_budget=budget,
     )
-    y = b if draw(st.booleans()) else np.random.default_rng(n).standard_normal(n)
-    return A, b, y, plan
+
+
+@st.composite
+def shadows(draw, b):
+    """b itself, or a fixed Gaussian vector of its length."""
+    n = b.shape[0]
+    return b if draw(st.booleans()) else np.random.default_rng(n).standard_normal(n)
+
+
+@st.composite
+def cases(draw):
+    A, b = random_system(draw(st.sampled_from(KINDS)), draw(st.integers(2, 24)),
+                         draw(st.integers(0, 2**32 - 1)))
+    plan = draw(plans())
+    return A, b, draw(shadows(b)), plan
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -78,19 +89,43 @@ MONITOR_THRESHOLDS = (1e-3, 1e-8, 1e9)
 
 
 def guard_scales(state, previous_yr_scale, y_oldest):
-    """The scale of each scalar-product guard of the next step, by label,
-    recomputed from the state (lazily: a product may overflow).
+    """The scale of each guard of the next step but A12's Delta_k, by label,
+    recomputed from the state (lazily: a product may overflow). A
+    normalization guard's scale is the larger magnitude of its two terms.
 
     The walk keeps what the state no longer holds: ``previous_yr_scale``,
     A4's (y_k, r_k) scale of the step before, and ``y_oldest``, A12's
     y_{k-3}."""
     A = state.A
     if state.algo is AlgoId.A4:
+        def a4_a():
+            yr = dot(state.y, state.r)
+            E = 0.0 if state.k == 0 else -(yr / state.yr_prev)
+            B = -((dot(state.y, A.matvec(state.r)) + E * dot(state.y, state.r_prev)) / yr)
+            return max(abs(B), abs(E))
+
         return {"A4.B: (y_k,r_k)": lambda: norm2(state.y) * state.r_norm,
-                "A4.E: (y_{k-1},r_{k-1})": lambda: previous_yr_scale}
+                "A4.E: (y_{k-1},r_{k-1})": lambda: previous_yr_scale,
+                "A4.A: B+E": a4_a}
     if state.algo is AlgoId.A12:
+        def a12_ak():
+            # The a_ij table with a22 = a11 and a32 = a21 substituted.
+            r2 = state.rs[0]
+            a11, a21, a31 = (dot(v, r2) for v in (*state.ys, state.y))
+            s = dot(A.matvec_t(state.y), r2)
+            a13, a23, a33, t = state.a_carry
+            F = -(a11 / a13)
+            b1, b2, b3 = -a21 - a23 * F, -a31 - a33 * F, -s - t * F
+            minor = a11 * a33 - a21 * a23
+            Delta = a11 * minor + a13 * (a21 * a21 - a31 * a11)
+            B = (b1 * minor + a13 * (b2 * a21 - b3 * a11)) / Delta
+            G = (b1 - a11 * B) / a13
+            C = (b2 - a21 * B - a23 * G) / a11
+            return max(abs(C), abs(G))
+
         return {"A12.a13": lambda: norm2(y_oldest) * state.r_norms[1],
-                "A12.a22": lambda: norm2(state.ys[0]) * state.r_norms[0]}
+                "A12.a22": lambda: norm2(state.ys[0]) * state.r_norms[0],
+                "A12.Ak: C_k+G_k": a12_ak}
     if state.algo is AlgoId.A8B10:
         return {"A8B10.A: (y_k,Az_k)": lambda: norm2(state.y) * norm2(A.matvec(state.z))}
 
@@ -105,14 +140,19 @@ def guard_scales(state, previous_yr_scale, y_oldest):
 
 
 @st.composite
-def live_walks(draw):
+def systems(draw):
+    """A paper cell at n = 20, 40 or 60, or a random system of order <= 24."""
     kind = draw(st.sampled_from(("paper",) + KINDS))
     if kind == "paper":
         inst = gen_baheux(BaheuxSpec(n=draw(st.sampled_from((20, 40, 60))),
                                      delta=draw(st.sampled_from(PAPER_DELTAS))))
-        A, b = inst.A, inst.b
-    else:
-        A, b = random_system(kind, draw(st.integers(2, 24)), draw(st.integers(0, 2**32 - 1)))
+        return inst.A, inst.b
+    return random_system(kind, draw(st.integers(2, 24)), draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def live_walks(draw):
+    A, b = draw(systems())
     # A shadow vector near 1e150 makes the shadow chain overflow a few
     # steps in, so the report ends in its nonfinite entry.
     y = b * draw(st.sampled_from((1.0, 1e150)))
@@ -139,8 +179,6 @@ def test_st3_fires_exactly_when_an_entry_is_small_for_its_scale(walk):
                     assert scale == expected[label](), label
             elif label.startswith((f"{algo}.C1", f"{algo}.nonfinite")):
                 assert scale == 1.0, label
-            elif label in ("A4.A: B+E", "A12.Ak: C_k+G_k"):
-                assert scale >= 1.0, label
             else:
                 assert label == "A12.Delta_k" and scale >= 0.0, label
         for t in MONITOR_THRESHOLDS:
@@ -152,3 +190,30 @@ def test_st3_fires_exactly_when_an_entry_is_small_for_its_scale(walk):
         elif algo is AlgoId.A12:
             y_oldest = state.ys[0]
         state.step()
+
+
+SHADOW_EXPONENTS = (-200, -40, -1, 1, 40, 200)
+
+
+@st.composite
+def shadow_cases(draw):
+    """A system, a shadow vector, a plan, and an exponent t of +-1, +-40 or
+    +-200 (the scaled shadow chains of these runs stay finite)."""
+    A, b = draw(systems())
+    return A, b, draw(shadows(b)), draw(plans()), draw(st.sampled_from(SHADOW_EXPONENTS))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(shadow_cases())
+def test_the_shadow_vectors_scale_changes_nothing(case):
+    # Every quantity the solvers form from y_0 = 2^t y is 2^t times the one
+    # formed from y, exactly, and every guard that reads one compares it with
+    # a scale that carries the same 2^t: the run is the same, bit for bit.
+    A, b, y, plan, t = case
+    x0 = np.zeros(A.nrows)
+    rec, trace = run_switching(A, b, x0, y, plan)
+    rec2, trace2 = run_switching(A, b, x0, y * 2.0 ** t, plan)
+    assert trace2.events == trace.events
+    assert rec2.iterations == rec.iterations
+    assert rec2.x.tobytes() == rec.x.tobytes()
