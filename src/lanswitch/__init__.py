@@ -44,7 +44,6 @@ from .switching import (
 from .harness import (
     DEFAULT_SEED,
     PAPER_COMBOS,
-    ExperimentConfig,
     SwitchTemplate,
     emit_table,
     run_experiment,

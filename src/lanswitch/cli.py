@@ -3,20 +3,22 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from typing import List, Optional
+from dataclasses import replace
+from typing import List, Optional, Tuple, Union
 
 from .harness import (
     DEFAULT_SEED,
     SOLO_BUDGET_PER_N,
     SWITCH_BUDGET_PER_N,
-    ExperimentConfig,
+    Combo,
     SwitchTemplate,
     emit_table,
     run_experiment,
 )
-from .problems import BaheuxSpec
+from .problems import BaheuxSpec, gen_baheux, read_matrix_market
 from .solvers import AlgoId, SolverConfig
 from .switching import ST1, ST2, ST3
 
@@ -42,7 +44,7 @@ def _build_parser() -> _Parser:
                    help="skew of the generated problem")
     p.add_argument("--solo", default=None,
                    help="comma list of algorithms to run individually "
-                        "(a4, a12, a5b10, a8b10)")
+                        f"({', '.join(a.value.lower() for a in AlgoId)})")
     p.add_argument("--switch", choices=["st1", "st2", "st3"], default=None,
                    help="switching strategy to run over --pool")
     p.add_argument("--pool", default=None, help="comma list of pool algorithms")
@@ -70,7 +72,8 @@ def _parse_algos(text: str) -> List[AlgoId]:
     return [AlgoId.parse(part) for part in text.split(",") if part.strip()]
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_from_args(args) -> Tuple[Union[BaheuxSpec, str], List[Combo]]:
+    """The problem (a spec or a MatrixMarket path) and the combos to run."""
     if args.problem == "baheux":
         problem = BaheuxSpec(n=args.n, delta=args.delta)
     elif args.problem.startswith("mm:"):
@@ -108,14 +111,7 @@ def _config_from_args(args) -> ExperimentConfig:
     if not combos:
         raise _UsageError("nothing to run: give --solo and/or --switch")
 
-    return ExperimentConfig(
-        problem=problem,
-        algorithms=tuple(combos),
-        tol=args.tol,
-        seed=args.seed,
-        budget=args.budget,
-        repeats=args.repeats,
-    )
+    return problem, combos
 
 
 def cli_main(argv: Optional[List[str]] = None) -> int:
@@ -127,7 +123,12 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
+        problem, combos = _config_from_args(args)
+        options = dict(seed=args.seed, tol=args.tol, budget=args.budget,
+                       repeats=args.repeats)
+        # No instances: the values are checked, before the problem is read,
+        # and nothing is solved.
+        run_experiment({}, combos, **options)
         if args.out:
             # Fail before any solve if the report cannot be written. Mode "a"
             # keeps an existing file as it is until the report is ready, and
@@ -141,7 +142,12 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         return 1
 
     try:
-        records = run_experiment(cfg)
+        if isinstance(problem, BaheuxSpec):
+            inst, delta = gen_baheux(problem), problem.delta
+        else:
+            inst, delta = read_matrix_market(problem), math.nan
+        records = [replace(record, delta=delta)
+                   for record in run_experiment({problem: inst}, combos, **options).values()]
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

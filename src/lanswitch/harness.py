@@ -1,16 +1,17 @@
-"""Experiment harness: the paper grid, configured runs, their timing and reports.
+"""Experiment harness: the paper grid, its runs, their timing and reports.
 
 A cell is one (problem, combo) pair. Solo cells run a single algorithm with
 an iteration budget; switching cells run a plan. A run's switching combos
 are numbered 0, 1, ... among themselves, in order, and cell i draws its
 coin-toss seed from the run's seed through numpy's SeedSequence spawn key
 (i,); solo cells draw none. So batches are reproducible, cells are
-independent, and adding solo combos to a run changes no switching cell.
+independent, a combo tosses the same coins on every problem, and adding
+solo combos to a run changes no switching cell.
 
 The paper grid is defined here once: its deltas, orders, pairings,
-tolerance, budgets per n and seed. ``run_grid`` runs combos on every
-instance of a family, as the acceptance criteria and the README's result
-tables do.
+tolerance, budgets per n and seed. ``run_experiment`` runs combos on every
+instance of a family, as the CLI, the acceptance criteria and the README's
+result tables do.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .problems import BaheuxSpec, ProblemInstance, gen_baheux, read_matrix_market
-from .linalg import NonFiniteError
+from .problems import BaheuxSpec, ProblemInstance, gen_baheux
+from .linalg import NonFiniteError, norm2
 from .solvers import AlgoId, OutcomeKind, SolverConfig, _check_count, init, run
 from .switching import (
     ST1,
@@ -47,10 +48,8 @@ __all__ = [
     "SOLO_BUDGET_PER_N",
     "SWITCH_BUDGET_PER_N",
     "SwitchTemplate",
-    "ExperimentConfig",
     "run_experiment",
     "run_cell",
-    "run_grid",
     "paper_instances",
     "emit_table",
     "derive_seed",
@@ -97,11 +96,11 @@ class SwitchTemplate:
         """``start`` if given; else A8/B10 for an ST1 pool that holds it; else
         the pool's first member.
 
-        The ST1 rule saves iterations. On the paper grid (``run_grid`` on
-        ``paper_instances()``), ST1 converges on every cell from either
-        start, in 7,298 iterations in all for A4 + A8/B10 started with A8/B10
-        against 7,665 started with A4, and in 7,117 for A5/B10 + A8/B10
-        against 7,307 started with A5/B10 (the README's ST1 table).
+        The ST1 rule saves iterations: on the paper grid, ST1 converges on
+        every cell from either start, and both pools that hold A8/B10 take
+        fewer iterations in all started with it than with their first
+        member. The README's ST1-start table, which
+        ``tools/paper_report.py`` prints, gives the totals.
         """
         if self.start is not None:
             return self.start
@@ -111,26 +110,6 @@ class SwitchTemplate:
 
 
 Combo = Union[AlgoId, SwitchTemplate]
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    problem: Union[BaheuxSpec, str]
-    algorithms: Tuple[Combo, ...]
-    tol: float = SolverConfig.tol
-    seed: int = DEFAULT_SEED
-    budget: Optional[int] = None
-    repeats: int = 1
-
-    def __post_init__(self):
-        _check_count("repeats", self.repeats)
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
-        if self.budget is not None:
-            _check_count("budget", self.budget)
-        _check_seed(self.seed)
-        if not self.algorithms:
-            raise ValueError("at least one algorithm or plan is required")
 
 
 def derive_seed(seed: int, cell_index: int) -> int:
@@ -153,10 +132,16 @@ def _solo_record(inst: ProblemInstance, algo: AlgoId, cfg: SolverConfig) -> RunR
     residual, iterations = math.inf, 0
     try:
         state = init(algo, inst.A, inst.b, x, inst.b, cfg)
-        # The state stops itself once it has used cfg.max_iters iterations:
-        # the step after the last one reports IterLimit.
-        outcome = run(state, cfg.max_iters + 1)[0].kind
-        x, iterations, residual = state.x, state.iters_used, state.r_norm
+        if state.iters_used > cfg.max_iters:
+            # The prologue alone overran the budget (A12's charges 3), so
+            # the run ends at x0 = 0, whose residual is b, as a switching
+            # handoff skips such a member.
+            outcome, residual = OutcomeKind.ITER_LIMIT, norm2(inst.b)
+        else:
+            # The state stops itself once it has used cfg.max_iters
+            # iterations: the step after the last one reports IterLimit.
+            outcome = run(state, cfg.max_iters + 1)[0].kind
+            x, iterations, residual = state.x, state.iters_used, state.r_norm
     except NonFiniteError:
         # b - A x0 or its norm overflowed: the run broke down, and its
         # residual reads inf, as a switching run's does.
@@ -199,21 +184,33 @@ def run_cell(inst: ProblemInstance, combo: Combo, seed: Optional[int],
     return record, time.perf_counter() - t0
 
 
-def run_experiment(cfg: ExperimentConfig) -> List[RunRecord]:
-    """One record per combo; timing is the median over ``repeats`` solves.
+def run_experiment(instances: Mapping[Hashable, ProblemInstance], combos: Sequence[Combo],
+                   seed: int = DEFAULT_SEED, tol: float = PAPER_TOL,
+                   budget: Optional[int] = None,
+                   repeats: int = 1) -> Dict[Tuple[Hashable, int], RunRecord]:
+    """Every combo on every instance; the records keyed (instance key, combo
+    position).
 
-    Problem generation is excluded from timing. Failures of individual runs
-    end up in their record's outcome; they never abort the batch.
+    Each record is the last of ``repeats`` solves of its cell and carries the
+    median of their wall seconds; building the problems is not timed. A
+    record's delta stays NaN. ``budget`` defaults to the combo's budget per n
+    times the order n. A bad seed, tol, budget or repeats raises ValueError
+    before any solve; a run that fails ends in its record's outcome and never
+    aborts the batch.
     """
-    if isinstance(cfg.problem, BaheuxSpec):
-        inst, delta = gen_baheux(cfg.problem), cfg.problem.delta
-    else:
-        inst, delta = read_matrix_market(cfg.problem), math.nan
-    records: List[RunRecord] = []
-    for combo, seed in zip(cfg.algorithms, _cell_seeds(cfg.algorithms, cfg.seed)):
-        runs = [run_cell(inst, combo, seed, cfg.tol, cfg.budget) for _ in range(cfg.repeats)]
-        records.append(replace(runs[-1][0], delta=delta,
-                               seconds=statistics.median(s for _, s in runs)))
+    _check_count("repeats", repeats)
+    SolverConfig(tol=tol)  # ValueError unless tol > 0
+    if budget is not None:
+        _check_count("budget", budget)
+    _check_seed(seed)
+    seeds = _cell_seeds(combos, seed)
+    records = {}
+    for key, inst in instances.items():
+        for position, combo in enumerate(combos):
+            runs = [run_cell(inst, combo, seeds[position], tol, budget)
+                    for _ in range(repeats)]
+            records[key, position] = replace(
+                runs[-1][0], seconds=statistics.median(s for _, s in runs))
     return records
 
 
@@ -221,20 +218,6 @@ def paper_instances() -> Dict[Tuple[float, int], ProblemInstance]:
     """The paper grid's 40 Baheux problems, keyed (delta, n)."""
     return {(delta, n): gen_baheux(BaheuxSpec(n=n, delta=delta))
             for delta in PAPER_DELTAS for n in PAPER_DIMS}
-
-
-def run_grid(instances: Mapping[Hashable, ProblemInstance], combos: Sequence[Combo],
-             seed: int = DEFAULT_SEED) -> Dict[Tuple[Hashable, int], RunRecord]:
-    """Every combo on every instance, at the paper grid's tolerance and budgets.
-
-    Returns the records keyed (instance key, combo position). Cells are
-    numbered as ``run_experiment`` numbers them, so a combo's coin toss is the
-    same on every instance. A record's delta and seconds stay NaN.
-    """
-    _check_seed(seed)
-    seeds = _cell_seeds(combos, seed)
-    return {(key, position): run_cell(inst, combo, seeds[position])[0]
-            for key, inst in instances.items() for position, combo in enumerate(combos)}
 
 
 # ---------------------------------------------------------------------------

@@ -320,8 +320,8 @@ class SolverState:
         """The next update's preparation, made at most once.
 
         A preparation that fails is kept as its Breakdown outcome;
-        ``denominator_report`` takes the preparation from here, and
-        ``_advance`` does what this does inline.
+        ``denominator_report`` and ``_advance`` take the preparation from
+        here.
         """
         if self._preparation is None:
             self._ledger = []
@@ -347,18 +347,12 @@ class SolverState:
 
     def _advance(self) -> None:
         """Apply the next update, prepared here unless a report prepared it."""
-        # _prepared inline, one frame less on every step: the step prepares
-        # without caching, and only a report's preparation is taken from the
-        # cache.
-        prepared = self._preparation
+        prepared = self._prepared()
         self._preparation = None
+        if isinstance(prepared, StepOutcome):
+            self.outcome = prepared
+            return
         try:
-            if prepared is None:
-                self._ledger = []
-                prepared = self._prepare()
-            elif isinstance(prepared, StepOutcome):
-                self.outcome = prepared
-                return
             self._update(*prepared)
         except _FAILURES as err:
             self.outcome = self._failure(err)

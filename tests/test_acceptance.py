@@ -13,10 +13,8 @@ from lanswitch.harness import (
     PAPER_COMBOS,
     PAPER_DELTAS,
     PAPER_TOL,
-    derive_seed,
     paper_instances,
-    run_cell,
-    run_grid,
+    run_experiment,
 )
 from lanswitch.linalg import SparseMatrix, norm2
 from lanswitch.problems import BaheuxSpec, ProblemInstance, gen_baheux
@@ -69,7 +67,7 @@ def grid(instances):
 
     def get(family, row):
         if (family, row) not in done:
-            done[family, row] = run_grid(instances[family], ROWS[family, row])
+            done[family, row] = run_experiment(instances[family], ROWS[family, row])
         return done[family, row]
 
     return get
@@ -134,19 +132,16 @@ def test_criterion_1_holds_at_every_binary_scale(strategy, s):
     """Every pairing converges on the paper grid's n = 20, 40 and 60 cells
     with A, b and tol scaled by 2^s, at the harness's budgets and seeds."""
     factor = 2.0 ** s
-    failed = []
+    scaled = {}
     for delta in PAPER_DELTAS:
         for n in (20, 40, 60):
             inst = gen_baheux(BaheuxSpec(n=n, delta=delta))
             A = inst.A
-            scaled = ProblemInstance(SparseMatrix(n, A.indptr, A.indices, A.data * factor),
-                                     inst.b * factor)
-            # Numbered as run_grid numbers the four pairings.
-            for position, combo in enumerate(report.pairings(strategy)):
-                rec, _ = run_cell(scaled, combo, derive_seed(DEFAULT_SEED, position),
-                                  tol=PAPER_TOL * factor)
-                if rec.outcome != "Converged":
-                    failed.append((delta, n, position, rec.outcome))
+            scaled[delta, n] = ProblemInstance(
+                SparseMatrix(n, A.indptr, A.indices, A.data * factor), inst.b * factor)
+    records = run_experiment(scaled, report.pairings(strategy), tol=PAPER_TOL * factor)
+    failed = [(key, position, rec.outcome) for (key, position), rec in records.items()
+              if rec.outcome != "Converged"]
     assert not failed, failed
 
 

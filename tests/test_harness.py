@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,51 +13,60 @@ from lanswitch import cli, harness
 from lanswitch.cli import _build_parser, cli_main
 from lanswitch.harness import (
     CSV_COLUMNS,
-    ExperimentConfig,
     PAPER_COMBOS,
     SwitchTemplate,
     derive_seed,
     emit_table,
     run_experiment,
-    run_grid,
 )
-from lanswitch.problems import BaheuxSpec, gen_baheux, write_matrix_market
+from lanswitch.linalg import norm2
+from lanswitch.problems import BaheuxSpec, gen_baheux, read_matrix_market, write_matrix_market
 from lanswitch.solvers import AlgoId, SolverConfig
 from lanswitch.switching import (ST1, ST2, ST3, CoinToss, RunRecord, SelectionPolicy,
                                  SwitchPlan)
 from oracles import from_dense
 
+PAPER_CELL = SwitchTemplate(ST2(20), PAPER_COMBOS[6])
 
-def make_cfg(**kw):
-    defaults = dict(
-        problem=BaheuxSpec(n=20, delta=0.0),
-        algorithms=(SwitchTemplate(ST2(20), PAPER_COMBOS[6]),),
-        seed=42,
-    )
-    defaults.update(kw)
-    return ExperimentConfig(**defaults)
+
+def run_on(problem=BaheuxSpec(n=20, delta=0.0), combos=(PAPER_CELL,), **kw):
+    """run_experiment on one problem, a spec or an instance; its records in
+    combo order."""
+    inst = gen_baheux(problem) if isinstance(problem, BaheuxSpec) else problem
+    return list(run_experiment({0: inst}, combos, **kw).values())
+
+
+def refuse_solves(monkeypatch):
+    """Make every cell solve fail the test."""
+    monkeypatch.setattr(harness, "run_cell", lambda *args: pytest.fail("solve ran"))
 
 
 class TestConfig:
-    def test_requires_algorithms(self):
-        with pytest.raises(ValueError):
-            make_cfg(algorithms=())
+    def test_requires_algorithms(self, capsys, monkeypatch):
+        # The runner takes no combos and returns no records; the CLI needs
+        # at least one, and says so before any solve.
+        assert run_experiment({0: gen_baheux(BaheuxSpec(n=20, delta=0.0))}, ()) == {}
+        refuse_solves(monkeypatch)
+        assert cli_main(["--n", "20"]) == 1
+        assert capsys.readouterr().err == "error: nothing to run: give --solo and/or --switch\n"
 
-    def test_requires_positive_repeats(self):
-        with pytest.raises(ValueError):
-            make_cfg(repeats=0)
+    def test_requires_positive_repeats(self, monkeypatch):
+        refuse_solves(monkeypatch)
+        with pytest.raises(ValueError, match="repeats must be at least 1"):
+            run_on(repeats=0)
 
-    def test_requires_positive_tol(self):
-        with pytest.raises(ValueError, match="tol"):
-            make_cfg(tol=0.0)
+    def test_requires_positive_tol(self, monkeypatch):
+        refuse_solves(monkeypatch)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            run_on(tol=0.0)
 
     @pytest.mark.parametrize("make", [
         lambda v: ST2(cycle_len=v),
         lambda v: SwitchPlan(ST2(), SelectionPolicy((AlgoId.A4,), CoinToss(0)), AlgoId.A4,
                              SolverConfig(), v),
         lambda v: SolverConfig(max_iters=v),
-        lambda v: make_cfg(budget=v),
-        lambda v: make_cfg(repeats=v),
+        lambda v: run_experiment({}, (), budget=v),
+        lambda v: run_experiment({}, (), repeats=v),
     ], ids=["cycle_len", "global_budget", "max_iters", "budget", "repeats"])
     def test_counts_must_be_integers(self, make):
         # A non-integer count used to pass validation, and then a switching
@@ -69,24 +79,25 @@ class TestConfig:
 
     @pytest.mark.parametrize("make", [
         lambda v: SelectionPolicy((AlgoId.A4, AlgoId.A12), CoinToss(v)),
-        lambda v: make_cfg(seed=v),
-        lambda v: run_grid({}, (), v),
+        lambda v: run_on(seed=v),
+        lambda v: run_experiment({}, (), v),
     ], ids=["coin_toss", "experiment", "grid"])
     @pytest.mark.parametrize("seed", [1.5, "3", -1])
     def test_seeds_must_be_non_negative_integers(self, make, seed):
         # A float or string seed used to pass, and a run then raised
-        # TypeError; CoinToss(-1) raised numpy's ValueError mid-run.
+        # TypeError; CoinToss(-1) raised numpy's ValueError mid-run. The
+        # runner checks the seed with a cell to solve and with none.
         with pytest.raises(ValueError, match="seed must be"):
             make(seed)
         make(np.int64(3))
 
     def test_combo_labels(self):
-        records = run_experiment(make_cfg(algorithms=(
+        records = run_on(combos=(
             AlgoId.A4,
             SwitchTemplate(ST2(20), (AlgoId.A4, AlgoId.A12)),
             SwitchTemplate(ST1(), (AlgoId.A5B10,)),
             SwitchTemplate(ST3(), (AlgoId.A4, AlgoId.A8B10)),
-        ), budget=40))
+        ), budget=40)
         assert [r.combo for r in records] == [
             "A4/solo", "A4+A12/ST2", "A5B10/ST1", "A4+A8B10/ST3"]
 
@@ -105,28 +116,24 @@ class TestConfig:
 
 class TestRunExperiment:
     def test_paper_anchor_table1_n20(self):
-        records = run_experiment(make_cfg())
+        records = run_on()
         (rec,) = records
         assert rec.outcome == "Converged"
         assert rec.residual <= 1e-13
         assert rec.n == 20
-        assert rec.delta == 0.0
+        assert math.isnan(rec.delta)
         assert rec.combo == "A4+A12/ST2"
         assert math.isfinite(rec.seconds)
 
     def test_solo_a4_baheux100_not_converged(self):
         # Recorded fixture: A4 alone breaks down well before 5n iterations.
-        cfg = make_cfg(problem=BaheuxSpec(n=100, delta=0.2),
-                       algorithms=(AlgoId.A4,))
-        (rec,) = run_experiment(cfg)
+        (rec,) = run_on(BaheuxSpec(n=100, delta=0.2), (AlgoId.A4,))
         assert rec.outcome == "Breakdown"
         assert rec.combo == "A4/solo"
 
     def test_all_four_solo_records(self):
         for n, budget in [(20, None), (100, 5)]:
-            cfg = make_cfg(problem=BaheuxSpec(n=n, delta=0.0),
-                           algorithms=tuple(AlgoId), budget=budget)
-            records = run_experiment(cfg)
+            records = run_on(BaheuxSpec(n=n, delta=0.0), tuple(AlgoId), budget=budget)
             assert [r.combo for r in records] == [
                 "A4/solo", "A12/solo", "A5B10/solo", "A8B10/solo"]
             for r in records:
@@ -134,14 +141,25 @@ class TestRunExperiment:
         # A run that spends its budget says so, however much of it the
         # prologue charged.
         assert [(r.outcome, r.iterations) for r in records] == [("IterLimit", 5)] * 4
+        # No run spends more than its budget. A12's prologue charges 3, so
+        # below that it ends at x0 = 0, whose residual is ||b||, as a
+        # switching handoff skips it.
+        inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))
+        b_norm = norm2(inst.b)
+        for budget in (1, 2, 3):
+            records = run_on(inst, tuple(AlgoId), budget=budget)
+            assert [(r.outcome, r.iterations) for r in records] == [
+                ("IterLimit", budget), ("IterLimit", 3 if budget == 3 else 0),
+                ("IterLimit", budget), ("IterLimit", budget)]
+            a12 = records[1]
+            if budget < 3:
+                assert a12.residual == b_norm
+                assert not a12.x.any()
 
     def test_batch_determinism(self):
-        cfg = make_cfg(problem=BaheuxSpec(n=60, delta=5.0),
-                       algorithms=(SwitchTemplate(ST2(20), PAPER_COMBOS[9]),
-                                   AlgoId.A8B10),
-                       seed=7)
-        rec1 = run_experiment(cfg)
-        rec2 = run_experiment(cfg)
+        combos = (SwitchTemplate(ST2(20), PAPER_COMBOS[9]), AlgoId.A8B10)
+        rec1 = run_on(BaheuxSpec(n=60, delta=5.0), combos, seed=7)
+        rec2 = run_on(BaheuxSpec(n=60, delta=5.0), combos, seed=7)
         for a, b in zip(rec1, rec2):
             assert a.outcome == b.outcome
             assert a.residual == b.residual
@@ -150,33 +168,43 @@ class TestRunExperiment:
             assert a.restarts == b.restarts
             assert np.array_equal(a.x, b.x)
 
-    def test_grid_numbers_cells_as_experiments_do(self):
-        # run_grid keys each record by (instance key, combo position), and
-        # its cells toss the coins run_experiment's do.
+    def test_cells_are_keyed_by_instance_and_combo_position(self):
+        # Each record is keyed (instance key, combo position), instances in
+        # order, and a cell does not depend on the other instances: a combo
+        # tosses the same coins on every problem.
         combos = (AlgoId.A4, SwitchTemplate(ST2(20), PAPER_COMBOS[6]), AlgoId.A12,
                   SwitchTemplate(ST1(), PAPER_COMBOS[9]))
-        problems = {"a": BaheuxSpec(n=60, delta=5.0), "b": BaheuxSpec(n=40, delta=0.2)}
-        grid = run_grid({key: gen_baheux(spec) for key, spec in problems.items()}, combos)
-        assert list(grid) == [(key, i) for key in problems for i in range(len(combos))]
-        for key, spec in problems.items():
-            for i, rec in enumerate(run_experiment(make_cfg(problem=spec, algorithms=combos))):
+        instances = {"a": gen_baheux(BaheuxSpec(n=60, delta=5.0)),
+                     "b": gen_baheux(BaheuxSpec(n=40, delta=0.2))}
+        grid = run_experiment(instances, combos)
+        assert list(grid) == [(key, i) for key in instances for i in range(len(combos))]
+        for key, inst in instances.items():
+            for i, rec in enumerate(run_on(inst, combos)):
                 assert ((grid[key, i].combo, grid[key, i].outcome, grid[key, i].iterations,
                          grid[key, i].switches, grid[key, i].restarts)
                         == (rec.combo, rec.outcome, rec.iterations, rec.switches,
                             rec.restarts))
                 assert np.array_equal(grid[key, i].x, rec.x)
 
-    def test_repeats_report_median(self):
-        cfg = make_cfg(repeats=3)
-        (rec,) = run_experiment(cfg)
-        assert rec.seconds >= 0.0
+    def test_repeats_report_median(self, monkeypatch):
+        # The record is the last of the repeats' solves, and carries the
+        # median of their seconds.
+        solves, solve = iter(((1, 3.0), (2, 1.0), (3, 2.0))), harness.run_cell
+
+        def timed(*args):
+            record, _ = solve(*args)
+            number, seconds = next(solves)
+            return replace(record, restarts=number), seconds
+
+        monkeypatch.setattr(harness, "run_cell", timed)
+        (rec,) = run_on(repeats=3)
+        assert (rec.restarts, rec.seconds) == (3, 2.0)
 
     def test_matrix_market_problem(self, tmp_path):
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))
         path = tmp_path / "prob.mtx"
         write_matrix_market(str(path), inst.A)
-        cfg = make_cfg(problem=str(path))
-        (rec,) = run_experiment(cfg)
+        (rec,) = run_on(read_matrix_market(str(path)))
         assert rec.outcome == "Converged"
         assert math.isnan(rec.delta)
 
@@ -185,17 +213,15 @@ class TestRunExperiment:
         # down and the switching row is exhausted, both with residual inf.
         path = tmp_path / "huge.mtx"
         write_matrix_market(str(path), from_dense(np.diag([1e155, 2e155, 3e155])))
-        cfg = make_cfg(problem=str(path),
-                       algorithms=(AlgoId.A4, SwitchTemplate(ST2(20), (AlgoId.A4, AlgoId.A8B10))))
-        solo, switching = run_experiment(cfg)
+        solo, switching = run_on(read_matrix_market(str(path)),
+                                 (AlgoId.A4, SwitchTemplate(ST2(20), (AlgoId.A4, AlgoId.A8B10))))
         assert (solo.outcome, solo.residual) == ("Breakdown", math.inf)
         assert (switching.outcome, switching.residual) == ("Exhausted", math.inf)
 
     @pytest.mark.parametrize("number", sorted(PAPER_COMBOS))
     def test_paper_pairings_converge_on_200(self, number):
-        cfg = make_cfg(problem=BaheuxSpec(n=200, delta=8.0),
-                       algorithms=(SwitchTemplate(ST2(20), PAPER_COMBOS[number]),))
-        (rec,) = run_experiment(cfg)
+        (rec,) = run_on(BaheuxSpec(n=200, delta=8.0),
+                        (SwitchTemplate(ST2(20), PAPER_COMBOS[number]),))
         assert rec.outcome == "Converged"
         assert rec.residual <= 1e-13
 
@@ -212,37 +238,27 @@ class TestRunExperiment:
         per_iter = {n: math.inf for n in ladder}
         for _ in range(15):
             for n in ladder:
-                (rec,) = run_experiment(make_cfg(problem=BaheuxSpec(n=n, delta=0.2)))
+                (rec,) = run_on(BaheuxSpec(n=n, delta=0.2))
                 assert rec.outcome == "Converged"
                 per_iter[n] = min(per_iter[n], rec.seconds / rec.iterations)
         assert list(per_iter.values()) == sorted(per_iter.values())
 
     def test_extended_dimension_4000(self):
         # Largest published row: n=4000 at delta=8 stays below the tolerance.
-        cfg = make_cfg(problem=BaheuxSpec(n=4000, delta=8.0))
-        (rec,) = run_experiment(cfg)
+        (rec,) = run_on(BaheuxSpec(n=4000, delta=8.0))
         assert rec.outcome == "Converged"
         assert rec.residual <= 1e-13
 
 
 class TestEmitTable:
     def _records(self):
-        cfg = make_cfg(problem=BaheuxSpec(n=20, delta=0.2),
-                       algorithms=(SwitchTemplate(ST2(20), PAPER_COMBOS[6]),
-                                   SwitchTemplate(ST2(20), PAPER_COMBOS[9])))
-        recs = run_experiment(cfg)
-        cfg2 = make_cfg(problem=BaheuxSpec(n=40, delta=0.2),
-                        algorithms=(SwitchTemplate(ST2(20), PAPER_COMBOS[6]),
-                                    SwitchTemplate(ST2(20), PAPER_COMBOS[9])))
-        recs += run_experiment(cfg2)
-        cfg3 = make_cfg(problem=BaheuxSpec(n=60, delta=0.2),
-                        algorithms=(SwitchTemplate(ST2(20), PAPER_COMBOS[6]),
-                                    SwitchTemplate(ST2(20), PAPER_COMBOS[9])))
-        recs += run_experiment(cfg3)
-        return recs
+        instances = {n: gen_baheux(BaheuxSpec(n=n, delta=0.2)) for n in (20, 40, 60)}
+        records = run_experiment(instances, (SwitchTemplate(ST2(20), PAPER_COMBOS[6]),
+                                             SwitchTemplate(ST2(20), PAPER_COMBOS[9])))
+        return [replace(record, delta=0.2) for record in records.values()]
 
     def test_single_record_csv_shape(self):
-        (rec,) = run_experiment(make_cfg())
+        (rec,) = run_on()
         text = emit_table([rec], format="csv")
         lines = text.strip().split("\n")
         assert len(lines) == 2
@@ -287,7 +303,7 @@ class TestEmitTable:
             emit_table([], format="csv")
 
     def test_unknown_format_rejected(self):
-        (rec,) = run_experiment(make_cfg())
+        (rec,) = run_on()
         with pytest.raises(ValueError):
             emit_table([rec], format="html")
 
@@ -403,7 +419,7 @@ class TestCli:
         assert args.cycle is None and args.monitor_threshold is None
         for switch, strategy in (("st2", ST2()), ("st3", ST3())):
             args = _build_parser().parse_args(["--switch", switch, "--pool", "a4,a12"])
-            assert cli._config_from_args(args).algorithms[0].strategy == strategy
+            assert cli._config_from_args(args)[1][0].strategy == strategy
         assert args.tol == SolverConfig().tol
 
     def test_missing_file_exit_one(self):
@@ -426,10 +442,7 @@ class TestCli:
         assert not out.exists()
 
     def test_unwritable_output_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
-        def no_solve(cfg):
-            raise AssertionError("run_experiment called")
-
-        monkeypatch.setattr(cli, "run_experiment", no_solve)
+        refuse_solves(monkeypatch)
         out = tmp_path / "missing" / "x.csv"
         assert cli_main(["--n", "20", "--solo", "a4", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -437,10 +450,10 @@ class TestCli:
     def test_failed_run_leaves_output_as_it_was(self, tmp_path, monkeypatch):
         # The writability check neither truncates an existing report nor
         # leaves an empty new one behind when the run then fails.
-        def failing_solve(cfg):
+        def failing_solve(*args):
             raise ValueError("solve failed")
 
-        monkeypatch.setattr(cli, "run_experiment", failing_solve)
+        monkeypatch.setattr(harness, "run_cell", failing_solve)
         old, new = tmp_path / "old.csv", tmp_path / "new.csv"
         old.write_text("old report\n")
         for out in (old, new):
@@ -490,7 +503,7 @@ class TestCli:
     def test_strategy_flag_without_its_strategy_exits_one(self, capsys, monkeypatch,
                                                           flags, message):
         # A flag no run would read is an error, found before any solve runs.
-        monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("solve ran"))
+        refuse_solves(monkeypatch)
         assert cli_main(["--n", "20"] + flags) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -500,7 +513,7 @@ class TestCli:
     ])
     def test_strategy_flags_reach_the_strategy(self, switch, flags, strategy):
         args = _build_parser().parse_args(["--switch", switch, "--pool", "a4,a12"] + flags)
-        assert cli._config_from_args(args).algorithms[0].strategy == strategy
+        assert cli._config_from_args(args)[1][0].strategy == strategy
 
     def test_st3_flags(self):
         code = cli_main(["--problem", "baheux", "--n", "60", "--delta", "0.2",

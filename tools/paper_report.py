@@ -4,7 +4,7 @@ Run from the repository root:
 
     python3 tools/paper_report.py
 
-Every table comes from ``lanswitch.harness.run_grid`` on the paper's 40
+Every table comes from ``lanswitch.harness.run_experiment`` on the paper's 40
 Baheux problems (``harness.paper_instances``), or on the 12
 convection-diffusion problems of acceptance criterion 9 where it says so,
 at the harness's tolerance, budgets per n and seed unless a column names
@@ -47,7 +47,7 @@ from lanswitch.harness import (  # noqa: E402
     PAPER_COMBOS,
     SwitchTemplate,
     paper_instances,
-    run_grid,
+    run_experiment,
 )
 from lanswitch.linalg import SparseMatrix  # noqa: E402
 from lanswitch.problems import ProblemInstance  # noqa: E402
@@ -232,8 +232,8 @@ def report(grid, second_family):
 def main() -> int:
     instances = paper_instances()
     second = second_family_instances()
-    tables = report(lambda combos, seed: run_grid(instances, combos, seed),
-                    lambda combos: run_grid(second, combos))
+    tables = report(lambda combos, seed: run_experiment(instances, combos, seed),
+                    lambda combos: run_experiment(second, combos))
     held = readme_tables()
     stale = 0
     for table in tables:
