@@ -26,7 +26,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .problems import BaheuxSpec, ProblemInstance, gen_baheux
-from .linalg import NonFiniteError, norm2
+from .linalg import NonFiniteError
 from .solvers import AlgoId, OutcomeKind, SolverConfig, _check_count, init, run
 from .switching import (
     ST1,
@@ -36,6 +36,7 @@ from .switching import (
     Strategy,
     SwitchPlan,
     _check_seed,
+    _residual_norm,
     run_switching,
 )
 
@@ -129,29 +130,30 @@ def _cell_seeds(combos: Sequence[Combo], seed: int) -> List[Optional[int]]:
 
 def _solo_record(inst: ProblemInstance, algo: AlgoId, cfg: SolverConfig) -> RunRecord:
     x = np.zeros(inst.A.nrows)
-    residual, iterations = math.inf, 0
+    iterations = 0
     try:
         state = init(algo, inst.A, inst.b, x, inst.b, cfg)
         if state.iters_used > cfg.max_iters:
             # The prologue alone overran the budget (A12's charges 3), so
-            # the run ends at x0 = 0, whose residual is b, as a switching
-            # handoff skips such a member.
-            outcome, residual = OutcomeKind.ITER_LIMIT, norm2(inst.b)
+            # the run ends at x0 = 0, as a switching handoff skips such a
+            # member.
+            outcome = OutcomeKind.ITER_LIMIT
         else:
             # The state stops itself once it has used cfg.max_iters
             # iterations: the step after the last one reports IterLimit.
             outcome = run(state, cfg.max_iters + 1)[0].kind
-            x, iterations, residual = state.x, state.iters_used, state.r_norm
+            x, iterations = state.x, state.iters_used
     except NonFiniteError:
-        # b - A x0 or its norm overflowed: the run broke down, and its
-        # residual reads inf, as a switching run's does.
+        # b - A x0 or its norm overflowed: the run broke down.
         outcome = OutcomeKind.BREAKDOWN
     return RunRecord(
         n=inst.A.nrows,
         delta=math.nan,
         combo=f"{algo.value}/solo",
         outcome=outcome.value,
-        residual=residual,
+        # Recomputed outside the try, so an overflow reads inf, as a
+        # switching run's does, and leaves the outcome as it is.
+        residual=_residual_norm(inst.A, inst.b, x),
         iterations=iterations,
         switches=0,
         restarts=0,
@@ -251,9 +253,9 @@ def emit_table(records: Sequence[RunRecord], format: str = "csv") -> str:
 
 def _emit_markdown(records: Sequence[RunRecord]) -> str:
     out = []
-    # math.nan is one object, so a dict key, like list membership, groups
-    # every NaN delta into one table.
-    for delta in dict.fromkeys(r.delta for r in records):
+    # NaN equals no NaN, and a dict key tells NaNs apart by identity, so
+    # every NaN delta is keyed by the one math.nan: one external table.
+    for delta in dict.fromkeys(math.nan if math.isnan(r.delta) else r.delta for r in records):
         subset = [r for r in records if r.delta == delta or
                   (math.isnan(delta) and math.isnan(r.delta))]
         combos = list(dict.fromkeys(r.combo for r in subset))

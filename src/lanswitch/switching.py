@@ -189,6 +189,12 @@ class EventKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SwitchEvent:
+    """One transition or the run's end, at ``at_iteration``.
+
+    ``residual_norm`` is ||b - A x||, recomputed at that iterate (inf when it
+    overflows), never a recurrence residual.
+    """
+
     kind: EventKind
     at_iteration: int
     from_algo: AlgoId
@@ -210,7 +216,11 @@ class SwitchTrace:
 
 @dataclass
 class RunRecord:
-    """One experiment row; ``x`` is kept for verification, not for reports."""
+    """One experiment row; ``x`` is kept for verification, not for reports.
+
+    ``residual`` is ||b - A x|| of that ``x``, recomputed (inf when it
+    overflows), for every outcome, solo or switching.
+    """
 
     n: int
     delta: float
@@ -222,6 +232,16 @@ class RunRecord:
     restarts: int
     seconds: float
     x: Optional[np.ndarray] = None
+
+
+def _residual_norm(A: SparseMatrix, b: np.ndarray, x: np.ndarray) -> float:
+    """||b - A x||, the residual every record and event reports; inf when it
+    overflows. Raises nothing and lets no numpy warning escape."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return norm2(b - A.matvec(x))
+        except NonFiniteError:
+            return math.inf
 
 
 def select_next(policy: SelectionPolicy, rng: np.random.Generator) -> AlgoId:
@@ -264,18 +284,6 @@ class _Driver:
                                       self.current, residual))
         return kind.value
 
-    def exhausted(self, recomputed: float) -> str:
-        """End the run Exhausted with the outgoing state's residual.
-
-        That is its recurrence residual, unless there is no state yet or the
-        state claims a convergence that ``b - A x`` refuted: then it is
-        ``recomputed``, that ``||b - A x||`` (inf when it overflowed).
-        """
-        state = self.state
-        if state is None or state.outcome.kind is OutcomeKind.CONVERGED:
-            return self.finish(EventKind.EXHAUSTED, recomputed)
-        return self.finish(EventKind.EXHAUSTED, state.r_norm)
-
     def handoff(self, first_choice: AlgoId, cause: Optional[EventKind],
                 residual: Optional[Tuple[np.ndarray, float]] = None) -> Optional[str]:
         """Install the next algorithm at the current iterate.
@@ -314,7 +322,7 @@ class _Driver:
             self.current = algo
             self.iters += state.iters_used
             return None
-        return self.exhausted(r_norm)
+        return self.finish(EventKind.EXHAUSTED, r_norm)
 
     def drive(self) -> str:
         """Run chunks and handoffs until the run terminates; returns the outcome name."""
@@ -340,7 +348,7 @@ class _Driver:
                     # from that residual.
                     residual = self.residual()
                     if residual[1] <= plan.cfg.tol:
-                        return self.finish(EventKind.CONVERGED, state.r_norm)
+                        return self.finish(EventKind.CONVERGED, residual[1])
                     cause = EventKind.CYCLE_END
                 elif kind is OutcomeKind.BREAKDOWN:
                     self.barren.add(self.current)
@@ -352,7 +360,7 @@ class _Driver:
                 else:
                     cause = EventKind.PROPER_SWITCH
                 if kind is OutcomeKind.ITER_LIMIT or self.iters >= plan.global_budget:
-                    return self.exhausted(state.r_norm if residual is None else residual[1])
+                    return self.finish(EventKind.EXHAUSTED, (residual or self.residual())[1])
                 # The handoff relabels either rule's event Restart if the
                 # same algorithm takes over.
                 terminal = self.handoff(select_next(plan.policy, self.rng), cause, residual)
@@ -360,7 +368,7 @@ class _Driver:
         except NonFiniteError:
             # The iterate stays finite, but it has grown until a norm of it
             # or of its residual overflowed: no handoff can recover.
-            return self.exhausted(math.inf)
+            return self.finish(EventKind.EXHAUSTED, _residual_norm(self.A, self.b, self.x))
 
 
 def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
@@ -368,14 +376,11 @@ def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
     """Drive solver cycles under the plan until convergence or exhaustion.
 
     Every handoff re-initializes the incoming algorithm at the last iterate
-    of the outgoing one. The returned record carries the residual norm of the
-    terminal event (the recurrence residual, or the recomputed ||b - A x||
-    when a handoff finds the iterate already converged; inf if it
-    overflowed) and the final iterate. An Exhausted record never carries a
-    refuted residual: after a convergence claim that ||b - A x|| refuted, it
-    reports that recomputed norm; delta and seconds are filled in by
-    the harness. The record's combo is the pool and the strategy, e.g.
-    ``A4+A12/ST2``. Invalid input raises ValueError, as ``init`` does.
+    of the outgoing one. The returned record carries the final iterate and
+    its recomputed ||b - A x|| (inf when it overflows), the terminal event's
+    residual; delta and seconds are filled in by the harness. The record's
+    combo is the pool and the strategy, e.g. ``A4+A12/ST2``. Invalid input
+    raises ValueError, as ``init`` does.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         _check_system(A, b, x0, y)

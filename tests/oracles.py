@@ -1,17 +1,19 @@
 """Test-only helpers: a checked read-only vector, SparseMatrix builders from
-dense arrays, dense views of a SparseMatrix, a dense direct solver and the
-exact Lanczos iterate.
+dense arrays, dense views of a SparseMatrix, a dense direct solver, the
+exact Lanczos iterate and the residual a run record reports.
 
 The builders go through the public constructors; the views read only a
 matrix's public CSR arrays (``indptr``, ``indices``, ``data``). None of them
-shares code with the kernels or the iterative solvers.
+shares code with the kernels or the iterative solvers, except
+``record_residual``, which states a record's residual in the kernels' terms.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from lanswitch.linalg import DimensionError, NonFiniteError, SparseMatrix
+from lanswitch.linalg import DimensionError, NonFiniteError, SparseMatrix, norm2
 
 DENSE_SOLVE_LIMIT = 2000
 
@@ -35,6 +37,16 @@ def as_vector(data) -> np.ndarray:
         raise NonFiniteError("vector contains NaN or Inf")
     v.flags.writeable = False
     return v
+
+
+def record_residual(A: SparseMatrix, b: np.ndarray, x: np.ndarray) -> float:
+    """``norm2(b - A.matvec(x))``, or inf where that raises NonFiniteError:
+    the residual every run record and terminal event reports, bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return norm2(b - A.matvec(x))
+        except NonFiniteError:
+            return math.inf
 
 
 def from_dense(dense) -> SparseMatrix:

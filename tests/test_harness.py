@@ -24,7 +24,7 @@ from lanswitch.problems import BaheuxSpec, gen_baheux, read_matrix_market, write
 from lanswitch.solvers import AlgoId, SolverConfig
 from lanswitch.switching import (ST1, ST2, ST3, CoinToss, RunRecord, SelectionPolicy,
                                  SwitchPlan)
-from oracles import from_dense
+from oracles import from_dense, record_residual
 
 PAPER_CELL = SwitchTemplate(ST2(20), PAPER_COMBOS[6])
 
@@ -133,11 +133,15 @@ class TestRunExperiment:
 
     def test_all_four_solo_records(self):
         for n, budget in [(20, None), (100, 5)]:
-            records = run_on(BaheuxSpec(n=n, delta=0.0), tuple(AlgoId), budget=budget)
+            inst = gen_baheux(BaheuxSpec(n=n, delta=0.0))
+            records = run_on(inst, tuple(AlgoId), budget=budget)
             assert [r.combo for r in records] == [
                 "A4/solo", "A12/solo", "A5B10/solo", "A8B10/solo"]
             for r in records:
                 assert r.outcome in ("Converged", "Breakdown", "IterLimit")
+                # Every outcome reports ||b - A x|| of its iterate, never a
+                # recurrence residual.
+                assert repr(r.residual) == repr(record_residual(inst.A, inst.b, r.x))
         # A run that spends its budget says so, however much of it the
         # prologue charged.
         assert [(r.outcome, r.iterations) for r in records] == [("IterLimit", 5)] * 4
@@ -151,6 +155,8 @@ class TestRunExperiment:
             assert [(r.outcome, r.iterations) for r in records] == [
                 ("IterLimit", budget), ("IterLimit", 3 if budget == 3 else 0),
                 ("IterLimit", budget), ("IterLimit", budget)]
+            for r in records:
+                assert repr(r.residual) == repr(record_residual(inst.A, inst.b, r.x))
             a12 = records[1]
             if budget < 3:
                 assert a12.residual == b_norm
@@ -297,6 +303,18 @@ class TestEmitTable:
         lines = [ln for ln in emit_table(records, format="md").split("\n")
                  if ln.startswith("| 40 ")]
         assert lines == ["| 40 | - | - | 1.0000e-14 | 5.0000e-01 |"]
+
+    def test_markdown_groups_every_nan_delta_into_one_table(self):
+        # Three distinct NaN objects, none equal to another, are one
+        # external problem: one table with one row per n.
+        records = [RunRecord(n=n, delta=delta, combo="A4/solo", outcome="Converged",
+                             residual=1e-14, iterations=10, switches=0, restarts=0,
+                             seconds=0.5)
+                   for n, delta in ((20, math.nan), (40, float("nan")), (60, np.nan))]
+        text = emit_table(records, format="md")
+        assert text.count("### ") == text.count("### external problem") == 1
+        assert [ln.split("|")[1].strip() for ln in text.split("\n")
+                if ln.startswith("| ") and ln[2].isdigit()] == ["20", "40", "60"]
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):

@@ -671,7 +671,7 @@ class TestRunSwitching:
     def test_one_member_pool_ends_at_a_breakdown_after_progress(self):
         # The breakdown leaves the only member barren at this iterate, so
         # the handoff skips it and ends the run Exhausted at the breakdown's
-        # iteration with the breakdown state's recurrence residual.
+        # iteration with ||b - A x|| of the breakdown state's iterate.
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.2))
         cfg = SolverConfig(tol=1e-13, max_iters=2000)
         solo = init(A4, inst.A, inst.b, np.zeros(20), inst.b, cfg)
@@ -681,7 +681,7 @@ class TestRunSwitching:
         rec, trace = run_switching(inst.A, inst.b, np.zeros(20), inst.b, plan)
         assert [(e.kind, e.at_iteration) for e in trace.events] == [
             (EventKind.EXHAUSTED, solo.iters_used)]
-        assert rec.residual == solo.r_norm
+        assert rec.residual == norm2(inst.b - inst.A.matvec(solo.x))
         np.testing.assert_array_equal(rec.x, solo.x)
 
     @pytest.mark.parametrize("strategy", [ST1(), ST2(), ST2(cycle_len=5), ST3()])

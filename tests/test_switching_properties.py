@@ -19,6 +19,7 @@ from lanswitch.switching import (
     SwitchPlan,
     run_switching,
 )
+from oracles import record_residual
 from random_systems import KINDS, random_system
 
 
@@ -70,7 +71,10 @@ def test_run_switching_invariants(case):
     iters = [e.at_iteration for e in trace.events]
     assert all(a < b for a, b in zip(iters, iters[1:]))
     assert trace.events[-1].kind.value == rec.outcome
-    assert repr(rec.residual) == repr(trace.events[-1].residual_norm)
+    # Every outcome reports ||b - A x|| of its iterate, never a recurrence
+    # residual.
+    assert repr(rec.residual) == repr(trace.events[-1].residual_norm) == \
+        repr(record_residual(A, b, rec.x))
     if rec.outcome == "Converged":
         assert rec.residual <= plan.cfg.tol
     for e in trace.events[:-1]:
