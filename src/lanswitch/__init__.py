@@ -38,6 +38,7 @@ from .switching import (
     SwitchEvent,
     SwitchPlan,
     SwitchTrace,
+    run_solo,
     run_switching,
     select_next,
 )

@@ -117,8 +117,10 @@ def _config_from_args(args) -> Tuple[Union[BaheuxSpec, str], List[Combo]]:
 def cli_main(argv: Optional[List[str]] = None) -> int:
     """Parse flags, run the experiment, write the report.
 
-    Exit code 0 when every run converged, 2 when any did not, 1 on usage or
-    configuration errors.
+    Exit code 0 when every run converged with ||b - A x|| within ``--tol``,
+    2 when any did not, 1 on usage or configuration errors. A solo run's
+    Converged is the recurrence's claim, so its residual may lie above the
+    tolerance; the exit code does not take that claim on trust.
     """
     parser = _build_parser()
     try:
@@ -163,7 +165,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
     else:
         sys.stdout.write(report)
 
-    if all(r.outcome == "Converged" for r in records):
+    if all(r.outcome == "Converged" and r.residual <= args.tol for r in records):
         return 0
     return 2
 

@@ -26,8 +26,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .problems import BaheuxSpec, ProblemInstance, gen_baheux
-from .linalg import NonFiniteError
-from .solvers import AlgoId, OutcomeKind, SolverConfig, _check_count, init, run
+from .solvers import AlgoId, SolverConfig, _check_count
 from .switching import (
     ST1,
     CoinToss,
@@ -36,7 +35,7 @@ from .switching import (
     Strategy,
     SwitchPlan,
     _check_seed,
-    _residual_norm,
+    run_solo,
     run_switching,
 )
 
@@ -128,40 +127,6 @@ def _cell_seeds(combos: Sequence[Combo], seed: int) -> List[Optional[int]]:
             for combo in combos]
 
 
-def _solo_record(inst: ProblemInstance, algo: AlgoId, cfg: SolverConfig) -> RunRecord:
-    x = np.zeros(inst.A.nrows)
-    iterations = 0
-    try:
-        state = init(algo, inst.A, inst.b, x, inst.b, cfg)
-        if state.iters_used > cfg.max_iters:
-            # The prologue alone overran the budget (A12's charges 3), so
-            # the run ends at x0 = 0, as a switching handoff skips such a
-            # member.
-            outcome = OutcomeKind.ITER_LIMIT
-        else:
-            # The state stops itself once it has used cfg.max_iters
-            # iterations: the step after the last one reports IterLimit.
-            outcome = run(state, cfg.max_iters + 1)[0].kind
-            x, iterations = state.x, state.iters_used
-    except NonFiniteError:
-        # b - A x0 or its norm overflowed: the run broke down.
-        outcome = OutcomeKind.BREAKDOWN
-    return RunRecord(
-        n=inst.A.nrows,
-        delta=math.nan,
-        combo=f"{algo.value}/solo",
-        outcome=outcome.value,
-        # Recomputed outside the try, so an overflow reads inf, as a
-        # switching run's does, and leaves the outcome as it is.
-        residual=_residual_norm(inst.A, inst.b, x),
-        iterations=iterations,
-        switches=0,
-        restarts=0,
-        seconds=math.nan,
-        x=x,
-    )
-
-
 def run_cell(inst: ProblemInstance, combo: Combo, seed: Optional[int],
              tol: float = PAPER_TOL, budget: Optional[int] = None) -> Tuple[RunRecord, float]:
     """Run one cell once; returns the record and the wall seconds of the solve.
@@ -174,15 +139,14 @@ def run_cell(inst: ProblemInstance, combo: Combo, seed: Optional[int],
     if budget is None:
         budget = (SOLO_BUDGET_PER_N if solo else SWITCH_BUDGET_PER_N) * n
     solver_cfg = SolverConfig(tol=tol, max_iters=budget)
+    x0 = np.zeros(n)
     if solo:
         t0 = time.perf_counter()
-        record = _solo_record(inst, combo, solver_cfg)
-        return record, time.perf_counter() - t0
-
-    plan = combo.plan(seed, solver_cfg, budget)
-    x0 = np.zeros(n)
-    t0 = time.perf_counter()
-    record, _ = run_switching(inst.A, inst.b, x0, inst.b, plan)
+        record = run_solo(inst.A, inst.b, x0, inst.b, combo, solver_cfg)
+    else:
+        plan = combo.plan(seed, solver_cfg, budget)
+        t0 = time.perf_counter()
+        record, _ = run_switching(inst.A, inst.b, x0, inst.b, plan)
     return record, time.perf_counter() - t0
 
 

@@ -37,6 +37,10 @@ iterate grows until a norm overflows ends Exhausted with residual inf instead
 of raising. ``run_switching`` enters one ``np.errstate`` that silences
 numpy's over/invalid warnings for the whole run, handoff norms included; no
 warning escapes a run.
+
+``run_solo`` runs one algorithm alone, with no handoff, and reports it in
+the same ``RunRecord``, so every run, solo or switching, becomes its record
+in this module.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ __all__ = [
     "RunRecord",
     "select_next",
     "run_switching",
+    "run_solo",
 ]
 
 
@@ -219,7 +224,8 @@ class RunRecord:
     """One experiment row; ``x`` is kept for verification, not for reports.
 
     ``residual`` is ||b - A x|| of that ``x``, recomputed (inf when it
-    overflows), for every outcome, solo or switching.
+    overflows), for every outcome, solo or switching. A solo run makes no
+    switch or restart; ``seconds`` stays NaN until the harness times the run.
     """
 
     n: int
@@ -228,9 +234,9 @@ class RunRecord:
     outcome: str
     residual: float
     iterations: int
-    switches: int
-    restarts: int
-    seconds: float
+    switches: int = 0
+    restarts: int = 0
+    seconds: float = math.nan
     x: Optional[np.ndarray] = None
 
 
@@ -397,7 +403,46 @@ def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
         iterations=drv.iters,
         switches=sum(e.from_algo != e.to_algo for e in transitions),
         restarts=sum(e.from_algo == e.to_algo for e in transitions),
-        seconds=math.nan,
         x=drv.x,
     )
     return record, drv.trace
+
+
+def run_solo(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
+             algo: AlgoId, cfg: SolverConfig) -> RunRecord:
+    """Run ``algo`` alone from x0, with shadow vector y, for at most
+    ``cfg.max_iters`` iterations.
+
+    The record keeps the solver's own outcome, so a Converged is the
+    recurrence's claim, which nothing verifies against b - A x; its residual
+    is the recomputed ||b - A x|| of its iterate, as every record's is. A
+    start whose prologue charges more than the budget (A12's charges 3)
+    ends IterLimit at x0 with 0 iterations, as a switching handoff skips
+    such a member; an overflow of b - A x0 is a Breakdown at x0. The
+    record's combo is e.g. ``A4/solo``. Invalid input raises ValueError, as
+    ``init`` does.
+    """
+    x = np.array(x0, dtype=np.float64, copy=True)
+    iterations = 0
+    try:
+        state = init(algo, A, b, x, y, cfg)
+        if state.iters_used > cfg.max_iters:
+            outcome = OutcomeKind.ITER_LIMIT
+        else:
+            # The state stops itself once it has used cfg.max_iters
+            # iterations: the step after the last one reports IterLimit.
+            outcome = run(state, cfg.max_iters + 1)[0].kind
+            x, iterations = state.x, state.iters_used
+    except NonFiniteError:
+        outcome = OutcomeKind.BREAKDOWN
+    return RunRecord(
+        n=A.nrows,
+        delta=math.nan,
+        combo=f"{algo.value}/solo",
+        outcome=outcome.value,
+        # Recomputed outside the try, so an overflow reads inf and leaves
+        # the outcome as it is.
+        residual=_residual_norm(A, b, x),
+        iterations=iterations,
+        x=x,
+    )

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import math
 import os
@@ -478,6 +479,52 @@ class TestCli:
             assert cli_main(["--n", "20", "--solo", "a4", "--out", str(out)]) == 1
         assert old.read_text() == "old report\n"
         assert not new.exists()
+
+    def test_report_write_that_fails_after_the_check_exits_one(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # The --out check passes, then opening the report for writing fails,
+        # as it does for a file made read-only during the solve. The CLI
+        # says so in one line and leaves the file as it was.
+        real_open = open
+
+        def read_only(path, mode="r", *args, **kwargs):
+            if mode == "w":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", read_only, raising=False)
+        out = tmp_path / "old.csv"
+        out.write_text("old report\n")
+        assert cli_main(["--n", "20", "--solo", "a4", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: " \
+                               f"'{out}'\n"
+        assert out.read_text() == "old report\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_report_write_to_a_full_device_exits_one(self, capsys):
+        # /dev/full opens for appending and for writing, and every write to
+        # it fails with ENOSPC: the failure comes from the write itself.
+        assert cli_main(["--n", "20", "--solo", "a4", "--out", "/dev/full"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("residual, code", [(1.548e-13, 2), (1e-13, 0), (7.5e-15, 0)])
+    def test_exit_code_holds_a_solo_claim_to_the_tolerance(self, capsys, monkeypatch,
+                                                          residual, code):
+        # A solo Converged is the recurrence's claim: a record whose
+        # recomputed residual lies above --tol exits 2, and its row still
+        # reads Converged.
+        def claim(*args):
+            return RunRecord(n=20, delta=math.nan, combo="A4/solo", outcome="Converged",
+                             residual=residual, iterations=13), 0.0
+
+        monkeypatch.setattr(harness, "run_cell", claim)
+        assert cli_main(["--n", "20", "--solo", "a4", "--tol", "1e-13"]) == code
+        assert f",A4/solo,Converged,{residual:.4e},13," in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags, flag", [
         (["--pool", "a4,a12"], "--pool"),

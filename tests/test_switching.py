@@ -26,6 +26,7 @@ from lanswitch.switching import (
     EventKind,
     SelectionPolicy,
     SwitchPlan,
+    run_solo,
     run_switching,
     SwitchEvent,
     SwitchTrace,
@@ -806,3 +807,41 @@ class TestRunSwitching:
         assert made[-1].r_norm <= 1e-8
         assert rec.residual == trace.events[-1].residual_norm == true_norm
         assert true_norm > 1e-8
+
+
+class TestRunSolo:
+    def test_converged_is_the_recurrences_unverified_claim(self):
+        # A4 claims convergence at 13 iterations; b - A x, which the record
+        # reports, lies above the tolerance. A switching run would check the
+        # claim and go on.
+        A, b = random_system("gaussian", 7, 5)
+        rec = run_solo(A, b, np.zeros(7), b, A4, SolverConfig(tol=1e-13, max_iters=350))
+        assert (rec.combo, rec.outcome, rec.iterations) == ("A4/solo", "Converged", 13)
+        assert rec.residual == norm2(b - A.matvec(rec.x)) > 1e-13
+        assert (rec.switches, rec.restarts) == (0, 0)
+
+    def test_starts_from_x0_and_leaves_it_as_it_was(self):
+        inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))
+        x0 = np.linspace(-1.0, 1.0, 20)
+        kept = x0.copy()
+        cfg = SolverConfig(max_iters=100)
+        solved = run_solo(inst.A, inst.b, x0, inst.b, A4, cfg)
+        state = init(A4, inst.A, inst.b, x0, inst.b, cfg)
+        run(state, cfg.max_iters + 1)
+        # The record is the solver's own run from x0.
+        assert (solved.outcome, solved.iterations) == (state.outcome.kind.value,
+                                                       state.iters_used)
+        assert solved.iterations > 0 and solved.x.tobytes() == state.x.tobytes()
+        # A12's prologue charges 3, more than the budget: the record is x0,
+        # unsolved, in an array of its own.
+        unstarted = run_solo(inst.A, inst.b, x0, inst.b, A12, SolverConfig(max_iters=2))
+        assert (unstarted.outcome, unstarted.iterations) == ("IterLimit", 0)
+        assert unstarted.x is not x0
+        assert unstarted.x.tobytes() == x0.tobytes() == kept.tobytes()
+
+    def test_an_overflowing_start_is_a_breakdown_at_x0(self):
+        A = from_dense(np.diag([1e155, 2e155, 3e155]))
+        b = A.matvec(np.ones(3))
+        rec = run_solo(A, b, np.zeros(3), b, A4, SolverConfig())
+        assert (rec.outcome, rec.iterations, rec.residual) == ("Breakdown", 0, np.inf)
+        assert not rec.x.any()

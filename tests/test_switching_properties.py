@@ -1,12 +1,12 @@
-"""Property tests: run_switching on random small systems under random plans,
-and ST3's switch rule on live solver states."""
+"""Property tests: run_switching and run_solo on random small systems under
+random plans and budgets, and ST3's switch rule on live solver states."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lanswitch.harness import PAPER_DELTAS
-from lanswitch.linalg import dot, norm2
+from lanswitch.linalg import NonFiniteError, dot, norm2
 from lanswitch.problems import BaheuxSpec, gen_baheux
 from lanswitch.solvers import AlgoId, OutcomeKind, SolverConfig, denominator_report, init
 from lanswitch.switching import (
@@ -17,6 +17,7 @@ from lanswitch.switching import (
     EventKind,
     SelectionPolicy,
     SwitchPlan,
+    run_solo,
     run_switching,
 )
 from oracles import record_residual
@@ -87,6 +88,45 @@ def test_run_switching_invariants(case):
     assert (rec2.outcome, rec2.iterations, rec2.switches, rec2.restarts) == \
         (rec.outcome, rec.iterations, rec.switches, rec.restarts)
     assert repr(rec2.residual) == repr(rec.residual)
+
+
+@st.composite
+def solo_cases(draw):
+    """A random system, algorithm, tolerance and budget, often below A12's
+    prologue charge of 3, x0 (zero or Gaussian) and y."""
+    A, b = random_system(draw(st.sampled_from(KINDS)), draw(st.integers(2, 24)),
+                         draw(st.integers(0, 2**32 - 1)))
+    n = A.nrows
+    cfg = SolverConfig(tol=draw(st.sampled_from([1e-13, 1e-8])),
+                       max_iters=draw(st.one_of(st.integers(1, 4), st.integers(1, 1000))))
+    x0 = (np.zeros(n) if draw(st.booleans())
+          else np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n))
+    return A, b, x0, draw(shadows(b)), draw(st.sampled_from(list(AlgoId))), cfg
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(solo_cases())
+def test_run_solo_invariants(case):
+    A, b, x0, y, algo, cfg = case
+    rec = run_solo(A, b, x0, y, algo, cfg)
+    assert rec.outcome in ("Converged", "Breakdown", "IterLimit")
+    assert rec.iterations <= cfg.max_iters
+    assert np.all(np.isfinite(rec.x))
+    assert repr(rec.residual) == repr(record_residual(A, b, rec.x))
+    # A start that overflows, or whose prologue charged more than the
+    # budget, ends the run at x0 with 0 iterations.
+    try:
+        started = init(algo, A, b, x0, y, cfg)
+        unstarted = "IterLimit" if started.iters_used > cfg.max_iters else None
+    except NonFiniteError:
+        unstarted = "Breakdown"
+    if unstarted is not None:
+        assert (rec.outcome, rec.iterations) == (unstarted, 0)
+        assert rec.x.tobytes() == x0.tobytes()
+    rec2 = run_solo(A, b, x0, y, algo, cfg)
+    assert (rec2.outcome, rec2.iterations, repr(rec2.residual), rec2.x.tobytes()) == \
+        (rec.outcome, rec.iterations, repr(rec.residual), rec.x.tobytes())
 
 
 MONITOR_THRESHOLDS = (1e-3, 1e-8, 1e9)

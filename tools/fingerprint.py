@@ -6,15 +6,19 @@ Run from the repository root of each checkout and diff the outputs:
 
 One line per solve: a label, then the outcome, iterations, switches,
 restarts, the record residual (as ``float.hex``), a hash of the bytes of the
-final iterate and a hash of every trace event (kind, iteration, algorithms
-and the event residual as ``float.hex``). The solves are every cell of the
-benchmark's ``paper-st2`` and ``event-switch`` workloads for passes 0 and 1
-at ``--seed`` (taken from ``perfbench/workloads.py``, so the plans are
-exactly the ones the benchmark times), followed by ``--random`` random small
-systems under random plans, drawn from the fixed seed 0: the property
-test's Gaussian, sparse, ill-conditioned and Baheux matrices
-(``tests/random_systems.py``) with n <= 24, every pool and strategy,
-budgets 1-5000 and random x0 and y. A solve that raises prints the
+final iterate and, for a switching solve, a hash of every trace event (kind,
+iteration, algorithms and the event residual as ``float.hex``). The solves
+are every cell of the benchmark's ``paper-st2`` and ``event-switch``
+workloads for passes 0 and 1 at ``--seed`` (taken from
+``perfbench/workloads.py``, so the plans are exactly the ones the benchmark
+times), followed by ``--random`` random small systems under random plans,
+drawn from the fixed seed 0: the property test's Gaussian, sparse,
+ill-conditioned and Baheux matrices (``tests/random_systems.py``) with
+n <= 24, every pool and strategy, budgets 1-5000 and random x0 and y. Last
+come the solo solves: each of those random systems under each algorithm
+alone (``run_solo``), with a tolerance, a budget (1-5000, or 1-4 to reach
+below A12's prologue charge), x0 and y drawn from a stream of their own, so
+the lines before them stay as they were. A solve that raises prints the
 exception class instead of the fields. Warnings that escape a solve are
 counted and reported on standard error, outside the fingerprint lines, and
 the tool exits 1 if any solve let one escape.
@@ -44,12 +48,16 @@ from lanswitch.switching import (  # noqa: E402
     CoinToss,
     SelectionPolicy,
     SwitchPlan,
+    run_solo,
     run_switching,
 )
 from random_systems import KINDS, random_system  # noqa: E402
 
 PASSES = 2
 RANDOM_SEED = 0
+# The solo solves' draws come from [RANDOM_SEED, i, SOLO_STREAM], apart
+# from the system's own stream [RANDOM_SEED, i].
+SOLO_STREAM = 1
 
 
 def _digest(parts) -> str:
@@ -60,15 +68,20 @@ def _digest(parts) -> str:
     return h.hexdigest()[:16]
 
 
-def fingerprint(A, b, x0, y, plan) -> str:
+def fingerprint(solve, *args) -> str:
+    """The line of ``solve(*args)``, a ``run_switching`` or a ``run_solo`` call."""
     try:
-        rec, trace = run_switching(A, b, x0, y, plan)
+        result = solve(*args)
     except Exception as exc:  # a raised solve is part of the fingerprint
         return f"raised {type(exc).__name__}"
+    rec, trace = result if solve is run_switching else (result, None)
+    line = (f"{rec.outcome} {rec.iterations} {rec.switches} {rec.restarts} "
+            f"{float(rec.residual).hex()} x:{_digest([rec.x.tobytes()])}")
+    if trace is None:
+        return line
     events = _digest(f"{e.kind.value} {e.at_iteration} {e.from_algo} {e.to_algo} "
                      f"{float(e.residual_norm).hex()}" for e in trace.events)
-    return (f"{rec.outcome} {rec.iterations} {rec.switches} {rec.restarts} "
-            f"{float(rec.residual).hex()} x:{_digest([rec.x.tobytes()])} ev:{events}")
+    return f"{line} ev:{events}"
 
 
 def workload_solves(name: str, seed: int):
@@ -80,15 +93,21 @@ def workload_solves(name: str, seed: int):
             plan = W.plan_for(c, seed, pass_no, wl.budget_per_n * c.key[0])
             n, delta = c.key
             label = f"{name} p{pass_no} n{n} d{delta:g} {type(c.strategy).__name__} c{c.pairing}"
-            yield label, inst.A, inst.b, np.zeros(n), inst.b, plan
+            yield label, run_switching, (inst.A, inst.b, np.zeros(n), inst.b, plan)
+
+
+def _random_system(i: int):
+    """Random system i: its kind, A, b and the stream that drew it."""
+    rng = np.random.default_rng([RANDOM_SEED, i])
+    kind = str(rng.choice(KINDS))
+    A, b = random_system(kind, int(rng.integers(2, 25)), int(rng.integers(0, 2**32)))
+    return kind, A, b, rng
 
 
 def random_solves(count: int):
     algos = list(AlgoId)
     for i in range(count):
-        rng = np.random.default_rng([RANDOM_SEED, i])
-        kind = str(rng.choice(KINDS))
-        A, b = random_system(kind, int(rng.integers(2, 25)), int(rng.integers(0, 2**32)))
+        kind, A, b, rng = _random_system(i)
         n = A.nrows
         pool = tuple(algos[j] for j in rng.permutation(4)[:int(rng.integers(1, 5))])
         mode = CoinToss(int(rng.integers(0, 2**31)))
@@ -109,7 +128,21 @@ def random_solves(count: int):
         )
         x0 = np.zeros(n) if rng.random() < 0.5 else rng.standard_normal(n)
         y = b if rng.random() < 0.5 else rng.standard_normal(n)
-        yield f"random {i} {kind} n{n}", A, b, x0, y, plan
+        yield f"random {i} {kind} n{n}", run_switching, (A, b, x0, y, plan)
+
+
+def solo_solves(count: int):
+    for i in range(count):
+        kind, A, b, _ = _random_system(i)
+        n = A.nrows
+        rng = np.random.default_rng([RANDOM_SEED, i, SOLO_STREAM])
+        for algo in AlgoId:
+            tol = float(rng.choice([1e-13, 1e-8]))
+            max_iters = int(rng.integers(1, 5) if rng.random() < 0.25 else rng.integers(1, 5001))
+            x0 = np.zeros(n) if rng.random() < 0.5 else rng.standard_normal(n)
+            y = b if rng.random() < 0.5 else rng.standard_normal(n)
+            yield (f"solo {i} {kind} n{n} {algo.value}", run_solo,
+                   (A, b, x0, y, algo, SolverConfig(tol=tol, max_iters=max_iters)))
 
 
 def main(argv=None) -> int:
@@ -119,13 +152,13 @@ def main(argv=None) -> int:
                         help="number of random small systems (default 1500)")
     args = parser.parse_args(argv)
     solves = [workload_solves(name, args.seed) for name in ("paper-st2", "event-switch")]
-    solves.append(random_solves(args.random))
+    solves += [random_solves(args.random), solo_solves(args.random)]
     leaky = 0
     for group in solves:
-        for label, A, b, x0, y, plan in group:
+        for label, solve, solve_args in group:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                line = fingerprint(A, b, x0, y, plan)
+                line = fingerprint(solve, *solve_args)
             leaky += bool(caught)
             print(f"{label}: {line}", flush=True)
     print(f"# solves that let a warning escape: {leaky}", file=sys.stderr)
