@@ -114,6 +114,28 @@ def _config_from_args(args) -> Tuple[Union[BaheuxSpec, str], List[Combo]]:
     return problem, combos
 
 
+def _write_report(path: str, report: str) -> None:
+    """Write ``report`` to ``path`` so that a failed write leaves an existing
+    file as it was: into a file beside it, renamed over it once complete. A
+    path that exists but is not a regular file, such as a device or a pipe,
+    is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(report)
+        return
+    # Through a symbolic link to the file it names, as a plain write goes.
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", encoding="ascii")
+    try:
+        with fh:
+            fh.write(report)
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def cli_main(argv: Optional[List[str]] = None) -> int:
     """Parse flags, run the experiment, write the report.
 
@@ -150,19 +172,13 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
             inst, delta = read_matrix_market(problem), math.nan
         records = [replace(record, delta=delta)
                    for record in run_experiment({problem: inst}, combos, **options).values()]
+        report = emit_table(records, format=args.format)
+        if args.out:
+            _write_report(args.out, report)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-    report = emit_table(records, format=args.format)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write(report)
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
-    else:
+    if not args.out:
         sys.stdout.write(report)
 
     if all(r.outcome == "Converged" and r.residual <= args.tol for r in records):

@@ -5,19 +5,23 @@ loop reads: a cycle cap ``cycle_len`` and a ``monitor(state) -> bool``,
 each None when the strategy has no such rule. ST1 has neither, ST2 has the
 cap, and ST3 has the monitor: it holds when an entry of
 ``denominator_report``, the next step's denominators, has a magnitude below
-its threshold times the entry's scale, the one its guard uses. Each pass
-runs the current algorithm for one chunk, the remaining budget cut at the
-end of the cycle when there is a cap, with the monitor as ``run``'s
-``stop``, so the chunk also ends after the first step at which the monitor
-holds. The handoff's cause comes from what the chunk did, and the strategy
-is not asked again. A convergence claim ends the run only if the
-recomputed residual b - A x meets the tolerance; otherwise a CycleEnd
-handoff restarts from that residual. A breakdown hands off with a
+its threshold times the entry's scale, the one its guard uses.
+
+Each pass computes b - A x once, at the current iterate. A norm within the
+tolerance ends the run Converged, whatever the last chunk reported, also at
+a spent budget or an iteration limit. Otherwise a spent global budget, an
+iteration limit or an overflowed norm ends it Exhausted. Otherwise the pass
+hands off with that residual and runs the installed algorithm for one
+chunk, the remaining budget cut at the end of the cycle when there is a
+cap, with the monitor as ``run``'s ``stop``, so the chunk also ends after
+the first step at which the monitor holds. The chunk's result sets the next
+handoff's cause, and the strategy is not asked again. A convergence claim,
+which the next pass confirms or refutes, hands off with a CycleEnd: a
+recurrence residual drifts from b - A x. A breakdown hands off with a
 BreakdownSwitch. A live state whose chunk advanced fewer iterations than
 it was given stopped because the monitor held, and hands off with a
 MonitorSwitch; otherwise the cycle is full and hands off with a
-ProperSwitch. An iteration limit or a spent global budget ends the run
-Exhausted instead of handing off.
+ProperSwitch.
 
 A handoff tries the drawn algorithm, then the rest of the pool in order. It
 skips only members that broke down at the current iterate or whose prologue
@@ -34,9 +38,9 @@ the caller's y. Reusing that y at a handoff fails: a finished cycle leaves
 its residual orthogonal to the old shadow Krylov space, which hands the
 incoming algorithm a numerically degenerate moment sequence. A run whose
 iterate grows until a norm overflows ends Exhausted with residual inf instead
-of raising. ``run_switching`` enters one ``np.errstate`` that silences
-numpy's over/invalid warnings for the whole run, handoff norms included; no
-warning escapes a run.
+of raising. ``run_switching`` and ``run_solo`` each enter one
+``np.errstate`` that silences numpy's over/invalid warnings for the whole
+run, residual norms included; no warning escapes a run.
 
 ``run_solo`` runs one algorithm alone, with no handoff, and reports it in
 the same ``RunRecord``, so every run, solo or switching, becomes its record
@@ -240,14 +244,16 @@ class RunRecord:
     x: Optional[np.ndarray] = None
 
 
-def _residual_norm(A: SparseMatrix, b: np.ndarray, x: np.ndarray) -> float:
-    """||b - A x||, the residual every record and event reports; inf when it
-    overflows. Raises nothing and lets no numpy warning escape."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return norm2(b - A.matvec(x))
-        except NonFiniteError:
-            return math.inf
+def _residual(A: SparseMatrix, b: np.ndarray,
+              x: np.ndarray) -> Tuple[Optional[np.ndarray], float]:
+    """(b - A x, ||b - A x||), the residual every record and event reports;
+    (None, inf) when either overflows. Raises nothing; the caller holds the
+    ``np.errstate`` that keeps numpy's warnings in."""
+    try:
+        r = b - A.matvec(x)
+        return r, norm2(r)
+    except NonFiniteError:
+        return None, math.inf
 
 
 def select_next(policy: SelectionPolicy, rng: np.random.Generator) -> AlgoId:
@@ -259,128 +265,14 @@ def select_next(policy: SelectionPolicy, rng: np.random.Generator) -> AlgoId:
     return policy.pool[int(rng.integers(0, len(policy.pool)))]
 
 
-class _Driver:
-    """Mutable loop state of one switching run."""
-
-    def __init__(self, A, b, x0, y, plan: SwitchPlan):
-        self.A, self.b, self.y = A, b, y
-        self.plan = plan
-        self.trace = SwitchTrace()
-        self.iters = 0
-        # The coin toss: PCG64 over a SeedSequence of the policy's seed.
-        self.rng = np.random.default_rng(plan.policy.mode.seed)
-        self.current = plan.start
-        self.x0 = np.array(x0, dtype=np.float64, copy=True)
-        # Pool members that broke down at the current iterate; a handoff
-        # skips them, and ends the run Exhausted when it skips every member.
-        self.barren: Set[AlgoId] = set()
-        self.state: Optional[SolverState] = None
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.x0 if self.state is None else self.state.x
-
-    def residual(self) -> Tuple[np.ndarray, float]:
-        """(b - A x, ||b - A x||) at the current iterate; NonFiniteError on overflow."""
-        r = self.b - self.A.matvec(self.x)
-        return r, norm2(r)
-
-    def finish(self, kind: EventKind, residual: float) -> str:
-        self.trace.append(SwitchEvent(kind, self.iters, self.current,
-                                      self.current, residual))
-        return kind.value
-
-    def handoff(self, first_choice: AlgoId, cause: Optional[EventKind],
-                residual: Optional[Tuple[np.ndarray, float]] = None) -> Optional[str]:
-        """Install the next algorithm at the current iterate.
-
-        Tries ``first_choice`` first, under the module's skip rule. The
-        installed state may already be terminal. ``cause`` labels the event
-        (None: the run's start, no event). ``residual`` is ``self.residual()``
-        if the caller already has it. Returns an outcome name or None.
-        """
-        at = self.iters
-        previous = self.current
-        r_fresh, r_norm = residual or self.residual()
-        if r_norm <= self.plan.cfg.tol:
-            # The iterate already solves the system; no cycle needed.
-            return self.finish(EventKind.CONVERGED, r_norm)
-        y_cycle = r_fresh if at > 0 else self.y
-        pool = self.plan.policy.pool
-        for algo in [first_choice] + [a for a in pool if a != first_choice]:
-            charge = _STATE_CLASSES[algo].PROLOGUE_CHARGES[-1]
-            if algo in self.barren or at + charge > self.plan.global_budget:
-                continue
-            state = init(algo, self.A, self.b, self.x, y_cycle, self.plan.cfg,
-                         residual=(r_fresh, r_norm))
-            if state.outcome.kind is OutcomeKind.BREAKDOWN and state.k == 0:
-                self.barren.add(algo)
-                continue
-            if cause is not None:
-                same = (cause in (EventKind.PROPER_SWITCH, EventKind.MONITOR_SWITCH)
-                        and algo == previous)
-                kind = EventKind.RESTART if same else cause
-                # The transition is stamped at the handoff iteration, before
-                # the incoming prologue consumes its charge, with the residual
-                # of that iterate.
-                self.trace.append(SwitchEvent(kind, at, previous, algo, r_norm))
-            self.state = state
-            self.current = algo
-            self.iters += state.iters_used
-            return None
-        return self.finish(EventKind.EXHAUSTED, r_norm)
-
-    def drive(self) -> str:
-        """Run chunks and handoffs until the run terminates; returns the outcome name."""
-        plan, strategy = self.plan, self.plan.strategy
-        try:
-            terminal = self.handoff(plan.start, None)
-            while terminal is None:
-                state = self.state
-                chunk = plan.global_budget - self.iters
-                if strategy.cycle_len is not None:
-                    # An A12 prologue alone can fill a short cycle.
-                    chunk = min(chunk, strategy.cycle_len - state.iters_used)
-                used = run(state, chunk, strategy.monitor)[1] if chunk > 0 else 0
-                self.iters += used
-                if state.k > 0:
-                    # The iterate moved, so earlier failures are stale.
-                    self.barren.clear()
-                kind = state.outcome.kind
-                residual = None
-                if kind is OutcomeKind.CONVERGED:
-                    # Recurrence residuals drift from b - A x; a claim the
-                    # recomputed residual does not confirm starts a new cycle
-                    # from that residual.
-                    residual = self.residual()
-                    if residual[1] <= plan.cfg.tol:
-                        return self.finish(EventKind.CONVERGED, residual[1])
-                    cause = EventKind.CYCLE_END
-                elif kind is OutcomeKind.BREAKDOWN:
-                    self.barren.add(self.current)
-                    cause = EventKind.BREAKDOWN_SWITCH
-                elif used < chunk:
-                    # ``run`` ends a chunk early on a live state only when
-                    # its ``stop``, the monitor, holds.
-                    cause = EventKind.MONITOR_SWITCH
-                else:
-                    cause = EventKind.PROPER_SWITCH
-                if kind is OutcomeKind.ITER_LIMIT or self.iters >= plan.global_budget:
-                    return self.finish(EventKind.EXHAUSTED, (residual or self.residual())[1])
-                # The handoff relabels either rule's event Restart if the
-                # same algorithm takes over.
-                terminal = self.handoff(select_next(plan.policy, self.rng), cause, residual)
-            return terminal
-        except NonFiniteError:
-            # The iterate stays finite, but it has grown until a norm of it
-            # or of its residual overflowed: no handoff can recover.
-            return self.finish(EventKind.EXHAUSTED, _residual_norm(self.A, self.b, self.x))
-
-
 def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
                   plan: SwitchPlan) -> Tuple[RunRecord, SwitchTrace]:
     """Drive solver cycles under the plan until convergence or exhaustion.
 
+    Each pass recomputes b - A x once, at the current iterate, and ends the
+    run Converged when its norm meets the tolerance, whatever the last chunk
+    reported; otherwise a spent budget, an iteration limit or an overflow
+    ends it Exhausted, and any other pass hands off and runs one chunk.
     Every handoff re-initializes the incoming algorithm at the last iterate
     of the outgoing one. The returned record carries the final iterate and
     its recomputed ||b - A x|| (inf when it overflows), the terminal event's
@@ -388,24 +280,92 @@ def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
     combo is the pool and the strategy, e.g. ``A4+A12/ST2``. Invalid input
     raises ValueError, as ``init`` does.
     """
+    strategy, policy, cfg, budget = plan.strategy, plan.policy, plan.cfg, plan.global_budget
+    trace = SwitchTrace()
+    # The coin toss: PCG64 over a SeedSequence of the policy's seed.
+    rng = np.random.default_rng(policy.mode.seed)
+    x = np.array(x0, dtype=np.float64, copy=True)
+    current, iters = plan.start, 0
+    # Pool members that broke down at the current iterate; a handoff skips
+    # them, and ends the run Exhausted when it skips every member.
+    barren: Set[AlgoId] = set()
+    # What the next handoff's event is: None at the run's start (no event),
+    # EXHAUSTED once the budget or the iteration limit is spent.
+    cause: Optional[EventKind] = None
     with np.errstate(over="ignore", invalid="ignore"):
         _check_system(A, b, x0, y)
-        drv = _Driver(A, b, x0, y, plan)
-        outcome_name = drv.drive()
-    pool = "+".join(a.value for a in plan.policy.pool)
-    *transitions, terminal = drv.trace.events
+        while True:
+            r, r_norm = _residual(A, b, x)
+            # An overflow leaves the iterate finite, but it has grown until
+            # no handoff can recover.
+            if r_norm <= cfg.tol or cause is EventKind.EXHAUSTED or r_norm == math.inf:
+                break
+            # The handoff: the drawn member, then the rest of the pool. It
+            # classifies the event, since it may install another member.
+            first = plan.start if cause is None else select_next(policy, rng)
+            for algo in [first] + [a for a in policy.pool if a != first]:
+                if algo in barren or iters + _STATE_CLASSES[algo].PROLOGUE_CHARGES[-1] > budget:
+                    continue
+                # Only the first cycle pairs with the caller's y.
+                state = init(algo, A, b, x, r if iters else y, cfg, residual=(r, r_norm))
+                if state.outcome.kind is OutcomeKind.BREAKDOWN and state.k == 0:
+                    barren.add(algo)
+                    continue
+                if cause is not None:
+                    same = (cause in (EventKind.PROPER_SWITCH, EventKind.MONITOR_SWITCH)
+                            and algo == current)
+                    # The transition is stamped at the handoff iteration,
+                    # before the incoming prologue consumes its charge.
+                    trace.append(SwitchEvent(EventKind.RESTART if same else cause,
+                                             iters, current, algo, r_norm))
+                current = algo
+                iters += state.iters_used
+                break
+            else:
+                break
+            chunk = budget - iters
+            if strategy.cycle_len is not None:
+                # An A12 prologue alone can fill a short cycle.
+                chunk = min(chunk, strategy.cycle_len - state.iters_used)
+            used = run(state, chunk, strategy.monitor)[1] if chunk > 0 else 0
+            iters += used
+            x = state.x
+            if state.k > 0:
+                # The iterate moved, so earlier failures are stale.
+                barren.clear()
+            kind = state.outcome.kind
+            if kind is OutcomeKind.ITER_LIMIT or iters >= budget:
+                cause = EventKind.EXHAUSTED
+            elif kind is OutcomeKind.CONVERGED:
+                # A claim the next pass's residual refutes starts a new cycle.
+                cause = EventKind.CYCLE_END
+            elif kind is OutcomeKind.BREAKDOWN:
+                barren.add(current)
+                cause = EventKind.BREAKDOWN_SWITCH
+            elif used < chunk:
+                # ``run`` ends a chunk early on a live state only when its
+                # ``stop``, the monitor, holds.
+                cause = EventKind.MONITOR_SWITCH
+            else:
+                cause = EventKind.PROPER_SWITCH
+    # Whichever rule ended it, a run is Converged exactly when its residual
+    # meets tol.
+    end = EventKind.CONVERGED if r_norm <= cfg.tol else EventKind.EXHAUSTED
+    trace.append(SwitchEvent(end, iters, current, current, r_norm))
+    pool = "+".join(a.value for a in policy.pool)
+    transitions = trace.events[:-1]
     record = RunRecord(
         n=A.nrows,
         delta=math.nan,
-        combo=f"{pool}/{type(plan.strategy).__name__}",
-        outcome=outcome_name,
-        residual=terminal.residual_norm,
-        iterations=drv.iters,
+        combo=f"{pool}/{type(strategy).__name__}",
+        outcome=end.value,
+        residual=r_norm,
+        iterations=iters,
         switches=sum(e.from_algo != e.to_algo for e in transitions),
         restarts=sum(e.from_algo == e.to_algo for e in transitions),
-        x=drv.x,
+        x=x,
     )
-    return record, drv.trace
+    return record, trace
 
 
 def run_solo(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
@@ -424,25 +384,26 @@ def run_solo(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
     """
     x = np.array(x0, dtype=np.float64, copy=True)
     iterations = 0
-    try:
-        state = init(algo, A, b, x, y, cfg)
-        if state.iters_used > cfg.max_iters:
-            outcome = OutcomeKind.ITER_LIMIT
-        else:
-            # The state stops itself once it has used cfg.max_iters
-            # iterations: the step after the last one reports IterLimit.
-            outcome = run(state, cfg.max_iters + 1)[0].kind
-            x, iterations = state.x, state.iters_used
-    except NonFiniteError:
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_system(A, b, x0, y)
+        r, r_norm = _residual(A, b, x)
+        # A run that does not start ends at x0, with the residual it has.
         outcome = OutcomeKind.BREAKDOWN
+        if r_norm < math.inf:
+            state = init(algo, A, b, x, y, cfg, residual=(r, r_norm))
+            outcome = OutcomeKind.ITER_LIMIT
+            if state.iters_used <= cfg.max_iters:
+                # The state stops itself once it has used cfg.max_iters
+                # iterations: the step after the last one reports IterLimit.
+                outcome = run(state, cfg.max_iters + 1)[0].kind
+                x, iterations = state.x, state.iters_used
+                r_norm = _residual(A, b, x)[1]
     return RunRecord(
         n=A.nrows,
         delta=math.nan,
         combo=f"{algo.value}/solo",
         outcome=outcome.value,
-        # Recomputed outside the try, so an overflow reads inf and leaves
-        # the outcome as it is.
-        residual=_residual_norm(A, b, x),
+        residual=r_norm,
         iterations=iterations,
         x=x,
     )

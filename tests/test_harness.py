@@ -3,6 +3,7 @@ import errno
 import io
 import math
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -404,6 +405,16 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
 
+    def test_module_entry_in_process(self, monkeypatch, capsys):
+        # ``python -m lanswitch`` runs __main__ and cli.console_entry, which
+        # exits with cli_main's code.
+        monkeypatch.setattr(sys, "argv", ["lanswitch", "--n", "20", "--switch", "st2",
+                                          "--pool", "a4,a12"])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("lanswitch", run_name="__main__", alter_sys=True)
+        assert done.value.code == 0
+        assert capsys.readouterr().out.splitlines()[0] == ",".join(CSV_COLUMNS)
+
     def test_matrix_market_routing(self, tmp_path, capsys):
         inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))
         path = tmp_path / "prob.mtx"
@@ -483,7 +494,7 @@ class TestCli:
     def test_report_write_that_fails_after_the_check_exits_one(self, tmp_path, capsys,
                                                                monkeypatch):
         # The --out check passes, then opening the report for writing fails,
-        # as it does for a file made read-only during the solve. The CLI
+        # as it does in a directory made read-only during the solve. The CLI
         # says so in one line and leaves the file as it was.
         real_open = open
 
@@ -499,8 +510,48 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: " \
-                               f"'{out}'\n"
+                               f"'{os.path.realpath(out)}.{os.getpid()}.tmp'\n"
         assert out.read_text() == "old report\n"
+        assert os.listdir(tmp_path) == ["old.csv"]
+
+    def test_report_write_that_runs_out_of_space_keeps_the_old_report(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # The report is written beside --out and renamed over it, so a write
+        # that fails part way leaves the old report's bytes and no other
+        # file; the next write that succeeds leaves only the report.
+        real_open = open
+
+        class FullDevice:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def full(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return FullDevice(fh) if mode == "w" else fh
+
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"old report\n")
+        args = ["--n", "20", "--solo", "a4", "--out", str(out)]
+        monkeypatch.setattr(cli, "open", full, raising=False)
+        assert cli_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert out.read_bytes() == b"old report\n"
+        assert os.listdir(tmp_path) == ["old.csv"]
+        monkeypatch.undo()
+        assert cli_main(args) == 0
+        assert out.read_text().startswith(",".join(CSV_COLUMNS) + "\n")
+        assert os.listdir(tmp_path) == ["old.csv"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_report_write_to_a_full_device_exits_one(self, capsys):

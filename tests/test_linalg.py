@@ -109,6 +109,10 @@ class TestSparseMatrix:
         I = identity(3)
         assert_allclose(I.matvec(as_vector([1, 2, 3])), [1, 2, 3])
 
+    def test_repr_names_order_and_stored_entries(self):
+        A = SparseMatrix(3, [0, 1, 1, 3], [2, 0, 2], [1.0, 2.0, 3.0])
+        assert repr(A) == "SparseMatrix(3x3, nnz=3)"
+
     def test_diagonal_scaling(self):
         D = from_dense(np.diag([2.0, 3.0]))
         assert_allclose(D.matvec(as_vector([2, 3])), [4, 9])

@@ -319,16 +319,17 @@ class TestRunSwitching:
 
     @pytest.mark.parametrize("algo", list(AlgoId))
     def test_handoff_computes_the_residual_once(self, monkeypatch, algo):
-        # The incoming state takes the handoff's b - A x and its norm instead
-        # of recomputing them, so a handoff makes the kernel calls of a plain
-        # init at that iterate and no more (it used to make one matvec and
-        # one norm2 more).
+        # Each pass computes b - A x once, and a handoff hands it to init, so
+        # a handoff's init makes the kernel calls of a plain init at that
+        # iterate less that residual's matvec and norm2, and starts the same
+        # state. Switching calls its own norm2 only for that residual: once
+        # per pass, one pass per install and one that ends the run.
         inst = gen_baheux(BaheuxSpec(n=60, delta=0.2))
         A, b = inst.A, inst.b
-        x = np.linspace(0.0, 1.0, 60)
-        y = b - A.matvec(x)
-        plan = st2_plan([algo])
-        calls = {"matvec": 0, "norm2": 0}
+        x0 = np.linspace(0.0, 1.0, 60)
+        y = b - A.matvec(x0)
+        plan = st2_plan([algo], cycle=7, tol=1e-10)
+        calls = {"matvec": 0, "norm2": 0, "residual norm2": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -337,28 +338,35 @@ class TestRunSwitching:
             return wrapper
 
         monkeypatch.setattr(SparseMatrix, "matvec", counted("matvec", SparseMatrix.matvec))
-        for module in (switching, solvers):
-            monkeypatch.setattr(module, "norm2", counted("norm2", module.norm2))
+        monkeypatch.setattr(solvers, "norm2", counted("norm2", solvers.norm2))
+        monkeypatch.setattr(switching, "norm2", counted("residual norm2", switching.norm2))
+        handoffs = []
 
-        plain = init(algo, A, b, x, y, plan.cfg)
-        init_calls = dict(calls)
-        calls.update(matvec=0, norm2=0)
-        drv = switching._Driver(A, b, x, y, plan)
-        assert drv.handoff(algo, None) is None
-        assert calls == init_calls
-        st = drv.state
-        assert st.algo is algo and st.k == plain.k
-        assert st.r.tobytes() == plain.r.tobytes() and st.r_norm == plain.r_norm
-        assert st.x.tobytes() == plain.x.tobytes()
-        # init itself takes a precomputed residual and starts the same state.
-        r = b - A.matvec(x)
-        given = init(algo, A, b, x, y, plan.cfg, residual=(r, norm2(r)))
-        # Without a prologue the state keeps the array it was handed.
-        assert (given.r is r) == (given.k == 0)
-        for name in ("x", "r", "y"):
-            assert getattr(given, name).tobytes() == getattr(plain, name).tobytes()
-        assert (given.k, given.r_norm, given.iters_used, given.outcome) == (
-            plain.k, plain.r_norm, plain.iters_used, plain.outcome)
+        def recording_init(*args, **kwargs):
+            before = dict(calls)
+            state = init(*args, **kwargs)
+            used = {k: calls[k] - before[k] for k in calls}
+            # The run steps the state on, so its start is kept now.
+            start = ([getattr(state, name).tobytes() for name in ("x", "r", "y")],
+                     state.k, state.r_norm, state.iters_used, state.outcome)
+            handoffs.append((args, used, start, state.r is kwargs["residual"][0]))
+            return state
+
+        monkeypatch.setattr(switching, "init", recording_init)
+        _, trace = run_switching(A, b, x0, y, plan)
+        passes = len(trace.events) + 1
+        assert len(handoffs) == passes - 1 > 2
+        assert calls["residual norm2"] == passes
+        for args, used, start, kept in handoffs:
+            calls.update(matvec=0, norm2=0)
+            plain = init(*args)
+            assert used == {"matvec": calls["matvec"] - 1, "norm2": calls["norm2"] - 1,
+                            "residual norm2": 0}
+            assert plain.algo is algo
+            assert start == ([getattr(plain, name).tobytes() for name in ("x", "r", "y")],
+                             plain.k, plain.r_norm, plain.iters_used, plain.outcome)
+            # Without a prologue the state keeps the array it was handed.
+            assert kept == (plain.k == 0)
 
     def test_restart_iff_same_algorithm(self):
         inst = gen_baheux(BaheuxSpec(n=100, delta=0.0))
@@ -647,27 +655,59 @@ class TestRunSwitching:
         strategy = SimpleNamespace(cycle_len=15, monitor=ST3(threshold).monitor)
         plan = SwitchPlan(strategy, SelectionPolicy((A8B10, A4), CoinToss(5)), A8B10,
                           SolverConfig(tol=1e-13, max_iters=6000), 6000)
-        left = []
-        handoff = switching._Driver.handoff
+        chunks = []
 
-        def recorded_handoff(self, first_choice, cause, residual=None):
-            if cause in (EventKind.PROPER_SWITCH, EventKind.MONITOR_SWITCH):
-                state = self.state
-                small = any(abs(value) < threshold * scale
-                            for _, value, scale in denominator_report(state))
-                left.append((cause, state.iters_used, small))
-            return handoff(self, first_choice, cause, residual)
+        def recorded_run(state, budget, stop=None):
+            outcome, used = run(state, budget, stop)
+            small = not outcome.is_terminal and any(
+                abs(value) < threshold * scale for _, value, scale in denominator_report(state))
+            chunks.append((outcome.kind, state.iters_used, small))
+            return outcome, used
 
-        monkeypatch.setattr(switching._Driver, "handoff", recorded_handoff)
-        rec, _ = run_switching(inst.A, inst.b, np.zeros(60), inst.b, plan)
+        monkeypatch.setattr(switching, "run", recorded_run)
+        rec, trace = run_switching(inst.A, inst.b, np.zeros(60), inst.b, plan)
         assert rec.outcome == "Converged" and rec.iterations == 72
-        assert {cause for cause, _, _ in left} == {EventKind.PROPER_SWITCH,
-                                                  EventKind.MONITOR_SWITCH}
-        for cause, iters, small in left:
-            if cause is EventKind.PROPER_SWITCH:
-                assert iters == strategy.cycle_len
+        # Every chunk but the last is followed by one transition.
+        transitions = trace.events[:-1]
+        assert len(chunks) == len(transitions) + 1
+        kinds = {e.kind for e in transitions}
+        assert {EventKind.PROPER_SWITCH, EventKind.MONITOR_SWITCH} <= kinds
+        for (outcome, iters, small), event in zip(chunks, transitions):
+            if outcome is not OutcomeKind.CONTINUE:
+                continue
+            assert event.kind in (EventKind.PROPER_SWITCH, EventKind.MONITOR_SWITCH,
+                                  EventKind.RESTART)
+            if iters == strategy.cycle_len:
+                assert event.kind is not EventKind.MONITOR_SWITCH
             else:
                 assert small and iters < strategy.cycle_len
+                assert event.kind is not EventKind.PROPER_SWITCH
+
+    @pytest.mark.parametrize("limit", ["budget", "max_iters"])
+    def test_residual_within_tol_at_the_limit_ends_converged(self, limit):
+        # The recurrence has not claimed convergence when the budget or the
+        # iteration limit is spent, but the recomputed ||b - A x|| already
+        # meets tol: the run ends Converged, not Exhausted.
+        inst = gen_baheux(BaheuxSpec(n=20, delta=0.0))
+        A, b = inst.A, inst.b
+        solo = init(A12, A, b, np.zeros(20), b, SolverConfig(tol=1e-300, max_iters=1000))
+        lowest = solo.r_norm
+        while True:
+            assert solo.step().kind is OutcomeKind.CONTINUE
+            true = norm2(b - A.matvec(solo.x))
+            if true < solo.r_norm and true < lowest:
+                break
+            lowest = min(lowest, solo.r_norm)
+        k = solo.iters_used
+        # No recurrence norm up to step k meets this tol, b - A x at k does.
+        tol = true
+        budget, max_iters = (k, 10 * k) if limit == "budget" else (10 * k, k)
+        plan = SwitchPlan(ST1(), SelectionPolicy((A12,), CoinToss(0)), A12,
+                          SolverConfig(tol=tol, max_iters=max_iters), budget)
+        rec, trace = run_switching(A, b, np.zeros(20), b, plan)
+        assert [(e.kind, e.at_iteration) for e in trace.events] == [(EventKind.CONVERGED, k)]
+        assert (rec.outcome, rec.iterations, rec.residual) == ("Converged", k, true)
+        assert rec.x.tobytes() == solo.x.tobytes()
 
     def test_one_member_pool_ends_at_a_breakdown_after_progress(self):
         # The breakdown leaves the only member barren at this iterate, so

@@ -76,8 +76,9 @@ def test_run_switching_invariants(case):
     # residual.
     assert repr(rec.residual) == repr(trace.events[-1].residual_norm) == \
         repr(record_residual(A, b, rec.x))
-    if rec.outcome == "Converged":
-        assert rec.residual <= plan.cfg.tol
+    # A run ends Converged exactly when that residual meets tol, also at a
+    # spent budget or an iteration limit.
+    assert (rec.outcome == "Converged") == (rec.residual <= plan.cfg.tol)
     for e in trace.events[:-1]:
         same = e.from_algo == e.to_algo
         assert not same or e.kind in (EventKind.RESTART, EventKind.CYCLE_END)
