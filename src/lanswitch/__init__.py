@@ -46,7 +46,6 @@ from .harness import (
     DEFAULT_SEED,
     PAPER_COMBOS,
     SwitchTemplate,
-    emit_table,
     run_experiment,
 )
 

@@ -1,12 +1,13 @@
-"""Command-line front end for solo and switching runs."""
+"""Command-line front end for solo and switching runs on one problem, and
+their report."""
 
 from __future__ import annotations
 
 import argparse
 import math
 import os
+import shutil
 import sys
-from dataclasses import replace
 from typing import List, Optional, Tuple, Union
 
 from .harness import (
@@ -15,12 +16,11 @@ from .harness import (
     SWITCH_BUDGET_PER_N,
     Combo,
     SwitchTemplate,
-    emit_table,
     run_experiment,
 )
 from .problems import BaheuxSpec, gen_baheux, read_matrix_market
 from .solvers import AlgoId, SolverConfig
-from .switching import ST1, ST2, ST3
+from .switching import ST1, ST2, ST3, RunRecord
 
 
 class _UsageError(Exception):
@@ -91,6 +91,9 @@ def _config_from_args(args) -> Tuple[Union[BaheuxSpec, str], List[Combo]]:
     combos = []
     if args.solo:
         combos.extend(_parse_algos(args.solo))
+        # A repeated algorithm would run twice and fill one column twice.
+        if len(set(combos)) < len(combos):
+            raise _UsageError("--solo entries must be distinct")
     if args.switch:
         if not args.pool:
             raise _UsageError("--switch requires --pool")
@@ -114,6 +117,33 @@ def _config_from_args(args) -> Tuple[Union[BaheuxSpec, str], List[Combo]]:
     return problem, combos
 
 
+CSV_COLUMNS = ("n", "delta", "combo", "outcome", "residual",
+               "iterations", "switches", "restarts", "seconds")
+
+
+def _sci(value: float) -> str:
+    return f"{value:.4e}"
+
+
+def emit_table(records: List[RunRecord], delta: float, format: str) -> str:
+    """One problem's records as CSV, one row per record, or as a paper-shaped
+    markdown table, one row with a (residual, T(s)) column pair per record.
+    ``delta`` is the generated problem's, NaN for a MatrixMarket file."""
+    if format == "csv":
+        rows = [CSV_COLUMNS] + [
+            (str(r.n), _sci(delta), r.combo, r.outcome, _sci(r.residual),
+             str(r.iterations), str(r.switches), str(r.restarts), _sci(r.seconds))
+            for r in records]
+        return "".join(",".join(row) + "\n" for row in rows)
+    header, row = ["n"], [str(records[0].n)]
+    for r in records:
+        header += [f"{r.combo} residual", f"{r.combo} T(s)"]
+        row += [_sci(r.residual), _sci(r.seconds)]
+    title = "### external problem" if math.isnan(delta) else f"### delta = {delta:g}"
+    return "\n".join([title, "| " + " | ".join(header) + " |", "|" + "---|" * len(header),
+                      "| " + " | ".join(row) + " |", ""])
+
+
 def _write_report(path: str, report: str) -> None:
     """Write ``report`` to ``path`` so that a failed write leaves an existing
     file as it was: into a file beside it, renamed over it once complete. A
@@ -129,6 +159,9 @@ def _write_report(path: str, report: str) -> None:
     fh = open(tmp, "w", encoding="ascii")
     try:
         with fh:
+            if os.path.exists(target):
+                # The new report keeps the permission bits of the old one.
+                shutil.copymode(target, tmp)
             fh.write(report)
         os.replace(tmp, target)
     except BaseException:
@@ -170,9 +203,8 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
             inst, delta = gen_baheux(problem), problem.delta
         else:
             inst, delta = read_matrix_market(problem), math.nan
-        records = [replace(record, delta=delta)
-                   for record in run_experiment({problem: inst}, combos, **options).values()]
-        report = emit_table(records, format=args.format)
+        records = list(run_experiment({problem: inst}, combos, **options).values())
+        report = emit_table(records, delta, args.format)
         if args.out:
             _write_report(args.out, report)
     except (ValueError, OSError) as err:

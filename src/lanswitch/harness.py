@@ -1,4 +1,4 @@
-"""Experiment harness: the paper grid, its runs, their timing and reports.
+"""Experiment harness: the paper grid, its runs and their timing.
 
 A cell is one (problem, combo) pair. Solo cells run a single algorithm with
 an iteration budget; switching cells run a plan. A run's switching combos
@@ -11,13 +11,13 @@ solo combos to a run changes no switching cell.
 The paper grid is defined here once: its deltas, orders, pairings,
 tolerance, budgets per n and seed. ``run_experiment`` runs combos on every
 instance of a family, as the CLI, the acceptance criteria and the README's
-result tables do.
+result tables do. Records carry no problem parameters beyond the order n:
+the CLI, which renders them, knows its one problem's delta.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -51,7 +51,6 @@ __all__ = [
     "run_experiment",
     "run_cell",
     "paper_instances",
-    "emit_table",
     "derive_seed",
 ]
 
@@ -158,11 +157,10 @@ def run_experiment(instances: Mapping[Hashable, ProblemInstance], combos: Sequen
     position).
 
     Each record is the last of ``repeats`` solves of its cell and carries the
-    median of their wall seconds; building the problems is not timed. A
-    record's delta stays NaN. ``budget`` defaults to the combo's budget per n
-    times the order n. A bad seed, tol, budget or repeats raises ValueError
-    before any solve; a run that fails ends in its record's outcome and never
-    aborts the batch.
+    median of their wall seconds; building the problems is not timed.
+    ``budget`` defaults to the combo's budget per n times the order n. A bad
+    seed, tol, budget or repeats raises ValueError before any solve; a run
+    that fails ends in its record's outcome and never aborts the batch.
     """
     _check_count("repeats", repeats)
     SolverConfig(tol=tol)  # ValueError unless tol > 0
@@ -185,61 +183,3 @@ def paper_instances() -> Dict[Tuple[float, int], ProblemInstance]:
     return {(delta, n): gen_baheux(BaheuxSpec(n=n, delta=delta))
             for delta in PAPER_DELTAS for n in PAPER_DIMS}
 
-
-# ---------------------------------------------------------------------------
-# Reports
-# ---------------------------------------------------------------------------
-
-CSV_COLUMNS = ("n", "delta", "combo", "outcome", "residual",
-               "iterations", "switches", "restarts", "seconds")
-
-
-def _sci(value: float) -> str:
-    return f"{value:.4e}"
-
-
-def emit_table(records: Sequence[RunRecord], format: str = "csv") -> str:
-    """Render records as CSV (one row per record) or a paper-shaped markdown table."""
-    if not records:
-        raise ValueError("no records to emit")
-    if format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for r in records:
-            lines.append(",".join([
-                str(r.n), _sci(r.delta), r.combo, r.outcome, _sci(r.residual),
-                str(r.iterations), str(r.switches), str(r.restarts), _sci(r.seconds),
-            ]))
-        return "\n".join(lines) + "\n"
-    if format == "md":
-        return _emit_markdown(records)
-    raise ValueError(f"unknown format {format!r} (expected csv or md)")
-
-
-def _emit_markdown(records: Sequence[RunRecord]) -> str:
-    out = []
-    # NaN equals no NaN, and a dict key tells NaNs apart by identity, so
-    # every NaN delta is keyed by the one math.nan: one external table.
-    for delta in dict.fromkeys(math.nan if math.isnan(r.delta) else r.delta for r in records):
-        subset = [r for r in records if r.delta == delta or
-                  (math.isnan(delta) and math.isnan(r.delta))]
-        combos = list(dict.fromkeys(r.combo for r in subset))
-        dims = list(dict.fromkeys(r.n for r in subset))
-        cell = {(r.n, r.combo): r for r in subset}
-        out.append(f"### delta = {delta:g}" if not math.isnan(delta)
-                   else "### external problem")
-        header = ["n"]
-        for combo in combos:
-            header += [f"{combo} residual", f"{combo} T(s)"]
-        out.append("| " + " | ".join(header) + " |")
-        out.append("|" + "---|" * len(header))
-        for n in dims:
-            row = [str(n)]
-            for combo in combos:
-                r = cell.get((n, combo))
-                if r is None:
-                    row += ["-", "-"]
-                else:
-                    row += [_sci(r.residual), _sci(r.seconds)]
-            out.append("| " + " | ".join(row) + " |")
-        out.append("")
-    return "\n".join(out)

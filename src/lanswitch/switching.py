@@ -225,15 +225,17 @@ class SwitchTrace:
 
 @dataclass
 class RunRecord:
-    """One experiment row; ``x`` is kept for verification, not for reports.
+    """One run on one system of order ``n``; ``x`` is kept for verification,
+    not for reports.
 
     ``residual`` is ||b - A x|| of that ``x``, recomputed (inf when it
     overflows), for every outcome, solo or switching. A solo run makes no
     switch or restart; ``seconds`` stays NaN until the harness times the run.
+    A report takes any other problem parameter, such as delta, from the
+    problem.
     """
 
     n: int
-    delta: float
     combo: str
     outcome: str
     residual: float
@@ -276,7 +278,7 @@ def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
     Every handoff re-initializes the incoming algorithm at the last iterate
     of the outgoing one. The returned record carries the final iterate and
     its recomputed ||b - A x|| (inf when it overflows), the terminal event's
-    residual; delta and seconds are filled in by the harness. The record's
+    residual; seconds is filled in by the harness. The record's
     combo is the pool and the strategy, e.g. ``A4+A12/ST2``. Invalid input
     raises ValueError, as ``init`` does.
     """
@@ -356,7 +358,6 @@ def run_switching(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
     transitions = trace.events[:-1]
     record = RunRecord(
         n=A.nrows,
-        delta=math.nan,
         combo=f"{pool}/{type(strategy).__name__}",
         outcome=end.value,
         residual=r_norm,
@@ -400,7 +401,6 @@ def run_solo(A: SparseMatrix, b: np.ndarray, x0: np.ndarray, y: np.ndarray,
                 r_norm = _residual(A, b, x)[1]
     return RunRecord(
         n=A.nrows,
-        delta=math.nan,
         combo=f"{algo.value}/solo",
         outcome=outcome.value,
         residual=r_norm,

@@ -6,19 +6,20 @@ import os
 import runpy
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lanswitch import cli, harness
-from lanswitch.cli import _build_parser, cli_main
+from lanswitch.cli import CSV_COLUMNS, _build_parser, cli_main, emit_table
 from lanswitch.harness import (
-    CSV_COLUMNS,
+    DEFAULT_SEED,
     PAPER_COMBOS,
     SwitchTemplate,
     derive_seed,
-    emit_table,
+    run_cell,
     run_experiment,
 )
 from lanswitch.linalg import norm2
@@ -123,7 +124,6 @@ class TestRunExperiment:
         assert rec.outcome == "Converged"
         assert rec.residual <= 1e-13
         assert rec.n == 20
-        assert math.isnan(rec.delta)
         assert rec.combo == "A4+A12/ST2"
         assert math.isfinite(rec.seconds)
 
@@ -214,7 +214,6 @@ class TestRunExperiment:
         write_matrix_market(str(path), inst.A)
         (rec,) = run_on(read_matrix_market(str(path)))
         assert rec.outcome == "Converged"
-        assert math.isnan(rec.delta)
 
     def test_overflowing_residual_does_not_abort_the_batch(self, tmp_path):
         # b = A 1 is finite, but ||b - A x0|| overflows: the solo row breaks
@@ -251,6 +250,28 @@ class TestRunExperiment:
                 per_iter[n] = min(per_iter[n], rec.seconds / rec.iterations)
         assert list(per_iter.values()) == sorted(per_iter.values())
 
+    def test_concurrent_runs_match_sequential_runs(self):
+        # linalg's kernels and the solver states share nothing writable, so
+        # runs on shared problems may go on several threads at once: each
+        # run must end as it does alone, down to the bytes of its iterate.
+        instances = [gen_baheux(BaheuxSpec(n=n, delta=delta))
+                     for delta in (0.2, 8.0) for n in (20, 60)]
+        cells = [(inst, SwitchTemplate(strategy, PAPER_COMBOS[number]),
+                  derive_seed(DEFAULT_SEED, position))
+                 for inst in instances
+                 for position, number in enumerate(sorted(PAPER_COMBOS))
+                 for strategy in (ST1(), ST2(20), ST3())]
+
+        def solve(cell):
+            rec, _ = run_cell(*cell)
+            return (rec.outcome, rec.iterations, rec.switches, rec.restarts,
+                    rec.residual, rec.x.tobytes())
+
+        sequential = [solve(cell) for cell in cells]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(solve, cells)) == sequential
+        assert all(outcome == "Converged" for outcome, *_ in sequential)
+
     def test_extended_dimension_4000(self):
         # Largest published row: n=4000 at delta=8 stays below the tolerance.
         (rec,) = run_on(BaheuxSpec(n=4000, delta=8.0))
@@ -260,79 +281,52 @@ class TestRunExperiment:
 
 class TestEmitTable:
     def _records(self):
-        instances = {n: gen_baheux(BaheuxSpec(n=n, delta=0.2)) for n in (20, 40, 60)}
-        records = run_experiment(instances, (SwitchTemplate(ST2(20), PAPER_COMBOS[6]),
-                                             SwitchTemplate(ST2(20), PAPER_COMBOS[9])))
-        return [replace(record, delta=0.2) for record in records.values()]
+        return run_on(BaheuxSpec(n=40, delta=0.2),
+                      (AlgoId.A4, SwitchTemplate(ST2(20), PAPER_COMBOS[6]),
+                       SwitchTemplate(ST2(20), PAPER_COMBOS[9])))
 
     def test_single_record_csv_shape(self):
         (rec,) = run_on()
-        text = emit_table([rec], format="csv")
+        text = emit_table([rec], 0.0, "csv")
         lines = text.strip().split("\n")
         assert len(lines) == 2
         assert lines[0] == "n,delta,combo,outcome,residual,iterations,switches,restarts,seconds"
 
     def test_csv_round_trip_five_significant_digits(self):
         records = self._records()
-        text = emit_table(records, format="csv")
+        text = emit_table(records, 0.2, "csv")
         parsed = list(csv.DictReader(io.StringIO(text)))
         assert len(parsed) == len(records)
         for row, rec in zip(parsed, records):
             assert int(row["n"]) == rec.n
+            assert float(row["delta"]) == 0.2
             assert row["combo"] == rec.combo
+            assert row["outcome"] == rec.outcome
             assert float(row["residual"]) == float(f"{rec.residual:.4e}")
             assert float(row["seconds"]) == float(f"{rec.seconds:.4e}")
-            assert int(row["iterations"]) == rec.iterations
+            assert [int(row[k]) for k in ("iterations", "switches", "restarts")] == \
+                [rec.iterations, rec.switches, rec.restarts]
 
     def test_markdown_shape(self):
         records = self._records()
-        text = emit_table(records, format="md")
-        lines = [ln for ln in text.split("\n") if ln.startswith("|")]
-        # header + separator + 3 dimension rows
-        assert len(lines) == 5
-        header = lines[0]
-        assert header.count("residual") == 2
-        assert header.count("T(s)") == 2
-        data_rows = lines[2:]
-        assert [row.split("|")[1].strip() for row in data_rows] == ["20", "40", "60"]
-
-    def test_markdown_marks_a_cell_a_combo_lacks(self):
-        # A4/solo has no n = 40 record: its two cells there read "-".
-        records = [RunRecord(n=n, delta=0.0, combo=combo, outcome="Converged",
-                             residual=1e-14, iterations=10, switches=0, restarts=0,
-                             seconds=0.5)
-                   for n, combo in ((20, "A4/solo"), (20, "A12/solo"), (40, "A12/solo"))]
-        lines = [ln for ln in emit_table(records, format="md").split("\n")
-                 if ln.startswith("| 40 ")]
-        assert lines == ["| 40 | - | - | 1.0000e-14 | 5.0000e-01 |"]
-
-    def test_markdown_groups_every_nan_delta_into_one_table(self):
-        # Three distinct NaN objects, none equal to another, are one
-        # external problem: one table with one row per n.
-        records = [RunRecord(n=n, delta=delta, combo="A4/solo", outcome="Converged",
-                             residual=1e-14, iterations=10, switches=0, restarts=0,
-                             seconds=0.5)
-                   for n, delta in ((20, math.nan), (40, float("nan")), (60, np.nan))]
-        text = emit_table(records, format="md")
-        assert text.count("### ") == text.count("### external problem") == 1
-        assert [ln.split("|")[1].strip() for ln in text.split("\n")
-                if ln.startswith("| ") and ln[2].isdigit()] == ["20", "40", "60"]
-
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError):
-            emit_table([], format="csv")
-
-    def test_unknown_format_rejected(self):
-        (rec,) = run_on()
-        with pytest.raises(ValueError):
-            emit_table([rec], format="html")
+        for delta, title in ((0.2, "### delta = 0.2"), (math.nan, "### external problem")):
+            lines = emit_table(records, delta, "md").split("\n")
+            # title, header, separator, the one row of n = 40, and the final newline
+            assert len(lines) == 5 and lines[0] == title and lines[-1] == ""
+            header, separator, row = (ln.split("|")[1:-1] for ln in lines[1:4])
+            assert [cell.strip() for cell in header] == ["n"] + [
+                f"{r.combo} {column}" for r in records for column in ("residual", "T(s)")]
+            assert separator == ["---"] * len(header)
+            assert [cell.strip() for cell in row] == ["40"] + [
+                f"{value:.4e}" for r in records for value in (r.residual, r.seconds)]
 
     def test_scientific_rendering(self):
-        rec = RunRecord(n=20, delta=0.0, combo="A4+A12/ST2", outcome="Converged",
+        rec = RunRecord(n=20, combo="A4+A12/ST2", outcome="Converged",
                         residual=5.5067e-14, iterations=64, switches=2,
                         restarts=1, seconds=0.0012)
-        text = emit_table([rec], format="csv")
+        text = emit_table([rec], 0.0, "csv")
         assert "5.5067e-14" in text
+        assert "5.5067e-14" in emit_table([rec], 0.0, "md")
 
 
 class TestCli:
@@ -553,6 +547,24 @@ class TestCli:
         assert out.read_text().startswith(",".join(CSV_COLUMNS) + "\n")
         assert os.listdir(tmp_path) == ["old.csv"]
 
+    def test_rewritten_report_keeps_its_permission_bits(self, tmp_path):
+        # The new report is renamed over the old one, and takes its mode.
+        out = tmp_path / "report.csv"
+        out.write_text("old report\n")
+        out.chmod(0o600)
+        assert cli_main(["--n", "20", "--solo", "a4", "--out", str(out)]) == 0
+        assert out.read_text().startswith(",".join(CSV_COLUMNS) + "\n")
+        assert out.stat().st_mode & 0o777 == 0o600
+        assert os.listdir(tmp_path) == ["report.csv"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_report_write_to_a_device_goes_in_place(self, capsys):
+        # An existing path that is not a regular file is written in place,
+        # never replaced by a file.
+        assert cli_main(["--n", "20", "--solo", "a4", "--out", "/dev/null"]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert not os.path.isfile("/dev/null")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_report_write_to_a_full_device_exits_one(self, capsys):
         # /dev/full opens for appending and for writing, and every write to
@@ -570,7 +582,7 @@ class TestCli:
         # recomputed residual lies above --tol exits 2, and its row still
         # reads Converged.
         def claim(*args):
-            return RunRecord(n=20, delta=math.nan, combo="A4/solo", outcome="Converged",
+            return RunRecord(n=20, combo="A4/solo", outcome="Converged",
                              residual=residual, iterations=13), 0.0
 
         monkeypatch.setattr(harness, "run_cell", claim)
@@ -601,6 +613,14 @@ class TestCli:
         assert cli_main(["--n", "20", "--solo", "a4,a12", "--switch", "st2"] + flags) == 1
         assert cells == []
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("solo", ["a4,a4", "a4,a12,A4"])
+    def test_repeated_solo_algorithm_exits_one_before_any_solve(self, capsys, monkeypatch,
+                                                                solo):
+        # Run twice, a solo algorithm would fill one markdown column twice.
+        refuse_solves(monkeypatch)
+        assert cli_main(["--n", "20", "--solo", solo, "--format", "md"]) == 1
+        assert capsys.readouterr() == ("", "error: --solo entries must be distinct\n")
 
     @pytest.mark.parametrize("flags, message", [
         (["--solo", "a4", "--cycle", "5"], "--cycle requires --switch st2"),
